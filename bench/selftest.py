@@ -66,8 +66,8 @@ def main() -> int:
 
     # exact-products: canonical and relabeled inputs keep their pinned values
     for relabel in (False, True):
-        prep = wl.setup_exact_products(Tracer(), 3, relabel, scratch_parent, products=small)
-        results, failed, _ = outcome(prep.ops(0))
+        prep = wl.setup_exact_products(Tracer(), 3, relabel, products=small)
+        results, failed, _ = outcome(prep.ops)
         expect(len(results) == 2 and not failed, f"exact-products relabel={relabel}: {failed}")
         expect(all((i["relabel_seed"] is not None) == relabel for i in prep.instances),
                "relabel seeds recorded")
@@ -75,9 +75,9 @@ def main() -> int:
     # negative control: a wrong pinned value is a failed op
     name, kind, a, b, pinned, budget = small[1]
     wrong = wl.setup_exact_products(
-        Tracer(), 0, False, scratch_parent, products=[(name, kind, a, b, pinned + 1, budget)]
+        Tracer(), 0, products=[(name, kind, a, b, pinned + 1, budget)]
     )
-    _, failed, unexplained = outcome(wrong.ops(0))
+    _, failed, unexplained = outcome(wrong.ops)
     expect(len(failed) == 1 and tags(failed[0]) == {"wrong-value"}, "wrong pin must fail")
     expect(unexplained == failed, "a wrong pin is not a known defect")
 
@@ -106,20 +106,20 @@ def main() -> int:
     _, failed, _ = outcome([Op("raises", raising_op)])
     expect(len(failed) == 1 and tags(failed[0]) == {"exception"}, "exception must fail the op")
 
-    # oracle-sweep on graphs up to 4 vertices plus one pass of 7-vertex graphs
-    prep = wl.setup_oracle_sweep(Tracer(), 5, False, scratch_parent, max_n=4)
-    ops = [op for op in prep.ops(0) if op.name.startswith("corpus") or "m=9" in op.name]
+    # oracle-sweep on graphs up to 4 vertices plus the 7-vertex graphs with m = 9
+    prep = wl.setup_oracle_sweep(Tracer(), 5, max_n=4)
+    ops = [op for op in prep.ops if op.name.startswith("corpus") or "m=9" in op.name]
     results, failed, _ = outcome(ops)
     expect(len(results) > 10 and not failed, f"oracle-sweep: {failed}")
-    again = wl.setup_oracle_sweep(Tracer(), 5, False, scratch_parent, max_n=4)
+    again = wl.setup_oracle_sweep(Tracer(), 5, max_n=4)
     expect(again.instances == prep.instances, "the same seed gives the same inputs")
 
     # network-families: the known defect fails, is named, and does not
     # count as unexplained; a clean instance passes
     tiny = [n for n in wl.NETWORKS if n[0] in ("hyper_petersen", "lex_torus") and n[4] <= 20]
     with tempfile.TemporaryDirectory(dir=scratch_parent) as tmp:
-        prep = wl.setup_network_families(Tracer(), 0, False, Path(tmp), networks=tiny)
-        ops = [op for op in prep.ops(0) if op.name != "proposition_report"]
+        prep = wl.setup_network_families(Tracer(), 0, Path(tmp), networks=tiny)
+        ops = [op for op in prep.ops if op.name != "proposition_report"]
         results, failed, unexplained = outcome(ops)
     expect(len(results) == 2, "two tiny network instances")
     expect([r.name for r in failed] == ["lex_torus 3 3"], f"known defect shows: {failed}")

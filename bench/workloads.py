@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 from harness import Op, OpReport, Tracer
 
@@ -69,8 +68,7 @@ KNOWN_DEFECTS = {
 @dataclass
 class Prepared:
     instances: list[dict]
-    ops: Callable[[int], list[Op]]  # pass number -> ops of that pass
-    max_passes: int
+    ops: list[Op]
 
 
 # -- shared checks -----------------------------------------------------------
@@ -167,7 +165,7 @@ def exact_product_op(
 
 
 def setup_exact_products(
-    tr: Tracer, seed: int, relabel_inputs: bool, scratch: Path, products=PRODUCTS
+    tr: Tracer, seed: int, relabel_inputs: bool = False, products=PRODUCTS
 ) -> Prepared:
     instances, ops = [], []
     for name, kind, a, b, pinned, max_nodes in products:
@@ -201,18 +199,17 @@ def setup_exact_products(
         )
         ops.append(Op(name, partial(exact_product_op, g, pinned, max_nodes, intervals)))
     random.Random(seed).shuffle(ops)
-    return Prepared(instances, lambda pass_no: ops, max_passes=16)
+    return Prepared(instances, ops)
 
 
 # -- oracle-sweep ----------------------------------------------------------------
 
-# Seven-vertex graphs, eight of each edge count per pass.  With 24 of them
-# next to the 124 corpus graphs, the median op falls on a plateau of corpus
-# op times (about 6 ms); with 12 it fell on a step from 3.4 ms to 5.8 ms and
-# moved by 8% between runs.
+# Seven-vertex graphs, eight of each edge count, drawn once from the seed.
+# With 24 of them next to the 124 corpus graphs, the median op falls on a
+# plateau of corpus op times (about 6 ms); with 12 it fell on a step from
+# 3.4 ms to 5.8 ms and moved by 8% between runs.
 RANDOM_EDGE_COUNTS = (9, 10, 11)
 RANDOM_PER_COUNT = 8
-ORACLE_MAX_PASSES = 32
 
 
 def oracle_op(g: Graph, tr: Tracer, rep: OpReport) -> None:
@@ -235,39 +232,29 @@ def oracle_op(g: Graph, tr: Tracer, rep: OpReport) -> None:
     check_witness(tr, rep, g, floor, g.m - g.n + 2, "spanning-tree coloring")
 
 
-def setup_oracle_sweep(
-    tr: Tracer, seed: int, relabel_inputs: bool, scratch: Path, max_n: int = 6
-) -> Prepared:
+def setup_oracle_sweep(tr: Tracer, seed: int, max_n: int = 6) -> Prepared:
     corpus = tr.call("smallgraphs.connected_corpus", connected_corpus, max_n, max_edges=10)
     rng = random.Random(seed)
-    per_pass = [
-        [
-            tr.call("smallgraphs.random_connected_graph", random_connected_graph, 7, m, rng)
-            for m in RANDOM_EDGE_COUNTS
-            for _ in range(RANDOM_PER_COUNT)
-        ]
-        for _ in range(ORACLE_MAX_PASSES)
+    drawn = [
+        tr.call("smallgraphs.random_connected_graph", random_connected_graph, 7, m, rng)
+        for m in RANDOM_EDGE_COUNTS
+        for _ in range(RANDOM_PER_COUNT)
     ]
-    corpus_ops = [Op(f"corpus{max_n}[{i}]", partial(oracle_op, g)) for i, g in enumerate(corpus)]
-    pass_ops = [
-        corpus_ops
-        + [Op(f"random[{p}.{i}] m={g.m}", partial(oracle_op, g)) for i, g in enumerate(graphs)]
-        for p, graphs in enumerate(per_pass)
-    ]
-    digest = hashlib.sha256(repr([g.edges for g in sum(per_pass, [])]).encode()).hexdigest()
+    ops = [Op(f"corpus{max_n}[{i}]", partial(oracle_op, g)) for i, g in enumerate(corpus)]
+    ops += [Op(f"random[{i}] m={g.m}", partial(oracle_op, g)) for i, g in enumerate(drawn)]
+    digest = hashlib.sha256(repr([g.edges for g in drawn]).encode()).hexdigest()
     instances = [
         {"name": f"corpus{max_n}", "graphs": len(corpus), "max_edges": 10},
         {
             "name": "random_connected_graph",
             "n": 7,
             "m": list(RANDOM_EDGE_COUNTS),
-            "per_m_per_pass": RANDOM_PER_COUNT,
-            "passes_drawn": ORACLE_MAX_PASSES,
+            "per_m": RANDOM_PER_COUNT,
             "rng_seed": seed,
             "edges_sha256": digest[:16],
         },
     ]
-    return Prepared(instances, lambda pass_no: pass_ops[pass_no], ORACLE_MAX_PASSES)
+    return Prepared(instances, ops)
 
 
 # -- network-families --------------------------------------------------------------
@@ -356,7 +343,7 @@ def report_op(tr: Tracer, rep: OpReport) -> None:
 
 
 def setup_network_families(
-    tr: Tracer, seed: int, relabel_inputs: bool, scratch: Path, networks=NETWORKS
+    tr: Tracer, seed: int, scratch: Path, networks=NETWORKS
 ) -> Prepared:
     instances, ops = [], []
     for family, params, kind, factors, *pinned in networks:
@@ -372,7 +359,7 @@ def setup_network_families(
     random.Random(seed).shuffle(ops)
     ops.append(Op("proposition_report", report_op))
     instances.append({"name": "proposition_report", "rows": REPORT_ROWS})
-    return Prepared(instances, lambda pass_no: ops, max_passes=16)
+    return Prepared(instances, ops)
 
 
 WORKLOADS = {
