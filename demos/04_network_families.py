@@ -8,6 +8,7 @@ bound pipeline) and tabulated.
 
 from mcgraph import NetworkSpec, generate, mc_bounds_combined, proposition_report
 from mcgraph.families import report_to_csv
+from mcgraph.products import as_graph
 
 for fam, params in [
     ("grid", (3, 2)),
@@ -16,8 +17,7 @@ for fam, params in [
     ("hyper_petersen", (3,)),
     ("hl", (4,)),
 ]:
-    built = generate(NetworkSpec(fam, params))
-    graph = built.graph if hasattr(built, "graph") else built
+    graph = as_graph(generate(NetworkSpec(fam, params)))
     label = " ".join(str(p) for p in params)
     print(f"{fam} {label}: {graph.n} vertices, {graph.m} edges")
 

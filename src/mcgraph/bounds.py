@@ -17,6 +17,7 @@ from itertools import combinations
 from .errors import InapplicableError
 from .graph import (
     Graph,
+    connected_components,
     is_bipartite,
     is_complete,
     is_connected,
@@ -89,32 +90,11 @@ def _separating_sets(g: Graph):
     out = []
     for k in range(1, g.n - 1):
         for subset in combinations(range(g.n), k):
-            gone = set(subset)
-            comps = _components_without(g, gone)
+            comps = connected_components(g, subset)
             if len(comps) >= 2:
                 smallest = min(comps, key=lambda c: (len(c), c))
                 out.append((subset, tuple(smallest)))
     return out
-
-
-def _components_without(g: Graph, gone: set[int]) -> list[list[int]]:
-    comps: list[list[int]] = []
-    visited = set(gone)
-    for s in g.vertices():
-        if s in visited:
-            continue
-        comp = [s]
-        visited.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if w not in visited:
-                    visited.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 def daleth_min(g: Graph, h: Graph) -> tuple[int, DalethSet]:

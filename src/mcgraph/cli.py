@@ -31,7 +31,7 @@ from .mc import (
     mc_bounds_combined,
     theorem1_certificate,
 )
-from .products import ProductGraph, ProductKind, make_product
+from .products import ProductGraph, ProductKind, as_graph, make_product
 from .verification import SUITES
 
 EXIT_OK = 0
@@ -61,10 +61,6 @@ def _load(path: str) -> Graph | ProductGraph:
     return gio.loads_graph(Path(path).read_text())
 
 
-def _plain(g: Graph | ProductGraph) -> Graph:
-    return g.graph if isinstance(g, ProductGraph) else g
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = NetworkSpec(args.family, tuple(args.params))
     built = generate(spec)
@@ -74,8 +70,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_product(args: argparse.Namespace) -> int:
     kind = ProductKind.parse(args.kind)
-    g = _plain(_load(args.file_a))
-    h = _plain(_load(args.file_b))
+    g = as_graph(_load(args.file_a))
+    h = as_graph(_load(args.file_b))
     product = make_product(kind, g, h)
     _emit(gio.dumps(gio.graph_to_obj(product), args.pretty), args.out)
     return EXIT_OK
@@ -83,7 +79,7 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     loaded = _load(args.file)
-    g = _plain(loaded)
+    g = as_graph(loaded)
     if args.mode == "bounds":
         if isinstance(loaded, ProductGraph):
             interval = mc_bounds_combined(loaded)
@@ -106,7 +102,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    g = _plain(_load(args.graph_file))
+    g = as_graph(_load(args.graph_file))
     import json
 
     coloring = gio.coloring_from_obj(

@@ -14,11 +14,16 @@ independent and are cross-checked against each other in the test suite.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 
 from .errors import BudgetExceededError
-from .graph import Graph, all_pairs_distances, is_connected
+from .graph import (
+    Graph,
+    all_pairs_distances,
+    bfs_parents,
+    edge_components,
+    is_connected,
+)
 from .mc import EdgeColoring, McResult, TreeCover, mc_bounds_basic
 
 DEFAULT_NAIVE_EDGE_CAP = 12
@@ -65,30 +70,9 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
         cached = served_cache.get(class_mask)
         if cached is not None:
             return cached
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        rest = class_mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            a, b = g.edges[i]
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        comps: dict[int, list[int]] = {}
-        for x in parent:
-            comps.setdefault(find(x), []).append(x)
+        edges = [e for i, e in enumerate(g.edges) if class_mask >> i & 1]
         mask = 0
-        for comp in comps.values():
-            comp.sort()
+        for comp in edge_components(n, edges):
             for a, b in combinations(comp, 2):
                 mask |= 1 << pair_id[(a, b)]
         served_cache[class_mask] = mask
@@ -169,7 +153,7 @@ class _TreeCoverSolver:
         self.max_nodes = max_nodes
         self.nodes = 0
 
-        self.nbrs = [sorted(g.adjacency[v]) for v in range(self.n)]
+        self.nbrs = g.neighbors
         self.eid: dict[tuple[int, int], int] = {}
         for i, (u, v) in enumerate(g.edges):
             self.eid[(u, v)] = i
@@ -608,16 +592,9 @@ class _TreeCoverSolver:
 
     def _spanning_tree_emask(self) -> int:
         emask = 0
-        visited = [False] * self.n
-        visited[0] = True
-        queue = deque([0])
-        while queue:
-            a = queue.popleft()
-            for w in self.nbrs[a]:
-                if not visited[w]:
-                    visited[w] = True
-                    emask |= 1 << self.eid[(a, w)]
-                    queue.append(w)
+        for v, p in bfs_parents(self.g, 0).items():
+            if v != p:
+                emask |= 1 << self.eid[(p, v)]
         return emask
 
     def solve(self, lemma1_floor: int) -> tuple[int, list[int]]:

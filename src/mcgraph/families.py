@@ -22,7 +22,7 @@ from .mc import (
     mc_bounds_combined,
     theorem1_certificate,
 )
-from .products import ProductGraph, ProductKind, make_product
+from .products import ProductGraph, ProductKind, as_graph, make_product
 
 __all__ = [
     "NetworkSpec",
@@ -81,8 +81,7 @@ def hypercube_graph(dim: int) -> Graph:
         raise ValueError("hypercube dimension must be >= 0")
     if dim == 0:
         return build_graph(1, [])
-    result = _iterated(ProductKind.CARTESIAN, [path_graph(2)] * dim)
-    return result.graph if isinstance(result, ProductGraph) else result
+    return as_graph(_iterated(ProductKind.CARTESIAN, [path_graph(2)] * dim))
 
 
 def _iterated(
@@ -91,8 +90,7 @@ def _iterated(
     """Left-associated iterated product; plain graph when only one factor."""
     result: Graph | ProductGraph = factors[0]
     for nxt in factors[1:]:
-        base = result.graph if isinstance(result, ProductGraph) else result
-        result = make_product(kind, base, nxt)
+        result = make_product(kind, as_graph(result), nxt)
     return result
 
 
@@ -227,10 +225,6 @@ _EXACT_VERTEX_CAP = 10
 _EXACT_EDGE_CAP = 20
 
 
-def _graph_of(x: Graph | ProductGraph) -> Graph:
-    return x.graph if isinstance(x, ProductGraph) else x
-
-
 def _exact_feasible(g: Graph) -> bool:
     return is_complete(g) or (g.n <= _EXACT_VERTEX_CAP and g.m <= _EXACT_EDGE_CAP)
 
@@ -239,7 +233,7 @@ def _equality_row(
     spec: NetworkSpec, proposition: str, formula: int
 ) -> PropositionRow:
     """Row for a proposition asserting an exact mc value."""
-    g = _graph_of(generate(spec))
+    g = as_graph(generate(spec))
     evaluators = []
     values = []
     if is_complete(g) and g.n >= 2:
@@ -287,10 +281,10 @@ def _lower_bound_row(
     proposition (the max of an unordered branch may pick the other factor,
     so the comparison uses the stated term).
     """
-    g_all = _graph_of(generate(spec))
+    g_all = as_graph(generate(spec))
     sub_g = generate(NetworkSpec(spec.family, spec.params[:split]))
     sub_h = generate(NetworkSpec(spec.family, spec.params[split:]))
-    G, H = _graph_of(sub_g), _graph_of(sub_h)
+    G, H = as_graph(sub_g), as_graph(sub_h)
     if term == "eg_nh":
         term_value = G.m * H.n + 2
     elif term == "eg_nh_sq":
@@ -354,7 +348,7 @@ def proposition_report(
     def include(spec: NetworkSpec) -> bool:
         if max_sizes is None or spec.family not in max_sizes:
             return True
-        return _graph_of(generate(spec)).n <= max_sizes[spec.family]
+        return as_graph(generate(spec)).n <= max_sizes[spec.family]
 
     def p(family: str, *params: int) -> NetworkSpec:
         return NetworkSpec(family, tuple(params))

@@ -4,12 +4,31 @@ Vertices are dense integers ``0..n-1``.  Edges are stored canonically with the
 smaller endpoint first and the edge tuple sorted, so two graphs are equal iff
 their serialized forms are byte-identical.  ``Graph`` instances are immutable;
 all operations here are pure functions, safe for concurrent readers.
+
+Every traversal of a ``Graph`` in the package goes through two primitives:
+
+* :func:`bfs_parents` -- breadth-first search tree from one source, visiting
+  neighbours in ascending order (``Graph.neighbors``), optionally around a
+  set of removed vertices.  Distances, connectivity, components, bipartiteness,
+  cut vertices and the spanning trees of the colorings and the exact solver
+  are all read off it.
+* :func:`edge_components` -- the one union-find, grouping the vertices touched
+  by an edge subset (a color class, a cover tree).
+
+Three searches stay separate on purpose: ``_max_flow`` walks a residual arc
+map rather than the graph; the bitmask searches in
+``exact._TreeCoverSolver._max_subset_edges_table`` and
+``smallgraphs._mask_connected`` run over up to 2^21 vertex or edge masks
+inside search and corpus set-up, where building a ``Graph`` per mask would
+dominate; and the exhaustive-cut oracles in ``verification`` are kept
+independent of the code they check.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -44,6 +63,11 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbour tuples: the visit order of every traversal."""
+        return tuple(tuple(sorted(s)) for s in self.adjacency)
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -114,19 +138,58 @@ def build_graph(
     return Graph(vertex_count, tuple(canon), canon_labels)
 
 
+def bfs_parents(
+    g: Graph, source: int, removed: Collection[int] = frozenset()
+) -> dict[int, int]:
+    """Breadth-first search tree from ``source``, never entering ``removed``.
+
+    Returns ``{vertex: parent}`` in visit order, with the source mapped to
+    itself; the keys are exactly the vertices reachable from ``source``.
+    """
+    parent = {source: source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors[u]:
+            if w not in parent and w not in removed:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def edge_components(n: int, edges) -> list[list[int]]:
+    """Components of the subgraph formed by ``edges`` on vertices ``0..n-1``.
+
+    Only components with at least one edge are returned, each as an ascending
+    vertex list, ordered by smallest vertex.
+    """
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    touched: set[int] = set()
+    for u, v in edges:
+        touched.update((u, v))
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+    comps: dict[int, list[int]] = {}
+    for x in sorted(touched):
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
+
+
 def distances_from(g: Graph, source: int) -> list[int | float]:
     """Breadth-first distances from ``source``; unreachable vertices get inf."""
     if not 0 <= source < g.n:
         raise ValueError(f"invalid vertex id {source}")
     dist: list[int | float] = [INFINITE] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if dist[w] == INFINITE:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    for v, p in bfs_parents(g, source).items():
+        dist[v] = dist[p] + 1 if v != source else 0
     return dist
 
 
@@ -143,39 +206,20 @@ def all_pairs_distances(g: Graph) -> list[list[int | float]]:
 
 def is_connected(g: Graph) -> bool:
     """True iff the graph has a single component (vacuously for n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = 1  # vertex 0
-    visited = [False] * g.n
-    visited[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if not visited[w]:
-                visited[w] = True
-                seen += 1
-                queue.append(w)
-    return seen == g.n
+    return g.n <= 1 or len(bfs_parents(g, 0)) == g.n
 
 
-def connected_components(g: Graph) -> list[list[int]]:
+def connected_components(
+    g: Graph, removed: Collection[int] = frozenset()
+) -> list[list[int]]:
+    """Ascending vertex lists of the components of ``g`` minus ``removed``."""
     comps: list[list[int]] = []
-    visited = [False] * g.n
+    seen = set(removed)
     for s in g.vertices():
-        if visited[s]:
-            continue
-        comp = [s]
-        visited[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if not visited[w]:
-                    visited[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
+        if s not in seen:
+            comp = sorted(bfs_parents(g, s, removed))
+            seen.update(comp)
+            comps.append(comp)
     return comps
 
 
@@ -184,22 +228,13 @@ def is_tree(g: Graph) -> bool:
 
 
 def is_bipartite(g: Graph) -> bool:
-    """2-colorability test via breadth-first layering."""
-    color = [-1] * g.n
+    """2-colorability test: no edge joins two vertices of equal BFS depth parity."""
+    side: dict[int, int] = {}
     for s in g.vertices():
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+        if s not in side:
+            for v, p in bfs_parents(g, s).items():
+                side[v] = 1 - side[p] if v != s else 0
+    return all(side[u] != side[v] for u, v in g.edges)
 
 
 def is_complete(g: Graph) -> bool:
@@ -232,27 +267,7 @@ def has_cut_vertex(g: Graph) -> bool:
     """True iff removing some single vertex disconnects the graph."""
     if g.n <= 2 or not is_connected(g):
         return False
-    for v in g.vertices():
-        if _is_disconnected_without(g, (v,)):
-            return True
-    return False
-
-
-def _is_disconnected_without(g: Graph, removed: tuple[int, ...]) -> bool:
-    gone = set(removed)
-    remaining = [v for v in g.vertices() if v not in gone]
-    if len(remaining) <= 1:
-        return False
-    start = remaining[0]
-    visited = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if w not in gone and w not in visited:
-                visited.add(w)
-                queue.append(w)
-    return len(visited) != len(remaining)
+    return any(len(connected_components(g, (v,))) > 1 for v in g.vertices())
 
 
 # Menger-style connectivity via unit-capacity augmenting-path max-flow.

@@ -11,7 +11,6 @@ solvers live in :mod:`mcgraph.exact`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -20,9 +19,12 @@ from .bounds import BoundInterval, product_mc_bounds
 from .errors import InapplicableError
 from .graph import (
     Graph,
+    bfs_parents,
     complement,
     diameter,
+    edge_components,
     has_cut_vertex,
+    is_complete,
     is_connected,
     vertex_connectivity,
 )
@@ -98,7 +100,8 @@ class TreeCover:
                     raise ValueError(f"edge {e} used by two trees")
                 used.add(e)
                 verts.update(e)
-            if len(tree) != len(verts) - 1 or not _edges_connected(tree, verts):
+            connected = len(edge_components(self.host.n, tree)) == 1
+            if len(tree) != len(verts) - 1 or not connected:
                 raise ValueError("a cover class is not a tree")
             spans.append(verts)
         for u, v in combinations(range(self.host.n), 2):
@@ -121,23 +124,6 @@ class TreeCover:
                 colors.append(nxt)
                 nxt += 1
         return EdgeColoring(self.host, tuple(colors))
-
-
-def _edges_connected(tree: tuple[tuple[int, int], ...], verts: set[int]) -> bool:
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in tree:
-        adj[u].append(v)
-        adj[v].append(u)
-    start = next(iter(verts))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(verts)
 
 
 @dataclass(frozen=True)
@@ -192,24 +178,13 @@ def check_mc_coloring(
     """
     if coloring.host.n != g.n or coloring.host.edges != g.edges:
         raise ValueError("coloring does not color this graph's edge set")
-    # union-find per color class
-    k = coloring.color_count
-    parent = [list(range(g.n)) for _ in range(k)]
-
-    def find(c: int, x: int) -> int:
-        p = parent[c]
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    for (u, v), c in zip(g.edges, coloring.colors):
-        ru, rv = find(c, u), find(c, v)
-        if ru != rv:
-            parent[c][ru] = rv
-    for u, v in combinations(range(g.n), 2):
-        if not any(find(c, u) == find(c, v) for c in range(k)):
-            return False, (u, v)
+    served: set[tuple[int, int]] = set()
+    for edges in coloring.color_classes():
+        for comp in edge_components(g.n, edges):
+            served.update(combinations(comp, 2))
+    for pair in combinations(range(g.n), 2):
+        if pair not in served:
+            return False, pair
     return True, None
 
 
@@ -223,17 +198,9 @@ def spanning_tree_coloring(g: Graph) -> EdgeColoring:
         raise ValueError("spanning-tree coloring needs a connected graph")
     if g.n == 0:
         raise ValueError("empty graph")
-    in_tree: set[tuple[int, int]] = set()
-    visited = [False] * g.n
-    visited[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(g.adjacency[u]):
-            if not visited[w]:
-                visited[w] = True
-                in_tree.add((u, w) if u < w else (w, u))
-                queue.append(w)
+    in_tree = {
+        (p, v) if p < v else (v, p) for v, p in bfs_parents(g, 0).items() if v != p
+    }
     colors = []
     nxt = 1
     for e in g.edges:
@@ -345,7 +312,8 @@ def mc_bounds_combined(product: ProductGraph) -> BoundInterval:
     structure: the lower bound is the larger of the two lower bounds, the
     upper the smaller of the two uppers, with provenance following the
     winning side.  Falls back to the basic interval when the product-theorem
-    hypotheses fail.
+    hypotheses fail, and on a complete product: there mc = m, the basic
+    upper end, which the stated form over a complete first factor cuts off.
     """
     basic = mc_bounds_basic(product.graph)
     try:
@@ -355,6 +323,8 @@ def mc_bounds_combined(product: ProductGraph) -> BoundInterval:
         except InapplicableError as exc:
             if "non-complete first factor" not in str(exc):
                 raise
+            if is_complete(product.graph):
+                return basic
             # the published pipeline applies the stated lexicographic form
             # even over a complete first factor; keep that reproducible here
             themed = product_mc_bounds(

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InapplicableError
-from .graph import Graph, all_pairs_distances, build_graph, distances_from
+from .graph import Graph, build_graph, distances_from
 
 __all__ = [
     "ProductKind",
     "ProductGraph",
+    "as_graph",
     "make_product",
     "edge_count_formula",
     "distance_formula",
@@ -58,6 +59,11 @@ class ProductGraph:
     @property
     def m(self) -> int:
         return self.graph.m
+
+
+def as_graph(x: Graph | ProductGraph) -> Graph:
+    """The plain graph of a product, or the graph itself."""
+    return x.graph if isinstance(x, ProductGraph) else x
 
 
 def _vertex_label(g: Graph, v: int) -> tuple[int, ...]:
@@ -208,8 +214,3 @@ def swap_map(ng: int, nh: int) -> list[int]:
             perm[a * nh + x] = x * ng + a
     return perm
 
-
-def bfs_diameter_of_product(product: ProductGraph) -> int | float:
-    """Plain BFS diameter of the built product (used to validate formulas)."""
-    dists = all_pairs_distances(product.graph)
-    return max(max(row) for row in dists) if product.n > 1 else 0

@@ -63,6 +63,7 @@ from .smallgraphs import (
 __all__ = [
     "SuiteResult",
     "factor_pool",
+    "pool_pairs",
     "suite_core",
     "suite_products",
     "suite_bounds",
@@ -260,7 +261,8 @@ def suite_core(max_n: int = 6, seed: int = 0) -> SuiteResult:
     return res
 
 
-def _pool_pairs(limit_vertices: int):
+def pool_pairs(limit_vertices: int):
+    """Ordered factor-pool pairs whose product has at most ``limit_vertices``."""
     pool = factor_pool()
     for name_g, g in pool:
         for name_h, h in pool:
@@ -274,7 +276,7 @@ def suite_products(max_vertices: int = 24, seed: int = 0) -> SuiteResult:
     seen_unordered: set[tuple[str, str, ProductKind]] = set()
     lex_noncommutative_witnessed = False
 
-    for name_g, g, name_h, h in _pool_pairs(max_vertices):
+    for name_g, g, name_h, h in pool_pairs(max_vertices):
         for kind in ProductKind:
             product = make_product(kind, g, h)
             res.check(
@@ -359,7 +361,7 @@ def suite_bounds(max_exact_vertices: int = 10, seed: int = 0) -> SuiteResult:
     res = SuiteResult("bounds")
     weak_lowers: list[str] = []
 
-    for name_g, g, name_h, h in _pool_pairs(24):
+    for name_g, g, name_h, h in pool_pairs(24):
         # vertex-connectivity formulas against the built products
         for kind in (
             ProductKind.CARTESIAN,

@@ -31,7 +31,7 @@ from mcgraph.products import (
     make_product,
 )
 from mcgraph.smallgraphs import connected_corpus
-from mcgraph.verification import factor_pool, suite_bounds
+from mcgraph.verification import pool_pairs, suite_bounds
 
 
 def _verdict(criterion: int, text: str) -> None:
@@ -106,19 +106,11 @@ def test_criterion_5_petersen_families():
     _verdict(5, "values 7, 7, 22 and interval [112, 121] all match")
 
 
-def _pool_pairs(limit):
-    pool = factor_pool()
-    for name_g, g in pool:
-        for name_h, h in pool:
-            if g.n * h.n <= limit:
-                yield name_g, g, name_h, h
-
-
 def test_criterion_6_connectivity_formulas():
     from mcgraph.bounds import edge_conn_direct_formula, kappa_formula
 
     checks = 0
-    for name_g, g, name_h, h in _pool_pairs(24):
+    for name_g, g, name_h, h in pool_pairs(24):
         for kind in (ProductKind.CARTESIAN, ProductKind.LEXICOGRAPHIC, ProductKind.STRONG):
             try:
                 predicted = kappa_formula(kind, g, h)
@@ -144,7 +136,7 @@ def test_criterion_6_connectivity_formulas():
 
 def test_criterion_7_distance_formulas():
     checks = 0
-    for name_g, g, name_h, h in _pool_pairs(24):
+    for name_g, g, name_h, h in pool_pairs(24):
         cart = make_product(ProductKind.CARTESIAN, g, h)
         assert diameter(cart.graph) == diameter(g) + diameter(h)
         strong = make_product(ProductKind.STRONG, g, h)
@@ -166,7 +158,7 @@ def test_criterion_8_theorem_containment():
     checks = 0
     for kind in ProductKind:
         seen = set()
-        for name_g, g, name_h, h in _pool_pairs(14):
+        for name_g, g, name_h, h in pool_pairs(14):
             if kind is not ProductKind.LEXICOGRAPHIC:
                 key = tuple(sorted((name_g, name_h)))
                 if key in seen:

@@ -14,12 +14,16 @@ from mcgraph.families import (
 )
 from mcgraph.graph import (
     INFINITE,
+    bfs_parents,
     build_graph,
     complement,
+    connected_components,
     diameter,
     distance,
     distances_from,
+    edge_components,
     edge_connectivity,
+    has_cut_vertex,
     is_bipartite,
     is_connected,
     is_tree,
@@ -106,6 +110,50 @@ class TestPredicates:
                 break
         assert not found
         assert not is_bipartite(g)
+
+
+class TestTraversal:
+    def test_bfs_parents_visits_ascending_neighbors(self):
+        g = build_graph(5, [(0, 3), (0, 1), (1, 2), (3, 4), (2, 4)])
+        parents = bfs_parents(g, 0)
+        assert list(parents.items()) == [(0, 0), (1, 0), (3, 0), (2, 1), (4, 3)]
+
+    def test_bfs_parents_skips_removed(self):
+        g = cycle_graph(5)
+        assert list(bfs_parents(g, 0, frozenset({1}))) == [0, 4, 3, 2]
+        assert list(bfs_parents(g, 2, frozenset({1, 3}))) == [2]
+
+    def test_edge_components(self):
+        edges = [(3, 4), (0, 1), (1, 5)]
+        assert edge_components(7, edges) == [[0, 1, 5], [3, 4]]
+        assert edge_components(3, []) == []
+
+    def test_connected_components(self):
+        g = build_graph(6, [(0, 4), (1, 2), (2, 5)])
+        assert connected_components(g) == [[0, 4], [1, 2, 5], [3]]
+
+    def test_connected_components_without_removed(self):
+        g = path_graph(5)
+        assert connected_components(g, frozenset({2})) == [[0, 1], [3, 4]]
+        assert connected_components(g, frozenset({0, 4})) == [[1, 2, 3]]
+        assert connected_components(g, frozenset(range(5))) == []
+        star = star_graph(4)
+        assert connected_components(star, frozenset({0})) == [[1], [2], [3]]
+
+    @pytest.mark.parametrize(
+        "g,expected",
+        [
+            (path_graph(4), True),
+            (cycle_graph(5), False),
+            (star_graph(5), True),
+            (path_graph(2), False),
+            (build_graph(5, [(0, 1), (1, 2), (3, 4)]), False),
+            (complete_graph(4), False),
+        ],
+        ids=["path", "cycle", "star", "K2", "disconnected", "K4"],
+    )
+    def test_has_cut_vertex(self, g, expected):
+        assert has_cut_vertex(g) is expected
 
 
 class TestComplement:

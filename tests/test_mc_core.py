@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,63 @@ class TestCheckMcColoring:
         g, h = path_graph(3), cycle_graph(3)
         with pytest.raises(ValueError):
             check_mc_coloring(g, EdgeColoring(h, (0, 0, 0)))
+
+
+def _reference_check(g, coloring):
+    """Union-find per color class, then scan every pair against every class."""
+    k = coloring.color_count
+    parent = [list(range(g.n)) for _ in range(k)]
+
+    def find(c, x):
+        while parent[c][x] != x:
+            x = parent[c][x]
+        return x
+
+    for (u, v), c in zip(g.edges, coloring.colors):
+        ru, rv = find(c, u), find(c, v)
+        if ru != rv:
+            parent[c][ru] = rv
+    for u, v in combinations(range(g.n), 2):
+        if not any(find(c, u) == find(c, v) for c in range(k)):
+            return False, (u, v)
+    return True, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_checker_matches_pair_scan_reference(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+    k = rng.randint(1, g.m)
+    drawn = [rng.randrange(k) for _ in range(g.m)]
+    rank = {c: i for i, c in enumerate(sorted(set(drawn)))}
+    coloring = EdgeColoring(g, tuple(rank[c] for c in drawn))
+    assert check_mc_coloring(g, coloring) == _reference_check(g, coloring)
+
+
+# The BFS visit order decides the spanning tree and the solver's starting
+# cover, so these recorded colorings change if that order does.
+_PINNED = [
+    (
+        petersen_graph(),
+        (0, 0, 0, 0, 0, 1, 2, 0, 3, 0, 0, 0, 4, 5, 6),
+        (0, 0, 0, 0, 0, 1, 2, 0, 3, 0, 0, 0, 4, 5, 6),
+    ),
+    (
+        make_product(ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(4)).graph,
+        (0, 0, 0, 0, 0, 0, 0) + tuple(range(1, 18)),
+        (0, 0, 1, 2, 1, 2, 0) + tuple(range(3, 20)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "g,tree_colors,exact_colors", _PINNED, ids=["petersen", "lex_P2_C4"]
+)
+def test_pinned_witnesses(g, tree_colors, exact_colors):
+    assert spanning_tree_coloring(g).colors == tree_colors
+    assert mc_exact(g).witness.colors == exact_colors
 
 
 class TestSpanningTreeColoring:
@@ -200,6 +258,17 @@ class TestBoundsBasic:
         combined = mc_bounds_combined(product)
         assert (combined.lower, combined.upper) == (112, 121)
         assert combined.upper_source == "Thm3(3)"
+
+    @pytest.mark.parametrize(
+        "params,m", [((3, 3), 36), ((3, 3, 3, 3), 3240)]
+    )
+    def test_combined_contains_m_on_complete_lex_products(self, params, m):
+        # lex_torus over triangles is complete, so mc = m
+        product = generate(NetworkSpec("lex_torus", params))
+        assert product.m == m == product.n * (product.n - 1) // 2
+        combined = mc_bounds_combined(product)
+        assert m in combined
+        assert combined == mc_bounds_basic(product.graph)
 
     def test_combined_falls_back_without_gain(self):
         # direct product with a bipartite factor: themed interval inapplicable
