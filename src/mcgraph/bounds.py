@@ -22,8 +22,7 @@ from .graph import (
     is_complete,
     is_connected,
     is_tree,
-    metrics,
-    vertex_connectivity,
+    min_degree,
 )
 from .products import ProductKind
 
@@ -144,11 +143,10 @@ def kappa_formula(kind: ProductKind, g: Graph, h: Graph) -> int:
             raise InapplicableError("formula inapplicable: trivial factor")
         if not (is_connected(g) and is_connected(h)):
             raise InapplicableError("formula inapplicable: disconnected factor")
-        mg, mh = metrics(g), metrics(h)
         return min(
-            mg.vertex_connectivity * h.n,
-            mh.vertex_connectivity * g.n,
-            mg.min_degree + mh.min_degree,
+            g.vertex_connectivity * h.n,
+            h.vertex_connectivity * g.n,
+            min_degree(g) + min_degree(h),
         )
     if kind is ProductKind.LEXICOGRAPHIC:
         if g.n < 2:
@@ -161,13 +159,13 @@ def kappa_formula(kind: ProductKind, g: Graph, h: Graph) -> int:
             raise InapplicableError(
                 "formula inapplicable: disconnected first factor"
             )
-        return vertex_connectivity(g) * h.n
+        return g.vertex_connectivity * h.n
     # strong
     if not (is_connected(g) and is_connected(h)):
         raise InapplicableError("formula inapplicable: disconnected factor")
     if is_complete(g) and is_complete(h):
         raise InapplicableError("formula inapplicable: both factors complete")
-    terms = [vertex_connectivity(g) * h.n, vertex_connectivity(h) * g.n]
+    terms = [g.vertex_connectivity * h.n, h.vertex_connectivity * g.n]
     if not (is_complete(g) or is_complete(h)):
         terms.append(daleth_min(g, h)[0])
     # with a complete factor there is no separating pair, so the daleth term
@@ -182,11 +180,10 @@ def edge_conn_direct_formula(g: Graph, h: Graph) -> int:
             raise InapplicableError(f"formula inapplicable: {name} factor disconnected")
         if is_bipartite(f):
             raise InapplicableError(f"formula inapplicable: {name} factor bipartite")
-    mg, mh = metrics(g), metrics(h)
     return min(
-        2 * mg.edge_connectivity * h.n,
-        2 * mh.edge_connectivity * g.n,
-        mg.min_degree * mh.min_degree,
+        2 * g.edge_connectivity * h.n,
+        2 * h.edge_connectivity * g.n,
+        min_degree(g) * min_degree(h),
     )
 
 

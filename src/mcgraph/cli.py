@@ -103,11 +103,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = as_graph(_load(args.graph_file))
-    import json
-
-    coloring = gio.coloring_from_obj(
-        g, json.loads(Path(args.coloring_file).read_text())
-    )
+    coloring = gio.loads_coloring(g, Path(args.coloring_file).read_text())
     ok, violation = check_mc_coloring(g, coloring)
     if ok:
         print(f"VALID {coloring.color_count} colors")

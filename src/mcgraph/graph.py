@@ -3,7 +3,9 @@
 Vertices are dense integers ``0..n-1``.  Edges are stored canonically with the
 smaller endpoint first and the edge tuple sorted, so two graphs are equal iff
 their serialized forms are byte-identical.  ``Graph`` instances are immutable;
-all operations here are pure functions, safe for concurrent readers.
+all operations here are pure functions, safe for concurrent readers.  Derived
+data (adjacency, sorted neighbours, vertex and edge connectivity) is computed
+on first use and cached on the instance.
 
 Every traversal of a ``Graph`` in the package goes through two primitives:
 
@@ -14,6 +16,13 @@ Every traversal of a ``Graph`` in the package goes through two primitives:
   are all read off it.
 * :func:`edge_components` -- the one union-find, grouping the vertices touched
   by an edge subset (a color class, a cover tree).
+
+Vertex and edge connectivity are unit-capacity max flows (Menger), run
+sparingly: from a minimum-degree pivot only (Esfahanian and Hakimi,
+*Networks* 14(2), 1984), each capped at the best cut found so far, and, for
+the question "is kappa >= k?", from the first k vertices only with flows
+capped at k (Even, *SIAM J. Comput.* 4(3), 1975).  The comment above
+``_max_flow`` gives the arguments.
 
 Three searches stay separate on purpose: ``_max_flow`` walks a residual arc
 map rather than the graph; the bitmask searches in
@@ -31,7 +40,7 @@ from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 INFINITE = math.inf
 
@@ -72,6 +81,16 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def vertex_connectivity(self) -> int:
+        """kappa, computed once per graph by :func:`vertex_connectivity`."""
+        return vertex_connectivity(self)
+
+    @cached_property
+    def edge_connectivity(self) -> int:
+        """lambda, computed once per graph by :func:`edge_connectivity`."""
+        return edge_connectivity(self)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -270,78 +289,149 @@ def has_cut_vertex(g: Graph) -> bool:
     return any(len(connected_components(g, (v,))) > 1 for v in g.vertices())
 
 
-# Menger-style connectivity via unit-capacity augmenting-path max-flow.
-# Exhaustive cut enumeration is kept in the test suite as an oracle only.
+# Connectivity.  By Menger's theorem the local connectivity of a non-adjacent
+# pair is the number of internally vertex-disjoint paths joining it, a
+# unit-capacity max flow on the vertex-split digraph; edge connectivity is
+# the same on the graph's own arcs.  Three facts keep the flows few and short:
+#
+# * Pivot (Esfahanian and Hakimi, Networks 14(2), 1984).  Let v have minimum
+#   degree delta; on a non-complete graph kappa <= delta.  A minimum cut S
+#   either misses v, and then separates v from a non-neighbour, or contains
+#   v, and then, being minimal, leaves neighbours of v in two components of
+#   G - S, which are non-adjacent.  So kappa is the least of delta, the flows
+#   from v to its non-neighbours and the flows between non-adjacent
+#   neighbours of v: at most n + delta^2 flows, not one per non-adjacent pair.
+# * Caps.  A flow that reaches the best cut found so far cannot lower it, so
+#   each flow stops after that many augmenting paths; a connected graph has
+#   no cut below 1, so the search also stops once it finds one of size 1.
+# * Threshold (Even, SIAM J. Comput. 4(3), 1975).  A cut of fewer than k
+#   vertices misses one of any k vertices and separates it from one of its
+#   non-neighbours, so kappa >= k iff every flow from the first k vertices to
+#   their non-neighbours reaches k.  ``connectivity_at_least`` asks only that,
+#   with flows capped at k.
+#
+# ``Graph.vertex_connectivity`` and ``Graph.edge_connectivity`` cache the two
+# values, so metrics, bounds and product formulas share one computation per
+# graph.  The exhaustive-cut oracles in ``verification`` check all of this
+# and share none of its code.
 
 
-def _max_flow(arcs: dict[int, dict[int, int]], s: int, t: int) -> int:
-    """Max flow on a small unit-capacity digraph by BFS augmentation."""
+def _max_flow(arcs: dict[int, dict[int, int]], s: int, t: int, cap: int) -> int:
+    """Arc-disjoint ``s``-``t`` paths in a unit-capacity digraph, at most ``cap``.
+
+    Augments along breadth-first paths in a residual copy of ``arcs`` and
+    stops after ``cap`` paths, so ``arcs`` can serve every flow of a search.
+    """
+    residual = {u: dict(out) for u, out in arcs.items()}
     flow = 0
-    while True:
+    while flow < cap:
         prev: dict[int, int] = {s: s}
         queue = deque([s])
         while queue and t not in prev:
             u = queue.popleft()
-            for w, cap in arcs[u].items():
-                if cap > 0 and w not in prev:
+            for w, room in residual[u].items():
+                if room > 0 and w not in prev:
                     prev[w] = u
                     queue.append(w)
         if t not in prev:
-            return flow
+            break
         v = t
         while v != s:
             u = prev[v]
-            arcs[u][v] -= 1
-            arcs[v][u] = arcs[v].get(u, 0) + 1
+            residual[u][v] -= 1
+            residual[v][u] = residual[v].get(u, 0) + 1
             v = u
         flow += 1
+    return flow
 
 
-def _vertex_disjoint_paths(g: Graph, s: int, t: int) -> int:
-    # Split each vertex v into v_in = 2v and v_out = 2v + 1.
+def _split_network(g: Graph) -> dict[int, dict[int, int]]:
+    """Vertex-split digraph: ``v`` becomes ``2v -> 2v + 1``, each edge two arcs
+    out of one endpoint's out-copy into the other's in-copy.  Vertex-disjoint
+    ``s``-``t`` paths are the flows from ``2s + 1`` to ``2t``."""
     arcs: dict[int, dict[int, int]] = {i: {} for i in range(2 * g.n)}
     for v in g.vertices():
         arcs[2 * v][2 * v + 1] = 1
     for u, v in g.edges:
-        arcs[2 * u + 1][2 * v] = arcs[2 * u + 1].get(2 * v, 0) + 1
-        arcs[2 * v + 1][2 * u] = arcs[2 * v + 1].get(2 * u, 0) + 1
-    return _max_flow(arcs, 2 * s + 1, 2 * t)
+        arcs[2 * u + 1][2 * v] = 1
+        arcs[2 * v + 1][2 * u] = 1
+    return arcs
 
 
-def _edge_disjoint_paths(g: Graph, s: int, t: int) -> int:
+def _edge_network(g: Graph) -> dict[int, dict[int, int]]:
+    """Each edge as two opposite unit arcs: edge-disjoint paths are flows."""
     arcs: dict[int, dict[int, int]] = {v: {} for v in g.vertices()}
     for u, v in g.edges:
-        arcs[u][v] = arcs[u].get(v, 0) + 1
-        arcs[v][u] = arcs[v].get(u, 0) + 1
-    return _max_flow(arcs, s, t)
+        arcs[u][v] = 1
+        arcs[v][u] = 1
+    return arcs
+
+
+def min_degree(g: Graph) -> int:
+    """Smallest vertex degree; 0 for the empty graph."""
+    return min((g.degree(v) for v in g.vertices()), default=0)
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Vertex connectivity, with the convention kappa(K_n) = n - 1."""
-    if g.n <= 1:
-        return 0
-    if not is_connected(g):
+    """Vertex connectivity, with the convention kappa(K_n) = n - 1.
+
+    Computes afresh; ``g.vertex_connectivity`` holds the value computed once.
+    """
+    if g.n <= 1 or not is_connected(g):
         return 0
     if is_complete(g):
         return g.n - 1
-    best = g.n - 1
-    for u, v in combinations(range(g.n), 2):
-        if not g.has_edge(u, v):
-            best = min(best, _vertex_disjoint_paths(g, u, v))
-            if best == 0:
-                break
+    v = min(g.vertices(), key=g.degree)
+    near = g.adjacency[v]
+    pairs = chain(
+        ((v, u) for u in g.vertices() if u != v and u not in near),
+        ((x, y) for x, y in combinations(g.neighbors[v], 2) if not g.has_edge(x, y)),
+    )
+    net = _split_network(g)
+    best = len(near)
+    for s, t in pairs:
+        if best == 1:
+            break
+        best = min(best, _max_flow(net, 2 * s + 1, 2 * t, best))
     return best
 
 
+def connectivity_at_least(g: Graph, k: int) -> bool:
+    """Whether ``vertex_connectivity(g) >= k``, by at most k(n - 1) flows
+    capped at k rather than by computing the connectivity."""
+    if k <= 0:
+        return True
+    if is_complete(g):
+        return g.n - 1 >= k
+    if k > min_degree(g):
+        return False
+    net = _split_network(g)
+    return all(
+        _max_flow(net, 2 * v + 1, 2 * u, k) == k
+        for v in range(k)
+        for u in g.vertices()
+        if u != v and u not in g.adjacency[v]
+    )
+
+
 def edge_connectivity(g: Graph) -> int:
-    """Edge connectivity via edge-disjoint path counting from a fixed root."""
-    if g.n <= 1:
+    """Edge connectivity, with the convention lambda(K_n) = n - 1.
+
+    Every edge cut separates vertex 0 from some other vertex, so the flows
+    run from vertex 0 only.  Computes afresh; ``g.edge_connectivity`` holds
+    the value computed once.
+    """
+    if g.n <= 1 or not is_connected(g):
         return 0
-    if not is_connected(g):
-        return 0
-    # Some minimum edge cut separates vertex 0 from something, so fixing the
-    # source is enough.
-    return min(_edge_disjoint_paths(g, 0, t) for t in range(1, g.n))
+    if is_complete(g):
+        return g.n - 1
+    net = _edge_network(g)
+    best = min_degree(g)
+    for t in range(1, g.n):
+        if best == 1:
+            break
+        best = min(best, _max_flow(net, 0, t, best))
+    return best
 
 
 def metrics(g: Graph) -> GraphMetrics:
@@ -351,8 +441,8 @@ def metrics(g: Graph) -> GraphMetrics:
         min_degree=min(degs),
         max_degree=max(degs),
         diameter=diameter(g),
-        vertex_connectivity=vertex_connectivity(g),
-        edge_connectivity=edge_connectivity(g),
+        vertex_connectivity=g.vertex_connectivity,
+        edge_connectivity=g.edge_connectivity,
         is_connected=is_connected(g),
         is_tree=is_tree(g),
         is_bipartite=is_bipartite(g),

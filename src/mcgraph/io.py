@@ -4,12 +4,14 @@ The JSON graph format is byte-stable: fixed key order (n, edges, labels,
 product, connected), edges sorted with the smaller endpoint first, compact
 separators.  Serializing a parsed file reproduces it byte for byte.  A
 plain-text edge-list format ("n m" on the first line, then one "u v" line
-per edge) is accepted on input as well.
+per edge) is accepted on input as well.  Malformed input of any shape is
+rejected with ``ValueError``, which the command line reports as exit code 2.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .graph import Graph, build_graph, is_connected
 from .mc import EdgeColoring
@@ -23,6 +25,7 @@ __all__ = [
     "parse_edge_list",
     "coloring_to_obj",
     "coloring_from_obj",
+    "loads_coloring",
 ]
 
 
@@ -49,15 +52,43 @@ def graph_to_obj(g: Graph | ProductGraph) -> dict:
     return obj
 
 
+def _int_lists(value, field: str, length: int | None = None) -> list[tuple]:
+    """``value`` as a list of integer tuples, each of ``length`` if given."""
+    if not (
+        isinstance(value, list)
+        and all(type(item) is list for item in value)
+        and (length is None or all(len(item) == length for item in value))
+        and set(map(type, chain.from_iterable(value))) <= {int}
+    ):
+        shape = f"lists of {length} integers" if length else "integer lists"
+        raise ValueError(f"'{field}' must be a list of {shape}")
+    return [tuple(item) for item in value]
+
+
 def graph_from_obj(obj: dict) -> Graph | ProductGraph:
+    """Rebuild a graph from its dict form; malformed fields raise ValueError."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph object needs 'n' and 'edges' fields")
-    g = build_graph(obj["n"], [tuple(e) for e in obj["edges"]], obj.get("labels"))
+    if type(obj["n"]) is not int:
+        raise ValueError(f"'n' must be an integer, got {obj['n']!r}")
+    labels = obj.get("labels")
+    if labels is not None:
+        labels = _int_lists(labels, "labels")
+    g = build_graph(obj["n"], _int_lists(obj["edges"], "edges", 2), labels)
     if "product" in obj:
         meta = obj["product"]
+        if not (isinstance(meta, dict) and isinstance(meta.get("kind"), str)):
+            raise ValueError("'product' needs a string 'kind' field")
         kind = ProductKind.parse(meta["kind"])
-        ng, nh = meta["factors"]
-        if ng * nh != g.n:
+        factors = meta.get("factors")
+        if not (
+            isinstance(factors, list)
+            and len(factors) == 2
+            and all(type(f) is int for f in factors)
+        ):
+            raise ValueError("'product' needs 'factors', a list of two integers")
+        ng, nh = factors
+        if ng < 1 or nh < 1 or ng * nh != g.n:
             raise ValueError(
                 f"product metadata inconsistent: {ng}*{nh} != {g.n} vertices"
             )
@@ -85,11 +116,18 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, edges)
 
 
+def _loads_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def loads_graph(text: str) -> Graph | ProductGraph:
     """Parse either the JSON graph format or the plain edge-list format."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return graph_from_obj(json.loads(text))
+        return graph_from_obj(_loads_json(text))
     return parse_edge_list(text)
 
 
@@ -101,7 +139,14 @@ def coloring_from_obj(host: Graph, obj: dict) -> EdgeColoring:
     """Rebuild a coloring, insisting the edge list matches the host exactly."""
     if not isinstance(obj, dict) or "edges" not in obj or "colors" not in obj:
         raise ValueError("coloring object needs 'edges' and 'colors' fields")
-    edges = [tuple(e) for e in obj["edges"]]
-    if edges != list(host.edges):
+    if _int_lists(obj["edges"], "edges", 2) != list(host.edges):
         raise ValueError("coloring edge list does not match the graph")
-    return EdgeColoring(host, tuple(int(c) for c in obj["colors"]))
+    colors = obj["colors"]
+    if not (isinstance(colors, list) and all(type(c) is int for c in colors)):
+        raise ValueError("'colors' must be a list of integers")
+    return EdgeColoring(host, tuple(colors))
+
+
+def loads_coloring(host: Graph, text: str) -> EdgeColoring:
+    """Parse coloring JSON text for ``host`` (see :func:`coloring_from_obj`)."""
+    return coloring_from_obj(host, _loads_json(text))

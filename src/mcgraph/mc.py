@@ -21,12 +21,12 @@ from .graph import (
     Graph,
     bfs_parents,
     complement,
+    connectivity_at_least,
     diameter,
     edge_components,
     has_cut_vertex,
     is_complete,
     is_connected,
-    vertex_connectivity,
 )
 from .products import ProductGraph, recover_factors
 
@@ -225,10 +225,9 @@ def mc_bounds_basic(g: Graph) -> BoundInterval:
     """
     if g.n <= 1 or not is_connected(g):
         return BoundInterval(0, 0, "Obs1", "Lem1", "disconnected or trivial (mc = 0)")
-    kappa = vertex_connectivity(g)
     return BoundInterval(
         lower=g.m - g.n + 2,
-        upper=g.m - g.n + kappa + 1,
+        upper=g.m - g.n + g.vertex_connectivity + 1,
         lower_source="Obs1",
         upper_source="Lem1",
         case="basic sandwich",
@@ -267,7 +266,7 @@ def theorem1_certificate(g: Graph) -> Theorem1Certificate:
     n, m = g.n, g.m
     delta = max(g.degree(v) for v in g.vertices())
     conditions: list[str] = []
-    if vertex_connectivity(complement(g)) >= 4:
+    if connectivity_at_least(complement(g), 4):
         conditions.append("a")
     if not _has_triangle(g):
         conditions.append("b")

@@ -1,13 +1,17 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcgraph import graph as graph_module
 from mcgraph.families import (
+    NetworkSpec,
     complete_graph,
     cycle_graph,
+    generate,
     path_graph,
     petersen_graph,
     star_graph,
@@ -18,6 +22,7 @@ from mcgraph.graph import (
     build_graph,
     complement,
     connected_components,
+    connectivity_at_least,
     diameter,
     distance,
     distances_from,
@@ -28,9 +33,12 @@ from mcgraph.graph import (
     is_connected,
     is_tree,
     metrics,
+    min_degree,
     relabel,
     vertex_connectivity,
 )
+from mcgraph.mc import mc_bounds_basic, theorem1_certificate
+from mcgraph.products import as_graph
 from mcgraph.smallgraphs import random_connected_graph
 from mcgraph.verification import (
     min_edge_cut_exhaustive,
@@ -272,3 +280,96 @@ def test_metrics_tree_flag_implies_edge_count(corpus6):
         m = metrics(g)
         if m.is_tree:
             assert g.m == g.n - 1 and m.is_connected
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    """Any simple graph on 1..max_n vertices, connected or not."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+# Every minimum cut of this graph (kappa 3) contains its minimum-degree
+# vertex 0, so only the flows between neighbours of 0 find one.
+PIVOT_IN_EVERY_MIN_CUT = build_graph(
+    8,
+    [(0, 2), (0, 4), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+     (2, 3), (2, 5), (2, 7), (3, 5), (3, 7), (4, 5), (4, 6), (5, 6), (5, 7)],
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs())
+@example(PIVOT_IN_EVERY_MIN_CUT)
+def test_connectivity_matches_exhaustive_oracles(g):
+    # complements are where Thm1(a) asks its question, and they are dense
+    for h in (g, complement(g)):
+        kappa = min_vertex_cut_exhaustive(h)
+        assert vertex_connectivity(h) == kappa
+        thresholds = range(h.n + 1)
+        assert [connectivity_at_least(h, k) for k in thresholds] == [
+            kappa >= k for k in thresholds
+        ]
+        # the oracle tries every set of up to lambda <= delta edges; dense
+        # 8-vertex graphs would take minutes
+        if comb(h.m, min_degree(h)) <= 4000:
+            assert edge_connectivity(h) == min_edge_cut_exhaustive(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_cached_connectivity(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = relabel(g, perm)
+    assert h is not g
+    fresh = (vertex_connectivity(g), edge_connectivity(g))
+    assert (g.vertex_connectivity, g.edge_connectivity) == fresh
+    assert (h.vertex_connectivity, h.edge_connectivity) == fresh
+    assert metrics(g) == metrics(g) == metrics(h)
+
+
+TORUS_3333 = as_graph(generate(NetworkSpec("torus", (3, 3, 3, 3))))
+
+
+@pytest.fixture()
+def flows(monkeypatch):
+    """The (source, sink) of every max-flow run, counted through a wrapper."""
+    calls = []
+    real = graph_module._max_flow
+
+    def counting(arcs, s, t, cap):
+        calls.append((s, t))
+        return real(arcs, s, t, cap)
+
+    monkeypatch.setattr(graph_module, "_max_flow", counting)
+    return calls
+
+
+class TestFlowCounts:
+    @pytest.mark.parametrize(
+        "g,kappa", [(path_graph(200), 1), (cycle_graph(200), 2)], ids=["P200", "C200"]
+    )
+    def test_trees_and_cycles_in_n_flows(self, flows, g, kappa):
+        assert vertex_connectivity(g) == kappa
+        assert len(flows) <= g.n
+
+    def test_torus_in_n_plus_delta_squared_flows(self, flows):
+        assert vertex_connectivity(TORUS_3333) == 8
+        assert len(flows) <= TORUS_3333.n + 8**2
+
+    def test_theorem1a_threshold_in_4n_flows(self, flows):
+        cert = theorem1_certificate(TORUS_3333)
+        assert "a" in cert.conditions
+        assert len(flows) <= 4 * TORUS_3333.n
+
+    def test_metrics_then_bounds_run_the_flows_once(self, flows):
+        g = as_graph(generate(NetworkSpec("hypercube", (4,))))
+        first = metrics(g)
+        ran = len(flows)
+        assert ran > 0
+        assert mc_bounds_basic(g).upper == g.m - g.n + first.vertex_connectivity + 1
+        assert metrics(g) == first
+        assert len(flows) == ran

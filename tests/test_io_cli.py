@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcgraph import cli
 from mcgraph import io as gio
@@ -184,3 +190,108 @@ class TestCli:
     def test_pretty_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--pretty", "gen", "path", "3")
         assert code == 0 and out.startswith("{\n")
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_module(*args):
+    """Run ``python -m mcgraph`` with this checkout's sources first on the path."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "mcgraph", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module("gen", "path", "3")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"n": 3, "edges": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n":"3","edges":[]}',
+        '{"n":2,"edges":[[0,1]],"product":{"factors":[1,2]}}',
+        '{"n":2,"edges":[[0,1.5]]}',
+    ],
+    ids=["string-n", "product-without-kind", "float-endpoint"],
+)
+def test_malformed_graph_exits_2_without_traceback(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    done = run_module("mc", "bounds", str(path))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+PAIRS = st.lists(st.lists(SCALARS | st.integers(0, 3), max_size=3), max_size=4)
+GRAPH_OBJS = st.fixed_dictionaries(
+    {"n": st.integers(-1, 4) | JSON_VALUES, "edges": PAIRS | JSON_VALUES},
+    optional={
+        "labels": PAIRS | JSON_VALUES,
+        "product": st.fixed_dictionaries(
+            {},
+            optional={
+                "kind": st.sampled_from(["cartesian", "lex", "bogus"]) | JSON_VALUES,
+                "factors": st.lists(st.integers(-1, 4) | SCALARS, max_size=3)
+                | JSON_VALUES,
+            },
+        )
+        | JSON_VALUES,
+    },
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(GRAPH_OBJS.map(json.dumps), JSON_VALUES.map(json.dumps), st.text()))
+def test_loads_graph_rejects_only_with_value_error(text):
+    try:
+        gio.loads_graph(text)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {
+            "edges": st.just([[0, 1], [1, 2]]) | PAIRS | JSON_VALUES,
+            "colors": st.lists(st.integers(-1, 2) | SCALARS, max_size=3) | JSON_VALUES,
+        }
+    )
+    | JSON_VALUES
+)
+def test_coloring_from_obj_rejects_only_with_value_error(obj):
+    try:
+        gio.coloring_from_obj(path_graph(3), obj)
+    except ValueError:
+        pass
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    with pytest.raises(ValueError, match="nested"):
+        gio.loads_graph('{"n":' + "[" * 100000)
+    graph, coloring = tmp_path / "p3.json", tmp_path / "deep.json"
+    graph.write_text('{"n":3,"edges":[[0,1],[1,2]]}')
+    coloring.write_text('{"edges":' + "[" * 100000)
+    done = run_module("check", str(graph), str(coloring))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "nested" in done.stderr
