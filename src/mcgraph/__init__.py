@@ -46,6 +46,7 @@ from .graph import (
 from .mc import (
     EdgeColoring,
     McResult,
+    SearchStats,
     Theorem1Certificate,
     TreeCover,
     check_mc_coloring,
@@ -80,6 +81,7 @@ __all__ = [
     "ProductGraph",
     "ProductKind",
     "PropositionRow",
+    "SearchStats",
     "Theorem1Certificate",
     "TreeCover",
     "build_graph",

@@ -3,7 +3,8 @@
 Subcommands: gen, product, mc, check, verify, report.  Results go to stdout
 as single-line JSON unless --pretty is given.  Exit codes: 0 success, 1
 certificate invalid, 2 usage or input error, 3 exact-search budget exhausted.
-The environment variable MCGRAPH_BUDGET overrides the search-node cap.
+The environment variable MCGRAPH_BUDGET (a positive integer) overrides the
+search-node cap.
 """
 
 from __future__ import annotations
@@ -45,9 +46,12 @@ def _budget() -> int:
     if raw is None:
         return DEFAULT_NODE_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"MCGRAPH_BUDGET must be an integer, got {raw!r}")
+    if budget <= 0:
+        raise ValueError(f"MCGRAPH_BUDGET must be positive, got {raw!r}")
+    return budget
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -94,6 +98,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
     # exact
     result = mc_exact(g, max_nodes=_budget())
     _emit(gio.dumps(result.to_dict(), args.pretty), None)
+    if args.stats:
+        stats = result.stats.to_dict() if result.stats else None
+        print(gio.dumps(stats), file=sys.stderr)
     if args.witness and result.witness is not None:
         Path(args.witness).write_text(
             gio.dumps(gio.coloring_to_obj(result.witness), args.pretty) + "\n"
@@ -172,6 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("mode", choices=["exact", "bounds", "certify"])
     p_mc.add_argument("file")
     p_mc.add_argument("--witness", help="write the witness coloring here")
+    p_mc.add_argument(
+        "--stats",
+        action="store_true",
+        help="exact mode: write the search counters to stderr as one JSON line",
+    )
     p_mc.set_defaults(fn=cmd_mc)
 
     p_check = sub.add_parser("check", help="validate a coloring certificate")

@@ -8,8 +8,13 @@ the ground-truth oracle for small edge counts.
 a family of edge-disjoint monochromatic trees with at least two edges each,
 whose vertex spans cover every non-adjacent pair, plus a fresh color on every
 remaining edge.  Writing waste = sum(|tree| - 1), the value is m - min waste,
-so the solver branch-and-bounds over tree covers.  The two engines are kept
-independent and are cross-checked against each other in the test suite.
+so the solver branch-and-bounds over tree covers.  It starts from the better
+of a spanning tree (waste n - 2) and a greedy cover, then runs one
+depth-first round per waste limit, from the root floor upward, and stops at
+the first cover found; children are bounded before they are applied.  When
+the floor is already n - 2 (kappa <= 1) the spanning tree is returned with
+no search.  The two engines are kept independent and are cross-checked
+against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .graph import (
     edge_components,
     is_connected,
 )
-from .mc import EdgeColoring, McResult, TreeCover, mc_bounds_basic
+from .mc import EdgeColoring, McResult, SearchStats, TreeCover, mc_bounds_basic
 
 DEFAULT_NAIVE_EDGE_CAP = 12
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -139,25 +144,39 @@ class _TreeCoverSolver:
     first) and enumerates every minimal way to bring both endpoints into one
     tree: a fresh path between them, an attachment path into an existing
     tree, or a path plus a connector when neither endpoint is housed yet.
-    Pruning combines the strict-improvement budget with a vertex-disjoint
-    matching bound, a housing bound (each waste unit houses at most three new
-    vertices) and a capacity bound built from the densest-subset table of the
-    non-adjacency graph.  All iteration orders are fixed, so the witness is
-    deterministic.
+
+    The waste limit deepens one unit per round, from the root floor up to
+    one below the incumbent (Korf 1985).  Each round is a depth-first search
+    that stops at its first cover, which is optimal because the round before
+    found none.  A generated child is first tested without being applied:
+    its covered set comes from a memo of the pairs inside each vertex set,
+    and it is cut when the greedy vertex-disjoint matching of the pairs it
+    leaves uncovered exceeds the budget left.  The survivors are sorted by
+    (delta, edge key, target), applied one by one, and tested against a
+    capacity bound built from the densest-subset table of the non-adjacency
+    graph.  Every pruning test is monotone in the limit and a smaller limit
+    only filters the move lists, so the first cover found is the one a
+    strict-improvement search over the same move order ends on.
+
+    One node is charged per generated child, cut or not, per round root and
+    per expanded prefix of the path enumeration; ``max_nodes`` caps the sum.
+    All iteration orders are fixed, so the witness is deterministic.
     """
 
     def __init__(self, g: Graph, max_nodes: int):
         self.g = g
         self.n = g.n
-        self.m = g.m
         self.max_nodes = max_nodes
         self.nodes = 0
+        self.cut = 0
 
-        self.nbrs = g.neighbors
-        self.eid: dict[tuple[int, int], int] = {}
+        ebit: dict[tuple[int, int], int] = {}
         for i, (u, v) in enumerate(g.edges):
-            self.eid[(u, v)] = i
-            self.eid[(v, u)] = i
+            ebit[(u, v)] = ebit[(v, u)] = 1 << i
+        # (neighbor, edge bit) per vertex, neighbors ascending
+        self.arcs = [
+            tuple((w, ebit[(u, w)]) for w in g.neighbors[u]) for u in range(self.n)
+        ]
 
         dist = all_pairs_distances(g)
         na = [
@@ -170,6 +189,12 @@ class _TreeCoverSolver:
         self.num_pairs = len(na)
         self.all_mask = (1 << self.num_pairs) - 1
         self.pair_vmask = [(1 << u) | (1 << v) for u, v in na]
+        self.vertex_pairs = [0] * self.n  # the pairs with an endpoint at v
+        for i, (u, v) in enumerate(na):
+            self.vertex_pairs[u] |= 1 << i
+            self.vertex_pairs[v] |= 1 << i
+        self.inside_memo: dict[int, int] = {}
+        self.matching_memo: dict[int, int] = {}
 
         self.maxedges = self._max_subset_edges_table()
         self.dp_new = self._new_tree_capacity_table()
@@ -177,15 +202,14 @@ class _TreeCoverSolver:
         # search state
         self.tree_v: list[int] = []
         self.tree_e: list[int] = []
-        self.tree_cov: list[int] = []
         self.used_edges = 0
         self.covered = 0
         self.waste = 0
 
-        self.best_waste: int | None = None
-        self.best_trees: list[int] | None = None
         self.floor = 0
-        self.done = False
+        self.floor_by = "Lem1"
+        self.start = 0
+        self.targets: list[int] = []
 
     # -- precomputed tables -------------------------------------------------
 
@@ -249,34 +273,43 @@ class _TreeCoverSolver:
 
     # -- bounds -------------------------------------------------------------
 
-    def _matching_and_housing(self) -> tuple[int, int]:
-        """Greedy vertex-disjoint uncovered pairs and their housing demand."""
-        housed = 0
-        for vm in self.tree_v:
-            housed |= vm
-        used = 0
-        matching = 0
-        demand = 0
-        rest = self.all_mask & ~self.covered
-        while rest:
-            idx = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            pm = self.pair_vmask[idx]
-            if pm & used:
-                continue
-            used |= pm
-            matching += 1
-            demand += max(1, (pm & ~housed).bit_count())
-        housing_lb = -(-demand // 3)
-        return matching, housing_lb
+    def _inside(self, vmask: int) -> int:
+        """The non-adjacent pairs with both endpoints in ``vmask`` (memoised)."""
+        inside = self.inside_memo.get(vmask)
+        if inside is None:
+            touched = 0
+            rest = ~vmask & ((1 << self.n) - 1)
+            while rest:
+                touched |= self.vertex_pairs[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            inside = self.all_mask & ~touched
+            self.inside_memo[vmask] = inside
+        return inside
+
+    def _matching(self, covered: int) -> int:
+        """Greedy vertex-disjoint matching of the uncovered pairs, in pair
+        order: a lower bound on the waste still needed (memoised)."""
+        size = self.matching_memo.get(covered)
+        if size is None:
+            used = 0
+            size = 0
+            rest = self.all_mask & ~covered
+            while rest:
+                pm = self.pair_vmask[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+                if not pm & used:
+                    used |= pm
+                    size += 1
+            self.matching_memo[covered] = size
+        return size
 
     def _capacity_dp(self, budget: int) -> list[int]:
         """Budget-indexed optimistic coverage: extensions plus fresh trees."""
         dp = list(self.dp_new[: budget + 1])
         n = self.n
-        for t in range(len(self.tree_v)):
-            size = self.tree_v[t].bit_count()
-            inside = self.tree_cov[t].bit_count()
+        for tv in self.tree_v:
+            size = tv.bit_count()
+            inside = self._inside(tv).bit_count()
             gain = [
                 max(0, self.maxedges[min(size + e, n)] - inside)
                 for e in range(budget + 1)
@@ -292,82 +325,66 @@ class _TreeCoverSolver:
 
     # -- path enumeration ---------------------------------------------------
 
-    def _tick(self) -> None:
-        self.nodes += 1
+    def _tick(self, count: int = 1) -> None:
+        self.nodes += count
         if self.nodes > self.max_nodes:
             raise BudgetExceededError(
                 f"tree-cover search exceeded {self.max_nodes} nodes"
             )
 
-    def _simple_paths(self, start: int, goal: int, max_len: int) -> list:
-        """All simple start..goal paths over free edges, ascending neighbors.
-
-        Returns (vertex_mask, edge_mask, length) triples; length <= max_len.
-        """
-        out: list[tuple[int, int, int]] = []
-        if max_len <= 0:
-            return out
-
-        def rec(u: int, path_v: int, path_e: int, length: int) -> None:
-            self._tick()
-            for w in self.nbrs[u]:
-                ebit = 1 << self.eid[(u, w)]
-                if (self.used_edges | path_e) & ebit:
-                    continue
-                if w == goal:
-                    out.append((path_v | (1 << w), path_e | ebit, length + 1))
-                    continue
-                wbit = 1 << w
-                if path_v & wbit or length + 1 >= max_len:
-                    continue
-                rec(w, path_v | wbit, path_e | ebit, length + 1)
-
-        rec(start, 1 << start, 0, 0)
-        return out
-
-    def _attach_paths(
-        self, start: int, tree_vmask: int, max_len: int, forbidden_vmask: int = 0
+    def _paths(
+        self, start: int, ends: int, max_len: int, forbidden_vmask: int = 0
     ) -> list:
-        """Simple paths from start into the tree, touching it only at the end.
+        """Simple paths over free edges from start to a vertex of ``ends``,
+        touching ``ends`` only at their last vertex; neighbors ascending.
 
-        Internal vertices avoid the tree and ``forbidden_vmask``; the start
-        must lie outside the tree.
+        Internal vertices avoid ``forbidden_vmask``; the start must lie
+        outside ``ends``.  Returns (vertex_mask, edge_mask, length) triples
+        with length <= max_len.  Depth-first over an explicit stack of
+        neighbor iterators, one node per expanded prefix.
         """
         out: list[tuple[int, int, int]] = []
         if max_len <= 0:
             return out
         blocked = forbidden_vmask & ~(1 << start)
-
-        def rec(u: int, path_v: int, path_e: int, length: int) -> None:
-            self._tick()
-            for w in self.nbrs[u]:
-                ebit = 1 << self.eid[(u, w)]
-                if (self.used_edges | path_e) & ebit:
+        used = self.used_edges
+        self._tick()
+        stack = [(1 << start, 0, 0, iter(self.arcs[start]))]
+        while stack:
+            path_v, path_e, length, arcs = stack[-1]
+            for w, ebit in arcs:
+                if (used | path_e) & ebit:
                     continue
                 wbit = 1 << w
-                if tree_vmask & wbit:
+                if ends & wbit:
                     out.append((path_v | wbit, path_e | ebit, length + 1))
                     continue
                 if (path_v | blocked) & wbit or length + 1 >= max_len:
                     continue
-                rec(w, path_v | wbit, path_e | ebit, length + 1)
-
-        rec(start, 1 << start, 0, 0)
+                self._tick()
+                stack.append(
+                    (path_v | wbit, path_e | ebit, length + 1, iter(self.arcs[w]))
+                )
+                break
+            else:
+                stack.pop()
         return out
 
     # -- move generation ----------------------------------------------------
 
-    def _ekey(self, emask: int) -> tuple[int, ...]:
-        out = []
+    def _move_key(self, move: tuple[int, int, int, int]) -> tuple:
+        """The fixed move order: delta, ascending edge indices, target."""
+        delta, target, _add_v, emask = move
+        edges = []
         while emask:
-            out.append((emask & -emask).bit_length() - 1)
+            edges.append((emask & -emask).bit_length() - 1)
             emask &= emask - 1
-        return tuple(out)
+        return delta, tuple(edges), target
 
     def _moves(self, u: int, v: int, budget: int, dp: list[int]) -> list:
         """Every minimal service of the pair (u, v) within the waste budget.
 
-        Entries are (delta, edge_key, target, add_vmask, add_emask); target -1
+        Entries are (delta, target, add_vmask, add_emask), unsorted; target -1
         opens a new tree.  Each delta is gated by a sound capacity test: the
         move's tree may keep growing later, so the gate maximizes over how
         much further budget that tree could absorb before charging the rest
@@ -375,7 +392,7 @@ class _TreeCoverSolver:
         """
         uncovered_cnt = (self.all_mask & ~self.covered).bit_count()
         n = self.n
-        moves: list[tuple[int, tuple[int, ...], int, int, int]] = []
+        moves: list[tuple[int, int, int, int]] = []
 
         def delta_gate(base_size: int, inside: int) -> list[bool]:
             ok = [False] * (budget + 1)
@@ -399,9 +416,8 @@ class _TreeCoverSolver:
         def ext_ok(t: int) -> list[bool]:
             arr = ext_ok_cache.get(t)
             if arr is None:
-                arr = delta_gate(
-                    self.tree_v[t].bit_count(), self.tree_cov[t].bit_count()
-                )
+                tv = self.tree_v[t]
+                arr = delta_gate(tv.bit_count(), self._inside(tv).bit_count())
                 ext_ok_cache[t] = arr
             return arr
 
@@ -416,12 +432,12 @@ class _TreeCoverSolver:
             arr = ext_ok(t)
             worth = max((d for d in range(budget + 1) if arr[d]), default=0)
             uv_cap = max(uv_cap, worth)
-        uv_paths = self._simple_paths(u, v, uv_cap)
+        uv_paths = self._paths(u, 1 << v, uv_cap)
 
         for pv, pe, length in uv_paths:
             delta = length - 1
             if delta <= budget and new_ok[delta]:
-                moves.append((delta, self._ekey(pe), -1, pv, pe))
+                moves.append((delta, -1, pv, pe))
 
         ubit, vbit = 1 << u, 1 << v
         for t in range(len(self.tree_v)):
@@ -435,9 +451,9 @@ class _TreeCoverSolver:
                 continue
             if has_u or has_v:
                 x = v if has_u else u
-                for pv, pe, length in self._attach_paths(x, tv, worth):
+                for pv, pe, length in self._paths(x, tv, worth):
                     if arr[length]:
-                        moves.append((length, self._ekey(pe), t, pv, pe))
+                        moves.append((length, t, pv, pe))
                 continue
             # Neither endpoint housed: a u..v path crossing the tree exactly
             # once attaches directly; a disjoint one needs a connector from
@@ -450,7 +466,7 @@ class _TreeCoverSolver:
                     continue
                 if overlap == 1:
                     if arr[length]:
-                        moves.append((length, self._ekey(pe), t, pv, pe))
+                        moves.append((length, t, pv, pe))
                     continue
                 room = worth - length
                 if room < 1:
@@ -462,58 +478,31 @@ class _TreeCoverSolver:
                     while rest:
                         y = (rest & -rest).bit_length() - 1
                         rest &= rest - 1
-                        for cv, ce, clen in self._attach_paths(
+                        for cv, ce, clen in self._paths(
                             y, tv, room, forbidden_vmask=pv
                         ):
                             delta = length + clen
                             if arr[delta]:
-                                moves.append(
-                                    (
-                                        delta,
-                                        self._ekey(pe | ce),
-                                        t,
-                                        pv | cv,
-                                        pe | ce,
-                                    )
-                                )
+                                moves.append((delta, t, pv | cv, pe | ce))
                 finally:
                     self.used_edges = saved
-        moves.sort(key=lambda mv: (mv[0], mv[1], mv[2]))
         return moves
 
     # -- state updates ------------------------------------------------------
 
-    def _newly_covered(self, t: int) -> int:
-        vm = self.tree_v[t]
-        new = 0
-        rest = ~self.tree_cov[t] & self.all_mask
-        while rest:
-            idx = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if self.pair_vmask[idx] & ~vm == 0:
-                new |= 1 << idx
-        return new
-
     def _apply(self, target: int, add_v: int, add_e: int, delta: int):
         state: tuple = (self.covered, self.used_edges, self.waste)
         if target < 0:
-            self.tree_v.append(0)
-            self.tree_e.append(0)
-            self.tree_cov.append(0)
+            self.tree_v.append(add_v)
+            self.tree_e.append(add_e)
             target = len(self.tree_v) - 1
             created = True
         else:
             created = False
-            state += (
-                self.tree_v[target],
-                self.tree_e[target],
-                self.tree_cov[target],
-            )
-        self.tree_v[target] |= add_v
-        self.tree_e[target] |= add_e
-        new_pairs = self._newly_covered(target)
-        self.tree_cov[target] |= new_pairs
-        self.covered |= new_pairs
+            state += (self.tree_v[target], self.tree_e[target])
+            self.tree_v[target] |= add_v
+            self.tree_e[target] |= add_e
+        self.covered |= self._inside(self.tree_v[target])
         self.used_edges |= add_e
         self.waste += delta
         return created, target, state
@@ -523,45 +512,41 @@ class _TreeCoverSolver:
         if created:
             self.tree_v.pop()
             self.tree_e.pop()
-            self.tree_cov.pop()
         else:
             self.tree_v[target] = state[3]
             self.tree_e[target] = state[4]
-            self.tree_cov[target] = state[5]
 
     # -- search -------------------------------------------------------------
 
-    def _dfs(self) -> None:
-        if self.done:
-            return
-        self._tick()
+    def _dfs(self, limit: int) -> tuple[int, list[int]] | None:
+        """The first cover of waste at most ``limit`` below the current
+        state, as (waste, tree edge masks), or None."""
         if self.covered == self.all_mask:
-            if self.best_waste is None or self.waste < self.best_waste:
-                self.best_waste = self.waste
-                self.best_trees = list(self.tree_e)
-                if self.waste <= self.floor:
-                    self.done = True
-            return
-        assert self.best_waste is not None
-        budget = self.best_waste - 1 - self.waste
-        if budget < 0:
-            return
-        matching, housing = self._matching_and_housing()
-        if max(matching, housing) > budget:
-            return
-        uncovered_cnt = (self.all_mask & ~self.covered).bit_count()
-        dp = self._capacity_dp(budget)
-        if dp[budget] < uncovered_cnt:
-            return
+            return self.waste, list(self.tree_e)
+        budget = limit - self.waste
         rest = self.all_mask & ~self.covered
-        idx = (rest & -rest).bit_length() - 1
-        u, v = self.pairs[idx]
-        for delta, _key, target, add_v, add_e in self._moves(u, v, budget, dp):
+        dp = self._capacity_dp(budget)
+        if dp[budget] < rest.bit_count():
+            return None
+        u, v = self.pairs[(rest & -rest).bit_length() - 1]
+        moves = self._moves(u, v, budget, dp)
+        self._tick(len(moves))
+        children = []
+        for move in moves:
+            delta, target, add_v, _add_e = move
+            tv = add_v if target < 0 else self.tree_v[target] | add_v
+            if self._matching(self.covered | self._inside(tv)) > budget - delta:
+                self.cut += 1
+            else:
+                children.append(move)
+        children.sort(key=self._move_key)
+        for delta, target, add_v, add_e in children:
             created, t, state = self._apply(target, add_v, add_e, delta)
-            self._dfs()
+            found = self._dfs(limit)
             self._undo(created, t, state)
-            if self.done:
-                return
+            if found is not None:
+                return found
+        return None
 
     def _greedy_incumbent(self) -> tuple[int, list[int]] | None:
         """Cheapest-service-first construction used as the starting incumbent."""
@@ -575,66 +560,99 @@ class _TreeCoverSolver:
                 for cap in range(1, self.n + 1):
                     candidates = self._moves(u, v, cap, permissive)
                     if candidates:
-                        move = candidates[0]
+                        move = min(candidates, key=self._move_key)
                         break
                 if move is None:
                     return None
-                delta, _key, target, add_v, add_e = move
+                delta, target, add_v, add_e = move
                 self._apply(target, add_v, add_e, delta)
             return self.waste, list(self.tree_e)
         finally:
             self.tree_v.clear()
             self.tree_e.clear()
-            self.tree_cov.clear()
             self.covered = 0
             self.used_edges = 0
             self.waste = 0
 
-    def _spanning_tree_emask(self) -> int:
-        emask = 0
-        for v, p in bfs_parents(self.g, 0).items():
-            if v != p:
-                emask |= 1 << self.eid[(p, v)]
-        return emask
-
     def solve(self, lemma1_floor: int) -> tuple[int, list[int]]:
         """Return (minimum waste, tree edge masks)."""
-        if self.num_pairs == 0:
-            return 0, []
-        matching, housing = self._matching_and_housing()
         capacity_floor = next(
             b for b in range(len(self.dp_new)) if self.dp_new[b] >= self.num_pairs
         )
-        self.floor = max(lemma1_floor, matching, housing, capacity_floor, 1)
+        floors = {
+            "Lem1": lemma1_floor,
+            "matching": self._matching(0),
+            "capacity": capacity_floor,
+        }
+        self.floor = max(floors.values())
+        self.floor_by = next(name for name, b in floors.items() if b == self.floor)
+        if self.num_pairs == 0:
+            return 0, []
 
-        self.best_waste = self.n - 2
-        self.best_trees = [self._spanning_tree_emask()]
+        best = self.n - 2, [_spanning_tree_emask(self.g)]
         greedy = self._greedy_incumbent()
-        if greedy is not None and greedy[0] < self.best_waste:
-            self.best_waste, self.best_trees = greedy
-        if self.best_waste > self.floor:
-            self._dfs()
-        assert self.best_waste is not None and self.best_trees is not None
-        return self.best_waste, self.best_trees
+        if greedy is not None and greedy[0] < best[0]:
+            best = greedy
+        self.start = best[0]
+        for limit in range(self.floor, best[0]):
+            self.targets.append(limit)
+            self._tick()  # the round's root
+            found = self._dfs(limit)
+            if found is not None:
+                return found
+        return best
+
+    def stats(self) -> SearchStats:
+        return SearchStats(
+            nodes=self.nodes,
+            floor=self.floor,
+            floor_by=self.floor_by,
+            start=self.start,
+            targets=tuple(self.targets),
+            cut=self.cut,
+        )
+
+
+def _spanning_tree_emask(g: Graph) -> int:
+    """Edge mask of the BFS tree from vertex 0: a cover of waste n - 2."""
+    emask = 0
+    for v, p in bfs_parents(g, 0).items():
+        if v != p:
+            emask |= 1 << g.edge_index[(p, v) if p < v else (v, p)]
+    return emask
 
 
 def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
     """Exact mc by branch and bound over covering tree families.
 
     The search window comes from the basic sandwich only, so this engine
-    stays independent of the certificate machinery.  On budget exhaustion no
-    value is claimed: the result carries just the interval, with method
-    ``bounds-only``.
+    stays independent of the certificate machinery.  When that floor already
+    allows no cover cheaper than a spanning tree (kappa <= 1, so any tree or
+    graph with a cut vertex), the spanning tree is returned without a search.
+    On budget exhaustion no value is claimed: the result carries just the
+    interval, with method ``bounds-only``.  ``stats`` holds the search
+    counters either way.
     """
     if g.n <= 1 or not is_connected(g):
         return _trivial_result(g, "tree-cover")
     bounds = mc_bounds_basic(g)
     lemma1_floor = g.m - bounds.upper
-    solver = _TreeCoverSolver(g, max_nodes)
-    try:
-        waste, tree_masks = solver.solve(lemma1_floor)
-    except BudgetExceededError:
-        return McResult(value=None, witness=None, method="bounds-only", bounds=bounds)
+    if lemma1_floor >= g.n - 2:
+        waste, tree_masks = g.n - 2, [_spanning_tree_emask(g)]
+        stats = SearchStats(nodes=0, floor=lemma1_floor, floor_by="Lem1", start=waste)
+    else:
+        solver = _TreeCoverSolver(g, max_nodes)
+        try:
+            waste, tree_masks = solver.solve(lemma1_floor)
+        except BudgetExceededError:
+            return McResult(
+                value=None,
+                witness=None,
+                method="bounds-only",
+                bounds=bounds,
+                stats=solver.stats(),
+            )
+        stats = solver.stats()
     trees = []
     for emask in tree_masks:
         edges = []
@@ -650,4 +668,5 @@ def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
         witness=cover.to_coloring(),
         method="tree-cover",
         bounds=bounds,
+        stats=stats,
     )

@@ -11,7 +11,7 @@ solvers live in :mod:`mcgraph.exact`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -151,13 +151,32 @@ class Theorem1Certificate:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """Counters of one tree-cover search (see :mod:`mcgraph.exact`)."""
+
+    nodes: int  # generated children, round roots and path-enumeration steps
+    floor: int  # the root waste floor
+    floor_by: str  # Lem1 | matching | capacity: the first bound reaching it
+    start: int  # waste of the starting incumbent
+    targets: tuple[int, ...] = ()  # the deepening limits tried
+    cut: int = 0  # children cut before they were applied
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
 class McResult:
-    """An mc computation outcome: value, witness, method, and bound interval."""
+    """An mc computation outcome: value, witness, method, and bound interval.
+
+    ``stats`` is observability only and stays out of :meth:`to_dict`.
+    """
 
     value: int | None
     witness: EdgeColoring | None
     method: str  # naive-partition | tree-cover | theorem1-certificate | bounds-only
     bounds: BoundInterval
+    stats: SearchStats | None = None
 
     def to_dict(self) -> dict:
         return {

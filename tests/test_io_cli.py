@@ -161,6 +161,30 @@ class TestCli:
         obj = json.loads(out)
         assert obj["method"] == "bounds-only" and obj["value"] is None
 
+    @pytest.mark.parametrize("raw", ["0", "-5"])
+    def test_non_positive_budget_is_an_input_error(
+        self, workdir, capsys, monkeypatch, raw
+    ):
+        c4 = workdir / "c4.json"
+        run_cli(capsys, "gen", "cycle", "4", "-o", str(c4))
+        monkeypatch.setenv("MCGRAPH_BUDGET", raw)
+        code, out, err = run_cli(capsys, "mc", "exact", str(c4))
+        assert code == 2 and out == ""
+        assert err == f"error: MCGRAPH_BUDGET must be positive, got {raw!r}\n"
+
+    def test_mc_exact_stats_go_to_stderr_only(self, workdir, capsys):
+        grid = workdir / "grid.json"
+        run_cli(capsys, "gen", "grid", "3", "3", "-o", str(grid))
+        code, plain_out, plain_err = run_cli(capsys, "mc", "exact", str(grid))
+        assert code == 0 and plain_err == ""
+        code, out, err = run_cli(capsys, "mc", "exact", str(grid), "--stats")
+        assert code == 0 and out == plain_out
+        assert err.count("\n") == 1
+        stats = json.loads(err)
+        assert set(stats) == {"nodes", "floor", "floor_by", "start", "targets", "cut"}
+        assert stats["nodes"] > 0 and stats["floor_by"] in {"Lem1", "matching", "capacity"}
+        assert json.loads(out)["value"] == 5
+
     def test_mc_exact_disconnected_is_zero_exit_zero(self, workdir, capsys):
         path = workdir / "g.json"
         path.write_text('{"n":4,"edges":[[0,1],[2,3]]}')
