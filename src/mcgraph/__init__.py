@@ -52,7 +52,6 @@ from .mc import (
     check_mc_coloring,
     mc_bounds_basic,
     mc_bounds_combined,
-    mc_certified,
     spanning_tree_coloring,
     theorem1_certificate,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "make_product",
     "mc_bounds_basic",
     "mc_bounds_combined",
-    "mc_certified",
     "mc_exact",
     "mc_exact_naive",
     "metrics",

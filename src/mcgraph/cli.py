@@ -124,9 +124,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "core":
         result = suite_fn(max_n=args.max_n or 6, seed=args.seed)
     elif args.suite == "products":
-        result = suite_fn(max_vertices=args.max_n or 24, seed=args.seed)
+        result = suite_fn(max_vertices=args.max_n or 24)
     elif args.suite == "bounds":
-        result = suite_fn(max_exact_vertices=args.max_n or 10, seed=args.seed)
+        result = suite_fn(max_exact_vertices=args.max_n or 10)
     else:
         result = suite_fn()
     for line in result.summary_lines():
@@ -194,7 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a cross-checking suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
     p_verify.add_argument("--max-n", type=int, dest="max_n")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the core suite's random samples (the other suites draw none)",
+    )
     p_verify.set_defaults(fn=cmd_verify)
 
     p_report = sub.add_parser("report", help="emit the proposition report")

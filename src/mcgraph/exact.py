@@ -8,13 +8,12 @@ the ground-truth oracle for small edge counts.
 a family of edge-disjoint monochromatic trees with at least two edges each,
 whose vertex spans cover every non-adjacent pair, plus a fresh color on every
 remaining edge.  Writing waste = sum(|tree| - 1), the value is m - min waste,
-so the solver branch-and-bounds over tree covers.  It starts from the better
-of a spanning tree (waste n - 2) and a greedy cover, then runs one
-depth-first round per waste limit, from the root floor upward, and stops at
-the first cover found; children are bounded before they are applied.  When
-the floor is already n - 2 (kappa <= 1) the spanning tree is returned with
-no search.  The two engines are kept independent and are cross-checked
-against each other in the test suite.
+so the solver branch-and-bounds over tree covers.  It runs one depth-first
+round per waste limit, from the root floor up to n - 3, and stops at the
+first cover found; children are bounded before they are applied.  When no
+round finds a cover, or the floor is already n - 2 (kappa <= 1), the
+spanning-tree coloring (waste n - 2) is returned.  The two engines are kept
+independent and are cross-checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -25,11 +24,17 @@ from .errors import BudgetExceededError
 from .graph import (
     Graph,
     all_pairs_distances,
-    bfs_parents,
     edge_components,
     is_connected,
 )
-from .mc import EdgeColoring, McResult, SearchStats, TreeCover, mc_bounds_basic
+from .mc import (
+    EdgeColoring,
+    McResult,
+    SearchStats,
+    TreeCover,
+    mc_bounds_basic,
+    spanning_tree_coloring,
+)
 
 DEFAULT_NAIVE_EDGE_CAP = 12
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -146,17 +151,18 @@ class _TreeCoverSolver:
     tree, or a path plus a connector when neither endpoint is housed yet.
 
     The waste limit deepens one unit per round, from the root floor up to
-    one below the incumbent (Korf 1985).  Each round is a depth-first search
-    that stops at its first cover, which is optimal because the round before
-    found none.  A generated child is first tested without being applied:
-    its covered set comes from a memo of the pairs inside each vertex set,
-    and it is cut when the greedy vertex-disjoint matching of the pairs it
-    leaves uncovered exceeds the budget left.  The survivors are sorted by
-    (delta, edge key, target), applied one by one, and tested against a
-    capacity bound built from the densest-subset table of the non-adjacency
-    graph.  Every pruning test is monotone in the limit and a smaller limit
-    only filters the move lists, so the first cover found is the one a
-    strict-improvement search over the same move order ends on.
+    n - 3, one below a spanning tree (Korf 1985).  Each round is a
+    depth-first search that stops at its first cover, which is optimal
+    because the round before found none.  A generated child is first tested
+    without being applied: its covered set comes from a memo of the pairs
+    inside each vertex set, and it is cut when the greedy vertex-disjoint
+    matching of the pairs it leaves uncovered exceeds the budget left.  The
+    survivors are sorted by (delta, edge key, target), applied one by one,
+    and tested against a capacity bound built from the densest-subset table
+    of the non-adjacency graph.  Every pruning test is monotone in the
+    limit and a smaller limit only filters the move lists, so the first
+    cover found is the one a strict-improvement search over the same move
+    order ends on.
 
     One node is charged per generated child, cut or not, per round root and
     per expanded prefix of the path enumeration; ``max_nodes`` caps the sum.
@@ -208,7 +214,6 @@ class _TreeCoverSolver:
 
         self.floor = 0
         self.floor_by = "Lem1"
-        self.start = 0
         self.targets: list[int] = []
 
     # -- precomputed tables -------------------------------------------------
@@ -518,11 +523,11 @@ class _TreeCoverSolver:
 
     # -- search -------------------------------------------------------------
 
-    def _dfs(self, limit: int) -> tuple[int, list[int]] | None:
-        """The first cover of waste at most ``limit`` below the current
-        state, as (waste, tree edge masks), or None."""
+    def _dfs(self, limit: int) -> list[int] | None:
+        """The tree edge masks of the first cover of waste at most ``limit``
+        below the current state, or None."""
         if self.covered == self.all_mask:
-            return self.waste, list(self.tree_e)
+            return list(self.tree_e)
         budget = limit - self.waste
         rest = self.all_mask & ~self.covered
         dp = self._capacity_dp(budget)
@@ -548,34 +553,9 @@ class _TreeCoverSolver:
                 return found
         return None
 
-    def _greedy_incumbent(self) -> tuple[int, list[int]] | None:
-        """Cheapest-service-first construction used as the starting incumbent."""
-        permissive = [10**9] * (self.n + 2)
-        try:
-            while self.covered != self.all_mask:
-                rest = self.all_mask & ~self.covered
-                idx = (rest & -rest).bit_length() - 1
-                u, v = self.pairs[idx]
-                move = None
-                for cap in range(1, self.n + 1):
-                    candidates = self._moves(u, v, cap, permissive)
-                    if candidates:
-                        move = min(candidates, key=self._move_key)
-                        break
-                if move is None:
-                    return None
-                delta, target, add_v, add_e = move
-                self._apply(target, add_v, add_e, delta)
-            return self.waste, list(self.tree_e)
-        finally:
-            self.tree_v.clear()
-            self.tree_e.clear()
-            self.covered = 0
-            self.used_edges = 0
-            self.waste = 0
-
-    def solve(self, lemma1_floor: int) -> tuple[int, list[int]]:
-        """Return (minimum waste, tree edge masks)."""
+    def solve(self, lemma1_floor: int) -> list[int] | None:
+        """The tree edge masks of a minimum-waste cover, or None when no
+        cover is cheaper than a spanning tree (waste n - 2)."""
         capacity_floor = next(
             b for b in range(len(self.dp_new)) if self.dp_new[b] >= self.num_pairs
         )
@@ -587,39 +567,23 @@ class _TreeCoverSolver:
         self.floor = max(floors.values())
         self.floor_by = next(name for name, b in floors.items() if b == self.floor)
         if self.num_pairs == 0:
-            return 0, []
-
-        best = self.n - 2, [_spanning_tree_emask(self.g)]
-        greedy = self._greedy_incumbent()
-        if greedy is not None and greedy[0] < best[0]:
-            best = greedy
-        self.start = best[0]
-        for limit in range(self.floor, best[0]):
+            return []
+        for limit in range(self.floor, self.n - 2):
             self.targets.append(limit)
             self._tick()  # the round's root
             found = self._dfs(limit)
             if found is not None:
                 return found
-        return best
+        return None
 
     def stats(self) -> SearchStats:
         return SearchStats(
             nodes=self.nodes,
             floor=self.floor,
             floor_by=self.floor_by,
-            start=self.start,
             targets=tuple(self.targets),
             cut=self.cut,
         )
-
-
-def _spanning_tree_emask(g: Graph) -> int:
-    """Edge mask of the BFS tree from vertex 0: a cover of waste n - 2."""
-    emask = 0
-    for v, p in bfs_parents(g, 0).items():
-        if v != p:
-            emask |= 1 << g.edge_index[(p, v) if p < v else (v, p)]
-    return emask
 
 
 def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
@@ -637,13 +601,13 @@ def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
         return _trivial_result(g, "tree-cover")
     bounds = mc_bounds_basic(g)
     lemma1_floor = g.m - bounds.upper
+    tree_masks = None
     if lemma1_floor >= g.n - 2:
-        waste, tree_masks = g.n - 2, [_spanning_tree_emask(g)]
-        stats = SearchStats(nodes=0, floor=lemma1_floor, floor_by="Lem1", start=waste)
+        stats = SearchStats(nodes=0, floor=lemma1_floor, floor_by="Lem1")
     else:
         solver = _TreeCoverSolver(g, max_nodes)
         try:
-            waste, tree_masks = solver.solve(lemma1_floor)
+            tree_masks = solver.solve(lemma1_floor)
         except BudgetExceededError:
             return McResult(
                 value=None,
@@ -653,19 +617,22 @@ def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
                 stats=solver.stats(),
             )
         stats = solver.stats()
-    trees = []
-    for emask in tree_masks:
-        edges = []
-        rest = emask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            edges.append(g.edges[i])
-        trees.append(tuple(sorted(edges)))
-    cover = TreeCover(host=g, trees=tuple(sorted(trees)))
+    if tree_masks is None:
+        witness = spanning_tree_coloring(g)
+    else:
+        trees = []
+        for emask in tree_masks:
+            edges = []
+            rest = emask
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                edges.append(g.edges[i])
+            trees.append(tuple(sorted(edges)))
+        witness = TreeCover(host=g, trees=tuple(sorted(trees))).to_coloring()
     return McResult(
-        value=g.m - waste,
-        witness=cover.to_coloring(),
+        value=witness.color_count,
+        witness=witness,
         method="tree-cover",
         bounds=bounds,
         stats=stats,

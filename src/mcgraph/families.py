@@ -335,110 +335,82 @@ def _hl4_row() -> PropositionRow:
     )
 
 
-def proposition_report(
-    max_sizes: dict[str, int] | None = None
-) -> list[PropositionRow]:
-    """Evaluate the default instance of every proposition row.
-
-    ``max_sizes`` maps family names to vertex caps; instances above their
-    family's cap are skipped (everything here is desk scale by default).
-    """
+def proposition_report() -> list[PropositionRow]:
+    """Evaluate the default instance of every proposition row (all desk scale)."""
     rows: list[PropositionRow] = []
-
-    def include(spec: NetworkSpec) -> bool:
-        if max_sizes is None or spec.family not in max_sizes:
-            return True
-        return as_graph(generate(spec)).n <= max_sizes[spec.family]
 
     def p(family: str, *params: int) -> NetworkSpec:
         return NetworkSpec(family, tuple(params))
 
     # exact grid values: mc = n*m - n - m + 2
     for nm in ((3, 2), (4, 2), (3, 3)):
-        spec = p("grid", *nm)
-        if include(spec):
-            n_, m_ = nm
-            rows.append(_equality_row(spec, "Prop1(i)", n_ * m_ - n_ - m_ + 2))
+        n_, m_ = nm
+        rows.append(_equality_row(p("grid", *nm), "Prop1(i)", n_ * m_ - n_ - m_ + 2))
     spec = p("lex_mesh", 4, 3)
-    if include(spec):
-        rows.append(
-            _equality_row(spec, "Prop1(ii)", 3 * 3 * 4 - 3 * 3 - 4 + 2)
-        )
+    rows.append(_equality_row(spec, "Prop1(ii)", 3 * 3 * 4 - 3 * 3 - 4 + 2))
     spec = p("mesh", 2, 2, 2, 2)
-    if include(spec):
-        l1, l2, rest = 2, 2, 2 * 2
-        rows.append(
-            _lower_bound_row(
-                spec,
-                "Prop2(i)",
-                (2 * l1 * l2 - l1 - l2) * rest + 2,
-                ProductKind.CARTESIAN,
-                split=2,
-                term="eg_nh",
-            )
+    l1, l2, rest = 2, 2, 2 * 2
+    rows.append(
+        _lower_bound_row(
+            spec,
+            "Prop2(i)",
+            (2 * l1 * l2 - l1 - l2) * rest + 2,
+            ProductKind.CARTESIAN,
+            split=2,
+            term="eg_nh",
         )
+    )
     spec = p("lex_mesh", 2, 2, 2, 2)
-    if include(spec):
-        l1, l2, rest = 2, 2, 2 * 2
-        rows.append(
-            _lower_bound_row(
-                spec,
-                "Prop2(ii)",
-                (l1 * l2 * l2 + l1 * l2 - l1 - l2 * l2) * rest * rest + 2,
-                ProductKind.LEXICOGRAPHIC,
-                split=2,
-                term="eg_nh_sq",
-            )
+    l1, l2, rest = 2, 2, 2 * 2
+    rows.append(
+        _lower_bound_row(
+            spec,
+            "Prop2(ii)",
+            (l1 * l2 * l2 + l1 * l2 - l1 - l2 * l2) * rest * rest + 2,
+            ProductKind.LEXICOGRAPHIC,
+            split=2,
+            term="eg_nh_sq",
         )
+    )
     spec = p("torus", 3, 3, 3, 3)
-    if include(spec):
-        rows.append(
-            _lower_bound_row(
-                spec,
-                "Prop3(i)",
-                3 * 3 * 3 * 3 + 2,
-                ProductKind.CARTESIAN,
-                split=1,
-                term="eg_nh",
-            )
+    rows.append(
+        _lower_bound_row(
+            spec,
+            "Prop3(i)",
+            3 * 3 * 3 * 3 + 2,
+            ProductKind.CARTESIAN,
+            split=1,
+            term="eg_nh",
         )
+    )
     spec = p("lex_torus", 3, 3, 3, 3)
-    if include(spec):
-        rows.append(
-            _lower_bound_row(
-                spec,
-                "Prop3(ii)",
-                3 * (3 * 3 * 3) ** 2 + 2,
-                ProductKind.LEXICOGRAPHIC,
-                split=1,
-                term="eg_nh_sq",
-            )
+    rows.append(
+        _lower_bound_row(
+            spec,
+            "Prop3(ii)",
+            3 * (3 * 3 * 3) ** 2 + 2,
+            ProductKind.LEXICOGRAPHIC,
+            split=1,
+            term="eg_nh_sq",
         )
+    )
     for params in ((2, 2, 2), (3, 2, 2)):
         spec = p("generalized_hypercube", *params)
-        if include(spec):
-            m1 = params[0]
-            rest = 1
-            for k in params[1:]:
-                rest *= k
-            rows.append(
-                _equality_row(spec, "Prop4(i)", comb(m1, 2) * rest + 2)
-            )
-            # Prop4(i) states a lower bound; at these sizes the diameter
-            # certificate pins the exact value to the same expression.
+        m1 = params[0]
+        rest = 1
+        for k in params[1:]:
+            rest *= k
+        rows.append(_equality_row(spec, "Prop4(i)", comb(m1, 2) * rest + 2))
+        # Prop4(i) states a lower bound; at these sizes the diameter
+        # certificate pins the exact value to the same expression.
     spec = p("lex_generalized_hypercube", 2, 3)
-    if include(spec):
-        rows.append(_equality_row(spec, "Prop4(ii)", comb(6, 2)))
+    rows.append(_equality_row(spec, "Prop4(ii)", comb(6, 2)))
     for fam in ("hyper_petersen", "hl"):
         spec = p(fam, 3)
-        if include(spec):
-            rows.append(_equality_row(spec, "Prop5", 7))
+        rows.append(_equality_row(spec, "Prop5", 7))
     spec = p("hyper_petersen", 4)
-    if include(spec):
-        rows.append(_equality_row(spec, "Prop5", 22))
-    spec = p("hl", 4)
-    if include(spec):
-        rows.append(_hl4_row())
+    rows.append(_equality_row(spec, "Prop5", 22))
+    rows.append(_hl4_row())
     return rows
 
 

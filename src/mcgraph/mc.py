@@ -157,7 +157,6 @@ class SearchStats:
     nodes: int  # generated children, round roots and path-enumeration steps
     floor: int  # the root waste floor
     floor_by: str  # Lem1 | matching | capacity: the first bound reaching it
-    start: int  # waste of the starting incumbent
     targets: tuple[int, ...] = ()  # the deepening limits tried
     cut: int = 0  # children cut before they were applied
 
@@ -174,7 +173,7 @@ class McResult:
 
     value: int | None
     witness: EdgeColoring | None
-    method: str  # naive-partition | tree-cover | theorem1-certificate | bounds-only
+    method: str  # naive-partition | tree-cover | bounds-only
     bounds: BoundInterval
     stats: SearchStats | None = None
 
@@ -260,18 +259,6 @@ def _has_triangle(g: Graph) -> bool:
     return False
 
 
-def degree_condition_variants(g: Graph) -> tuple[bool, bool]:
-    """The two simpler sufficient forms of the maximum-degree condition:
-    Delta <= (n + 1)/2 and Delta <= n - 2m/n.  Either implies the main
-    inequality used by :func:`theorem1_certificate`."""
-    n, m = g.n, g.m
-    delta = max((g.degree(v) for v in g.vertices()), default=0)
-    return (
-        Fraction(delta) <= Fraction(n + 1, 2),
-        Fraction(delta) <= n - Fraction(2 * m, n),
-    )
-
-
 def theorem1_certificate(g: Graph) -> Theorem1Certificate:
     """Evaluate the five sufficient conditions for mc(G) = m - n + 2.
 
@@ -300,26 +287,6 @@ def theorem1_certificate(g: Graph) -> Theorem1Certificate:
         holds=holds,
         conditions=tuple(conditions),
         value=m - n + 2 if holds else None,
-    )
-
-
-def mc_certified(g: Graph) -> McResult | None:
-    """mc via the sufficient-condition certificate, when one fires.
-
-    The witness is the spanning-tree coloring, which attains the certified
-    value, so the result is self-checking.
-    """
-    try:
-        cert = theorem1_certificate(g)
-    except InapplicableError:
-        return None
-    if not cert.holds:
-        return None
-    return McResult(
-        value=cert.value,
-        witness=spanning_tree_coloring(g),
-        method="theorem1-certificate",
-        bounds=mc_bounds_basic(g),
     )
 
 

@@ -270,7 +270,7 @@ def pool_pairs(limit_vertices: int):
                 yield name_g, g, name_h, h
 
 
-def suite_products(max_vertices: int = 24, seed: int = 0) -> SuiteResult:
+def suite_products(max_vertices: int = 24) -> SuiteResult:
     """Edge counts, distance formulas, diameters, commutativity checks."""
     res = SuiteResult("products")
     seen_unordered: set[tuple[str, str, ProductKind]] = set()
@@ -356,7 +356,7 @@ def suite_products(max_vertices: int = 24, seed: int = 0) -> SuiteResult:
     return res
 
 
-def suite_bounds(max_exact_vertices: int = 10, seed: int = 0) -> SuiteResult:
+def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
     """Connectivity formulas, theorem intervals, corollaries, discrepancies."""
     res = SuiteResult("bounds")
     weak_lowers: list[str] = []
@@ -497,10 +497,10 @@ def suite_bounds(max_exact_vertices: int = 10, seed: int = 0) -> SuiteResult:
     return res
 
 
-def suite_propositions(max_sizes: dict[str, int] | None = None) -> SuiteResult:
+def suite_propositions() -> SuiteResult:
     """Replay every proposition row and require agreement."""
     res = SuiteResult("propositions")
-    for row in proposition_report(max_sizes):
+    for row in proposition_report():
         res.check(
             "proposition_agreement",
             row.agree,

@@ -101,10 +101,6 @@ class TestTreeCoverEngine:
 
 
 class TestEngineAgreement:
-    def test_exhaustive_small(self, corpus6):
-        for g in corpus6:
-            assert mc_exact(g).value == mc_exact_naive(g).value
-
     def test_random_n7(self):
         rng = random.Random(17)
         for _ in range(15):

@@ -162,7 +162,3 @@ class TestPropositionReport:
             }
             for o in objs
         )
-
-    def test_caps_filter(self):
-        rows = proposition_report(max_sizes={"hl": 10})
-        assert not any(r.family == "hl" and r.params == (4,) for r in rows)

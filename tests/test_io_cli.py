@@ -173,17 +173,25 @@ class TestCli:
         assert err == f"error: MCGRAPH_BUDGET must be positive, got {raw!r}\n"
 
     def test_mc_exact_stats_go_to_stderr_only(self, workdir, capsys):
-        grid = workdir / "grid.json"
-        run_cli(capsys, "gen", "grid", "3", "3", "-o", str(grid))
-        code, plain_out, plain_err = run_cli(capsys, "mc", "exact", str(grid))
-        assert code == 0 and plain_err == ""
-        code, out, err = run_cli(capsys, "mc", "exact", str(grid), "--stats")
-        assert code == 0 and out == plain_out
-        assert err.count("\n") == 1
-        stats = json.loads(err)
-        assert set(stats) == {"nodes", "floor", "floor_by", "start", "targets", "cut"}
-        assert stats["nodes"] > 0 and stats["floor_by"] in {"Lem1", "matching", "capacity"}
-        assert json.loads(out)["value"] == 5
+        # grid 3x3 is settled by the capacity floor (n - 2) with no search;
+        # lex_mesh 2 3 needs one round at its floor
+        for params, value, searched in ((("grid", "3", "3"), 5, False),
+                                        (("lex_mesh", "2", "3"), 11, True)):
+            path = workdir / "g.json"
+            run_cli(capsys, "gen", *params, "-o", str(path))
+            code, plain_out, plain_err = run_cli(capsys, "mc", "exact", str(path))
+            assert code == 0 and plain_err == ""
+            code, out, err = run_cli(capsys, "mc", "exact", str(path), "--stats")
+            assert code == 0 and out == plain_out
+            assert err.count("\n") == 1
+            stats = json.loads(err)
+            assert set(stats) == {"nodes", "floor", "floor_by", "targets", "cut"}
+            assert stats["floor_by"] in {"Lem1", "matching", "capacity"}
+            if searched:
+                assert stats["nodes"] > 0 and stats["targets"] == [stats["floor"]]
+            else:
+                assert stats["nodes"] == 0 and stats["targets"] == []
+            assert json.loads(out)["value"] == value
 
     def test_mc_exact_disconnected_is_zero_exit_zero(self, workdir, capsys):
         path = workdir / "g.json"
