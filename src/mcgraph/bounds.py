@@ -2,7 +2,7 @@
 
 Every interval carries provenance tags drawn from a fixed vocabulary:
 
-    Obs1, Lem1, Thm2(1..3), Thm3(1..4), Thm4(1..3), Thm5,
+    Obs1, AllDistinct, Lem1, Thm2(1..3), Thm3(1..4), Thm4(1..3), Thm5,
     Cor3(1..3), Cor4lex(1..4), Cor5(1..3), CorDirect
 
 The tags name entries of the package's bound catalog (see README) so that
@@ -27,7 +27,7 @@ from .graph import (
 from .products import ProductKind
 
 SOURCE_TAGS = (
-    ["Obs1", "Lem1", "Thm5", "CorDirect"]
+    ["Obs1", "AllDistinct", "Lem1", "Thm5", "CorDirect"]
     + [f"Thm2({i})" for i in (1, 2, 3)]
     + [f"Thm3({i})" for i in (1, 2, 3, 4)]
     + [f"Thm4({i})" for i in (1, 2, 3)]

@@ -165,7 +165,12 @@ class _TreeCoverSolver:
     order ends on.
 
     One node is charged per generated child, cut or not, per round root and
-    per expanded prefix of the path enumeration; ``max_nodes`` caps the sum.
+    per expanded prefix of the path enumeration; ``max_nodes`` caps the sum
+    and ``path_nodes`` counts the prefixes.  Paths are enumerated by a
+    bitmask kernel (``_paths``) over each vertex's free-neighbour mask; its
+    prefixes, their order and so its node count are those of the plain
+    neighbour-by-neighbour depth-first enumeration (the tests keep that
+    enumerator as its reference), so a node budget buys the same search.
     All iteration orders are fixed, so the witness is deterministic.
     """
 
@@ -174,15 +179,19 @@ class _TreeCoverSolver:
         self.n = g.n
         self.max_nodes = max_nodes
         self.nodes = 0
+        self.path_nodes = 0
         self.cut = 0
 
-        ebit: dict[tuple[int, int], int] = {}
+        self.vertex_mask = (1 << self.n) - 1
+        self.adj_vmask = [0] * self.n
+        # ebit[u][1 << w] is the bit of edge uw in an edge mask
+        self.ebit: list[dict[int, int]] = [{} for _ in range(self.n)]
         for i, (u, v) in enumerate(g.edges):
-            ebit[(u, v)] = ebit[(v, u)] = 1 << i
-        # (neighbor, edge bit) per vertex, neighbors ascending
-        self.arcs = [
-            tuple((w, ebit[(u, w)]) for w in g.neighbors[u]) for u in range(self.n)
-        ]
+            self.adj_vmask[u] |= 1 << v
+            self.adj_vmask[v] |= 1 << u
+            self.ebit[u][1 << v] = self.ebit[v][1 << u] = 1 << i
+        self.free = self.adj_vmask
+        self.free_for = 0
 
         dist = all_pairs_distances(g)
         na = [
@@ -230,10 +239,7 @@ class _TreeCoverSolver:
         for u, v in self.pairs:
             na_vmask[u] |= 1 << v
             na_vmask[v] |= 1 << u
-        adj_vmask = [0] * n
-        for u, v in self.g.edges:
-            adj_vmask[u] |= 1 << v
-            adj_vmask[v] |= 1 << u
+        adj_vmask = self.adj_vmask
         check_connected = n <= 14  # subset BFS is the costly part
         best = [0] * (n + 1)
         counts = bytearray(1 << n)
@@ -330,12 +336,28 @@ class _TreeCoverSolver:
 
     # -- path enumeration ---------------------------------------------------
 
+    def _budget_error(self) -> BudgetExceededError:
+        return BudgetExceededError(f"tree-cover search exceeded {self.max_nodes} nodes")
+
     def _tick(self, count: int = 1) -> None:
         self.nodes += count
         if self.nodes > self.max_nodes:
-            raise BudgetExceededError(
-                f"tree-cover search exceeded {self.max_nodes} nodes"
-            )
+            raise self._budget_error()
+
+    def _free(self) -> list[int]:
+        """Each vertex's neighbour mask over the edges outside ``used_edges``
+        (one-entry memo: consecutive enumerations share their used set)."""
+        used = self.used_edges
+        if used != self.free_for:
+            free = list(self.adj_vmask)
+            rest = used
+            while rest:
+                u, v = self.g.edges[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+                free[u] &= ~(1 << v)
+                free[v] &= ~(1 << u)
+            self.free, self.free_for = free, used
+        return self.free
 
     def _paths(
         self, start: int, ends: int, max_len: int, forbidden_vmask: int = 0
@@ -345,35 +367,57 @@ class _TreeCoverSolver:
 
         Internal vertices avoid ``forbidden_vmask``; the start must lie
         outside ``ends``.  Returns (vertex_mask, edge_mask, length) triples
-        with length <= max_len.  Depth-first over an explicit stack of
-        neighbor iterators, one node per expanded prefix.
+        with length <= max_len, in depth-first order.
+
+        At a prefix ending at x the candidates are ``free[x] & (ends | open &
+        ~path_v)``, where ``open`` is every vertex outside ``ends`` and
+        ``forbidden_vmask``; the second term is dropped once the next edge
+        would reach ``max_len``.  Candidates are taken lowest bit first: one
+        in ``ends`` yields a path, any other becomes a new prefix, charged
+        one node (the start is charged one too).  A path's own edges join
+        vertices of ``path_v``, which ``ends`` never meets, so no edge test
+        beyond ``free`` is needed.  The stack holds (path_v, path_e, length,
+        x, remaining candidates) per open prefix.
         """
         out: list[tuple[int, int, int]] = []
         if max_len <= 0:
             return out
-        blocked = forbidden_vmask & ~(1 << start)
-        used = self.used_edges
-        self._tick()
-        stack = [(1 << start, 0, 0, iter(self.arcs[start]))]
-        while stack:
-            path_v, path_e, length, arcs = stack[-1]
-            for w, ebit in arcs:
-                if (used | path_e) & ebit:
-                    continue
-                wbit = 1 << w
-                if ends & wbit:
-                    out.append((path_v | wbit, path_e | ebit, length + 1))
-                    continue
-                if (path_v | blocked) & wbit or length + 1 >= max_len:
-                    continue
-                self._tick()
-                stack.append(
-                    (path_v | wbit, path_e | ebit, length + 1, iter(self.arcs[w]))
-                )
-                break
-            else:
-                stack.pop()
-        return out
+        free = self._free()
+        ebit = self.ebit
+        open_v = self.vertex_mask & ~ends & ~forbidden_vmask
+        room = self.max_nodes - self.nodes  # ticks allowed before the budget ends
+        ticks = 1
+        path_v, path_e, length, x = 1 << start, 0, 0, start
+        cand = free[x] & ((ends | open_v & ~path_v) if max_len > 1 else ends)
+        stack = []
+        try:
+            if ticks > room:
+                raise self._budget_error()
+            while True:
+                while cand:
+                    wbit = cand & -cand
+                    cand ^= wbit
+                    if ends & wbit:
+                        out.append((path_v | wbit, path_e | ebit[x][wbit], length + 1))
+                        continue
+                    ticks += 1
+                    if ticks > room:
+                        raise self._budget_error()
+                    stack.append((path_v, path_e, length, x, cand))
+                    path_e |= ebit[x][wbit]
+                    path_v |= wbit
+                    length += 1
+                    x = wbit.bit_length() - 1
+                    if length + 1 < max_len:
+                        cand = free[x] & (ends | open_v & ~path_v)
+                    else:
+                        cand = free[x] & ends
+                if not stack:
+                    return out
+                path_v, path_e, length, x, cand = stack.pop()
+        finally:
+            self.nodes += ticks
+            self.path_nodes += ticks
 
     # -- move generation ----------------------------------------------------
 
@@ -583,6 +627,7 @@ class _TreeCoverSolver:
             floor_by=self.floor_by,
             targets=tuple(self.targets),
             cut=self.cut,
+            path_nodes=self.path_nodes,
         )
 
 

@@ -154,11 +154,12 @@ class Theorem1Certificate:
 class SearchStats:
     """Counters of one tree-cover search (see :mod:`mcgraph.exact`)."""
 
-    nodes: int  # generated children, round roots and path-enumeration steps
+    nodes: int  # generated children, round roots and path-enumeration prefixes
     floor: int  # the root waste floor
     floor_by: str  # Lem1 | matching | capacity: the first bound reaching it
     targets: tuple[int, ...] = ()  # the deepening limits tried
     cut: int = 0  # children cut before they were applied
+    path_nodes: int = 0  # the path-enumeration prefixes among ``nodes``
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -239,10 +240,14 @@ def mc_bounds_basic(g: Graph) -> BoundInterval:
     """The basic sandwich [m - n + 2, m - n + kappa + 1] for connected graphs.
 
     Disconnected graphs (and the trivial one-vertex graph, which no coloring
-    with a color can serve) get the degenerate interval [0, 0].
+    with a color can serve) get the degenerate interval [0, 0].  A complete
+    graph gets [m, m]: the all-distinct coloring attains the Lem1 ceiling
+    (kappa = n - 1).
     """
     if g.n <= 1 or not is_connected(g):
         return BoundInterval(0, 0, "Obs1", "Lem1", "disconnected or trivial (mc = 0)")
+    if is_complete(g):
+        return BoundInterval(g.m, g.m, "AllDistinct", "Lem1", "complete graph")
     return BoundInterval(
         lower=g.m - g.n + 2,
         upper=g.m - g.n + g.vertex_connectivity + 1,

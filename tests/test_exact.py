@@ -2,10 +2,14 @@ import hashlib
 import inspect
 import random
 import sys
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcgraph.exact import mc_exact, mc_exact_naive
+from mcgraph.errors import BudgetExceededError
+from mcgraph.exact import _TreeCoverSolver, mc_exact, mc_exact_naive
 from mcgraph.families import (
     NetworkSpec,
     complete_graph,
@@ -223,3 +227,109 @@ class TestSearchRegression:
         finally:
             sys.setrecursionlimit(limit)
         assert res.value == 2
+
+
+# -- path enumeration: the bitmask kernel against the arc-iterator enumerator --
+
+
+def reference_paths(solver, start, ends, max_len, forbidden_vmask=0):
+    """The plain neighbour-iterator enumerator, the differential reference
+    for ``_TreeCoverSolver._paths``: a stack of neighbour iterators, an
+    explicit used-or-on-path edge test, one ``_tick`` per prefix."""
+    ebit = {}
+    for i, (u, v) in enumerate(solver.g.edges):
+        ebit[(u, v)] = ebit[(v, u)] = 1 << i
+    arcs = [
+        tuple((w, ebit[(u, w)]) for w in solver.g.neighbors[u])
+        for u in range(solver.n)
+    ]
+    out = []
+    if max_len <= 0:
+        return out
+    blocked = forbidden_vmask & ~(1 << start)
+    used = solver.used_edges
+    solver._tick()
+    stack = [(1 << start, 0, 0, iter(arcs[start]))]
+    while stack:
+        path_v, path_e, length, it = stack[-1]
+        for w, eb in it:
+            if (used | path_e) & eb:
+                continue
+            wbit = 1 << w
+            if ends & wbit:
+                out.append((path_v | wbit, path_e | eb, length + 1))
+                continue
+            if (path_v | blocked) & wbit or length + 1 >= max_len:
+                continue
+            solver._tick()
+            stack.append((path_v | wbit, path_e | eb, length + 1, iter(arcs[w])))
+            break
+        else:
+            stack.pop()
+    return out
+
+
+@st.composite
+def path_queries(draw):
+    """A graph on at most 9 vertices and one ``_paths`` call on it: start,
+    ends (never holding the start), forbidden vertices, used edges, length
+    cap, node budget and the nodes already spent."""
+    n = draw(st.integers(2, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [e for e, k in zip(pairs, keep) if k])
+    start = draw(st.integers(0, n - 1))
+    others = [v for v in range(n) if v != start]
+
+    def vertex_mask(min_size, max_size):
+        chosen = draw(
+            st.sets(st.sampled_from(others), min_size=min_size, max_size=max_size)
+        )
+        return sum(1 << v for v in chosen)
+
+    ends = vertex_mask(1, 3)
+    forbidden = vertex_mask(0, 3) | draw(st.sampled_from([0, 1 << start]))
+    used_ids = draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m // 3))
+    used = sum(1 << i for i in used_ids)
+    max_len = draw(st.integers(0, n))
+    budget = draw(st.one_of(st.just(10**9), st.integers(0, 40)))
+    spent = draw(st.integers(0, 3))
+    return g, (start, ends, max_len, forbidden), used, budget, spent
+
+
+def run_enumerator(enumerate_paths, g, args, used, budget, spent):
+    solver = _TreeCoverSolver(g, budget + spent)
+    solver.nodes = spent
+    solver.used_edges = used
+    try:
+        out = enumerate_paths(solver, *args)
+    except BudgetExceededError:
+        out = "budget exceeded"
+    return out, solver.nodes - spent, solver
+
+
+class TestPathEnumeration:
+    @settings(max_examples=400, deadline=None)
+    @given(path_queries())
+    def test_kernel_matches_reference(self, query):
+        g, args, used, budget, spent = query
+        out, ticks, solver = run_enumerator(
+            _TreeCoverSolver._paths, g, args, used, budget, spent
+        )
+        ref_out, ref_ticks, _ = run_enumerator(
+            reference_paths, g, args, used, budget, spent
+        )
+        assert out == ref_out  # same triples in the same order
+        assert ticks == ref_ticks and solver.path_nodes == ticks
+        if out == "budget exceeded":
+            assert solver.nodes == solver.max_nodes + 1
+
+    @pytest.mark.parametrize("max_nodes", [0, 1, 10])
+    def test_tiny_budget_raises_at_the_same_node(self, max_nodes):
+        g = complete_graph(7)
+        args = (0, 1 << 6, 6, 0)
+        for enumerate_paths in (_TreeCoverSolver._paths, reference_paths):
+            solver = _TreeCoverSolver(g, max_nodes)
+            with pytest.raises(BudgetExceededError):
+                enumerate_paths(solver, *args)
+            assert solver.nodes == max_nodes + 1

@@ -185,12 +185,16 @@ class TestCli:
             assert code == 0 and out == plain_out
             assert err.count("\n") == 1
             stats = json.loads(err)
-            assert set(stats) == {"nodes", "floor", "floor_by", "targets", "cut"}
+            assert set(stats) == {
+                "nodes", "floor", "floor_by", "targets", "cut", "path_nodes"
+            }
             assert stats["floor_by"] in {"Lem1", "matching", "capacity"}
             if searched:
                 assert stats["nodes"] > 0 and stats["targets"] == [stats["floor"]]
+                assert 0 < stats["path_nodes"] < stats["nodes"]
             else:
                 assert stats["nodes"] == 0 and stats["targets"] == []
+                assert stats["path_nodes"] == 0
             assert json.loads(out)["value"] == value
 
     def test_mc_exact_disconnected_is_zero_exit_zero(self, workdir, capsys):

@@ -242,15 +242,17 @@ class TestBoundsBasic:
         assert (iv.lower, iv.upper) == (7, 9)
         assert (iv.lower_source, iv.upper_source) == ("Obs1", "Lem1")
 
-    def test_k5_upper_attained(self):
-        # [7, 10] by the basic formulas with kappa = 4; diameter 1 lets the
-        # all-distinct coloring attain the ceiling
-        g = complete_graph(5)
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_complete_graph_is_a_point(self, k):
+        # diameter 1 lets the all-distinct coloring attain the Lem1 ceiling m,
+        # so the interval is [m, m] rather than [m - n + 2, m]
+        g = complete_graph(k)
         iv = mc_bounds_basic(g)
-        assert (iv.lower, iv.upper) == (7, 10)
+        assert (iv.lower, iv.upper) == (g.m, g.m)
+        assert (iv.lower_source, iv.upper_source) == ("AllDistinct", "Lem1")
         witness = all_distinct_coloring(g)
         ok, _ = check_mc_coloring(g, witness)
-        assert ok and witness.color_count == 10
+        assert ok and witness.color_count == g.m
 
     def test_disconnected_zero(self):
         iv = mc_bounds_basic(build_graph(4, [(0, 1), (2, 3)]))
@@ -273,7 +275,7 @@ class TestBoundsBasic:
         product = generate(NetworkSpec("lex_torus", params))
         assert product.m == m == product.n * (product.n - 1) // 2
         combined = mc_bounds_combined(product)
-        assert m in combined
+        assert (combined.lower, combined.upper) == (m, m)
         assert combined == mc_bounds_basic(product.graph)
 
     def test_combined_falls_back_without_gain(self):
