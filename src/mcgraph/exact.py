@@ -10,10 +10,13 @@ whose vertex spans cover every non-adjacent pair, plus a fresh color on every
 remaining edge.  Writing waste = sum(|tree| - 1), the value is m - min waste,
 so the solver branch-and-bounds over tree covers.  It runs one depth-first
 round per waste limit, from the root floor up to n - 3, and stops at the
-first cover found; children are bounded before they are applied.  When no
-round finds a cover, or the floor is already n - 2 (kappa <= 1), the
-spanning-tree coloring (waste n - 2) is returned.  The two engines are kept
-independent and are cross-checked against each other in the test suite.
+first cover found.  A node's children are generated one waste increment
+(delta) at a time, from path frontiers kept between increments, and bounded
+before they are applied; the moves of delta d + 1 are built only after
+every child of delta d has failed.  When no round finds a cover, or the
+floor is already n - 2 (kappa <= 1), the spanning-tree coloring (waste
+n - 2) is returned.  The two engines are kept independent and are
+cross-checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -142,6 +145,85 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
 # ---------------------------------------------------------------------------
 
 
+class _Frontier:
+    """The simple paths over ``free`` from a vertex of ``starts`` to a vertex
+    of ``ends``, one length at a time.
+
+    A path touches ``ends`` only at its last vertex, its internal vertices
+    avoid ``forbidden``, and no start lies in ``ends``.  ``prefixes`` holds
+    the open prefixes (vertex mask, edge mask, last vertex) of length
+    ``length``, or None before the first call.  ``paths(k)`` grows them to
+    length k - 1 and returns the (vertex mask, edge mask) of every path of
+    length k; k must rise from call to call.  The solver is charged one node
+    per start and one per new prefix, so after the calls for lengths 1..k
+    the charge is that of a depth-first enumeration of every path of length
+    at most k.
+
+    At a prefix ending at x the extensions are ``free[x] & open & ~path_v``,
+    where ``open`` is every vertex outside ``ends`` and ``forbidden``, and
+    the paths are ``free[x] & ends``.  A path's own edges join vertices of
+    ``path_v``, which ``ends`` never meets, so no edge test beyond ``free``
+    is needed.
+    """
+
+    __slots__ = ("solver", "free", "starts", "ends", "open_v", "prefixes", "length")
+
+    def __init__(
+        self,
+        solver: _TreeCoverSolver,
+        free: list[int],
+        starts: int,
+        ends: int,
+        forbidden: int = 0,
+    ):
+        self.solver = solver
+        self.free = free
+        self.starts = starts
+        self.ends = ends
+        self.open_v = solver.vertex_mask & ~ends & ~forbidden
+        self.prefixes: list[tuple[int, int, int]] | None = None
+        self.length = 0
+
+    def paths(self, k: int) -> list[tuple[int, int]]:
+        solver, free = self.solver, self.free
+        ebit = solver.ebit
+        prefixes = self.prefixes
+        if prefixes is None:
+            solver._tick_prefixes(self.starts.bit_count())
+            prefixes = []
+            rest = self.starts
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                prefixes.append((bit, 0, bit.bit_length() - 1))
+        open_v = self.open_v
+        while self.length < k - 1 and prefixes:
+            grown = []
+            for pv, pe, x in prefixes:
+                cand = free[x] & open_v & ~pv
+                if cand:
+                    ex = ebit[x]
+                    while cand:
+                        wbit = cand & -cand
+                        cand ^= wbit
+                        grown.append((pv | wbit, pe | ex[wbit], wbit.bit_length() - 1))
+            solver._tick_prefixes(len(grown))
+            prefixes = grown
+            self.length += 1
+        self.prefixes = prefixes
+        ends = self.ends
+        out = []
+        for pv, pe, x in prefixes:
+            cand = free[x] & ends
+            if cand:
+                ex = ebit[x]
+                while cand:
+                    wbit = cand & -cand
+                    cand ^= wbit
+                    out.append((pv | wbit, pe | ex[wbit]))
+        return out
+
+
 class _TreeCoverSolver:
     """Minimizes total tree waste subject to covering all non-adjacent pairs.
 
@@ -164,13 +246,26 @@ class _TreeCoverSolver:
     cover found is the one a strict-improvement search over the same move
     order ends on.
 
+    Moves stream one delta level at a time (``_levels``): a node generates,
+    charges, cuts, sorts and visits every child of delta d before it asks
+    for delta d + 1.  Delta leads the sort key, so the visit order is that
+    of sorting every move of the node at once.  The paths behind the moves
+    are kept per node as ``_Frontier`` objects (the u..v paths, each
+    attachment, each base path's connectors), each holding its open
+    prefixes of one length; a frontier grows by one edge only when a level
+    needs longer paths, so a path that no visited level needs is never
+    built.
+
     One node is charged per generated child, cut or not, per round root and
-    per expanded prefix of the path enumeration; ``max_nodes`` caps the sum
-    and ``path_nodes`` counts the prefixes.  Paths are enumerated by a
-    bitmask kernel (``_paths``) over each vertex's free-neighbour mask; its
-    prefixes, their order and so its node count are those of the plain
-    neighbour-by-neighbour depth-first enumeration (the tests keep that
-    enumerator as its reference), so a node budget buys the same search.
+    per start or prefix that a frontier builds; ``max_nodes`` caps the sum,
+    and the search raises with ``nodes == max_nodes + 1``.  ``path_nodes``
+    counts the starts and prefixes.  After lengths 1..k, a frontier's charge
+    is that of a plain depth-first enumeration of the paths up to length k
+    (the tests keep that enumerator as its reference).  A node that visits
+    every level is charged what building all its moves at once would cost;
+    a node that finds a cover early is charged less.  So no search is
+    charged more than one that builds every move of a node before visiting
+    any.
     All iteration orders are fixed, so the witness is deterministic.
     """
 
@@ -190,8 +285,6 @@ class _TreeCoverSolver:
             self.adj_vmask[u] |= 1 << v
             self.adj_vmask[v] |= 1 << u
             self.ebit[u][1 << v] = self.ebit[v][1 << u] = 1 << i
-        self.free = self.adj_vmask
-        self.free_for = 0
 
         dist = all_pairs_distances(g)
         na = [
@@ -304,13 +397,15 @@ class _TreeCoverSolver:
         if size is None:
             used = 0
             size = 0
-            rest = self.all_mask & ~covered
-            while rest:
-                pm = self.pair_vmask[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
+            bits = bin(self.all_mask & ~covered)[:1:-1]  # bits[i] is pair i
+            pair_vmask = self.pair_vmask
+            i = bits.find("1")
+            while i >= 0:
+                pm = pair_vmask[i]
                 if not pm & used:
                     used |= pm
                     size += 1
+                i = bits.find("1", i + 1)
             self.matching_memo[covered] = size
         return size
 
@@ -334,90 +429,35 @@ class _TreeCoverSolver:
                 dp[b] = best
         return dp
 
-    # -- path enumeration ---------------------------------------------------
-
-    def _budget_error(self) -> BudgetExceededError:
-        return BudgetExceededError(f"tree-cover search exceeded {self.max_nodes} nodes")
+    # -- node accounting ----------------------------------------------------
 
     def _tick(self, count: int = 1) -> None:
+        """Charge ``count`` nodes.  Past the budget it raises, with the count
+        stopped at ``max_nodes + 1``: the node at which charging them one by
+        one would have raised."""
+        if self.nodes + count > self.max_nodes:
+            self.nodes = self.max_nodes + 1
+            raise BudgetExceededError(
+                f"tree-cover search exceeded {self.max_nodes} nodes"
+            )
         self.nodes += count
-        if self.nodes > self.max_nodes:
-            raise self._budget_error()
 
-    def _free(self) -> list[int]:
-        """Each vertex's neighbour mask over the edges outside ``used_edges``
-        (one-entry memo: consecutive enumerations share their used set)."""
-        used = self.used_edges
-        if used != self.free_for:
-            free = list(self.adj_vmask)
-            rest = used
-            while rest:
-                u, v = self.g.edges[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
-                free[u] &= ~(1 << v)
-                free[v] &= ~(1 << u)
-            self.free, self.free_for = free, used
-        return self.free
+    def _tick_prefixes(self, count: int) -> None:
+        """``_tick`` for path starts and prefixes, also counted in
+        ``path_nodes`` (up to the node that raises)."""
+        self.path_nodes += min(count, self.max_nodes - self.nodes + 1)
+        self._tick(count)
 
-    def _paths(
-        self, start: int, ends: int, max_len: int, forbidden_vmask: int = 0
-    ) -> list:
-        """Simple paths over free edges from start to a vertex of ``ends``,
-        touching ``ends`` only at their last vertex; neighbors ascending.
-
-        Internal vertices avoid ``forbidden_vmask``; the start must lie
-        outside ``ends``.  Returns (vertex_mask, edge_mask, length) triples
-        with length <= max_len, in depth-first order.
-
-        At a prefix ending at x the candidates are ``free[x] & (ends | open &
-        ~path_v)``, where ``open`` is every vertex outside ``ends`` and
-        ``forbidden_vmask``; the second term is dropped once the next edge
-        would reach ``max_len``.  Candidates are taken lowest bit first: one
-        in ``ends`` yields a path, any other becomes a new prefix, charged
-        one node (the start is charged one too).  A path's own edges join
-        vertices of ``path_v``, which ``ends`` never meets, so no edge test
-        beyond ``free`` is needed.  The stack holds (path_v, path_e, length,
-        x, remaining candidates) per open prefix.
-        """
-        out: list[tuple[int, int, int]] = []
-        if max_len <= 0:
-            return out
-        free = self._free()
-        ebit = self.ebit
-        open_v = self.vertex_mask & ~ends & ~forbidden_vmask
-        room = self.max_nodes - self.nodes  # ticks allowed before the budget ends
-        ticks = 1
-        path_v, path_e, length, x = 1 << start, 0, 0, start
-        cand = free[x] & ((ends | open_v & ~path_v) if max_len > 1 else ends)
-        stack = []
-        try:
-            if ticks > room:
-                raise self._budget_error()
-            while True:
-                while cand:
-                    wbit = cand & -cand
-                    cand ^= wbit
-                    if ends & wbit:
-                        out.append((path_v | wbit, path_e | ebit[x][wbit], length + 1))
-                        continue
-                    ticks += 1
-                    if ticks > room:
-                        raise self._budget_error()
-                    stack.append((path_v, path_e, length, x, cand))
-                    path_e |= ebit[x][wbit]
-                    path_v |= wbit
-                    length += 1
-                    x = wbit.bit_length() - 1
-                    if length + 1 < max_len:
-                        cand = free[x] & (ends | open_v & ~path_v)
-                    else:
-                        cand = free[x] & ends
-                if not stack:
-                    return out
-                path_v, path_e, length, x, cand = stack.pop()
-        finally:
-            self.nodes += ticks
-            self.path_nodes += ticks
+    def _free_masks(self) -> list[int]:
+        """Each vertex's neighbour mask over the edges outside ``used_edges``."""
+        free = list(self.adj_vmask)
+        rest = self.used_edges
+        while rest:
+            u, v = self.g.edges[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+            free[u] &= ~(1 << v)
+            free[v] &= ~(1 << u)
+        return free
 
     # -- move generation ----------------------------------------------------
 
@@ -430,112 +470,118 @@ class _TreeCoverSolver:
             emask &= emask - 1
         return delta, tuple(edges), target
 
-    def _moves(self, u: int, v: int, budget: int, dp: list[int]) -> list:
-        """Every minimal service of the pair (u, v) within the waste budget.
-
-        Entries are (delta, target, add_vmask, add_emask), unsorted; target -1
-        opens a new tree.  Each delta is gated by a sound capacity test: the
-        move's tree may keep growing later, so the gate maximizes over how
-        much further budget that tree could absorb before charging the rest
-        to ``dp``.
-        """
+    def _delta_gate(
+        self, base_size: int, inside: int, budget: int, dp: list[int]
+    ) -> list[bool]:
+        """ok[d] for d <= budget: a move that grows a tree of ``base_size``
+        vertices holding ``inside`` pairs by d edges passes a sound capacity
+        test.  The tree may keep growing later, so the test maximizes over
+        how much further budget it could absorb before charging the rest to
+        ``dp``."""
+        n, maxedges = self.n, self.maxedges
         uncovered_cnt = (self.all_mask & ~self.covered).bit_count()
-        n = self.n
-        moves: list[tuple[int, int, int, int]] = []
+        ok = [False] * (budget + 1)
+        for delta in range(1, budget + 1):
+            best = 0
+            for extra in range(budget - delta + 1):
+                val = (
+                    maxedges[min(base_size + delta + extra, n)]
+                    - inside
+                    + dp[budget - delta - extra]
+                )
+                if val > best:
+                    best = val
+            ok[delta] = best >= uncovered_cnt
+        return ok
 
-        def delta_gate(base_size: int, inside: int) -> list[bool]:
-            ok = [False] * (budget + 1)
-            for delta in range(1, budget + 1):
-                best = 0
-                for extra in range(budget - delta + 1):
-                    val = (
-                        self.maxedges[min(base_size + delta + extra, n)]
-                        - inside
-                        + dp[budget - delta - extra]
-                    )
-                    if val > best:
-                        best = val
-                ok[delta] = best >= uncovered_cnt
-            return ok
+    def _levels(self, u: int, v: int, budget: int, dp: list[int]):
+        """Every minimal service of the pair (u, v) within the waste budget,
+        one delta at a time: yields (1, the unsorted moves of delta 1), then
+        (2, the moves of delta 2), and so on.
 
-        new_ok = delta_gate(2, 0)
-        max_new = max((d for d in range(budget + 1) if new_ok[d]), default=0)
-        ext_ok_cache: dict[int, list[bool]] = {}
+        Moves are (delta, target, add_vmask, add_emask); target -1 opens a
+        new tree.  A move is kept only where its tree's ``_delta_gate``
+        passes its delta.  The kinds of move at delta d:
 
-        def ext_ok(t: int) -> list[bool]:
-            arr = ext_ok_cache.get(t)
-            if arr is None:
-                tv = self.tree_v[t]
-                arr = delta_gate(tv.bit_count(), self._inside(tv).bit_count())
-                ext_ok_cache[t] = arr
-            return arr
+        - a new tree: a u..v path of length d + 1;
+        - a tree housing one endpoint: an attachment path of length d from
+          the other endpoint into the tree;
+        - a tree housing neither: a u..v path of length d that crosses the
+          tree exactly once, or a disjoint u..v base path of length L < d
+          plus a connector of length d - L from one of its vertices into
+          the tree, avoiding the base's vertices.
 
-        # longest u..v path worth enumerating across all uses of uv_paths
-        uv_cap = max_new + 1
-        pending = [
-            t
-            for t in range(len(self.tree_v))
-            if not self.tree_v[t] & ((1 << u) | (1 << v))
-        ]
-        for t in pending:
-            arr = ext_ok(t)
-            worth = max((d for d in range(budget + 1) if arr[d]), default=0)
-            uv_cap = max(uv_cap, worth)
-        uv_paths = self._paths(u, 1 << v, uv_cap)
+        The u..v paths, each attachment and each (base, tree) connector are
+        a ``_Frontier`` that grows only when a level asks for a longer path,
+        so the paths of delta d + 1 are built only after the caller has
+        visited every child of delta d.  Children change ``used_edges`` and
+        the trees between levels and restore them, so the frontiers work
+        over a snapshot of the free edges and of the trees taken here.
+        """
 
-        for pv, pe, length in uv_paths:
-            delta = length - 1
-            if delta <= budget and new_ok[delta]:
-                moves.append((delta, -1, pv, pe))
+        def top(ok: list[bool]) -> int:
+            return max((d for d in range(budget + 1) if ok[d]), default=0)
 
+        free = self._free_masks()
+        new_ok = self._delta_gate(2, 0, budget, dp)
+        last = top(new_ok)
+        housing = []  # (t, delta gate, attachment frontier)
+        # (t, tree vertices, delta gate, [first base length not yet joined to
+        # connectors], connectors)
+        pending = []
         ubit, vbit = 1 << u, 1 << v
-        for t in range(len(self.tree_v)):
-            tv = self.tree_v[t]
-            has_u, has_v = bool(tv & ubit), bool(tv & vbit)
-            if has_u and has_v:
-                continue
-            arr = ext_ok(t)
-            worth = max((d for d in range(budget + 1) if arr[d]), default=0)
+        for t, tv in enumerate(self.tree_v):
+            ok = self._delta_gate(
+                tv.bit_count(), self._inside(tv).bit_count(), budget, dp
+            )
+            worth = top(ok)
             if worth == 0:
                 continue
-            if has_u or has_v:
-                x = v if has_u else u
-                for pv, pe, length in self._paths(x, tv, worth):
-                    if arr[length]:
-                        moves.append((length, t, pv, pe))
-                continue
-            # Neither endpoint housed: a u..v path crossing the tree exactly
-            # once attaches directly; a disjoint one needs a connector from
-            # some junction on the path into the tree.
-            for pv, pe, length in uv_paths:
-                if length > worth:
+            last = max(last, worth)
+            if tv & (ubit | vbit):
+                start = vbit if tv & ubit else ubit
+                housing.append((t, ok, _Frontier(self, free, start, tv)))
+            else:
+                pending.append((t, tv, ok, [1], []))
+
+        uv_front = _Frontier(self, free, ubit, vbit)
+        # uv_paths[k]: the u..v paths of length k, cached for every consumer
+        uv_paths: list[list[tuple[int, int]]] = [[]]
+
+        def uv(length: int) -> list[tuple[int, int]]:
+            while len(uv_paths) <= length:
+                uv_paths.append(uv_front.paths(len(uv_paths)))
+            return uv_paths[length]
+
+        for d in range(1, last + 1):
+            level = []
+            if new_ok[d]:
+                level += [(d, -1, pv, pe) for pv, pe in uv(d + 1)]
+            for t, ok, front in housing:
+                if ok[d]:
+                    level += [(d, t, pv, pe) for pv, pe in front.paths(d)]
+            for t, tv, ok, next_base, connectors in pending:
+                if not ok[d]:
                     continue
-                overlap = (pv & tv).bit_count()
-                if overlap > 1:
-                    continue
-                if overlap == 1:
-                    if arr[length]:
-                        moves.append((length, t, pv, pe))
-                    continue
-                room = worth - length
-                if room < 1:
-                    continue
-                saved = self.used_edges
-                self.used_edges |= pe  # connector must avoid the path's edges
-                try:
-                    rest = pv
-                    while rest:
-                        y = (rest & -rest).bit_length() - 1
-                        rest &= rest - 1
-                        for cv, ce, clen in self._paths(
-                            y, tv, room, forbidden_vmask=pv
-                        ):
-                            delta = length + clen
-                            if arr[delta]:
-                                moves.append((delta, t, pv | cv, pe | ce))
-                finally:
-                    self.used_edges = saved
-        return moves
+                for pv, pe in uv(d):
+                    crossing = pv & tv
+                    if crossing and not crossing & (crossing - 1):
+                        level.append((d, t, pv, pe))
+                for length in range(next_base[0], d):
+                    for pv, pe in uv(length):
+                        if not pv & tv:
+                            front = _Frontier(self, free, pv, tv, forbidden=pv)
+                            connectors.append((length, pv, pe, front))
+                next_base[0] = d
+                live = []
+                for conn in connectors:
+                    length, pv, pe, front = conn
+                    for cv, ce in front.paths(d - length):
+                        level.append((d, t, pv | cv, pe | ce))
+                    if front.prefixes:
+                        live.append(conn)
+                connectors[:] = live
+            yield d, level
 
     # -- state updates ------------------------------------------------------
 
@@ -578,23 +624,35 @@ class _TreeCoverSolver:
         if dp[budget] < rest.bit_count():
             return None
         u, v = self.pairs[(rest & -rest).bit_length() - 1]
-        moves = self._moves(u, v, budget, dp)
-        self._tick(len(moves))
-        children = []
-        for move in moves:
-            delta, target, add_v, _add_e = move
-            tv = add_v if target < 0 else self.tree_v[target] | add_v
-            if self._matching(self.covered | self._inside(tv)) > budget - delta:
-                self.cut += 1
-            else:
-                children.append(move)
-        children.sort(key=self._move_key)
-        for delta, target, add_v, add_e in children:
-            created, t, state = self._apply(target, add_v, add_e, delta)
-            found = self._dfs(limit)
-            self._undo(created, t, state)
-            if found is not None:
-                return found
+        inside_memo, matching_memo = self.inside_memo, self.matching_memo
+        for delta, level in self._levels(u, v, budget, dp):
+            self._tick(len(level))
+            # the matching cut runs once per generated child, so the memo
+            # hits are taken inline, saving two method calls per child
+            slack = budget - delta
+            covered, tree_v = self.covered, self.tree_v
+            children = []
+            for move in level:
+                target, add_v = move[1], move[2]
+                tv = add_v if target < 0 else tree_v[target] | add_v
+                inside = inside_memo.get(tv)
+                if inside is None:
+                    inside = self._inside(tv)
+                after = covered | inside
+                need = matching_memo.get(after)
+                if need is None:
+                    need = self._matching(after)
+                if need > slack:
+                    self.cut += 1
+                else:
+                    children.append(move)
+            children.sort(key=self._move_key)
+            for _delta, target, add_v, add_e in children:
+                created, t, state = self._apply(target, add_v, add_e, delta)
+                found = self._dfs(limit)
+                self._undo(created, t, state)
+                if found is not None:
+                    return found
         return None
 
     def solve(self, lemma1_floor: int) -> list[int] | None:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcgraph.errors import BudgetExceededError
-from mcgraph.exact import _TreeCoverSolver, mc_exact, mc_exact_naive
+from mcgraph.exact import _Frontier, _TreeCoverSolver, mc_exact, mc_exact_naive
 from mcgraph.families import (
     NetworkSpec,
     complete_graph,
@@ -154,6 +154,8 @@ PINNED_DIGESTS = {
     "corpus6": "015055a37ea16a6608b35f8548b68a0f96d871fb2828a8dc697c59b1597bef14",
     "dense_random": "b98128979e081e45df7e8fbeb83675563dd18e52b347448fb17e801f35e2ea69",
     "products": "9742121e60fb56341ba3b58ff38c517a386d2bbbd8c38b431a7433c1290f7f01",
+    # first decided by the level-by-level move stream
+    "strong_P3_K5": "00c7c4480ae71197f6dd7513e11393b8e54e7e5fb5bd4482aa3de8f11927d0b9",
 }
 
 
@@ -205,6 +207,38 @@ class TestSearchRegression:
         assert strong.nodes <= 400_000
         assert (strong.floor, strong.floor_by, strong.targets) == (7, "Lem1", (7,))
         assert product_results["lex_P2_C5"][1].stats.nodes <= 3_000
+        # the level-by-level move stream took 688,620, 129,693 and 59,496
+        assert product_results["lex_P3_C4"][1].stats.nodes <= 800_000
+        assert product_results["lex_P3_star4"][1].stats.nodes <= 150_000
+        assert product_results["lex_P3_P4"][1].stats.nodes <= 70_000
+
+    def test_strong_P3_K5_decided(self):
+        # the Lem1 ceiling 71 is attained; the stream took 4,142,946 nodes,
+        # where building every move before visiting any exceeded 10^7
+        g = make_product(ProductKind.STRONG, path_graph(3), complete_graph(5)).graph
+        res = mc_exact(g)
+        assert (res.value, res.method) == (71, "tree-cover")
+        ok, _ = check_mc_coloring(g, res.witness)
+        assert ok and res.witness.color_count == 71
+        assert res.stats.nodes <= 5_000_000
+        assert witness_digest([res]) == PINNED_DIGESTS["strong_P3_K5"]
+
+    @pytest.mark.parametrize(
+        "kind,a,b,max_nodes",
+        [
+            (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 0),
+            (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 1),
+            (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 10),
+            (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 300),
+            (ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5), 500_000),
+        ],
+    )
+    def test_bounds_only_stops_at_the_first_node_past_the_budget(
+        self, kind, a, b, max_nodes
+    ):
+        res = mc_exact(make_product(kind, a, b).graph, max_nodes=max_nodes)
+        assert res.method == "bounds-only"
+        assert res.stats.nodes == max_nodes + 1
 
     def test_stats_stay_out_of_the_json(self, product_results):
         res = product_results["lex_P2_C5"][1]
@@ -229,13 +263,13 @@ class TestSearchRegression:
         assert res.value == 2
 
 
-# -- path enumeration: the bitmask kernel against the arc-iterator enumerator --
+# -- path frontiers: the level-by-level kernel against the arc-iterator enumerator --
 
 
 def reference_paths(solver, start, ends, max_len, forbidden_vmask=0):
     """The plain neighbour-iterator enumerator, the differential reference
-    for ``_TreeCoverSolver._paths``: a stack of neighbour iterators, an
-    explicit used-or-on-path edge test, one ``_tick`` per prefix."""
+    for ``_Frontier``: a stack of neighbour iterators, an explicit
+    used-or-on-path edge test, one ``_tick`` per prefix."""
     ebit = {}
     for i, (u, v) in enumerate(solver.g.edges):
         ebit[(u, v)] = ebit[(v, u)] = 1 << i
@@ -269,17 +303,21 @@ def reference_paths(solver, start, ends, max_len, forbidden_vmask=0):
     return out
 
 
+def bits_of(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @st.composite
 def path_queries(draw):
-    """A graph on at most 9 vertices and one ``_paths`` call on it: start,
-    ends (never holding the start), forbidden vertices, used edges, length
-    cap, node budget and the nodes already spent."""
+    """A graph on at most 9 vertices and one frontier on it: starts, ends
+    (never holding a start), forbidden vertices, used edges, the longest
+    length asked, node budget and the nodes already spent."""
     n = draw(st.integers(2, 9))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = build_graph(n, [e for e, k in zip(pairs, keep) if k])
-    start = draw(st.integers(0, n - 1))
-    others = [v for v in range(n) if v != start]
+    starts = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(3, n - 1)))
+    others = [v for v in range(n) if v not in starts]
 
     def vertex_mask(min_size, max_size):
         chosen = draw(
@@ -287,25 +325,57 @@ def path_queries(draw):
         )
         return sum(1 << v for v in chosen)
 
+    start_mask = sum(1 << v for v in starts)
     ends = vertex_mask(1, 3)
-    forbidden = vertex_mask(0, 3) | draw(st.sampled_from([0, 1 << start]))
+    forbidden = vertex_mask(0, 3) | draw(st.sampled_from([0, start_mask]))
     used_ids = draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m // 3))
     used = sum(1 << i for i in used_ids)
     max_len = draw(st.integers(0, n))
     budget = draw(st.one_of(st.just(10**9), st.integers(0, 40)))
     spent = draw(st.integers(0, 3))
-    return g, (start, ends, max_len, forbidden), used, budget, spent
+    return g, (start_mask, ends, max_len, forbidden), used, budget, spent
 
 
-def run_enumerator(enumerate_paths, g, args, used, budget, spent):
+def fresh_solver(g, used, budget, spent):
     solver = _TreeCoverSolver(g, budget + spent)
     solver.nodes = spent
     solver.used_edges = used
+    return solver
+
+
+def run_reference(g, args, used, budget, spent):
+    """Every start's reference enumeration in turn, on one solver: the
+    (vertex mask, edge mask, length) triples and the ticks spent."""
+    starts, ends, max_len, forbidden = args
+    solver = fresh_solver(g, used, budget, spent)
+    out = []
     try:
-        out = enumerate_paths(solver, *args)
+        for y in bits_of(starts):
+            out += reference_paths(solver, y, ends, max_len, forbidden)
     except BudgetExceededError:
         out = "budget exceeded"
-    return out, solver.nodes - spent, solver
+    return out, solver.nodes - spent
+
+
+def run_frontier(g, args, used, budget, spent):
+    """One frontier asked for lengths 1..max_len in turn: per length, the
+    sorted paths (or "budget exceeded", ending the run) and the ticks
+    spent so far."""
+    starts, ends, max_len, forbidden = args
+    solver = fresh_solver(g, used, budget, spent)
+    front = _Frontier(solver, solver._free_masks(), starts, ends, forbidden)
+    levels = []
+    for k in range(1, max_len + 1):
+        try:
+            out = sorted(front.paths(k))
+        except BudgetExceededError:
+            out = "budget exceeded"
+        levels.append((out, solver.nodes - spent))
+        assert solver.path_nodes == solver.nodes - spent
+        if out == "budget exceeded":
+            assert solver.nodes == solver.max_nodes + 1
+            break
+    return levels
 
 
 class TestPathEnumeration:
@@ -313,23 +383,157 @@ class TestPathEnumeration:
     @given(path_queries())
     def test_kernel_matches_reference(self, query):
         g, args, used, budget, spent = query
-        out, ticks, solver = run_enumerator(
-            _TreeCoverSolver._paths, g, args, used, budget, spent
-        )
-        ref_out, ref_ticks, _ = run_enumerator(
-            reference_paths, g, args, used, budget, spent
-        )
-        assert out == ref_out  # same triples in the same order
-        assert ticks == ref_ticks and solver.path_nodes == ticks
-        if out == "budget exceeded":
-            assert solver.nodes == solver.max_nodes + 1
+        starts, ends, max_len, forbidden = args
+        levels = run_frontier(g, args, used, budget, spent)
+        for k, (out, ticks) in enumerate(levels, start=1):
+            # the reference capped at length k: same paths of length k (as a
+            # multiset), the same ticks, the same budget raise
+            ref_out, ref_ticks = run_reference(
+                g, (starts, ends, k, forbidden), used, budget, spent
+            )
+            assert ticks == ref_ticks
+            if ref_out == "budget exceeded":
+                assert out == ref_out
+            else:
+                ref_k = [(pv, pe) for pv, pe, n_edges in ref_out if n_edges == k]
+                assert out == sorted(ref_k)
 
     @pytest.mark.parametrize("max_nodes", [0, 1, 10])
     def test_tiny_budget_raises_at_the_same_node(self, max_nodes):
-        g = complete_graph(7)
-        args = (0, 1 << 6, 6, 0)
-        for enumerate_paths in (_TreeCoverSolver._paths, reference_paths):
-            solver = _TreeCoverSolver(g, max_nodes)
-            with pytest.raises(BudgetExceededError):
-                enumerate_paths(solver, *args)
-            assert solver.nodes == max_nodes + 1
+        args = (1 << 0, 1 << 6, 6, 0)
+        levels = run_frontier(complete_graph(7), args, 0, max_nodes, 0)
+        assert levels[-1] == ("budget exceeded", max_nodes + 1)
+        assert run_reference(complete_graph(7), args, 0, max_nodes, 0) == (
+            "budget exceeded",
+            max_nodes + 1,
+        )
+
+
+# -- move levels: every move of every delta, against the reference paths ----
+
+
+def reference_moves(solver, u, v, budget, dp):
+    """Every minimal service of (u, v) built from ``reference_paths`` with no
+    length cap but the budget, each kept where its tree's gate passes: the
+    reference for the moves of all levels of ``_levels``."""
+    moves = []
+    new_ok = solver._delta_gate(2, 0, budget, dp)
+    for pv, pe, length in reference_paths(solver, u, 1 << v, budget + 1):
+        if new_ok[length - 1]:
+            moves.append((length - 1, -1, pv, pe))
+    uv_paths = reference_paths(solver, u, 1 << v, budget)
+    for t, tv in enumerate(solver.tree_v):
+        ok = solver._delta_gate(
+            tv.bit_count(), solver._inside(tv).bit_count(), budget, dp
+        )
+        if tv & ((1 << u) | (1 << v)):
+            x = v if tv >> u & 1 else u
+            for pv, pe, length in reference_paths(solver, x, tv, budget):
+                if ok[length]:
+                    moves.append((length, t, pv, pe))
+            continue
+        for pv, pe, length in uv_paths:
+            overlap = (pv & tv).bit_count()
+            if overlap == 1 and ok[length]:
+                moves.append((length, t, pv, pe))
+            if overlap == 0:
+                # a connector from a vertex of the path, avoiding its edges
+                # and, past its first vertex, its vertices
+                saved = solver.used_edges
+                solver.used_edges |= pe
+                for y in bits_of(pv):
+                    for cv, ce, n_edges in reference_paths(
+                        solver, y, tv, budget - length, pv
+                    ):
+                        if ok[length + n_edges]:
+                            moves.append((length + n_edges, t, pv | cv, pe | ce))
+                solver.used_edges = saved
+    return moves
+
+
+def search_state(seed):
+    """A solver on a seeded dense connected graph, a waste limit, a capacity
+    table, and the state after up to three cheapest services of random
+    uncovered pairs.  The table is the solver's own or one so optimistic
+    that every gate passes; the services are drawn under the optimistic one,
+    so that trees, and all kinds of move, show up often."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 9)
+    m = rng.randint(n * (n - 1) // 4, n * (n - 1) // 2 - 1)
+    solver = _TreeCoverSolver(random_connected_graph(n, m, rng), 10**9)
+    limit = rng.randint(n - 4, n - 3)
+    optimistic = rng.random() < 0.5
+
+    def capacity(budget, optimistic=optimistic):
+        if optimistic:
+            return [solver.num_pairs] * (budget + 1)
+        return solver._capacity_dp(budget)
+
+    for _ in range(rng.randint(0, 3)):
+        rest = solver.all_mask & ~solver.covered
+        budget = limit - solver.waste
+        if not rest or budget < 1:
+            break
+        # a cheapest service of a random uncovered pair
+        u, v = solver.pairs[rng.choice(bits_of(rest))]
+        levels = solver._levels(u, v, budget, capacity(budget, optimistic=True))
+        moves = next((level for _, level in levels if level), None)
+        if moves is None:
+            break
+        delta, target, add_v, add_e = rng.choice(sorted(moves, key=solver._move_key))
+        solver._apply(target, add_v, add_e, delta)
+    return solver, limit, capacity
+
+
+class TestMoveLevels:
+    def test_levels_hold_every_move_once(self):
+        for seed in range(300):
+            solver, limit, capacity = search_state(seed)
+            rest = solver.all_mask & ~solver.covered
+            budget = limit - solver.waste
+            if not rest or budget < 1:
+                continue
+            u, v = solver.pairs[(rest & -rest).bit_length() - 1]
+            dp = capacity(budget)
+            deltas, moves = [], []
+            for delta, level in solver._levels(u, v, budget, dp):
+                assert all(move[0] == delta for move in level), seed
+                deltas.append(delta)
+                moves += level
+            assert deltas == sorted(set(deltas)), seed  # each delta once, ascending
+            reference = reference_moves(solver, u, v, budget, dp)
+            assert sorted(moves) == sorted(reference), seed
+
+
+# -- the matching bound: one pass over the uncovered pairs' bits ------------
+
+
+def reference_matching(solver, covered):
+    """The greedy matching by lowest-bit extraction, which rewrites the
+    P-bit remainder at every step: the reference for ``_matching``."""
+    used = size = 0
+    rest = solver.all_mask & ~covered
+    while rest:
+        pm = solver.pair_vmask[(rest & -rest).bit_length() - 1]
+        rest &= rest - 1
+        if not pm & used:
+            used |= pm
+            size += 1
+    return size
+
+
+@st.composite
+def matching_queries(draw):
+    n = draw(st.integers(2, 12))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    solver = _TreeCoverSolver(build_graph(n, [e for e, k in zip(pairs, keep) if k]), 0)
+    return solver, draw(st.integers(0, solver.all_mask))
+
+
+class TestMatchingBound:
+    @settings(max_examples=300, deadline=None)
+    @given(matching_queries())
+    def test_matches_reference(self, query):
+        solver, covered = query
+        assert solver._matching(covered) == reference_matching(solver, covered)
