@@ -37,7 +37,7 @@ for kind in ProductKind:
 print("\ndistance formulas against BFS, corner (0,0) to every vertex:")
 for kind in (ProductKind.CARTESIAN, ProductKind.STRONG, ProductKind.LEXICOGRAPHIC):
     built = make_product(kind, g, h)
-    bfs = distances_from(built.graph, 0)
+    bfs = distances_from(built, 0)
     row = []
     for v in range(built.n):
         expect = distance_formula(kind, g, h, (0, 0), divmod(v, h.n))
@@ -49,11 +49,11 @@ for kind in (ProductKind.CARTESIAN, ProductKind.STRONG, ProductKind.LEXICOGRAPHI
 cart = make_product(ProductKind.CARTESIAN, g, h)
 strong = make_product(ProductKind.STRONG, g, h)
 print(
-    f"\ndiam(P3 cartesian C4) = {diameter(cart.graph)} "
+    f"\ndiam(P3 cartesian C4) = {diameter(cart)} "
     f"= diam(P3) + diam(C4) = {diameter(g)} + {diameter(h)}"
 )
 print(
-    f"diam(P3 strong C4)    = {diameter(strong.graph)} "
+    f"diam(P3 strong C4)    = {diameter(strong)} "
     f"= max(diam(P3), diam(C4))"
 )
 
@@ -65,5 +65,5 @@ for a, b in ((path_graph(2), cycle_graph(4)), (cycle_graph(3), cycle_graph(4))):
     built = make_product(ProductKind.DIRECT, a, b)
     print(
         f"direct product with factors ({a.n},{b.n}) connected: "
-        f"{is_connected(built.graph)}"
+        f"{is_connected(built)}"
     )

@@ -24,7 +24,7 @@ from mcgraph.graph import vertex_connectivity
 
 # Certificates: the 3x2 grid has diameter 3, so condition (d) fires.
 grid = make_product(ProductKind.CARTESIAN, path_graph(3), path_graph(2))
-cert = theorem1_certificate(grid.graph)
+cert = theorem1_certificate(grid)
 print(f"P3 cartesian P2: conditions {cert.conditions} certify mc = {cert.value}")
 
 # The sandwich for the Petersen graph pins mc between 7 and 9; condition (b)
@@ -43,7 +43,7 @@ for kind, g, h in [
 ]:
     interval = product_mc_bounds(kind, g, h)
     built = make_product(kind, g, h)
-    exact = mc_exact(built.graph).value
+    exact = mc_exact(built).value
     print(
         f"{kind.value:>9}: mc = {exact} inside [{interval.lower}, {interval.upper}] "
         f"({interval.lower_source})"
@@ -66,5 +66,5 @@ predicted = kappa_formula(ProductKind.STRONG, path_graph(3), path_graph(3))
 king = make_product(ProductKind.STRONG, path_graph(3), path_graph(3))
 print(
     f"strong-product connectivity: formula {predicted}, "
-    f"direct computation {vertex_connectivity(king.graph)}"
+    f"direct computation {vertex_connectivity(king)}"
 )

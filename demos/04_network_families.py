@@ -8,7 +8,6 @@ bound pipeline) and tabulated.
 
 from mcgraph import NetworkSpec, generate, mc_bounds_combined, proposition_report
 from mcgraph.families import report_to_csv
-from mcgraph.products import as_graph
 
 for fam, params in [
     ("grid", (3, 2)),
@@ -17,7 +16,7 @@ for fam, params in [
     ("hyper_petersen", (3,)),
     ("hl", (4,)),
 ]:
-    graph = as_graph(generate(NetworkSpec(fam, params)))
+    graph = generate(NetworkSpec(fam, params))
     label = " ".join(str(p) for p in params)
     print(f"{fam} {label}: {graph.n} vertices, {graph.m} edges")
 

@@ -26,13 +26,8 @@ from .families import (
     report_to_json_obj,
 )
 from .graph import Graph
-from .mc import (
-    check_mc_coloring,
-    mc_bounds_basic,
-    mc_bounds_combined,
-    theorem1_certificate,
-)
-from .products import ProductGraph, ProductKind, as_graph, make_product
+from .mc import check_mc_coloring, mc_bounds_combined, theorem1_certificate
+from .products import ProductKind, make_product
 from .verification import SUITES
 
 EXIT_OK = 0
@@ -61,7 +56,7 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
-def _load(path: str) -> Graph | ProductGraph:
+def _load(path: str) -> Graph:
     return gio.loads_graph(Path(path).read_text())
 
 
@@ -74,21 +69,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_product(args: argparse.Namespace) -> int:
     kind = ProductKind.parse(args.kind)
-    g = as_graph(_load(args.file_a))
-    h = as_graph(_load(args.file_b))
+    g = _load(args.file_a)
+    h = _load(args.file_b)
     product = make_product(kind, g, h)
     _emit(gio.dumps(gio.graph_to_obj(product), args.pretty), args.out)
     return EXIT_OK
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    loaded = _load(args.file)
-    g = as_graph(loaded)
+    g = _load(args.file)
     if args.mode == "bounds":
-        if isinstance(loaded, ProductGraph):
-            interval = mc_bounds_combined(loaded)
-        else:
-            interval = mc_bounds_basic(g)
+        interval = mc_bounds_combined(g)
         _emit(gio.dumps(interval.to_dict(), args.pretty), None)
         return EXIT_OK
     if args.mode == "certify":
@@ -109,7 +100,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    g = as_graph(_load(args.graph_file))
+    g = _load(args.graph_file)
     coloring = gio.loads_coloring(g, Path(args.coloring_file).read_text())
     ok, violation = check_mc_coloring(g, coloring)
     if ok:

@@ -22,7 +22,7 @@ from .mc import (
     mc_bounds_combined,
     theorem1_certificate,
 )
-from .products import ProductGraph, ProductKind, as_graph, make_product
+from .products import ProductKind, make_product
 
 __all__ = [
     "NetworkSpec",
@@ -81,16 +81,14 @@ def hypercube_graph(dim: int) -> Graph:
         raise ValueError("hypercube dimension must be >= 0")
     if dim == 0:
         return build_graph(1, [])
-    return as_graph(_iterated(ProductKind.CARTESIAN, [path_graph(2)] * dim))
+    return _iterated(ProductKind.CARTESIAN, [path_graph(2)] * dim)
 
 
-def _iterated(
-    kind: ProductKind, factors: list[Graph]
-) -> Graph | ProductGraph:
+def _iterated(kind: ProductKind, factors: list[Graph]) -> Graph:
     """Left-associated iterated product; plain graph when only one factor."""
-    result: Graph | ProductGraph = factors[0]
+    result = factors[0]
     for nxt in factors[1:]:
-        result = make_product(kind, as_graph(result), nxt)
+        result = make_product(kind, result, nxt)
     return result
 
 
@@ -155,7 +153,7 @@ class NetworkSpec:
             raise ValueError(f"{fam} needs parameter n >= 3")
 
 
-def generate(spec: NetworkSpec) -> Graph | ProductGraph:
+def generate(spec: NetworkSpec) -> Graph:
     """Build the family instance; product families keep product metadata."""
     fam, p = spec.family, spec.params
     if fam == "path":
@@ -167,10 +165,7 @@ def generate(spec: NetworkSpec) -> Graph | ProductGraph:
     if fam == "star":
         return star_graph(p[0])
     if fam == "hypercube":
-        dim = p[0]
-        if dim <= 1:
-            return hypercube_graph(dim)
-        return _iterated(ProductKind.CARTESIAN, [path_graph(2)] * dim)
+        return hypercube_graph(p[0])
     if fam == "petersen":
         return petersen_graph()
     if fam in ("grid", "mesh"):
@@ -233,7 +228,7 @@ def _equality_row(
     spec: NetworkSpec, proposition: str, formula: int
 ) -> PropositionRow:
     """Row for a proposition asserting an exact mc value."""
-    g = as_graph(generate(spec))
+    g = generate(spec)
     evaluators = []
     values = []
     if is_complete(g) and g.n >= 2:
@@ -281,10 +276,9 @@ def _lower_bound_row(
     proposition (the max of an unordered branch may pick the other factor,
     so the comparison uses the stated term).
     """
-    g_all = as_graph(generate(spec))
-    sub_g = generate(NetworkSpec(spec.family, spec.params[:split]))
-    sub_h = generate(NetworkSpec(spec.family, spec.params[split:]))
-    G, H = as_graph(sub_g), as_graph(sub_h)
+    g_all = generate(spec)
+    G = generate(NetworkSpec(spec.family, spec.params[:split]))
+    H = generate(NetworkSpec(spec.family, spec.params[split:]))
     if term == "eg_nh":
         term_value = G.m * H.n + 2
     elif term == "eg_nh_sq":
@@ -320,9 +314,7 @@ def _lower_bound_row(
 
 
 def _hl4_row() -> PropositionRow:
-    product = generate(NetworkSpec("hl", (4,)))
-    assert isinstance(product, ProductGraph)
-    interval = mc_bounds_combined(product)
+    interval = mc_bounds_combined(generate(NetworkSpec("hl", (4,))))
     agree = (interval.lower, interval.upper) == (112, 121)
     return PropositionRow(
         family="hl",

@@ -5,7 +5,8 @@ product, connected), edges sorted with the smaller endpoint first, compact
 separators.  Serializing a parsed file reproduces it byte for byte.  A
 plain-text edge-list format ("n m" on the first line, then one "u v" line
 per edge) is accepted on input as well.  Malformed input of any shape is
-rejected with ``ValueError``, which the command line reports as exit code 2.
+rejected with ``ValueError``, which the command line reports as exit code 2,
+and so is product metadata that the edges do not bear out.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from itertools import chain
 
 from .graph import Graph, build_graph, is_connected
 from .mc import EdgeColoring
-from .products import ProductGraph, ProductKind
+from .products import (
+    ProductGraph,
+    ProductKind,
+    edge_count_formula,
+    make_product,
+    recover_factors,
+)
 
 __all__ = [
     "graph_to_obj",
@@ -35,20 +42,18 @@ def dumps(obj, pretty: bool = False) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def graph_to_obj(g: Graph | ProductGraph) -> dict:
+def graph_to_obj(g: Graph) -> dict:
     """Canonical dict form; products carry kind, factor sizes and a
     connectivity flag."""
+    obj: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
+    if g.labels is not None:
+        obj["labels"] = [list(lab) for lab in g.labels]
     if isinstance(g, ProductGraph):
-        obj = graph_to_obj(g.graph)
         obj["product"] = {
             "kind": g.kind.value,
             "factors": list(g.factor_sizes),
         }
-        obj["connected"] = is_connected(g.graph)
-        return obj
-    obj: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
-    if g.labels is not None:
-        obj["labels"] = [list(lab) for lab in g.labels]
+        obj["connected"] = is_connected(g)
     return obj
 
 
@@ -65,7 +70,7 @@ def _int_lists(value, field: str, length: int | None = None) -> list[tuple]:
     return [tuple(item) for item in value]
 
 
-def graph_from_obj(obj: dict) -> Graph | ProductGraph:
+def graph_from_obj(obj: dict) -> Graph:
     """Rebuild a graph from its dict form; malformed fields raise ValueError."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph object needs 'n' and 'edges' fields")
@@ -92,7 +97,18 @@ def graph_from_obj(obj: dict) -> Graph | ProductGraph:
             raise ValueError(
                 f"product metadata inconsistent: {ng}*{nh} != {g.n} vertices"
             )
-        return ProductGraph(graph=g, kind=kind, factor_sizes=(ng, nh))
+        product = ProductGraph(g.n, g.edges, g.labels, kind=kind, factor_sizes=(ng, nh))
+        # the edge count is checked first so that no rebuild can outgrow the file
+        fg, fh = recover_factors(product)
+        if (
+            edge_count_formula(kind, fg, fh) != g.m
+            or make_product(kind, fg, fh).edges != g.edges
+        ):
+            raise ValueError(
+                f"product metadata inconsistent: the edges are not a "
+                f"{kind.value} product of graphs on {ng} and {nh} vertices"
+            )
+        return product
     return g
 
 
@@ -123,7 +139,7 @@ def _loads_json(text: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
-def loads_graph(text: str) -> Graph | ProductGraph:
+def loads_graph(text: str) -> Graph:
     """Parse either the JSON graph format or the plain edge-list format."""
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -295,30 +295,33 @@ def theorem1_certificate(g: Graph) -> Theorem1Certificate:
     )
 
 
-def mc_bounds_combined(product: ProductGraph) -> BoundInterval:
+def mc_bounds_combined(g: Graph) -> BoundInterval:
     """Intersect the basic sandwich with the product-theorem interval.
 
-    Used by the bounds pipeline when the input graph carries product
-    structure: the lower bound is the larger of the two lower bounds, the
-    upper the smaller of the two uppers, with provenance following the
-    winning side.  Falls back to the basic interval when the product-theorem
-    hypotheses fail, and on a complete product: there mc = m, the basic
-    upper end, which the stated form over a complete first factor cuts off.
+    The bounds pipeline calls this on every graph; one that carries no
+    product structure gets the basic interval.  For a product the lower bound
+    is the larger of the two lower bounds, the upper the smaller of the two
+    uppers, with provenance following the winning side.  Falls back to the
+    basic interval when the product-theorem hypotheses fail, and on a
+    complete product: there mc = m, the basic upper end, which the stated
+    form over a complete first factor cuts off.
     """
-    basic = mc_bounds_basic(product.graph)
+    basic = mc_bounds_basic(g)
+    if not isinstance(g, ProductGraph):
+        return basic
     try:
-        fg, fh = recover_factors(product)
+        fg, fh = recover_factors(g)
         try:
-            themed = product_mc_bounds(product.kind, fg, fh)
+            themed = product_mc_bounds(g.kind, fg, fh)
         except InapplicableError as exc:
             if "non-complete first factor" not in str(exc):
                 raise
-            if is_complete(product.graph):
+            if is_complete(g):
                 return basic
             # the published pipeline applies the stated lexicographic form
             # even over a complete first factor; keep that reproducible here
             themed = product_mc_bounds(
-                product.kind, fg, fh, allow_complete_first_factor=True
+                g.kind, fg, fh, allow_complete_first_factor=True
             )
     except (InapplicableError, ValueError):
         return basic

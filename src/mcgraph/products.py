@@ -2,7 +2,8 @@
 
 All four products share the vertex set V(G) x V(H); the pair ``(g, h)`` is
 stored at index ``g * |V(H)| + h`` (row-major), and vertex labels carry the
-concatenated factor coordinates so certificates stay human-readable.
+concatenated factor coordinates so certificates stay human-readable.  A
+product is a ``Graph`` that also records its kind and factor sizes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .graph import Graph, build_graph, distances_from
 __all__ = [
     "ProductKind",
     "ProductGraph",
-    "as_graph",
     "make_product",
     "edge_count_formula",
     "distance_formula",
@@ -44,26 +44,17 @@ class ProductKind(str, Enum):
             raise ValueError(f"unknown product kind {text!r} (expected {valid})")
 
 
-@dataclass(frozen=True)
-class ProductGraph:
-    """A product together with the metadata needed to recover its factors."""
+@dataclass(frozen=True, kw_only=True)
+class ProductGraph(Graph):
+    """A ``Graph`` that is the ``kind`` product of factors of ``factor_sizes``."""
 
-    graph: Graph
     kind: ProductKind
     factor_sizes: tuple[int, int]
 
     @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def m(self) -> int:
-        return self.graph.m
-
-
-def as_graph(x: Graph | ProductGraph) -> Graph:
-    """The plain graph of a product, or the graph itself."""
-    return x.graph if isinstance(x, ProductGraph) else x
+    def graph(self) -> Graph:
+        """The product itself; kept only for ``bench/`` and older scripts."""
+        return self
 
 
 def _vertex_label(g: Graph, v: int) -> tuple[int, ...]:
@@ -112,10 +103,9 @@ def make_product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:
         for a in g.vertices()
         for x in h.vertices()
     )
+    built = build_graph(g.n * h.n, edges, labels)
     return ProductGraph(
-        graph=build_graph(g.n * h.n, edges, labels),
-        kind=kind,
-        factor_sizes=(g.n, h.n),
+        built.n, built.edges, built.labels, kind=kind, factor_sizes=(g.n, h.n)
     )
 
 
@@ -172,15 +162,16 @@ def distance_formula(
 def recover_factors(product: ProductGraph) -> tuple[Graph, Graph]:
     """Project a genuine product back onto its two factor graphs.
 
-    Only valid when ``product.graph`` really is the ``product.kind`` product
-    of some pair of graphs with the recorded sizes; arbitrary graphs with
-    fabricated metadata are not detected here.
+    Only valid when ``product`` really is the ``product.kind`` product of some
+    pair of graphs with the recorded sizes.  This function does not check
+    that; :func:`mcgraph.io.graph_from_obj` does, by rebuilding the product
+    from the projections and rejecting a file whose edges differ.
     """
     ng, nh = product.factor_sizes
     kind = product.kind
     g_edges: set[tuple[int, int]] = set()
     h_edges: set[tuple[int, int]] = set()
-    for u, v in product.graph.edges:
+    for u, v in product.edges:
         a, x = divmod(u, nh)
         b, y = divmod(v, nh)
         if kind is ProductKind.CARTESIAN or kind is ProductKind.STRONG:

@@ -23,8 +23,10 @@ from .bounds import (
 from .errors import InapplicableError
 from .exact import mc_exact, mc_exact_naive
 from .families import (
+    NetworkSpec,
     complete_graph,
     cycle_graph,
+    generate,
     path_graph,
     proposition_report,
     star_graph,
@@ -298,12 +300,12 @@ def suite_products(max_vertices: int = 24) -> SuiteResult:
             perm = swap_map(g.n, h.n)
             res.check(
                 "cartesian_commutative",
-                relabel(cart.graph, perm).edges == swapped.graph.edges,
+                relabel(cart, perm).edges == swapped.edges,
                 f"({name_g},{name_h})",
             )
         lex = make_product(ProductKind.LEXICOGRAPHIC, g, h)
         lex_swapped = make_product(ProductKind.LEXICOGRAPHIC, h, g)
-        if relabel(lex.graph, swap_map(g.n, h.n)).edges != lex_swapped.graph.edges:
+        if relabel(lex, swap_map(g.n, h.n)).edges != lex_swapped.edges:
             lex_noncommutative_witnessed = True
 
         # distance formulas against BFS on the built product
@@ -313,7 +315,7 @@ def suite_products(max_vertices: int = 24) -> SuiteResult:
             ProductKind.STRONG,
         ):
             product = make_product(kind, g, h)
-            dist = [distances_from(product.graph, v) for v in product.graph.vertices()]
+            dist = [distances_from(product, v) for v in product.vertices()]
             bad = None
             for a in range(product.n):
                 for b in range(a + 1, product.n):
@@ -332,20 +334,20 @@ def suite_products(max_vertices: int = 24) -> SuiteResult:
             )
         res.check(
             "cartesian_diameter",
-            diameter(cart.graph) == diameter(g) + diameter(h),
+            diameter(cart) == diameter(g) + diameter(h),
             f"({name_g},{name_h})",
         )
         strong = make_product(ProductKind.STRONG, g, h)
         res.check(
             "strong_diameter",
-            diameter(strong.graph) == max(diameter(g), diameter(h)),
+            diameter(strong) == max(diameter(g), diameter(h)),
             f"({name_g},{name_h})",
         )
         direct = make_product(ProductKind.DIRECT, g, h)
         expected_connected = not (is_bipartite(g) and is_bipartite(h))
         res.check(
             "direct_connectivity",
-            is_connected(direct.graph) == expected_connected,
+            is_connected(direct) == expected_connected,
             f"({name_g},{name_h})",
         )
     res.check(
@@ -372,7 +374,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
                 predicted = kappa_formula(kind, g, h)
             except InapplicableError:
                 continue
-            actual = vertex_connectivity(make_product(kind, g, h).graph)
+            actual = vertex_connectivity(make_product(kind, g, h))
             res.check(
                 "kappa_formula",
                 predicted == actual,
@@ -383,7 +385,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
         except InapplicableError:
             predicted = None
         if predicted is not None:
-            actual = metrics(make_product(ProductKind.DIRECT, g, h).graph).edge_connectivity
+            actual = metrics(make_product(ProductKind.DIRECT, g, h)).edge_connectivity
             res.check(
                 "edge_conn_direct",
                 predicted == actual,
@@ -397,7 +399,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
                 continue
             product = make_product(kind, g, h)
             floor = product.m - product.n + 2
-            if is_connected(product.graph) and interval.lower < floor:
+            if is_connected(product) and interval.lower < floor:
                 weak_lowers.append(
                     f"{interval.lower_source} on {kind.value}({name_g},{name_h}): "
                     f"{interval.lower} < {floor}"
@@ -417,7 +419,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
                         f"{corollary_source(kind, g, h)} on ({name_g},{name_h}): "
                         f"{cor} > {interval.lower}",
                     )
-                exact = mc_exact(product.graph)
+                exact = mc_exact(product)
                 res.check(
                     "theorem_containment",
                     exact.value is not None and exact.value in interval,
@@ -439,7 +441,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
     product = make_product(ProductKind.LEXICOGRAPHIC, g, h)
     stated_lower = h.m * g.n * g.n + 2
     stated_upper = h.m * g.n + g.m * h.n * h.n - h.n + 1
-    lemma1_upper = mc_bounds_basic(product.graph).upper
+    lemma1_upper = mc_bounds_basic(product).upper
     res.findings.append(
         "Thm3(3) statement/derivation divergence on lexicographic(P3,C3): "
         f"stated bounds {stated_lower}..{stated_upper} vs derived "
@@ -459,8 +461,8 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
     product = make_product(ProductKind.STRONG, g, h)
     claimed = 3 * h.m * g.m + 1
     floor = product.m - product.n + 2
-    diam = diameter(product.graph)
-    exact = mc_exact(product.graph)
+    diam = diameter(product)
+    exact = mc_exact(product)
     res.findings.append(
         "both-trees sharpness example misapplied on strong(P2,C4): claimed value "
         f"{claimed} is below the spanning-tree floor {floor}; diameter is {diam} "
@@ -477,7 +479,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
     g, h = path_graph(2), path_graph(2)
     product = make_product(ProductKind.LEXICOGRAPHIC, g, h)
     stated_upper = h.m * g.m * (h.n + 1) + h.n
-    exact = mc_exact(product.graph)
+    exact = mc_exact(product)
     res.findings.append(
         "lexicographic ceilings need a non-complete first factor: on "
         f"lexicographic(P2,P2) the stated both-trees ceiling is {stated_upper} "
@@ -488,7 +490,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
     # bipartite factor, outside the stated nonbipartite hypothesis
     g, h = cycle_graph(3), cycle_graph(6)
     product = make_product(ProductKind.DIRECT, g, h)
-    cert = theorem1_certificate(product.graph)
+    cert = theorem1_certificate(product)
     res.findings.append(
         "direct-product sharpness example uses bipartite C6: the Thm5 interval "
         f"hypothesis fails, though the value {product.m - product.n + 2} still "
@@ -510,11 +512,9 @@ def suite_propositions() -> SuiteResult:
         )
     # the exact connectivity of the lexicographic double-Petersen instance is
     # larger than the value used to state its upper bound
-    from .families import NetworkSpec, generate
-
     hl4 = generate(NetworkSpec("hl", (4,)))
-    kappa = vertex_connectivity(hl4.graph)
-    basic = mc_bounds_basic(hl4.graph)
+    kappa = vertex_connectivity(hl4)
+    basic = mc_bounds_basic(hl4)
     res.findings.append(
         "hl(4): direct vertex connectivity is "
         f"{kappa}, so the kappa-based ceiling alone gives {basic.upper}; the "

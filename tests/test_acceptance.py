@@ -13,13 +13,7 @@ from mcgraph.bounds import product_mc_bounds
 from mcgraph.errors import InapplicableError
 from mcgraph.exact import mc_exact, mc_exact_naive
 from mcgraph.families import NetworkSpec, cycle_graph, generate, path_graph
-from mcgraph.graph import (
-    diameter,
-    distances_from,
-    is_bipartite,
-    metrics,
-    vertex_connectivity,
-)
+from mcgraph.graph import diameter, distances_from
 from mcgraph.mc import (
     mc_bounds_basic,
     mc_bounds_combined,
@@ -106,32 +100,21 @@ def test_criterion_5_petersen_families():
     _verdict(5, "values 7, 7, 22 and interval [112, 121] all match")
 
 
-def test_criterion_6_connectivity_formulas():
-    from mcgraph.bounds import edge_conn_direct_formula, kappa_formula
+@pytest.fixture(scope="module")
+def bounds_suite():
+    """One run of the ``verify bounds`` suite, shared by criteria 6 and 9."""
+    return suite_bounds()
 
-    checks = 0
-    for name_g, g, name_h, h in pool_pairs(24):
-        for kind in (ProductKind.CARTESIAN, ProductKind.LEXICOGRAPHIC, ProductKind.STRONG):
-            try:
-                predicted = kappa_formula(kind, g, h)
-            except InapplicableError:
-                continue
-            built = make_product(kind, g, h)
-            assert predicted == vertex_connectivity(built.graph), (
-                kind.value,
-                name_g,
-                name_h,
-            )
-            checks += 1
-        if not (is_bipartite(g) or is_bipartite(h)):
-            predicted = edge_conn_direct_formula(g, h)
-            built = make_product(ProductKind.DIRECT, g, h)
-            assert predicted == metrics(built.graph).edge_connectivity, (
-                name_g,
-                name_h,
-            )
-            checks += 1
-    _verdict(6, f"{checks} connectivity formulas match direct computation")
+
+def test_criterion_6_connectivity_formulas(bounds_suite):
+    # the suite replays kappa_formula and edge_conn_direct_formula against
+    # max-flow on every product of pool_pairs(24) where they apply
+    checked = ("kappa_formula", "edge_conn_direct")
+    failed = [f for f in bounds_suite.failures if f.split(":")[0] in checked]
+    assert not failed, failed
+    counts = tuple(bounds_suite.passed.get(name, 0) for name in checked)
+    assert counts == (188, 15), counts
+    _verdict(6, f"{sum(counts)} connectivity formulas match direct computation")
 
 
 def test_criterion_7_distance_formulas():
@@ -208,8 +191,8 @@ def test_criterion_8_theorem_containment():
     )
 
 
-def test_criterion_9_discrepancy_findings():
-    result = suite_bounds()
+def test_criterion_9_discrepancy_findings(bounds_suite):
+    result = bounds_suite
     assert result.ok, result.failures
     text = "\n".join(result.findings)
     assert "lexicographic(P3,C3)" in text

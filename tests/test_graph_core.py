@@ -38,7 +38,6 @@ from mcgraph.graph import (
     vertex_connectivity,
 )
 from mcgraph.mc import mc_bounds_basic, theorem1_certificate
-from mcgraph.products import as_graph
 from mcgraph.smallgraphs import random_connected_graph
 from mcgraph.verification import (
     min_edge_cut_exhaustive,
@@ -331,7 +330,7 @@ def test_cached_connectivity(g, rnd):
     assert metrics(g) == metrics(g) == metrics(h)
 
 
-TORUS_3333 = as_graph(generate(NetworkSpec("torus", (3, 3, 3, 3))))
+TORUS_3333 = generate(NetworkSpec("torus", (3, 3, 3, 3)))
 
 
 @pytest.fixture()
@@ -366,7 +365,7 @@ class TestFlowCounts:
         assert len(flows) <= 4 * TORUS_3333.n
 
     def test_metrics_then_bounds_run_the_flows_once(self, flows):
-        g = as_graph(generate(NetworkSpec("hypercube", (4,))))
+        g = generate(NetworkSpec("hypercube", (4,)))
         first = metrics(g)
         ran = len(flows)
         assert ran > 0

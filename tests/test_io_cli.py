@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from mcgraph import cli
 from mcgraph import io as gio
+from mcgraph.exact import mc_exact
 from mcgraph.families import NetworkSpec, cycle_graph, generate, path_graph
-from mcgraph.mc import EdgeColoring
-from mcgraph.products import ProductGraph
+from mcgraph.mc import EdgeColoring, mc_bounds_combined
+from mcgraph.products import ProductGraph, ProductKind
 
 
 class TestGraphJson:
@@ -253,8 +254,20 @@ def test_python_dash_m_runs_the_cli():
         '{"n":"3","edges":[]}',
         '{"n":2,"edges":[[0,1]],"product":{"factors":[1,2]}}',
         '{"n":2,"edges":[[0,1.5]]}',
+        # K4 minus an edge: believed, mc bounds would print [3, 3] but mc = 4
+        '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3]],'
+        '"product":{"kind":"cartesian","factors":[2,2]}}',
+        # a triangle with a pendant edge has as many edges as the square C4
+        '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2]],'
+        '"product":{"kind":"cartesian","factors":[2,2]}}',
     ],
-    ids=["string-n", "product-without-kind", "float-endpoint"],
+    ids=[
+        "string-n",
+        "product-without-kind",
+        "float-endpoint",
+        "forged-product-k4-minus-edge",
+        "forged-product-paw",
+    ],
 )
 def test_malformed_graph_exits_2_without_traceback(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -263,6 +276,39 @@ def test_malformed_graph_exits_2_without_traceback(tmp_path, text):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_forged_product_metadata_never_excludes_mc(corpus6):
+    """Every (kind, a x b) claim on every corpus graph: rejected, or sound."""
+    loaded = 0
+    for g in corpus6:
+        splits = [(a, g.n // a) for a in range(1, g.n + 1) if g.n % a == 0]
+        for kind in ProductKind:
+            for split in splits:
+                obj = {
+                    "n": g.n,
+                    "edges": [list(e) for e in g.edges],
+                    "product": {"kind": kind.value, "factors": list(split)},
+                }
+                try:
+                    forged = gio.graph_from_obj(obj)
+                except ValueError as exc:
+                    assert "inconsistent" in str(exc)
+                    continue
+                loaded += 1
+                assert mc_exact(forged).value in mc_bounds_combined(forged), obj
+    # the genuine products among the 1,768 claims, most of them K1 times the
+    # graph itself, still load
+    assert loaded == 750
+
+
+def test_product_claim_with_a_wrong_edge_count_is_refused_unbuilt(monkeypatch):
+    # rebuilding lex(K2, 100000 isolated vertices) would take 10^10 edges
+    monkeypatch.setattr(gio, "make_product", lambda *args: pytest.fail("rebuilt"))
+    n = 100_000
+    obj = {"n": 2 * n, "edges": [[0, n]], "product": {"kind": "lex", "factors": [2, n]}}
+    with pytest.raises(ValueError, match="inconsistent"):
+        gio.graph_from_obj(obj)
 
 
 SCALARS = (

@@ -8,6 +8,7 @@ from mcgraph.families import (
     petersen_graph,
 )
 from mcgraph.graph import (
+    Graph,
     build_graph,
     distances_from,
     is_connected,
@@ -21,6 +22,7 @@ from mcgraph.products import (
     recover_factors,
     swap_map,
 )
+from mcgraph.verification import suite_products
 
 P2 = path_graph(2)
 P3 = path_graph(3)
@@ -53,6 +55,10 @@ class TestMakeProduct:
         p = make_product(ProductKind.CARTESIAN, q.graph, P2)
         assert p.graph.labels[0] == (0, 0, 0)
         assert p.graph.labels[7] == (1, 1, 1)
+
+    def test_product_is_a_graph(self):
+        p = make_product(ProductKind.LEXICOGRAPHIC, P3, P2)
+        assert isinstance(p, Graph) and p.graph is p
 
     def test_empty_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -142,3 +148,8 @@ class TestStructure:
         assert ProductKind.parse("CARTESIAN") is ProductKind.CARTESIAN
         with pytest.raises(ValueError):
             ProductKind.parse("tensorish")
+
+
+def test_suite_products_passes():
+    """Edge counts, factor recovery, commutativity and distances on the pool."""
+    assert suite_products().ok
