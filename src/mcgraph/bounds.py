@@ -206,6 +206,76 @@ def _require_product_factors(kind: ProductKind, g: Graph, h: Graph) -> None:
             )
 
 
+# per kind: theorem name, corollary name, and the case text of each branch
+_UNORDERED_CASES = ("neither factor a tree", "non-tree with tree", "both factors trees")
+_CATALOG = {
+    ProductKind.CARTESIAN: ("Thm2", "Cor3", _UNORDERED_CASES),
+    ProductKind.LEXICOGRAPHIC: (
+        "Thm3",
+        "Cor4lex",
+        (
+            "neither factor a tree",
+            "G not a tree, H a tree",
+            "G a tree, H not a tree",
+            "both factors trees",
+        ),
+    ),
+    ProductKind.STRONG: ("Thm4", "Cor5", _UNORDERED_CASES),
+    ProductKind.DIRECT: ("Thm5", "CorDirect", ("nonbipartite factors",)),
+}
+
+
+def _branch(kind: ProductKind, g: Graph, h: Graph) -> tuple[int, bool]:
+    """The catalog branch of (kind, g, h), and whether the factors swap into it.
+
+    Branches follow factor tree-ness and number from 1: neither factor a
+    tree, then the mixed branches, then both trees.  Lexicographic branches
+    are order-sensitive: (2) G not a tree and H a tree, (3) G a tree and H
+    not, (4) both trees; they never swap.  Cartesian and strong are
+    unordered, so their one mixed branch (2) states "non-tree with tree" and
+    "G a tree, H not" is handled by swapping the factors into it.  The
+    direct product has the single branch 1, for nonbipartite factors.
+    """
+    if kind is ProductKind.DIRECT:
+        return 1, False
+    tg, th = is_tree(g), is_tree(h)
+    if kind is ProductKind.LEXICOGRAPHIC:
+        return 1 + 2 * tg + th, False
+    if tg == th:
+        return (3 if tg else 1), False
+    return 2, tg
+
+
+def _tag(name: str, kind: ProductKind, branch: int) -> str:
+    return name if kind is ProductKind.DIRECT else f"{name}({branch})"
+
+
+def _lower(kind: ProductKind, branch: int, ea: int, eb: int, na: int, nb: int) -> int:
+    """Lower end of a branch, for factors A, B in the branch's order.
+
+    ``ea`` and ``eb`` are the factors' edge counts in the theorems and their
+    mc values in the corollaries; ``na`` and ``nb`` are their orders.
+    """
+    if kind is ProductKind.CARTESIAN:
+        return (max(ea * nb, eb * na) + 2, eb * na + 2, ea * eb + 1)[branch - 1]
+    if kind is ProductKind.LEXICOGRAPHIC:
+        # branch 3 follows its derivation: the stated form swaps the factors'
+        # roles, a typo the corollary inherits and (P3, C3) refutes
+        return (
+            ea * nb * nb + 2,
+            eb * na * (nb + 1) + 2,
+            ea * nb * nb + 2,
+            ea * eb * (nb + 1) + 1,
+        )[branch - 1]
+    if kind is ProductKind.STRONG:
+        return (
+            max(ea * nb, eb * na) + 2 * ea * eb + 2,
+            eb * na + 2 * ea * eb + 2,
+            3 * ea * eb + 1,
+        )[branch - 1]
+    return ea * eb + 2
+
+
 def product_mc_bounds(
     kind: ProductKind,
     g: Graph,
@@ -213,149 +283,65 @@ def product_mc_bounds(
     *,
     allow_complete_first_factor: bool = False,
 ) -> BoundInterval:
-    """mc interval for a product, selecting the branch by factor tree-ness.
+    """mc interval for a product, on the branch :func:`_branch` selects.
 
-    The cartesian and strong cases are unordered: "G tree, H not" is handled
-    by swapping the factors into the stated mixed branch.  Lexicographic
-    branches are order-sensitive and never swap.  Direct-product bounds need
-    both factors nonbipartite.
-
-    Lexicographic upper bounds lean on the first factor being non-complete
-    (its product connectivity formula has that hypothesis), and they really
-    do fail otherwise: the single-edge graph composed with itself has mc 6
-    against a stated ceiling of 5.  Complete first factors are therefore
-    refused unless ``allow_complete_first_factor`` asks for the stated form
-    anyway, which the double-Petersen pipeline needs to reproduce its
-    published ceiling.
+    Direct-product bounds need both factors nonbipartite.  Lexicographic
+    upper bounds lean on the first factor being non-complete (its product
+    connectivity formula has that hypothesis), and they really do fail
+    otherwise: the single-edge graph composed with itself has mc 6 against a
+    stated ceiling of 5.  Complete first factors are therefore refused unless
+    ``allow_complete_first_factor`` asks for the stated form anyway, which
+    the double-Petersen pipeline needs to reproduce its published ceiling.
     """
     kind = ProductKind(kind)
     _require_product_factors(kind, g, h)
-    if (
-        kind is ProductKind.LEXICOGRAPHIC
-        and is_complete(g)
-        and not allow_complete_first_factor
-    ):
+    complete_first = kind is ProductKind.LEXICOGRAPHIC and is_complete(g)
+    if complete_first and not allow_complete_first_factor:
         raise InapplicableError(
             "bounds inapplicable: lexicographic upper bounds need a "
             "non-complete first factor"
         )
-    tg, th = is_tree(g), is_tree(h)
-
+    branch, swapped = _branch(kind, g, h)
+    a, b = (h, g) if swapped else (g, h)
+    ea, eb, na, nb = a.m, b.m, a.n, b.n
+    lower = _lower(kind, branch, ea, eb, na, nb)
     if kind is ProductKind.CARTESIAN:
-        if not tg and not th:
-            return BoundInterval(
-                lower=max(g.m * h.n, h.m * g.n) + 2,
-                upper=g.m * h.n + (h.m - 1) * g.n + 1,
-                lower_source="Thm2(1)",
-                upper_source="Thm2(1)",
-                case="Thm2(1) neither factor a tree",
-            )
-        if tg and th:
-            return BoundInterval(
-                lower=g.m * h.m + 1,
-                upper=g.m * h.m + 2,
-                lower_source="Thm2(3)",
-                upper_source="Thm2(3)",
-                case="Thm2(3) both factors trees",
-            )
-        swapped = tg  # put the non-tree factor first
-        a, b = (h, g) if swapped else (g, h)
-        return BoundInterval(
-            lower=b.m * a.n + 2,
-            upper=a.m * b.n + 1,
-            lower_source="Thm2(2)",
-            upper_source="Thm2(2)",
-            case="Thm2(2) non-tree with tree"
-            + (" (factors swapped)" if swapped else ""),
+        upper = (ea * nb + (eb - 1) * na + 1, ea * nb + 1, ea * eb + 2)[branch - 1]
+    elif kind is ProductKind.LEXICOGRAPHIC:
+        stated_upper = eb * na + ea * nb * nb - nb + 1
+        upper = (
+            stated_upper,
+            stated_upper,
+            eb * na + ea * nb * nb - na * nb + nb + 1,
+            ea * eb * (nb + 1) + nb,
+        )[branch - 1]
+    elif kind is ProductKind.STRONG:
+        upper = (
+            ea * nb + eb * na + 2 * ea * eb - min(na, nb) + 1,
+            ea * nb + 2 * ea * eb + 1,
+            3 * ea * eb + min(na, nb),
+        )[branch - 1]
+    else:
+        upper = 2 * ea * eb + 1
+    theorem, _, cases = _CATALOG[kind]
+    tag = _tag(theorem, kind, branch)
+    case = f"{tag} {cases[branch - 1]}"
+    if swapped:
+        case += " (factors swapped)"
+    if kind is ProductKind.LEXICOGRAPHIC and branch == 3:
+        # Both stated endpoints of this branch disagree with what its own
+        # derivation yields.  The stated lower swaps the factors' roles
+        # and can exceed the connectivity ceiling outright; the stated
+        # upper is looser than the derivation for nG > 2.  The derived
+        # values are reported and the stated ones kept in the case
+        # descriptor for the discrepancy report.
+        case += (
+            f" [stated bounds {eb * na * na + 2}..{stated_upper},"
+            f" derived {lower}..{upper}]"
         )
-
-    if kind is ProductKind.LEXICOGRAPHIC:
-        strain = " [complete first factor: stated form]" if is_complete(g) else ""
-        stated_upper = h.m * g.n + g.m * h.n * h.n - h.n + 1
-        if not tg and not th:
-            return BoundInterval(
-                lower=g.m * h.n * h.n + 2,
-                upper=stated_upper,
-                lower_source="Thm3(1)",
-                upper_source="Thm3(1)",
-                case="Thm3(1) neither factor a tree" + strain,
-            )
-        if not tg and th:
-            return BoundInterval(
-                lower=h.m * g.n * (h.n + 1) + 2,
-                upper=stated_upper,
-                lower_source="Thm3(2)",
-                upper_source="Thm3(2)",
-                case="Thm3(2) G not a tree, H a tree" + strain,
-            )
-        if tg and not th:
-            # Both stated endpoints of this branch disagree with what its own
-            # derivation yields.  The stated lower swaps the factors' roles
-            # and can exceed the connectivity ceiling outright; the stated
-            # upper is looser than the derivation for nG > 2.  The derived
-            # values are reported and the stated ones kept in the case
-            # descriptor for the discrepancy report.
-            stated_lower = h.m * g.n * g.n + 2
-            derived_lower = g.m * h.n * h.n + 2
-            derived_upper = h.m * g.n + g.m * h.n * h.n - g.n * h.n + h.n + 1
-            return BoundInterval(
-                lower=derived_lower,
-                upper=derived_upper,
-                lower_source="Thm3(3)",
-                upper_source="Thm3(3)",
-                case=(
-                    "Thm3(3) G a tree, H not a tree"
-                    f" [stated bounds {stated_lower}..{stated_upper},"
-                    f" derived {derived_lower}..{derived_upper}]" + strain
-                ),
-            )
-        return BoundInterval(
-            lower=h.m * g.m * (h.n + 1) + 1,
-            upper=h.m * g.m * (h.n + 1) + h.n,
-            lower_source="Thm3(4)",
-            upper_source="Thm3(4)",
-            case="Thm3(4) both factors trees" + strain,
-        )
-
-    if kind is ProductKind.STRONG:
-        if not tg and not th:
-            return BoundInterval(
-                lower=max(
-                    g.m * h.n + 2 * h.m * g.m + 2,
-                    h.m * g.n + 2 * h.m * g.m + 2,
-                ),
-                upper=g.m * h.n + h.m * g.n + 2 * h.m * g.m - min(g.n, h.n) + 1,
-                lower_source="Thm4(1)",
-                upper_source="Thm4(1)",
-                case="Thm4(1) neither factor a tree",
-            )
-        if tg and th:
-            return BoundInterval(
-                lower=3 * h.m * g.m + 1,
-                upper=3 * h.m * g.m + min(g.n, h.n),
-                lower_source="Thm4(3)",
-                upper_source="Thm4(3)",
-                case="Thm4(3) both factors trees",
-            )
-        swapped = tg
-        a, b = (h, g) if swapped else (g, h)
-        return BoundInterval(
-            lower=b.m * a.n + 2 * b.m * a.m + 2,
-            upper=a.m * b.n + 2 * b.m * a.m + 1,
-            lower_source="Thm4(2)",
-            upper_source="Thm4(2)",
-            case="Thm4(2) non-tree with tree"
-            + (" (factors swapped)" if swapped else ""),
-        )
-
-    # direct
-    return BoundInterval(
-        lower=h.m * g.m + 2,
-        upper=2 * h.m * g.m + 1,
-        lower_source="Thm5",
-        upper_source="Thm5",
-        case="Thm5 nonbipartite factors",
-    )
+    if complete_first:
+        case += " [complete first factor: stated form]"
+    return BoundInterval(lower, upper, tag, tag, case)
 
 
 def corollary_lower(
@@ -363,64 +349,24 @@ def corollary_lower(
 ) -> int:
     """mc lower bound for a product in terms of the factors' mc values.
 
-    The caller supplies mc(G) and mc(H); the branch follows the factor
-    tree-ness exactly as in :func:`product_mc_bounds`, with the same swap
-    convention for the unordered kinds.
+    The lower end of the :func:`product_mc_bounds` branch, with mc(G) and
+    mc(H) in place of the factors' edge counts.
     """
     kind = ProductKind(kind)
     for name, f in (("first", g), ("second", h)):
         if not is_connected(f):
             raise InapplicableError(f"bound inapplicable: {name} factor disconnected")
-    tg, th = is_tree(g), is_tree(h)
-
-    if kind is ProductKind.CARTESIAN:
-        if not tg and not th:
-            return max(mc_g * h.n + 2, mc_h * g.n + 2)
-        if tg and th:
-            return mc_g * mc_h + 1
-        if tg:  # swap so the tree factor sits second
-            g, h, mc_g, mc_h = h, g, mc_h, mc_g
-        return mc_h * g.n + 2
-
-    if kind is ProductKind.LEXICOGRAPHIC:
-        if not tg and not th:
-            return mc_g * h.n * h.n + 2
-        if not tg and th:
-            return mc_h * g.n * (h.n + 1) + 2
-        if tg and not th:
-            # follows the derived tree-branch bound; the stated corollary
-            # form inherits the swapped-factor typo refuted by (P3, C3)
-            return mc_g * h.n * h.n + 2
-        return mc_g * mc_h * (h.n + 1) + 1
-
-    if kind is ProductKind.STRONG:
-        if not tg and not th:
-            return max(
-                mc_g * h.n + 2 * mc_h * mc_g + 2,
-                mc_h * g.n + 2 * mc_h * mc_g + 2,
-            )
-        if tg and th:
-            return 3 * mc_h * mc_g + 1
-        if tg:
-            g, h, mc_g, mc_h = h, g, mc_h, mc_g
-        return mc_h * g.n + 2 * mc_h * mc_g + 2
-
-    # direct
-    if is_bipartite(g) and is_bipartite(h):
+    if kind is ProductKind.DIRECT and is_bipartite(g) and is_bipartite(h):
         raise InapplicableError(
             "bound inapplicable: needs a nonbipartite factor"
         )
-    return mc_h * mc_g + 2
+    branch, swapped = _branch(kind, g, h)
+    if swapped:
+        g, h, mc_g, mc_h = h, g, mc_h, mc_g
+    return _lower(kind, branch, mc_g, mc_h, g.n, h.n)
 
 
 def corollary_source(kind: ProductKind, g: Graph, h: Graph) -> str:
     """Catalog tag of the corollary branch that applies to (kind, g, h)."""
     kind = ProductKind(kind)
-    tg, th = is_tree(g), is_tree(h)
-    if kind is ProductKind.DIRECT:
-        return "CorDirect"
-    if kind is ProductKind.LEXICOGRAPHIC:
-        branch = 1 if not tg and not th else 2 if not tg else 3 if not th else 4
-        return f"Cor4lex({branch})"
-    branch = 1 if not tg and not th else 3 if tg and th else 2
-    return f"Cor3({branch})" if kind is ProductKind.CARTESIAN else f"Cor5({branch})"
+    return _tag(_CATALOG[kind][1], kind, _branch(kind, g, h)[0])

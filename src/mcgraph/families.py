@@ -267,24 +267,20 @@ def _lower_bound_row(
     formula: int,
     kind: ProductKind,
     split: int,
-    term: str,
 ) -> PropositionRow:
     """Row for a proposition asserting a lower bound on an iterated product.
 
-    ``split`` is how many leading factors form the first block G; ``term``
-    names which displayed expression of the product bound reproduces the
-    proposition (the max of an unordered branch may pick the other factor,
-    so the comparison uses the stated term).
+    ``split`` is how many leading factors form the first block G.  The
+    proposition is reproduced by the displayed term |E(G)||V(H)| + 2 of the
+    cartesian lower bound, |E(G)||V(H)|^2 + 2 of the lexicographic one (the
+    max of an unordered branch may pick the other factor, so the comparison
+    uses the stated term).
     """
     g_all = generate(spec)
     G = generate(NetworkSpec(spec.family, spec.params[:split]))
     H = generate(NetworkSpec(spec.family, spec.params[split:]))
-    if term == "eg_nh":
-        term_value = G.m * H.n + 2
-    elif term == "eg_nh_sq":
-        term_value = G.m * H.n * H.n + 2
-    else:
-        raise AssertionError(term)
+    h_power = 2 if kind is ProductKind.LEXICOGRAPHIC else 1
+    term_value = G.m * H.n**h_power + 2
     # only the branch lower is consumed here, and the lexicographic lower
     # bounds stay valid over a complete first block
     interval = product_mc_bounds(kind, G, H, allow_complete_first_factor=True)
@@ -349,7 +345,6 @@ def proposition_report() -> list[PropositionRow]:
             (2 * l1 * l2 - l1 - l2) * rest + 2,
             ProductKind.CARTESIAN,
             split=2,
-            term="eg_nh",
         )
     )
     spec = p("lex_mesh", 2, 2, 2, 2)
@@ -361,7 +356,6 @@ def proposition_report() -> list[PropositionRow]:
             (l1 * l2 * l2 + l1 * l2 - l1 - l2 * l2) * rest * rest + 2,
             ProductKind.LEXICOGRAPHIC,
             split=2,
-            term="eg_nh_sq",
         )
     )
     spec = p("torus", 3, 3, 3, 3)
@@ -372,7 +366,6 @@ def proposition_report() -> list[PropositionRow]:
             3 * 3 * 3 * 3 + 2,
             ProductKind.CARTESIAN,
             split=1,
-            term="eg_nh",
         )
     )
     spec = p("lex_torus", 3, 3, 3, 3)
@@ -383,7 +376,6 @@ def proposition_report() -> list[PropositionRow]:
             3 * (3 * 3 * 3) ** 2 + 2,
             ProductKind.LEXICOGRAPHIC,
             split=1,
-            term="eg_nh_sq",
         )
     )
     for params in ((2, 2, 2), (3, 2, 2)):

@@ -224,8 +224,12 @@ def all_pairs_distances(g: Graph) -> list[list[int | float]]:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff the graph has a single component (vacuously for n <= 1)."""
-    return g.n <= 1 or len(bfs_parents(g, 0)) == g.n
+    """True iff the graph has a single component (vacuously for n <= 1).
+
+    Fewer than n - 1 edges cannot connect n vertices; that answer needs no
+    traversal, so a sparse graph with many declared vertices stays cheap.
+    """
+    return g.n <= 1 or (g.m >= g.n - 1 and len(bfs_parents(g, 0)) == g.n)
 
 
 def connected_components(

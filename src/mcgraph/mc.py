@@ -307,22 +307,14 @@ def mc_bounds_combined(g: Graph) -> BoundInterval:
     form over a complete first factor cuts off.
     """
     basic = mc_bounds_basic(g)
-    if not isinstance(g, ProductGraph):
+    if not isinstance(g, ProductGraph) or is_complete(g):
         return basic
     try:
-        fg, fh = recover_factors(g)
-        try:
-            themed = product_mc_bounds(g.kind, fg, fh)
-        except InapplicableError as exc:
-            if "non-complete first factor" not in str(exc):
-                raise
-            if is_complete(g):
-                return basic
-            # the published pipeline applies the stated lexicographic form
-            # even over a complete first factor; keep that reproducible here
-            themed = product_mc_bounds(
-                g.kind, fg, fh, allow_complete_first_factor=True
-            )
+        # the published pipeline applies the stated lexicographic form even
+        # over a complete first factor; keep that reproducible here
+        themed = product_mc_bounds(
+            g.kind, *recover_factors(g), allow_complete_first_factor=True
+        )
     except (InapplicableError, ValueError):
         return basic
     lower, lower_source = max(

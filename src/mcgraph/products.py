@@ -18,6 +18,7 @@ __all__ = [
     "ProductKind",
     "ProductGraph",
     "make_product",
+    "product_edges",
     "edge_count_formula",
     "distance_formula",
     "recover_factors",
@@ -61,49 +62,54 @@ def _vertex_label(g: Graph, v: int) -> tuple[int, ...]:
     return g.labels[v] if g.labels is not None else (v,)
 
 
-def make_product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:
-    """Construct the product of ``g`` and ``h`` under the given adjacency rule.
+def product_edges(kind: ProductKind, g: Graph, h: Graph):
+    """Yield the product's edges, smaller endpoint first, in no fixed order.
 
     cartesian:      one coordinate equal, the other adjacent
     lexicographic:  first coordinates adjacent, or equal with second adjacent
     strong:         cartesian plus both-adjacent pairs
     direct:         both coordinates adjacent
+
+    Every loop runs over factor edges and yields at each inner step, so the
+    work follows the edge counts and nothing is built per vertex.
     """
     kind = ProductKind(kind)
-    if g.n == 0 or h.n == 0:
-        raise ValueError("product factors must be non-empty")
     nh = h.n
 
     def idx(a: int, x: int) -> int:
         return a * nh + x
 
-    edges: list[tuple[int, int]] = []
-
     if kind in (ProductKind.CARTESIAN, ProductKind.STRONG, ProductKind.LEXICOGRAPHIC):
-        for a in g.vertices():
-            for x, y in h.edges:
-                edges.append((idx(a, x), idx(a, y)))
+        for x, y in h.edges:
+            for a in g.vertices():
+                yield idx(a, x), idx(a, y)
     if kind in (ProductKind.CARTESIAN, ProductKind.STRONG):
         for a, b in g.edges:
             for x in h.vertices():
-                edges.append((idx(a, x), idx(b, x)))
+                yield idx(a, x), idx(b, x)
     if kind in (ProductKind.STRONG, ProductKind.DIRECT):
         for a, b in g.edges:
             for x, y in h.edges:
-                edges.append((idx(a, x), idx(b, y)))
-                edges.append((idx(a, y), idx(b, x)))
+                yield idx(a, x), idx(b, y)
+                yield idx(a, y), idx(b, x)
     if kind is ProductKind.LEXICOGRAPHIC:
         for a, b in g.edges:
             for x in h.vertices():
                 for y in h.vertices():
-                    edges.append((idx(a, x), idx(b, y)))
+                    yield idx(a, x), idx(b, y)
 
+
+def make_product(kind: ProductKind, g: Graph, h: Graph) -> ProductGraph:
+    """Construct the product of ``g`` and ``h`` (see :func:`product_edges`)."""
+    kind = ProductKind(kind)
+    if g.n == 0 or h.n == 0:
+        raise ValueError("product factors must be non-empty")
     labels = tuple(
         _vertex_label(g, a) + _vertex_label(h, x)
         for a in g.vertices()
         for x in h.vertices()
     )
-    built = build_graph(g.n * h.n, edges, labels)
+    built = build_graph(g.n * h.n, product_edges(kind, g, h), labels)
     return ProductGraph(
         built.n, built.edges, built.labels, kind=kind, factor_sizes=(g.n, h.n)
     )
@@ -164,8 +170,8 @@ def recover_factors(product: ProductGraph) -> tuple[Graph, Graph]:
 
     Only valid when ``product`` really is the ``product.kind`` product of some
     pair of graphs with the recorded sizes.  This function does not check
-    that; :func:`mcgraph.io.graph_from_obj` does, by rebuilding the product
-    from the projections and rejecting a file whose edges differ.
+    that; :func:`mcgraph.io.graph_from_obj` does, by regenerating the product
+    edges from the projections and rejecting a file whose edges differ.
     """
     ng, nh = product.factor_sizes
     kind = product.kind

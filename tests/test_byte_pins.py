@@ -1,14 +1,22 @@
-"""Byte pins on the command line's outputs.
+"""Byte pins on the command line's outputs and on the product-bound catalog.
 
-Each digest is the sha256 of one command's stdout; a digest that moves means
-a user-visible output changed.
+Each digest is the sha256 of one command's stdout, or of every answer the
+bound catalog gives over a fixed factor pool; a digest that moves means a
+user-visible output changed.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from mcgraph import cli
+from mcgraph.bounds import corollary_lower, corollary_source, product_mc_bounds
+from mcgraph.exact import mc_exact
+from mcgraph.graph import Graph
+from mcgraph.mc import mc_bounds_combined
+from mcgraph.products import ProductKind, make_product
+from mcgraph.verification import factor_pool
 
 FAMILY_ARGS = {
     "path": ["4"],
@@ -58,6 +66,7 @@ BOUNDS_DIGESTS = {
     "strong": "3849e5fea1cc578ef0dcf0ec1b4a2c2fe20c2d1a98c233dbfcff1fb468607db2",
     "direct": "e54e1a1e563d601a0fbb22e10defacb8fce5cc9f9490a240814f67ab0278a12a",
 }
+CATALOG_DIGEST = "b3700215346f55fd8d03d4b4e8269c0ce46d6907ecc58f99d044b580709dfe9f"
 REPORT_DIGESTS = {
     "csv": "4cb3643ead1d0936e326c4aafbb3ced06d0aa7771462088fa4675893ff8006c4",
     "json": "b005161afe72104e4cc207b187d5d756aa775151a153fa57584dee1fa0c375b8",
@@ -90,3 +99,38 @@ def test_product_json_and_bounds(tmp_path, capsys, kind):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report(capsys, fmt):
     assert stdout_digest(capsys, "report", "--format", fmt) == REPORT_DIGESTS[fmt]
+
+
+def _answer(call) -> object:
+    """What a catalog call returns, or the type and text of what it raises."""
+    try:
+        out = call()
+    except Exception as exc:  # the error messages are pinned too
+        return [type(exc).__name__, str(exc)]
+    return out.to_dict() if hasattr(out, "to_dict") else out
+
+
+def test_bound_catalog():
+    factors = factor_pool() + [
+        ("K1", Graph(1, ())),
+        ("2K2", Graph(4, ((0, 1), (2, 3)))),
+    ]
+    mc = {name: mc_exact(f).value for name, f in factors}
+    lines = []
+    for kind in ProductKind:
+        for gname, g in factors:
+            for hname, h in factors:
+                answers = [
+                    _answer(lambda: product_mc_bounds(kind, g, h)),
+                    _answer(
+                        lambda: product_mc_bounds(
+                            kind, g, h, allow_complete_first_factor=True
+                        )
+                    ),
+                    _answer(lambda: corollary_lower(kind, g, h, mc[gname], mc[hname])),
+                    _answer(lambda: corollary_source(kind, g, h)),
+                    _answer(lambda: mc_bounds_combined(make_product(kind, g, h))),
+                ]
+                lines.append(json.dumps([kind.value, gname, hname, answers]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CATALOG_DIGEST

@@ -304,11 +304,24 @@ def test_forged_product_metadata_never_excludes_mc(corpus6):
 
 def test_product_claim_with_a_wrong_edge_count_is_refused_unbuilt(monkeypatch):
     # rebuilding lex(K2, 100000 isolated vertices) would take 10^10 edges
-    monkeypatch.setattr(gio, "make_product", lambda *args: pytest.fail("rebuilt"))
+    monkeypatch.setattr(gio, "product_edges", lambda *args: pytest.fail("rebuilt"))
     n = 100_000
     obj = {"n": 2 * n, "edges": [[0, n]], "product": {"kind": "lex", "factors": [2, n]}}
     with pytest.raises(ValueError, match="inconsistent"):
         gio.graph_from_obj(obj)
+
+
+@pytest.mark.parametrize("product", [None, {"kind": "cartesian", "factors": [1000, 1000]}])
+def test_load_cost_follows_the_file_not_the_declared_order(product):
+    # a few dozen bytes declare 10^6 vertices; nothing may be built per vertex
+    obj = {"n": 10**6, "edges": []}
+    if product is not None:
+        obj["product"] = product
+    g = gio.loads_graph(gio.dumps(obj))
+    assert isinstance(g, ProductGraph) == (product is not None)
+    iv = mc_bounds_combined(g)
+    assert (iv.lower, iv.upper) == (0, 0)
+    assert "adjacency" not in g.__dict__
 
 
 SCALARS = (
