@@ -2,7 +2,12 @@
 
 ``mc_exact_naive`` enumerates set partitions of the edge set into color
 classes and keeps the best partition that passes the validity check; it is
-the ground-truth oracle for small edge counts.
+the ground-truth oracle for small edge counts.  It cuts a partial partition
+as soon as no completion can be valid: every class of a completion is a
+subset of some class so far joined with all unassigned edges (or of the
+unassigned edges alone), and the pairs an edge set serves only grow with
+the set, so if those unions together leave a pair unserved, so does every
+completion.
 
 ``mc_exact`` reformulates the search: a maximum coloring can be assumed to be
 a family of edge-disjoint monochromatic trees with at least two edges each,
@@ -16,13 +21,15 @@ before they are applied; the moves of delta d + 1 are built only after
 every child of delta d has failed.  When no round finds a cover, or the
 floor is already n - 2 (kappa <= 1), the spanning-tree coloring (waste
 n - 2) is returned.  The two engines are kept independent and are
-cross-checked against each other in the test suite.
+cross-checked against each other in the test suite.  Each passes its witness
+through ``check_mc_coloring`` before it returns a value.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from .bounds import BoundInterval
 from .errors import BudgetExceededError
 from .graph import (
     Graph,
@@ -35,6 +42,7 @@ from .mc import (
     McResult,
     SearchStats,
     TreeCover,
+    check_mc_coloring,
     mc_bounds_basic,
     spanning_tree_coloring,
 )
@@ -54,6 +62,26 @@ def _trivial_result(g: Graph, method: str) -> McResult:
     return McResult(value=0, witness=None, method=method, bounds=mc_bounds_basic(g))
 
 
+def _checked_result(
+    g: Graph,
+    witness: EdgeColoring,
+    method: str,
+    bounds: BoundInterval,
+    stats: SearchStats | None = None,
+) -> McResult:
+    """The result that ``witness`` proves, once ``check_mc_coloring`` passes it."""
+    ok, pair = check_mc_coloring(g, witness)
+    if not ok:
+        raise AssertionError(f"{method} witness leaves pair {pair} unserved")
+    return McResult(
+        value=witness.color_count,
+        witness=witness,
+        method=method,
+        bounds=bounds,
+        stats=stats,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Naive engine: exhaustive set-partition search
 # ---------------------------------------------------------------------------
@@ -63,9 +91,16 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
     """Exact mc by brute force over all edge-set partitions.
 
     Iterates candidate color counts from m downward and returns the first
-    count admitting a valid partition, so the cost is dominated by the
-    partition counts just above the answer.  Refuses graphs with more than
-    ``max_edges`` edges.
+    count admitting a valid partition.  Edges are assigned in index order,
+    each to an existing class or to the next new one.  With edges 0..i-1
+    assigned to classes C_1..C_j and R the unassigned edges, every class of a
+    partition completed below is a subset of some C_c | R, or of R if it is
+    opened later.  The pairs an edge set serves only grow with the set, so
+    when the pairs served by the sets C_c | R and R together miss one, no
+    completion is valid and the branch is cut.  The cut never removes a
+    valid partition, so the first one found, and the witness, are those of
+    the plain enumeration; with R empty it is the leaf's validity check.
+    Refuses graphs with more than ``max_edges`` edges.
     """
     if g.n <= 1 or not is_connected(g):
         return _trivial_result(g, "naive-partition")
@@ -76,20 +111,21 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
     n = g.n
     pair_id = {p: i for i, p in enumerate(combinations(range(n), 2))}
     full_mask = (1 << len(pair_id)) - 1
-    served_cache: dict[int, int] = {}
+    all_edges = (1 << m) - 1
 
-    def served_pairs(class_mask: int) -> int:
-        """Pairs joined inside the subgraph formed by this set of edges."""
-        cached = served_cache.get(class_mask)
-        if cached is not None:
-            return cached
-        edges = [e for i, e in enumerate(g.edges) if class_mask >> i & 1]
-        mask = 0
-        for comp in edge_components(n, edges):
-            for a, b in combinations(comp, 2):
-                mask |= 1 << pair_id[(a, b)]
-        served_cache[class_mask] = mask
-        return mask
+    class ServedPairs(dict):
+        """Edge mask -> mask of the pairs joined inside that subgraph, memoised."""
+
+        def __missing__(self, class_mask: int) -> int:
+            edges = [e for i, e in enumerate(g.edges) if class_mask >> i & 1]
+            mask = 0
+            for comp in edge_components(n, edges):
+                for a, b in combinations(comp, 2):
+                    mask |= 1 << pair_id[(a, b)]
+            self[class_mask] = mask
+            return mask
+
+    served_pairs = ServedPairs()
 
     def search(k: int) -> list[int] | None:
         """First valid partition of the edges into exactly k classes."""
@@ -97,17 +133,21 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
         classes: list[int] = []
 
         def rec(i: int) -> bool:
-            if i == m:
-                if len(classes) != k:
-                    return False
-                acc = 0
-                for cmask in classes:
-                    acc |= served_pairs(cmask)
-                    if acc == full_mask:
-                        return True
-                return False
             if len(classes) + (m - i) < k:
                 return False
+            # The coverage cut (see the docstring).  At i == m, rest is empty,
+            # the test above has left exactly k classes, and this is the
+            # leaf's validity check.
+            rest = all_edges >> i << i
+            acc = served_pairs[rest]
+            for cmask in classes:
+                if acc == full_mask:
+                    break
+                acc |= served_pairs[cmask | rest]
+            if acc != full_mask:
+                return False
+            if i == m:
+                return True
             bit = 1 << i
             limit = min(len(classes) + 1, k)
             for c in range(limit):
@@ -131,12 +171,7 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
         partition = search(k)
         if partition is not None:
             witness = EdgeColoring(g, tuple(partition))
-            return McResult(
-                value=witness.color_count,
-                witness=witness,
-                method="naive-partition",
-                bounds=mc_bounds_basic(g),
-            )
+            return _checked_result(g, witness, "naive-partition", mc_bounds_basic(g))
     raise AssertionError("one color class always works on a connected graph")
 
 
@@ -733,10 +768,4 @@ def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
                 edges.append(g.edges[i])
             trees.append(tuple(sorted(edges)))
         witness = TreeCover(host=g, trees=tuple(sorted(trees))).to_coloring()
-    return McResult(
-        value=witness.color_count,
-        witness=witness,
-        method="tree-cover",
-        bounds=bounds,
-        stats=stats,
-    )
+    return _checked_result(g, witness, "tree-cover", bounds, stats)

@@ -1,19 +1,17 @@
 """Small-graph corpora: exhaustive connected graphs and seeded random ones.
 
-The exhaustive generator enumerates every labeled graph on ``n`` vertices,
-keeps the connected ones, and dedupes them up to isomorphism by taking the
-minimum edge-set bitmask over all vertex permutations (vectorized over the
-whole batch with numpy).  Restricting suites to one representative per class
-is sound for isomorphism-invariant quantities; relabeling spot checks are
-provided separately.
+The exhaustive generator walks the edge-set bitmasks on ``n`` vertices in
+increasing order and keeps the first connected mask of each isomorphism
+class, which is the class's minimum bitmask over all vertex permutations;
+its whole orbit is then marked as seen.  Restricting suites to one
+representative per class is sound for isomorphism-invariant quantities;
+relabeling spot checks are provided separately.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
-
-import numpy as np
 
 from .graph import Graph, is_connected
 
@@ -52,8 +50,10 @@ def nonisomorphic_connected_graphs(
 ) -> list[Graph]:
     """All connected graphs on exactly ``n`` vertices, one per isomorphism class.
 
-    Returned in a deterministic order (edge count, then canonical bitmask).
-    Intended for n <= 7; the permutation sweep is factorial in n.
+    Each class is represented by its minimum edge-set bitmask over all vertex
+    permutations, and the classes are returned in a deterministic order (edge
+    count, then that bitmask).  Intended for n <= 7; the sweep visits all
+    2^(n(n-1)/2) masks and maps each class through all n! permutations.
     """
     if n < 1:
         return []
@@ -62,31 +62,36 @@ def nonisomorphic_connected_graphs(
     pairs = list(combinations(range(n), 2))
     num_pairs = len(pairs)
     pair_pos = {p: i for i, p in enumerate(pairs)}
+    # each vertex permutation as the position it sends every pair position to
+    images = [
+        [pair_pos[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+        for perm in permutations(range(n))
+    ]
 
-    masks = []
+    seen = bytearray(1 << num_pairs)
+    canon = []
     for mask in range(1 << num_pairs):
-        if max_edges is not None and mask.bit_count() > max_edges:
+        # masks run upwards, so the first mask met in an orbit is its minimum;
+        # edge count and connectivity hold on a whole orbit or on none of it
+        if seen[mask]:
             continue
-        if mask.bit_count() < n - 1:
+        size = mask.bit_count()
+        if size < n - 1 or (max_edges is not None and size > max_edges):
             continue
-        if _mask_connected(n, pairs, mask):
-            masks.append(mask)
-    arr = np.array(masks, dtype=np.int64)
-    canon = arr.copy()
-    for perm in permutations(range(n)):
-        target = [
-            pair_pos[tuple(sorted((perm[u], perm[v])))] for u, v in pairs
-        ]
-        permuted = np.zeros_like(arr)
-        for i in range(num_pairs):
-            permuted |= ((arr >> i) & 1) << target[i]
-        np.minimum(canon, permuted, out=canon)
-    unique = sorted(set(int(x) for x in canon), key=lambda m: (m.bit_count(), m))
-    out = []
-    for mask in unique:
-        edges = [pairs[i] for i in range(num_pairs) if mask >> i & 1]
-        out.append(Graph(n, tuple(edges)))
-    return out
+        if not _mask_connected(n, pairs, mask):
+            continue
+        canon.append(mask)
+        bits = [i for i in range(num_pairs) if mask >> i & 1]
+        for target in images:
+            image = 0
+            for i in bits:
+                image |= 1 << target[i]
+            seen[image] = 1
+    canon.sort(key=lambda m: (m.bit_count(), m))
+    return [
+        Graph(n, tuple(pairs[i] for i in range(num_pairs) if mask >> i & 1))
+        for mask in canon
+    ]
 
 
 def connected_corpus(max_n: int, max_edges: int | None = None) -> list[Graph]:

@@ -1,21 +1,24 @@
-"""Byte pins on the command line's outputs and on the product-bound catalog.
+"""Byte pins on the command line's outputs, the product-bound catalog and the
+naive engine's witnesses.
 
-Each digest is the sha256 of one command's stdout, or of every answer the
-bound catalog gives over a fixed factor pool; a digest that moves means a
-user-visible output changed.
+Each digest is the sha256 of one command's stdout, of every answer the bound
+catalog gives over a fixed factor pool, or of every naive result over a fixed
+graph set; a digest that moves means a user-visible output changed.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from mcgraph import cli
 from mcgraph.bounds import corollary_lower, corollary_source, product_mc_bounds
-from mcgraph.exact import mc_exact
+from mcgraph.exact import mc_exact, mc_exact_naive
 from mcgraph.graph import Graph
 from mcgraph.mc import mc_bounds_combined
 from mcgraph.products import ProductKind, make_product
+from mcgraph.smallgraphs import random_connected_graph
 from mcgraph.verification import factor_pool
 
 FAMILY_ARGS = {
@@ -67,6 +70,7 @@ BOUNDS_DIGESTS = {
     "direct": "e54e1a1e563d601a0fbb22e10defacb8fce5cc9f9490a240814f67ab0278a12a",
 }
 CATALOG_DIGEST = "b3700215346f55fd8d03d4b4e8269c0ce46d6907ecc58f99d044b580709dfe9f"
+NAIVE_DIGEST = "8ec89b8f2f995e58e1bc54611859f0a16c02ebb92e78c36a14bc74dc96e19bda"
 REPORT_DIGESTS = {
     "csv": "4cb3643ead1d0936e326c4aafbb3ced06d0aa7771462088fa4675893ff8006c4",
     "json": "b005161afe72104e4cc207b187d5d756aa775151a153fa57584dee1fa0c375b8",
@@ -134,3 +138,16 @@ def test_bound_catalog():
                 lines.append(json.dumps([kind.value, gname, hname, answers]))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CATALOG_DIGEST
+
+
+def test_naive_witnesses(corpus6):
+    # corpus6 plus the 24 seven-vertex draws of oracle-sweep at seed 1; the
+    # digest was taken on the unpruned partition search
+    rng = random.Random(1)
+    drawn = [random_connected_graph(7, m, rng) for m in (9, 10, 11) for _ in range(8)]
+    h = hashlib.sha256()
+    for g in corpus6 + drawn:
+        res = mc_exact_naive(g)
+        h.update(json.dumps(res.to_dict(), sort_keys=True).encode())
+        h.update(repr(res.witness.colors).encode())
+    assert h.hexdigest() == NAIVE_DIGEST

@@ -5,10 +5,11 @@ import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcgraph.errors import BudgetExceededError
+from mcgraph import exact
 from mcgraph.exact import _Frontier, _TreeCoverSolver, mc_exact, mc_exact_naive
 from mcgraph.families import (
     NetworkSpec,
@@ -18,8 +19,8 @@ from mcgraph.families import (
     path_graph,
     star_graph,
 )
-from mcgraph.graph import build_graph
-from mcgraph.mc import TreeCover, check_mc_coloring, mc_bounds_basic
+from mcgraph.graph import build_graph, edge_components, is_connected
+from mcgraph.mc import EdgeColoring, TreeCover, check_mc_coloring, mc_bounds_basic
 from mcgraph.products import ProductKind, make_product
 from mcgraph.smallgraphs import random_connected_graph
 
@@ -57,6 +58,14 @@ class TestNaiveEngine:
     def test_cap_override(self):
         assert mc_exact_naive(complete_graph(6), max_edges=15).value == 15
 
+    def test_unchecked_witness_is_refused(self, monkeypatch):
+        # a partition that colors P4 with three colors leaves (0, 2) unserved
+        monkeypatch.setattr(
+            exact, "EdgeColoring", lambda g, colors: EdgeColoring(g, (0, 1, 2))
+        )
+        with pytest.raises(AssertionError, match=r"naive-partition .* \(0, 2\)"):
+            mc_exact_naive(path_graph(4))
+
 
 class TestTreeCoverEngine:
     def test_grid_value(self):
@@ -92,6 +101,13 @@ class TestTreeCoverEngine:
         ok, _ = check_mc_coloring(g, first.witness)
         assert ok and first.witness.color_count == first.value == 5
 
+    def test_unchecked_witness_is_refused(self, monkeypatch):
+        monkeypatch.setattr(
+            exact, "spanning_tree_coloring", lambda g: EdgeColoring(g, (0, 1, 2))
+        )
+        with pytest.raises(AssertionError, match=r"tree-cover .* \(0, 2\)"):
+            mc_exact(path_graph(4))
+
     def test_solver_trees_form_valid_cover(self):
         # rebuild the cover from the witness classes with >= 2 edges
         g = cycle_graph(6)
@@ -109,6 +125,14 @@ class TestEngineAgreement:
         rng = random.Random(17)
         for _ in range(15):
             g = random_connected_graph(7, rng.randint(6, 10), rng)
+            assert mc_exact(g).value == mc_exact_naive(g).value
+
+    def test_random_n8_m12(self):
+        # at the naive engine's edge cap; about 3 s a graph before the
+        # coverage cut
+        rng = random.Random(29)
+        for _ in range(10):
+            g = random_connected_graph(8, 12, rng)
             assert mc_exact(g).value == mc_exact_naive(g).value
 
     def test_agreement_survives_relabeling(self):
@@ -537,3 +561,88 @@ class TestMatchingBound:
     def test_matches_reference(self, query):
         solver, covered = query
         assert solver._matching(covered) == reference_matching(solver, covered)
+
+
+# -- naive engine: the coverage cut against the unpruned enumerator ---------------
+
+
+def reference_naive(g):
+    """The partition enumerator without the coverage cut, the differential
+    reference for ``mc_exact_naive``: for k from m down, walk every partition
+    into exactly k classes to its leaf and return the first valid one, as
+    (value, method, colors)."""
+    if g.n <= 1 or not is_connected(g):
+        return 0, "naive-partition", None
+    m = g.m
+    pair_id = {p: i for i, p in enumerate(combinations(range(g.n), 2))}
+    full_mask = (1 << len(pair_id)) - 1
+
+    def served_pairs(class_mask):
+        edges = [e for i, e in enumerate(g.edges) if class_mask >> i & 1]
+        mask = 0
+        for comp in edge_components(g.n, edges):
+            for a, b in combinations(comp, 2):
+                mask |= 1 << pair_id[(a, b)]
+        return mask
+
+    def search(k):
+        assignment = [0] * m
+        classes = []
+
+        def rec(i):
+            if i == m:
+                if len(classes) != k:
+                    return False
+                acc = 0
+                for cmask in classes:
+                    acc |= served_pairs(cmask)
+                return acc == full_mask
+            if len(classes) + (m - i) < k:
+                return False
+            bit = 1 << i
+            for c in range(min(len(classes) + 1, k)):
+                opened = c == len(classes)
+                if opened:
+                    classes.append(bit)
+                else:
+                    classes[c] |= bit
+                assignment[i] = c
+                if rec(i + 1):
+                    return True
+                if opened:
+                    classes.pop()
+                else:
+                    classes[c] ^= bit
+            return False
+
+        return tuple(assignment) if rec(0) else None
+
+    for k in range(m, 0, -1):
+        colors = search(k)
+        if colors is not None:
+            return k, "naive-partition", colors
+    raise AssertionError("one color class always works on a connected graph")
+
+
+@st.composite
+def naive_graphs(draw):
+    """A graph on at most 7 vertices with at most 10 edges, often
+    disconnected; one draw in four is a complete graph K1..K5."""
+    if draw(st.integers(0, 3)) == 0:
+        return complete_graph(draw(st.integers(1, 5)))
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=10)) if pairs else set()
+    return build_graph(n, sorted(chosen))
+
+
+class TestNaiveCoverageCut:
+    @settings(max_examples=50, deadline=None)
+    @given(naive_graphs())
+    @example(complete_graph(5))
+    @example(build_graph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3), (1, 5), (2, 6)]))
+    @example(build_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]))
+    def test_matches_unpruned_enumeration(self, g):
+        res = mc_exact_naive(g)
+        colors = res.witness.colors if res.witness else None
+        assert (res.value, res.method, colors) == reference_naive(g)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -38,7 +38,7 @@ from mcgraph.graph import (
     vertex_connectivity,
 )
 from mcgraph.mc import mc_bounds_basic, theorem1_certificate
-from mcgraph.smallgraphs import random_connected_graph
+from mcgraph.smallgraphs import nonisomorphic_connected_graphs, random_connected_graph
 from mcgraph.verification import (
     min_edge_cut_exhaustive,
     min_vertex_cut_exhaustive,
@@ -372,3 +372,27 @@ class TestFlowCounts:
         assert mc_bounds_basic(g).upper == g.m - g.n + first.vertex_connectivity + 1
         assert metrics(g) == first
         assert len(flows) == ran
+
+
+class TestConnectedCorpus:
+    def test_class_counts(self):
+        # connected graphs on n vertices up to isomorphism (OEIS A001349)
+        counts = [len(nonisomorphic_connected_graphs(n)) for n in range(1, 7)]
+        assert counts == [1, 1, 2, 6, 21, 112]
+
+    def test_each_graph_is_its_class_minimum(self, corpus6):
+        def mask(n, edges):
+            pos = {p: i for i, p in enumerate(combinations(range(n), 2))}
+            return sum(1 << pos[e] for e in edges)
+
+        keys = []
+        for g in corpus6:
+            assert is_connected(g) and g.m <= 10
+            own = mask(g.n, g.edges)
+            images = (
+                mask(g.n, [tuple(sorted((p[u], p[v]))) for u, v in g.edges])
+                for p in permutations(range(g.n))
+            )
+            assert own == min(images)
+            keys.append((g.n, g.m, own))
+        assert keys == sorted(set(keys)) and len(keys) == 124
