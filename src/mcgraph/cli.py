@@ -110,16 +110,24 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_INVALID
 
 
+# The keyword each sized suite takes --max-n as; its default stays in the
+# suite's signature.
+_SIZE_KEYWORDS = {
+    "core": "max_n",
+    "products": "max_vertices",
+    "bounds": "max_exact_vertices",
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite_fn = SUITES[args.suite]
-    if args.suite == "core":
-        result = suite_fn(max_n=args.max_n or 6, seed=args.seed)
-    elif args.suite == "products":
-        result = suite_fn(max_vertices=args.max_n or 24)
-    elif args.suite == "bounds":
-        result = suite_fn(max_exact_vertices=args.max_n or 10)
-    else:
-        result = suite_fn()
+    kwargs = {"seed": args.seed} if args.suite == "core" else {}
+    if args.max_n is not None:
+        if args.suite not in _SIZE_KEYWORDS:
+            raise ValueError(f"verify {args.suite} takes no --max-n")
+        if args.max_n <= 0:
+            raise ValueError(f"--max-n must be a positive integer, got {args.max_n}")
+        kwargs[_SIZE_KEYWORDS[args.suite]] = args.max_n
+    result = SUITES[args.suite](**kwargs)
     for line in result.summary_lines():
         print(line)
     total_pass = sum(result.passed.values())
@@ -184,7 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a cross-checking suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--max-n", type=int, dest="max_n")
+    p_verify.add_argument(
+        "--max-n",
+        type=int,
+        dest="max_n",
+        help="size cap of the core, products or bounds suite (default: its own)",
+    )
     p_verify.add_argument(
         "--seed",
         type=int,

@@ -87,6 +87,28 @@ def _checked_result(
 # ---------------------------------------------------------------------------
 
 
+class _ServedPairs(dict):
+    """Edge mask -> mask of the pairs joined inside that subgraph, memoised.
+
+    Defined once here: a class object always lies in a reference cycle, so
+    one defined per call would keep that call's graph until a full collection.
+    """
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.g = g
+        self.pair_id = {p: i for i, p in enumerate(combinations(range(g.n), 2))}
+
+    def __missing__(self, class_mask: int) -> int:
+        edges = [e for i, e in enumerate(self.g.edges) if class_mask >> i & 1]
+        mask = 0
+        for comp in edge_components(self.g.n, edges):
+            for pair in combinations(comp, 2):
+                mask |= 1 << self.pair_id[pair]
+        self[class_mask] = mask
+        return mask
+
+
 def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResult:
     """Exact mc by brute force over all edge-set partitions.
 
@@ -108,24 +130,9 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
     if m > max_edges:
         raise ValueError(f"naive enumeration cap exceeded: {m} edges > {max_edges}")
 
-    n = g.n
-    pair_id = {p: i for i, p in enumerate(combinations(range(n), 2))}
-    full_mask = (1 << len(pair_id)) - 1
+    served_pairs = _ServedPairs(g)
+    full_mask = (1 << len(served_pairs.pair_id)) - 1
     all_edges = (1 << m) - 1
-
-    class ServedPairs(dict):
-        """Edge mask -> mask of the pairs joined inside that subgraph, memoised."""
-
-        def __missing__(self, class_mask: int) -> int:
-            edges = [e for i, e in enumerate(g.edges) if class_mask >> i & 1]
-            mask = 0
-            for comp in edge_components(n, edges):
-                for a, b in combinations(comp, 2):
-                    mask |= 1 << pair_id[(a, b)]
-            self[class_mask] = mask
-            return mask
-
-    served_pairs = ServedPairs()
 
     def search(k: int) -> list[int] | None:
         """First valid partition of the edges into exactly k classes."""
@@ -165,7 +172,11 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
                     classes[c] ^= bit
             return False
 
-        return list(assignment) if rec(0) else None
+        try:
+            return list(assignment) if rec(0) else None
+        finally:
+            # rec's closure holds its own cell, and through it the memo
+            del rec
 
     for k in range(m, 0, -1):
         partition = search(k)

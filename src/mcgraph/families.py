@@ -1,16 +1,24 @@
 """Interconnection-network families and the proposition report.
 
-Families are built by iterated, left-associated products (A op B op C means
+Every family is one row of ``_FAMILIES``: the product kind (None for a plain
+graph), the factor list built from the parameters, the parameter count (None
+for any positive count), the least parameter value, and the message for a
+value below it.  ``NetworkSpec`` validates against the row and ``generate``
+builds its iterated, left-associated product (A op B op C means
 (A op B) op C), matching how the report splits each instance into a first
 block G and a remainder H.  Generators preserve coordinate labels.
+
+Every value the report attributes to an evaluator is a coloring that passed
+``check_mc_coloring``, a Theorem 1 certificate, or an ``mc_exact`` witness.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _io
-from dataclasses import dataclass
-from math import comb
+from dataclasses import asdict, astuple, dataclass, fields
+from math import comb, prod
+from typing import Callable, NamedTuple
 
 from .bounds import product_mc_bounds
 from .exact import mc_exact
@@ -18,7 +26,6 @@ from .graph import Graph, build_graph, is_complete
 from .mc import (
     all_distinct_coloring,
     check_mc_coloring,
-    mc_bounds_basic,
     mc_bounds_combined,
     theorem1_certificate,
 )
@@ -77,14 +84,10 @@ def petersen_graph() -> Graph:
 
 def hypercube_graph(dim: int) -> Graph:
     """The dim-cube as an iterated product of single edges (one vertex for dim 0)."""
-    if dim < 0:
-        raise ValueError("hypercube dimension must be >= 0")
-    if dim == 0:
-        return build_graph(1, [])
-    return _iterated(ProductKind.CARTESIAN, [path_graph(2)] * dim)
+    return generate(NetworkSpec("hypercube", (dim,)))
 
 
-def _iterated(kind: ProductKind, factors: list[Graph]) -> Graph:
+def _iterated(kind: ProductKind | None, factors: list[Graph]) -> Graph:
     """Left-associated iterated product; plain graph when only one factor."""
     result = factors[0]
     for nxt in factors[1:]:
@@ -92,25 +95,60 @@ def _iterated(kind: ProductKind, factors: list[Graph]) -> Graph:
     return result
 
 
-# -- family specs ------------------------------------------------------------
+# -- the family table --------------------------------------------------------
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "clique",
-    "star",
-    "hypercube",
-    "petersen",
-    "grid",
-    "mesh",
-    "lex_mesh",
-    "torus",
-    "lex_torus",
-    "generalized_hypercube",
-    "lex_generalized_hypercube",
-    "hyper_petersen",
-    "hl",
-)
+
+class _Family(NamedTuple):
+    kind: ProductKind | None  # None: a plain graph, one factor
+    factors: Callable[[tuple[int, ...]], list[Graph]]
+    count: int | None  # None: any positive number of parameters
+    floor: int
+    below_floor: str  # follows the family name in the error message
+
+
+CART, LEX = ProductKind.CARTESIAN, ProductKind.LEXICOGRAPHIC
+_POSITIVE = "parameters must be positive"
+
+
+def _each(base: Callable[[int], Graph]) -> Callable[[tuple[int, ...]], list[Graph]]:
+    return lambda p: [base(k) for k in p]
+
+
+def _cube_petersen(p: tuple[int, ...]) -> list[Graph]:
+    return [hypercube_graph(p[0] - 3), petersen_graph()]
+
+
+def _cube(p: tuple[int, ...]) -> list[Graph]:
+    return [path_graph(2)] * p[0] or [complete_graph(1)]  # the 0-cube is one vertex
+
+
+_FAMILIES: dict[str, _Family] = {
+    "path": _Family(None, _each(path_graph), 1, 1, _POSITIVE),
+    "cycle": _Family(None, _each(cycle_graph), 1, 3, "size must be at least three"),
+    "clique": _Family(None, _each(complete_graph), 1, 1, _POSITIVE),
+    "star": _Family(None, _each(star_graph), 1, 2, "needs at least two vertices"),
+    "hypercube": _Family(CART, _cube, 1, 0, "parameters must be non-negative"),
+    "petersen": _Family(None, lambda p: [petersen_graph()], 0, 0, ""),
+    "grid": _Family(CART, _each(path_graph), 2, 1, _POSITIVE),
+    "mesh": _Family(CART, _each(path_graph), None, 1, _POSITIVE),
+    "lex_mesh": _Family(LEX, _each(path_graph), None, 1, _POSITIVE),
+    "torus": _Family(
+        CART, _each(cycle_graph), None, 3, "rings must have size at least three"
+    ),
+    "lex_torus": _Family(
+        LEX, _each(cycle_graph), None, 3, "rings must have size at least three"
+    ),
+    "generalized_hypercube": _Family(
+        CART, _each(complete_graph), None, 2, "cliques need size at least two"
+    ),
+    "lex_generalized_hypercube": _Family(
+        LEX, _each(complete_graph), None, 2, "cliques need size at least two"
+    ),
+    "hyper_petersen": _Family(CART, _cube_petersen, 1, 3, "needs parameter n >= 3"),
+    "hl": _Family(LEX, _cube_petersen, 1, 3, "needs parameter n >= 3"),
+}
+FAMILIES = tuple(_FAMILIES)
+_COUNT_WORDS = ("no parameters", "exactly one parameter", "exactly two parameters")
 
 
 @dataclass(frozen=True)
@@ -121,74 +159,22 @@ class NetworkSpec:
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        row = _FAMILIES.get(self.family)
+        if row is None:
             raise ValueError(f"unknown family {self.family!r}")
         p = self.params
-        fam = self.family
-        if fam == "petersen":
-            if p:
-                raise ValueError("petersen takes no parameters")
-            return
-        if not p:
-            raise ValueError(f"{fam} needs parameters")
-        floor = 0 if fam == "hypercube" else 1  # the 0-cube is one vertex
-        if any(x < floor for x in p):
-            raise ValueError(f"{fam} parameters must be positive")
-        if fam in ("path", "cycle", "clique", "star", "hypercube", "hyper_petersen", "hl"):
-            if len(p) != 1:
-                raise ValueError(f"{fam} takes exactly one parameter")
-        if fam == "cycle" and p[0] < 3:
-            raise ValueError("cycle size must be at least three")
-        if fam == "star" and p[0] < 2:
-            raise ValueError("star needs at least two vertices")
-        if fam == "grid" and len(p) != 2:
-            raise ValueError("grid takes exactly two parameters")
-        if fam in ("torus", "lex_torus") and any(x < 3 for x in p):
-            raise ValueError("torus rings must have size at least three")
-        if fam in ("generalized_hypercube", "lex_generalized_hypercube") and any(
-            x < 2 for x in p
-        ):
-            raise ValueError("generalized hypercube cliques need size at least two")
-        if fam in ("hyper_petersen", "hl") and p[0] < 3:
-            raise ValueError(f"{fam} needs parameter n >= 3")
+        if not p and row.count != 0:
+            raise ValueError(f"{self.family} needs parameters")
+        if row.count is not None and len(p) != row.count:
+            raise ValueError(f"{self.family} takes {_COUNT_WORDS[row.count]}")
+        if any(x < row.floor for x in p):
+            raise ValueError(f"{self.family} {row.below_floor}")
 
 
 def generate(spec: NetworkSpec) -> Graph:
     """Build the family instance; product families keep product metadata."""
-    fam, p = spec.family, spec.params
-    if fam == "path":
-        return path_graph(p[0])
-    if fam == "cycle":
-        return cycle_graph(p[0])
-    if fam == "clique":
-        return complete_graph(p[0])
-    if fam == "star":
-        return star_graph(p[0])
-    if fam == "hypercube":
-        return hypercube_graph(p[0])
-    if fam == "petersen":
-        return petersen_graph()
-    if fam in ("grid", "mesh"):
-        return _iterated(ProductKind.CARTESIAN, [path_graph(k) for k in p])
-    if fam == "lex_mesh":
-        return _iterated(ProductKind.LEXICOGRAPHIC, [path_graph(k) for k in p])
-    if fam == "torus":
-        return _iterated(ProductKind.CARTESIAN, [cycle_graph(k) for k in p])
-    if fam == "lex_torus":
-        return _iterated(ProductKind.LEXICOGRAPHIC, [cycle_graph(k) for k in p])
-    if fam == "generalized_hypercube":
-        return _iterated(ProductKind.CARTESIAN, [complete_graph(k) for k in p])
-    if fam == "lex_generalized_hypercube":
-        return _iterated(ProductKind.LEXICOGRAPHIC, [complete_graph(k) for k in p])
-    if fam == "hyper_petersen":
-        return make_product(
-            ProductKind.CARTESIAN, hypercube_graph(p[0] - 3), petersen_graph()
-        )
-    if fam == "hl":
-        return make_product(
-            ProductKind.LEXICOGRAPHIC, hypercube_graph(p[0] - 3), petersen_graph()
-        )
-    raise AssertionError(fam)
+    row = _FAMILIES[spec.family]
+    return _iterated(row.kind, row.factors(spec.params))
 
 
 # -- proposition report ------------------------------------------------------
@@ -205,113 +191,87 @@ class PropositionRow:
     agree: bool
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": list(self.params),
-            "proposition": self.proposition,
-            "formula_value_or_interval": self.formula_value_or_interval,
-            "evaluator": self.evaluator,
-            "evaluator_value": self.evaluator_value,
-            "agree": self.agree,
-        }
+        return {**asdict(self), "params": list(self.params)}
 
 
 _EXACT_VERTEX_CAP = 10
 _EXACT_EDGE_CAP = 20
 
 
-def _exact_feasible(g: Graph) -> bool:
-    return is_complete(g) or (g.n <= _EXACT_VERTEX_CAP and g.m <= _EXACT_EDGE_CAP)
+def _evaluations(g: Graph, exact: bool) -> list[tuple[str, int]]:
+    """Each value of mc(g) an evaluator settles, with the evaluator's name.
 
-
-def _equality_row(
-    spec: NetworkSpec, proposition: str, formula: int
-) -> PropositionRow:
-    """Row for a proposition asserting an exact mc value."""
-    g = generate(spec)
-    evaluators = []
-    values = []
-    if is_complete(g) and g.n >= 2:
-        # every pair adjacent, so the all-distinct coloring is valid
+    A complete graph gets the all-distinct coloring once the checker accepts
+    it, any other graph its Theorem 1 certificate when one holds; ``exact``
+    adds the ``mc_exact`` value within the desk-scale caps.
+    """
+    found: list[tuple[str, int]] = []
+    complete = g.n >= 2 and is_complete(g)
+    if complete:
         witness = all_distinct_coloring(g)
-        ok, _ = check_mc_coloring(g, witness)
-        upper = mc_bounds_basic(g).upper
-        if ok and witness.color_count == upper:
-            evaluators.append("all-distinct")
-            values.append(witness.color_count)
+        if check_mc_coloring(g, witness)[0]:
+            found.append(("all-distinct", witness.color_count))
     else:
         cert = theorem1_certificate(g)
         if cert.holds:
-            evaluators.append("theorem1-certificate(" + ",".join(cert.conditions) + ")")
-            values.append(cert.value)
-    if _exact_feasible(g):
+            name = f"theorem1-certificate({','.join(cert.conditions)})"
+            found.append((name, cert.value))
+    if exact and (complete or (g.n <= _EXACT_VERTEX_CAP and g.m <= _EXACT_EDGE_CAP)):
         result = mc_exact(g)
         if result.value is not None:
-            evaluators.append("mc_exact")
-            values.append(result.value)
-    agree = bool(values) and all(v == formula for v in values)
-    return PropositionRow(
-        family=spec.family,
-        params=spec.params,
-        proposition=proposition,
-        formula_value_or_interval=str(formula),
-        evaluator="+".join(evaluators) if evaluators else "none",
-        evaluator_value=",".join(str(v) for v in values) if values else "-",
-        agree=agree,
-    )
+            found.append(("mc_exact", result.value))
+    return found
 
 
-def _lower_bound_row(
-    spec: NetworkSpec,
+def _row(
     proposition: str,
+    family: str,
+    params: tuple[int, ...],
     formula: int,
-    kind: ProductKind,
-    split: int,
+    split: int | None = None,
 ) -> PropositionRow:
-    """Row for a proposition asserting a lower bound on an iterated product.
+    """Row for a proposition asserting mc = ``formula``, or, given ``split``,
+    mc >= ``formula`` on an iterated product.
 
-    ``split`` is how many leading factors form the first block G.  The
-    proposition is reproduced by the displayed term |E(G)||V(H)| + 2 of the
+    ``split`` is how many leading factors form the first block G.  A lower
+    bound is reproduced by the displayed term |E(G)||V(H)| + 2 of the
     cartesian lower bound, |E(G)||V(H)|^2 + 2 of the lexicographic one (the
     max of an unordered branch may pick the other factor, so the comparison
-    uses the stated term).
+    uses the stated term), and by every evaluator value reaching it.
     """
-    g_all = generate(spec)
-    G = generate(NetworkSpec(spec.family, spec.params[:split]))
-    H = generate(NetworkSpec(spec.family, spec.params[split:]))
-    h_power = 2 if kind is ProductKind.LEXICOGRAPHIC else 1
-    term_value = G.m * H.n**h_power + 2
-    # only the branch lower is consumed here, and the lexicographic lower
-    # bounds stay valid over a complete first block
-    interval = product_mc_bounds(kind, G, H, allow_complete_first_factor=True)
-    # the full branch lower can only strengthen the displayed term
-    term_consistent = term_value == formula and interval.lower >= term_value
-
-    value: int | None = None
-    evaluator = f"product-term[{interval.lower_source}]"
-    if is_complete(g_all) and g_all.n >= 2:
-        value = mc_bounds_basic(g_all).upper
-        evaluator += "+all-distinct"
+    g = generate(NetworkSpec(family, params))
+    found = _evaluations(g, exact=split is None)
+    names = [name for name, _ in found]
+    values = [value for _, value in found]
+    if split is None:
+        stated = str(formula)
+        agree = bool(values) and all(v == formula for v in values)
     else:
-        cert = theorem1_certificate(g_all)
-        if cert.holds:
-            value = cert.value
-            evaluator += "+theorem1-certificate(" + ",".join(cert.conditions) + ")"
-    agree = term_consistent and value is not None and value >= formula
+        kind = _FAMILIES[family].kind
+        G = generate(NetworkSpec(family, params[:split]))
+        H = generate(NetworkSpec(family, params[split:]))
+        term = G.m * H.n ** (2 if kind is LEX else 1) + 2
+        # only the branch lower is consumed here, and the lexicographic lower
+        # bounds stay valid over a complete first block
+        interval = product_mc_bounds(kind, G, H, allow_complete_first_factor=True)
+        stated = f">={formula}"
+        names.insert(0, f"product-term[{interval.lower_source}]")
+        # the full branch lower can only strengthen the displayed term
+        term_ok = term == formula and interval.lower >= term
+        agree = term_ok and bool(values) and all(v >= formula for v in values)
     return PropositionRow(
-        family=spec.family,
-        params=spec.params,
+        family=family,
+        params=params,
         proposition=proposition,
-        formula_value_or_interval=f">={formula}",
-        evaluator=evaluator,
-        evaluator_value=str(value) if value is not None else "-",
+        formula_value_or_interval=stated,
+        evaluator="+".join(names) or "none",
+        evaluator_value=",".join(map(str, values)) or "-",
         agree=agree,
     )
 
 
 def _hl4_row() -> PropositionRow:
     interval = mc_bounds_combined(generate(NetworkSpec("hl", (4,))))
-    agree = (interval.lower, interval.upper) == (112, 121)
     return PropositionRow(
         family="hl",
         params=(4,),
@@ -319,111 +279,52 @@ def _hl4_row() -> PropositionRow:
         formula_value_or_interval="[112,121]",
         evaluator=f"combined-bounds[{interval.lower_source},{interval.upper_source}]",
         evaluator_value=f"[{interval.lower},{interval.upper}]",
-        agree=agree,
+        agree=(interval.lower, interval.upper) == (112, 121),
     )
 
 
 def proposition_report() -> list[PropositionRow]:
     """Evaluate the default instance of every proposition row (all desk scale)."""
-    rows: list[PropositionRow] = []
-
-    def p(family: str, *params: int) -> NetworkSpec:
-        return NetworkSpec(family, tuple(params))
-
-    # exact grid values: mc = n*m - n - m + 2
-    for nm in ((3, 2), (4, 2), (3, 3)):
-        n_, m_ = nm
-        rows.append(_equality_row(p("grid", *nm), "Prop1(i)", n_ * m_ - n_ - m_ + 2))
-    spec = p("lex_mesh", 4, 3)
-    rows.append(_equality_row(spec, "Prop1(ii)", 3 * 3 * 4 - 3 * 3 - 4 + 2))
-    spec = p("mesh", 2, 2, 2, 2)
-    l1, l2, rest = 2, 2, 2 * 2
-    rows.append(
-        _lower_bound_row(
-            spec,
-            "Prop2(i)",
-            (2 * l1 * l2 - l1 - l2) * rest + 2,
-            ProductKind.CARTESIAN,
-            split=2,
-        )
-    )
-    spec = p("lex_mesh", 2, 2, 2, 2)
-    l1, l2, rest = 2, 2, 2 * 2
-    rows.append(
-        _lower_bound_row(
-            spec,
-            "Prop2(ii)",
-            (l1 * l2 * l2 + l1 * l2 - l1 - l2 * l2) * rest * rest + 2,
-            ProductKind.LEXICOGRAPHIC,
-            split=2,
-        )
-    )
-    spec = p("torus", 3, 3, 3, 3)
-    rows.append(
-        _lower_bound_row(
-            spec,
-            "Prop3(i)",
-            3 * 3 * 3 * 3 + 2,
-            ProductKind.CARTESIAN,
-            split=1,
-        )
-    )
-    spec = p("lex_torus", 3, 3, 3, 3)
-    rows.append(
-        _lower_bound_row(
-            spec,
-            "Prop3(ii)",
-            3 * (3 * 3 * 3) ** 2 + 2,
-            ProductKind.LEXICOGRAPHIC,
-            split=1,
-        )
-    )
-    for params in ((2, 2, 2), (3, 2, 2)):
-        spec = p("generalized_hypercube", *params)
-        m1 = params[0]
-        rest = 1
-        for k in params[1:]:
-            rest *= k
-        rows.append(_equality_row(spec, "Prop4(i)", comb(m1, 2) * rest + 2))
+    # Prop2: a first block P_l1 x P_l2, then a remainder of order ``rest``
+    l1 = l2 = 2
+    rest = 2 * 2
+    prop2_cartesian = (2 * l1 * l2 - l1 - l2) * rest + 2
+    prop2_lexicographic = (l1 * l2 * l2 + l1 * l2 - l1 - l2 * l2) * rest * rest + 2
+    return [
+        # exact grid values: mc = n*m - n - m + 2
+        *(
+            _row("Prop1(i)", "grid", (n, m), n * m - n - m + 2)
+            for n, m in ((3, 2), (4, 2), (3, 3))
+        ),
+        _row("Prop1(ii)", "lex_mesh", (4, 3), 3 * 3 * 4 - 3 * 3 - 4 + 2),
+        _row("Prop2(i)", "mesh", (l1, l2, 2, 2), prop2_cartesian, split=2),
+        _row("Prop2(ii)", "lex_mesh", (l1, l2, 2, 2), prop2_lexicographic, split=2),
+        _row("Prop3(i)", "torus", (3, 3, 3, 3), 3 * 3 * 3 * 3 + 2, split=1),
+        _row("Prop3(ii)", "lex_torus", (3, 3, 3, 3), 3 * (3 * 3 * 3) ** 2 + 2, split=1),
         # Prop4(i) states a lower bound; at these sizes the diameter
         # certificate pins the exact value to the same expression.
-    spec = p("lex_generalized_hypercube", 2, 3)
-    rows.append(_equality_row(spec, "Prop4(ii)", comb(6, 2)))
-    for fam in ("hyper_petersen", "hl"):
-        spec = p(fam, 3)
-        rows.append(_equality_row(spec, "Prop5", 7))
-    spec = p("hyper_petersen", 4)
-    rows.append(_equality_row(spec, "Prop5", 22))
-    rows.append(_hl4_row())
-    return rows
+        *(
+            _row(
+                "Prop4(i)", "generalized_hypercube", p, comb(p[0], 2) * prod(p[1:]) + 2
+            )
+            for p in ((2, 2, 2), (3, 2, 2))
+        ),
+        _row("Prop4(ii)", "lex_generalized_hypercube", (2, 3), comb(2 * 3, 2)),
+        _row("Prop5", "hyper_petersen", (3,), 7),
+        _row("Prop5", "hl", (3,), 7),
+        _row("Prop5", "hyper_petersen", (4,), 22),
+        _hl4_row(),
+    ]
 
 
 def report_to_csv(rows: list[PropositionRow]) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "family",
-            "params",
-            "proposition",
-            "formula_value_or_interval",
-            "evaluator",
-            "evaluator_value",
-            "agree",
-        ]
-    )
+    writer.writerow([f.name for f in fields(PropositionRow)])
     for row in rows:
-        writer.writerow(
-            [
-                row.family,
-                " ".join(str(x) for x in row.params),
-                row.proposition,
-                row.formula_value_or_interval,
-                row.evaluator,
-                row.evaluator_value,
-                str(row.agree).lower(),
-            ]
-        )
+        family, params, *middle, agree = astuple(row)
+        params_text = " ".join(map(str, params))
+        writer.writerow([family, params_text, *middle, str(agree).lower()])
     return buf.getvalue()
 
 

@@ -57,6 +57,19 @@ GEN_DIGESTS = {
     "star": "2aa848ffa0aa6d9c4f737868dd30ea7d07ca08884316147ee63e368e9ca38fd7",
     "torus": "b801542468ee8cfb685c8953c221b407921b7319f37b1a972ab07728b46fe8d1",
 }
+# a second parameter set of each product family, and the one-vertex 0-cube
+GEN_MORE_DIGESTS = {
+    "generalized_hypercube 3 2 2": "1c028525fdd363c380955b30db4470c033c789ecf351f3101537846d9eb66bdf",
+    "grid 2 4": "31375c90a3c70d1895fadbfc52c7f143f9f3016a5286186ae56b4c7fbc87487d",
+    "hl 3": "30183de5055b41b56aa59b19cf1e94fb1cfd2bd22ba628be2b4e7f091ce1afae",
+    "hyper_petersen 3": "edaa7d35448e8cb86f7672401f29553d8b837a542a5783f2318a83b4ab1fb163",
+    "hypercube 0": "e8709616d448954c85e394de8939c77add7999b33ca813aaf4761b2cb224599e",
+    "lex_generalized_hypercube 2 2 2": "66a549c96ec670eb56def6513be553725f51f43f8c3f3e8ce6a29856db38b6ef",
+    "lex_mesh 2 2 3": "e08aae0118e71a80009add6e37efc2792f94e2d4cc19be6764ec15831c922b6c",
+    "lex_torus 3 4": "e2601ab4dec2c9d668309be9495d2c9cabf34b4787ed8368b64f7f2036651fc8",
+    "mesh 2 3 4": "e79b72024850050e218e84da525b251a7fdfe525ba3d9349d5e6929b73514c3a",
+    "torus 3 4 3": "88ec8fafcf690a98791c3f843ae00a2eb8ab8b375d293a88412e2f62e8295a9f",
+}
 PRODUCT_DIGESTS = {
     "cartesian": "0932026c0184a13d8c5aa82da184177471cf67306f3603596512dae3596025ca",
     "lexicographic": "36579fe7b213d2e7c3f859a2744e58eb391855993975edd1b1e4e0f4052135d5",
@@ -87,6 +100,11 @@ def test_gen_json(capsys, family):
     assert stdout_digest(capsys, "gen", family, *FAMILY_ARGS[family]) == (
         GEN_DIGESTS[family]
     )
+
+
+@pytest.mark.parametrize("spec", sorted(GEN_MORE_DIGESTS))
+def test_gen_json_second_parameters(capsys, spec):
+    assert stdout_digest(capsys, "gen", *spec.split()) == GEN_MORE_DIGESTS[spec]
 
 
 @pytest.mark.parametrize("kind", KINDS)

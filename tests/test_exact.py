@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import inspect
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -65,6 +67,23 @@ class TestNaiveEngine:
         )
         with pytest.raises(AssertionError, match=r"naive-partition .* \(0, 2\)"):
             mc_exact_naive(path_graph(4))
+
+    def test_memo_is_freed_without_the_collector(self):
+        # the search's memo must not sit in a reference cycle: with the cycle
+        # collector off, a call leaves nothing behind (a leaked memo is ~100 KB)
+        g = random_connected_graph(7, 11, random.Random(3))
+        gc.collect()
+        gc.disable()
+        try:
+            mc_exact_naive(g)  # warms per-graph caches and the free lists
+            tracemalloc.start()
+            base = tracemalloc.get_traced_memory()[0]
+            mc_exact_naive(g)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 1024
 
 
 class TestTreeCoverEngine:

@@ -1,6 +1,8 @@
 import pytest
 
+from mcgraph import cli, families
 from mcgraph.families import (
+    _FAMILIES,
     FAMILIES,
     NetworkSpec,
     generate,
@@ -11,6 +13,7 @@ from mcgraph.families import (
     report_to_csv,
     report_to_json_obj,
 )
+from mcgraph.mc import check_mc_coloring
 from mcgraph.products import ProductGraph, ProductKind
 
 
@@ -35,6 +38,82 @@ class TestSpecs:
             spec("generalized_hypercube", 1, 2)
         with pytest.raises(ValueError):
             spec("nonsense", 1)
+
+
+# family -> (message for one parameter below the floor, message for a wrong
+# parameter count); petersen takes no parameter to lower
+TABLE_MESSAGES = {
+    "path": ("path parameters must be positive", "path takes exactly one parameter"),
+    "cycle": ("cycle size must be at least three", "cycle takes exactly one parameter"),
+    "clique": ("clique parameters must be positive", "clique takes exactly one parameter"),
+    "star": ("star needs at least two vertices", "star takes exactly one parameter"),
+    "hypercube": (
+        "hypercube parameters must be non-negative",
+        "hypercube takes exactly one parameter",
+    ),
+    "petersen": (None, "petersen takes no parameters"),
+    "grid": ("grid parameters must be positive", "grid takes exactly two parameters"),
+    "mesh": ("mesh parameters must be positive", "mesh needs parameters"),
+    "lex_mesh": ("lex_mesh parameters must be positive", "lex_mesh needs parameters"),
+    "torus": ("torus rings must have size at least three", "torus needs parameters"),
+    "lex_torus": (
+        "lex_torus rings must have size at least three",
+        "lex_torus needs parameters",
+    ),
+    "generalized_hypercube": (
+        "generalized_hypercube cliques need size at least two",
+        "generalized_hypercube needs parameters",
+    ),
+    "lex_generalized_hypercube": (
+        "lex_generalized_hypercube cliques need size at least two",
+        "lex_generalized_hypercube needs parameters",
+    ),
+    "hyper_petersen": (
+        "hyper_petersen needs parameter n >= 3",
+        "hyper_petersen takes exactly one parameter",
+    ),
+    "hl": ("hl needs parameter n >= 3", "hl takes exactly one parameter"),
+}
+
+
+def least_params(family):
+    """The floor in every position; two positions for a family of any count,
+    so that a product family builds a product."""
+    row = _FAMILIES[family]
+    return (row.floor,) * (2 if row.count is None else row.count)
+
+
+def bad_specs(family):
+    """(params, pinned message): one value below the floor, a wrong count."""
+    row = _FAMILIES[family]
+    below, wrong_count = TABLE_MESSAGES[family]
+    wrong = () if row.count is None else (row.floor,) * (row.count + 1)
+    specs = [(wrong, wrong_count)]
+    if below is not None:
+        specs.append(((row.floor - 1,) + least_params(family)[1:], below))
+    return specs
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+class TestFamilyTable:
+    def test_least_parameters_build_the_row_kind(self, family):
+        row = _FAMILIES[family]
+        params = least_params(family)
+        g = generate(spec(family, *params))
+        one_factor = len(row.factors(params)) == 1
+        assert getattr(g, "kind", None) is (None if one_factor else row.kind)
+
+    def test_bad_specs_are_rejected(self, family):
+        for params, message in bad_specs(family):
+            with pytest.raises(ValueError) as info:
+                spec(family, *params)
+            assert str(info.value) == message
+
+    def test_gen_exits_2_on_bad_specs(self, family, capsys):
+        for params, message in bad_specs(family):
+            assert cli.main(["gen", family, *map(str, params)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 class TestGenerate:
@@ -162,3 +241,27 @@ class TestPropositionReport:
             }
             for o in objs
         )
+
+
+class TestAllDistinctIsChecked:
+    def test_every_complete_row_passes_the_checker(self, monkeypatch):
+        checked = []
+
+        def spy(g, coloring):
+            checked.append(g.m)
+            return check_mc_coloring(g, coloring)
+
+        monkeypatch.setattr(families, "check_mc_coloring", spy)
+        rows = [r for r in proposition_report() if "all-distinct" in r.evaluator]
+        # K16 (Prop2(ii)), K81 (Prop3(ii)) and K6 (Prop4(ii))
+        assert sorted(checked) == [15, 120, 3240]
+        assert [r.proposition for r in rows] == ["Prop2(ii)", "Prop3(ii)", "Prop4(ii)"]
+
+    def test_a_rejected_coloring_is_not_reported(self, monkeypatch):
+        monkeypatch.setattr(families, "check_mc_coloring", lambda g, c: (False, (0, 1)))
+        rows = {r.proposition: r for r in proposition_report()}
+        equality, lower = rows["Prop4(ii)"], rows["Prop2(ii)"]
+        assert (equality.evaluator, equality.evaluator_value) == ("mc_exact", "15")
+        assert equality.agree
+        assert (lower.evaluator, lower.evaluator_value) == ("product-term[Thm3(1)]", "-")
+        assert not lower.agree

@@ -14,6 +14,7 @@ from mcgraph.exact import mc_exact
 from mcgraph.families import NetworkSpec, cycle_graph, generate, path_graph
 from mcgraph.mc import EdgeColoring, mc_bounds_combined
 from mcgraph.products import ProductGraph, ProductKind
+from mcgraph.verification import SuiteResult
 
 
 class TestGraphJson:
@@ -216,6 +217,45 @@ class TestCli:
         code, out, _ = run_cli(capsys, "verify", "propositions")
         assert code == 0
         assert "PASS propositions.proposition_agreement" in out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("core", "--max-n", "0"), "--max-n must be a positive integer, got 0"),
+            (("products", "--max-n", "-1"), "--max-n must be a positive integer, got -1"),
+            (("propositions", "--max-n", "3"), "verify propositions takes no --max-n"),
+        ],
+    )
+    def test_verify_rejects_a_bad_max_n(self, capsys, monkeypatch, argv, message):
+        def never(**kwargs):
+            pytest.fail("a suite started")
+
+        monkeypatch.setattr(cli, "SUITES", dict.fromkeys(cli.SUITES, never))
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,kwargs",
+        [
+            (("core",), {"seed": 0}),
+            (("core", "--max-n", "4", "--seed", "2"), {"max_n": 4, "seed": 2}),
+            (("products",), {}),
+            (("products", "--max-n", "7"), {"max_vertices": 7}),
+            (("bounds", "--max-n", "8"), {"max_exact_vertices": 8}),
+            (("propositions",), {}),
+        ],
+    )
+    def test_verify_passes_max_n_only_when_given(self, capsys, monkeypatch, argv, kwargs):
+        calls = []
+
+        def suite(**given):
+            calls.append(given)
+            return SuiteResult(argv[0])
+
+        monkeypatch.setattr(cli, "SUITES", dict.fromkeys(cli.SUITES, suite))
+        code, _, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0 and calls == [kwargs]
 
     def test_gen_roundtrip_reserialization(self, workdir, capsys):
         out_path = workdir / "g.json"
