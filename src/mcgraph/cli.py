@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import io as gio
 from .errors import InapplicableError
@@ -148,8 +149,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr, exit 2, like
+    every other input error; subcommand parsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcgraph",
         description=(
             "Graph products, monochromatic connection numbers, bounds and "

@@ -4,33 +4,47 @@ Vertices are dense integers ``0..n-1``.  Edges are stored canonically with the
 smaller endpoint first and the edge tuple sorted, so two graphs are equal iff
 their serialized forms are byte-identical.  ``Graph`` instances are immutable;
 all operations here are pure functions, safe for concurrent readers.  Derived
-data (adjacency, sorted neighbours, vertex and edge connectivity) is computed
-on first use and cached on the instance.
+data (adjacency, sorted neighbours, diameter, vertex and edge connectivity) is
+computed on first use and cached on the instance.
 
 Every traversal of a ``Graph`` in the package goes through two primitives:
 
 * :func:`bfs_parents` -- breadth-first search tree from one source, visiting
   neighbours in ascending order (``Graph.neighbors``), optionally around a
-  set of removed vertices.  Distances, connectivity, components, bipartiteness,
-  cut vertices and the spanning trees of the colorings and the exact solver
-  are all read off it.
+  set of removed vertices.  Distances, connectivity, components, bipartiteness
+  and the spanning trees of the colorings and the exact solver are all read
+  off it.
 * :func:`edge_components` -- the one union-find, grouping the vertices touched
-  by an edge subset (a color class, a cover tree).
+  by an edge subset (a color class, a cover tree).  It roots only the vertices
+  it touches, so a one-edge class costs O(1), not O(n).
 
 Vertex and edge connectivity are unit-capacity max flows (Menger), run
 sparingly: from a minimum-degree pivot only (Esfahanian and Hakimi,
 *Networks* 14(2), 1984), each capped at the best cut found so far, and, for
-the question "is kappa >= k?", from the first k vertices only with flows
-capped at k (Even, *SIAM J. Comput.* 4(3), 1975).  The comment above
-``_max_flow`` gives the arguments.
+the question "is kappa >= k?", not at all when the minimum degree already
+forces the answer (Chartrand and Harary, 1968), else from the first k
+vertices only with flows capped at k (Even, *SIAM J. Comput.* 4(3), 1975).
+The comment above ``_max_flow`` gives the arguments.
 
-Three searches stay separate on purpose: ``_max_flow`` walks a residual arc
-map rather than the graph; the bitmask searches in
-``exact._TreeCoverSolver._max_subset_edges_table`` and
-``smallgraphs._mask_connected`` run over up to 2^21 vertex or edge masks
-inside search and corpus set-up, where building a ``Graph`` per mask would
-dominate; and the exhaustive-cut oracles in ``verification`` are kept
-independent of the code they check.
+Four searches stay separate on purpose:
+
+* ``_max_flow`` walks residual arc arrays, not the graph: a list of arc ids
+  per node, a ``head`` list and a ``room`` list, with arc ``a ^ 1`` the
+  reverse of arc ``a``.  It undoes only the arcs it pushed, so one network
+  serves every flow of a search without a copy per flow.
+* :func:`has_cut_vertex` is one depth-first lowpoint search (Hopcroft and
+  Tarjan), which a breadth-first tree cannot replace; it keeps its own stack,
+  so deep graphs meet no recursion limit.
+* :func:`diameter` runs one level-by-level search per source that keeps only
+  a visited list and the depth, with no parent map per source.
+* The bitmask searches in ``exact._TreeCoverSolver._max_subset_edges_table``
+  and ``smallgraphs._mask_connected`` run over up to 2^21 vertex or edge
+  masks inside search and corpus set-up, where building a ``Graph`` per mask
+  would dominate.
+
+Each search of a graph costs O(n + m), so a large sparse graph costs what its
+edges cost.  The exhaustive-cut oracles in ``verification`` are kept
+independent of all of this code.
 """
 
 from __future__ import annotations
@@ -81,6 +95,11 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def diameter(self) -> int | float:
+        """The diameter, computed once per graph by :func:`diameter`."""
+        return diameter(self)
 
     @cached_property
     def vertex_connectivity(self) -> int:
@@ -182,22 +201,21 @@ def edge_components(n: int, edges) -> list[list[int]]:
     Only components with at least one edge are returned, each as an ascending
     vertex list, ordered by smallest vertex.
     """
-    root = list(range(n))
+    root: dict[int, int] = {}
 
     def find(x: int) -> int:
+        root.setdefault(x, x)
         while root[x] != x:
             root[x] = root[root[x]]
             x = root[x]
         return x
 
-    touched: set[int] = set()
     for u, v in edges:
-        touched.update((u, v))
         ru, rv = find(u), find(v)
         if ru != rv:
             root[ru] = rv
     comps: dict[int, list[int]] = {}
-    for x in sorted(touched):
+    for x in sorted(root):
         comps.setdefault(find(x), []).append(x)
     return list(comps.values())
 
@@ -274,23 +292,78 @@ def complement(g: Graph) -> Graph:
 
 
 def diameter(g: Graph) -> int | float:
-    """Maximum pairwise distance; inf when disconnected, 0 for n <= 1."""
+    """Maximum pairwise distance; inf when disconnected, 0 for n <= 1.
+
+    One level-by-level search per source; a complete graph needs none.
+    Computes afresh; ``g.diameter`` holds the value computed once.
+    """
     if g.n <= 1:
         return 0
-    worst: int | float = 0
-    for v in g.vertices():
-        far = max(distances_from(g, v))
-        if far == INFINITE:
+    if is_complete(g):
+        return 1
+    nbrs = g.neighbors
+    worst = 0
+    for s in g.vertices():
+        seen = [False] * g.n
+        seen[s] = True
+        level, reached, depth = [s], 1, 0
+        while True:
+            nxt = []
+            for u in level:
+                for w in nbrs[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        nxt.append(w)
+            if not nxt:
+                break
+            level, reached, depth = nxt, reached + len(nxt), depth + 1
+        if reached < g.n:
             return INFINITE
-        worst = max(worst, far)
+        worst = max(worst, depth)
     return worst
 
 
 def has_cut_vertex(g: Graph) -> bool:
-    """True iff removing some single vertex disconnects the graph."""
-    if g.n <= 2 or not is_connected(g):
+    """True iff removing some single vertex disconnects the connected graph.
+
+    One depth-first search from vertex 0 numbers the vertices in visit order
+    and gives each its lowpoint, the smallest number reachable from its
+    subtree by one non-tree edge (Hopcroft and Tarjan).  The root is a cut
+    vertex iff it has two or more tree children; any other vertex u is one
+    iff some child's lowpoint is at least u's number, since no edge then
+    climbs from that child's subtree above u.  Counting the tree edge to the
+    parent among those edges lowers no lowpoint below the parent's number,
+    so the test is unaffected.  Disconnected graphs answer False.
+    """
+    if g.n <= 2 or g.m < g.n - 1:
         return False
-    return any(len(connected_components(g, (v,))) > 1 for v in g.vertices())
+    nbrs = g.neighbors
+    order = [-1] * g.n
+    low = [0] * g.n
+    order[0] = 0
+    visited, root_children, cut = 1, 0, False
+    stack = [(0, iter(nbrs[0]))]
+    while stack:
+        u, rest = stack[-1]
+        for w in rest:
+            if order[w] < 0:
+                order[w] = low[w] = visited
+                visited += 1
+                stack.append((w, iter(nbrs[w])))
+                break
+            if order[w] < low[u]:
+                low[u] = order[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[u] < low[p]:
+                    low[p] = low[u]
+                if p == 0:
+                    root_children += 1
+                elif low[u] >= order[p]:
+                    cut = True
+    return visited == g.n and (cut or root_children > 1)
 
 
 # Connectivity.  By Menger's theorem the local connectivity of a non-adjacent
@@ -307,7 +380,14 @@ def has_cut_vertex(g: Graph) -> bool:
 #   neighbours of v: at most n + delta^2 flows, not one per non-adjacent pair.
 # * Caps.  A flow that reaches the best cut found so far cannot lower it, so
 #   each flow stops after that many augmenting paths; a connected graph has
-#   no cut below 1, so the search also stops once it finds one of size 1.
+#   no cut below 1, so the search stops once it finds one of size 1, and
+#   does not start (nor build its network) when delta is 1.
+# * Degree threshold (Chartrand and Harary, 1968).  If a set S of at most
+#   k - 1 vertices separates x from y, each of x and y has its neighbours in
+#   S and its own side, and the two sides and S share n vertices, so
+#   deg x + deg y <= n + |S| - 2 <= n + k - 3.  Hence 2 delta >= n + k - 2
+#   gives kappa >= k with no flow at all: the complement of a sparse graph,
+#   where Thm1(a) asks "kappa >= 4?", answers at once.
 # * Threshold (Even, SIAM J. Comput. 4(3), 1975).  A cut of fewer than k
 #   vertices misses one of any k vertices and separates it from one of its
 #   non-neighbours, so kappa >= k iff every flow from the first k vertices to
@@ -320,55 +400,74 @@ def has_cut_vertex(g: Graph) -> bool:
 # and share none of its code.
 
 
-def _max_flow(arcs: dict[int, dict[int, int]], s: int, t: int, cap: int) -> int:
-    """Arc-disjoint ``s``-``t`` paths in a unit-capacity digraph, at most ``cap``.
+# A residual network: the arc ids leaving each node, and each arc's head and
+# remaining room.  Arcs come in pairs, ``a ^ 1`` the reverse of ``a``.
+FlowNetwork = tuple[list[list[int]], list[int], list[int]]
 
-    Augments along breadth-first paths in a residual copy of ``arcs`` and
-    stops after ``cap`` paths, so ``arcs`` can serve every flow of a search.
+
+def _max_flow(net: FlowNetwork, s: int, t: int, cap: int) -> int:
+    """Arc-disjoint ``s``-``t`` paths in a unit-capacity network, at most ``cap``.
+
+    Augments along breadth-first paths and stops after ``cap`` paths; on
+    return every pushed arc is restored, so ``net`` serves every flow of a
+    search.
     """
-    residual = {u: dict(out) for u, out in arcs.items()}
+    out, head, room = net
+    pushed: list[int] = []
     flow = 0
     while flow < cap:
-        prev: dict[int, int] = {s: s}
-        queue = deque([s])
-        while queue and t not in prev:
-            u = queue.popleft()
-            for w, room in residual[u].items():
-                if room > 0 and w not in prev:
-                    prev[w] = u
-                    queue.append(w)
-        if t not in prev:
+        via = [-1] * len(out)  # the arc a search first reached each node by
+        via[s] = len(head)  # no arc: marks the source reached
+        queue = [s]
+        for u in queue:  # the queue grows while it is read
+            for a in out[u]:
+                if room[a] and via[head[a]] < 0:
+                    via[head[a]] = a
+                    queue.append(head[a])
+            if via[t] >= 0:
+                break
+        if via[t] < 0:
             break
         v = t
         while v != s:
-            u = prev[v]
-            residual[u][v] -= 1
-            residual[v][u] = residual[v].get(u, 0) + 1
-            v = u
+            a = via[v]
+            room[a] -= 1
+            room[a ^ 1] += 1
+            pushed.append(a)
+            v = head[a ^ 1]
         flow += 1
+    for a in pushed:
+        room[a] += 1
+        room[a ^ 1] -= 1
     return flow
 
 
-def _split_network(g: Graph) -> dict[int, dict[int, int]]:
-    """Vertex-split digraph: ``v`` becomes ``2v -> 2v + 1``, each edge two arcs
-    out of one endpoint's out-copy into the other's in-copy.  Vertex-disjoint
-    ``s``-``t`` paths are the flows from ``2s + 1`` to ``2t``."""
-    arcs: dict[int, dict[int, int]] = {i: {} for i in range(2 * g.n)}
-    for v in g.vertices():
-        arcs[2 * v][2 * v + 1] = 1
+def _split_network(g: Graph) -> FlowNetwork:
+    """Vertex-split network: ``v`` becomes ``2v -> 2v + 1`` (arc ``2v``), each
+    edge two arcs out of one endpoint's out-copy into the other's in-copy,
+    each paired with an empty reverse arc.  Vertex-disjoint ``s``-``t`` paths
+    are the flows from ``2s + 1`` to ``2t``."""
+    out = [[a] for a in range(2 * g.n)]
+    head = [a ^ 1 for a in range(2 * g.n)]
     for u, v in g.edges:
-        arcs[2 * u + 1][2 * v] = 1
-        arcs[2 * v + 1][2 * u] = 1
-    return arcs
+        a = len(head)
+        head += (2 * v, 2 * u + 1, 2 * u, 2 * v + 1)
+        out[2 * u + 1].append(a)
+        out[2 * v].append(a + 1)
+        out[2 * v + 1].append(a + 2)
+        out[2 * u].append(a + 3)
+    return out, head, [1, 0] * (len(head) // 2)
 
 
-def _edge_network(g: Graph) -> dict[int, dict[int, int]]:
-    """Each edge as two opposite unit arcs: edge-disjoint paths are flows."""
-    arcs: dict[int, dict[int, int]] = {v: {} for v in g.vertices()}
-    for u, v in g.edges:
-        arcs[u][v] = 1
-        arcs[v][u] = 1
-    return arcs
+def _edge_network(g: Graph) -> FlowNetwork:
+    """Edge ``i`` as arcs ``2i`` and ``2i + 1``, room 1 each way: edge-disjoint
+    paths are flows."""
+    out: list[list[int]] = [[] for _ in g.vertices()]
+    for i, (u, v) in enumerate(g.edges):
+        out[u].append(2 * i)
+        out[v].append(2 * i + 1)
+    head = [w for u, v in g.edges for w in (v, u)]
+    return out, head, [1] * len(head)
 
 
 def min_degree(g: Graph) -> int:
@@ -391,24 +490,30 @@ def vertex_connectivity(g: Graph) -> int:
         ((v, u) for u in g.vertices() if u != v and u not in near),
         ((x, y) for x, y in combinations(g.neighbors[v], 2) if not g.has_edge(x, y)),
     )
-    net = _split_network(g)
     best = len(near)
+    if best == 1:
+        return 1
+    net = _split_network(g)
     for s, t in pairs:
+        best = min(best, _max_flow(net, 2 * s + 1, 2 * t, best))
         if best == 1:
             break
-        best = min(best, _max_flow(net, 2 * s + 1, 2 * t, best))
     return best
 
 
 def connectivity_at_least(g: Graph, k: int) -> bool:
-    """Whether ``vertex_connectivity(g) >= k``, by at most k(n - 1) flows
-    capped at k rather than by computing the connectivity."""
+    """Whether ``vertex_connectivity(g) >= k``, by the degree threshold or by
+    at most k(n - 1) flows capped at k rather than by computing the
+    connectivity."""
     if k <= 0:
         return True
     if is_complete(g):
         return g.n - 1 >= k
-    if k > min_degree(g):
+    delta = min_degree(g)
+    if k > delta:
         return False
+    if 2 * delta >= g.n + k - 2:
+        return True
     net = _split_network(g)
     return all(
         _max_flow(net, 2 * v + 1, 2 * u, k) == k
@@ -429,12 +534,14 @@ def edge_connectivity(g: Graph) -> int:
         return 0
     if is_complete(g):
         return g.n - 1
-    net = _edge_network(g)
     best = min_degree(g)
+    if best == 1:
+        return 1
+    net = _edge_network(g)
     for t in range(1, g.n):
+        best = min(best, _max_flow(net, 0, t, best))
         if best == 1:
             break
-        best = min(best, _max_flow(net, 0, t, best))
     return best
 
 
@@ -444,7 +551,7 @@ def metrics(g: Graph) -> GraphMetrics:
     return GraphMetrics(
         min_degree=min(degs),
         max_degree=max(degs),
-        diameter=diameter(g),
+        diameter=g.diameter,
         vertex_connectivity=g.vertex_connectivity,
         edge_connectivity=g.edge_connectivity,
         is_connected=is_connected(g),

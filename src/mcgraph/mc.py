@@ -22,7 +22,6 @@ from .graph import (
     bfs_parents,
     complement,
     connectivity_at_least,
-    diameter,
     edge_components,
     has_cut_vertex,
     is_complete,
@@ -197,13 +196,16 @@ def check_mc_coloring(
     """
     if coloring.host.n != g.n or coloring.host.edges != g.edges:
         raise ValueError("coloring does not color this graph's edge set")
-    served: set[tuple[int, int]] = set()
+    served = [0] * g.n  # bit v of served[u]: some class joins u and v
     for edges in coloring.color_classes():
         for comp in edge_components(g.n, edges):
-            served.update(combinations(comp, 2))
-    for pair in combinations(range(g.n), 2):
-        if pair not in served:
-            return False, pair
+            mask = sum(1 << v for v in comp)
+            for v in comp:
+                served[v] |= mask
+    for u in g.vertices():
+        missing = ~served[u] & ((1 << g.n) - (2 << u))  # the v > u unserved
+        if missing:
+            return False, (u, (missing & -missing).bit_length() - 1)
     return True, None
 
 
@@ -283,7 +285,7 @@ def theorem1_certificate(g: Graph) -> Theorem1Certificate:
         conditions.append("b")
     if Fraction(delta) < n - Fraction(2 * m - 3 * (n - 1), n - 3):
         conditions.append("c")
-    if diameter(g) >= 3:
+    if g.diameter >= 3:
         conditions.append("d")
     if has_cut_vertex(g):
         conditions.append("e")

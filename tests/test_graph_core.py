@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import combinations, permutations
 from math import comb
 
@@ -37,7 +38,12 @@ from mcgraph.graph import (
     relabel,
     vertex_connectivity,
 )
-from mcgraph.mc import mc_bounds_basic, theorem1_certificate
+from mcgraph.mc import (
+    EdgeColoring,
+    check_mc_coloring,
+    mc_bounds_basic,
+    theorem1_certificate,
+)
 from mcgraph.smallgraphs import nonisomorphic_connected_graphs, random_connected_graph
 from mcgraph.verification import (
     min_edge_cut_exhaustive,
@@ -330,6 +336,136 @@ def test_cached_connectivity(g, rnd):
     assert metrics(g) == metrics(g) == metrics(h)
 
 
+# References: the dict-of-dicts flow network that copied itself per flow, the
+# n-search cut-vertex test, the union-find rooted on every vertex, the
+# per-source diameter and the pair-set checker.  The kernel must agree with
+# them exactly.
+
+
+def reference_max_flow(arcs, s, t, cap):
+    residual = {u: dict(out) for u, out in arcs.items()}
+    flow = 0
+    while flow < cap:
+        prev = {s: s}
+        queue = deque([s])
+        while queue and t not in prev:
+            u = queue.popleft()
+            for w, room in residual[u].items():
+                if room > 0 and w not in prev:
+                    prev[w] = u
+                    queue.append(w)
+        if t not in prev:
+            break
+        v = t
+        while v != s:
+            u = prev[v]
+            residual[u][v] -= 1
+            residual[v][u] = residual[v].get(u, 0) + 1
+            v = u
+        flow += 1
+    return flow
+
+
+def reference_split_network(g):
+    arcs = {i: {} for i in range(2 * g.n)}
+    for v in g.vertices():
+        arcs[2 * v][2 * v + 1] = 1
+    for u, v in g.edges:
+        arcs[2 * u + 1][2 * v] = 1
+        arcs[2 * v + 1][2 * u] = 1
+    return arcs
+
+
+def reference_edge_network(g):
+    arcs = {v: {} for v in g.vertices()}
+    for u, v in g.edges:
+        arcs[u][v] = 1
+        arcs[v][u] = 1
+    return arcs
+
+
+def reference_has_cut_vertex(g):
+    if g.n <= 2 or not is_connected(g):
+        return False
+    return any(len(connected_components(g, (v,))) > 1 for v in g.vertices())
+
+
+def reference_edge_components(n, edges):
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    touched = set()
+    for u, v in edges:
+        touched.update((u, v))
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+    comps = {}
+    for x in sorted(touched):
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
+
+
+def reference_diameter(g):
+    if g.n <= 1:
+        return 0
+    worst = 0
+    for v in g.vertices():
+        far = max(distances_from(g, v))
+        if far == INFINITE:
+            return INFINITE
+        worst = max(worst, far)
+    return worst
+
+
+def reference_check(g, coloring):
+    served = set()
+    for edges in coloring.color_classes():
+        for comp in reference_edge_components(g.n, edges):
+            served.update(combinations(comp, 2))
+    for pair in combinations(range(g.n), 2):
+        if pair not in served:
+            return False, pair
+    return True, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+# vertex 0 is the only cut vertex: only the root rule finds it
+@example(build_graph(3, [(0, 1), (0, 2)]), random.Random(0))
+@example(PIVOT_IN_EVERY_MIN_CUT, random.Random(1))
+def test_kernel_matches_references(g, rnd):
+    for h in (g, complement(g)):
+        caps = range(1, min_degree(h) + 2)
+        pairs = list(permutations(h.vertices(), 2))
+        for build, reference, node in (
+            (graph_module._split_network, reference_split_network, lambda v, end: 2 * v + end),
+            (graph_module._edge_network, reference_edge_network, lambda v, end: v),
+        ):
+            # one network serves every flow, as in a connectivity search
+            net, arcs = build(h), reference(h)
+            for (s, t), cap in ((p, c) for p in pairs for c in caps):
+                a, b = node(s, 1), node(t, 0)
+                assert graph_module._max_flow(net, a, b, cap) == reference_max_flow(
+                    arcs, a, b, cap
+                )
+        assert has_cut_vertex(h) is reference_has_cut_vertex(h)
+        assert diameter(h) == h.diameter == reference_diameter(h)
+        assert edge_components(h.n, h.edges) == reference_edge_components(h.n, h.edges)
+        if h.m:
+            drawn = [rnd.randrange(rnd.randint(1, h.m)) for _ in range(h.m)]
+            rank = {c: i for i, c in enumerate(sorted(set(drawn)))}
+            coloring = EdgeColoring(h, tuple(rank[c] for c in drawn))
+            for edges in coloring.color_classes():
+                assert edge_components(h.n, edges) == reference_edge_components(h.n, edges)
+            assert check_mc_coloring(h, coloring) == reference_check(h, coloring)
+
+
 TORUS_3333 = generate(NetworkSpec("torus", (3, 3, 3, 3)))
 
 
@@ -372,6 +508,51 @@ class TestFlowCounts:
         assert mc_bounds_basic(g).upper == g.m - g.n + first.vertex_connectivity + 1
         assert metrics(g) == first
         assert len(flows) == ran
+
+
+Q6 = generate(NetworkSpec("hypercube", (6,)))
+HL4 = generate(NetworkSpec("hl", (4,)))
+
+
+class TestFlowPins:
+    # kappa and lambda run exactly the flows they ran over the dict network
+    @pytest.mark.parametrize(
+        "g,kappa_flows,lambda_flows",
+        [(TORUS_3333, 96, 80), (Q6, 72, 63), (HL4, 39, 19)],
+        ids=["torus3333", "Q6", "hl4"],
+    )
+    def test_same_flow_counts(self, flows, g, kappa_flows, lambda_flows):
+        vertex_connectivity(g)
+        assert len(flows) == kappa_flows
+        edge_connectivity(g)
+        assert len(flows) == kappa_flows + lambda_flows
+
+    @pytest.mark.parametrize("g", [TORUS_3333, Q6], ids=["torus3333", "Q6"])
+    def test_theorem1a_on_sparse_graphs_runs_no_flow(self, flows, g):
+        assert "a" in theorem1_certificate(g).conditions
+        assert flows == []
+
+    def test_theorem1a_threshold_in_4n_flows_on_hl4(self, flows):
+        # the complement has delta 6 < (20 + 2) / 2, so Even's flows still run
+        assert "a" not in theorem1_certificate(HL4).conditions
+        assert 0 < len(flows) <= 4 * HL4.n
+
+    def test_degree_threshold_is_tight(self, flows):
+        # the prism: n = 6, delta = kappa = 3
+        prism = complement(cycle_graph(6))
+        assert connectivity_at_least(prism, 2) and flows == []
+        assert connectivity_at_least(prism, 3) and flows != []
+
+    def test_diameter_computed_once_for_metrics_and_theorem1(self, monkeypatch):
+        calls = []
+        real = graph_module.diameter
+        monkeypatch.setattr(
+            graph_module, "diameter", lambda g: calls.append(g) or real(g)
+        )
+        g = generate(NetworkSpec("grid", (3, 2)))
+        assert metrics(g).diameter == 3
+        assert "d" in theorem1_certificate(g).conditions
+        assert len(calls) == 1
 
 
 class TestConnectedCorpus:

@@ -318,6 +318,28 @@ def test_malformed_graph_exits_2_without_traceback(tmp_path, text):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "torus", "x"), ("verify", "core", "--max-n", "x"), ("mc", "nope", "f.json"), ()],
+    ids=["gen-bad-int", "verify-bad-max-n", "mc-bad-mode", "no-command"],
+)
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exited.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("gen", "--help")])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exited.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: mcgraph")
+
+
 def test_forged_product_metadata_never_excludes_mc(corpus6):
     """Every (kind, a x b) claim on every corpus graph: rejected, or sound."""
     loaded = 0
