@@ -18,11 +18,16 @@ round per waste limit, from the root floor up to n - 3, and stops at the
 first cover found.  A node's children are generated one waste increment
 (delta) at a time, from path frontiers kept between increments, and bounded
 before they are applied; the moves of delta d + 1 are built only after
-every child of delta d has failed.  When no round finds a cover, or the
-floor is already n - 2 (kappa <= 1), the spanning-tree coloring (waste
-n - 2) is returned.  The two engines are kept independent and are
-cross-checked against each other in the test suite.  Each passes its witness
-through ``check_mc_coloring`` before it returns a value.
+every child of delta d has failed.  The frontiers count paths per (vertex
+set, last vertex) instead of listing them (Held and Karp's subset states),
+children are bounded once per (target, vertex set) group, and only the
+groups that pass are rebuilt into concrete moves; every node is charged
+exactly what listing the paths and children would cost.  When no round
+finds a cover, or the floor is already n - 2 (kappa <= 1), the
+spanning-tree coloring (waste n - 2) is returned.  The two engines are kept
+independent and are cross-checked against each other in the test suite.
+Each passes its witness through ``check_mc_coloring`` before it returns a
+value.
 """
 
 from __future__ import annotations
@@ -191,19 +196,38 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
 # ---------------------------------------------------------------------------
 
 
+def _count(tally: int) -> int:
+    """The number of paths or moves behind a tally (see ``_Frontier``)."""
+    return 1 if tally >= 0 else -tally
+
+
+def _merged(tally: int, count: int) -> int:
+    """The tally of the paths or moves behind ``tally`` and ``count`` more."""
+    return (tally if tally < 0 else -1) - count
+
+
 class _Frontier:
     """The simple paths over ``free`` from a vertex of ``starts`` to a vertex
-    of ``ends``, one length at a time.
+    of ``ends``, one length at a time, counted rather than listed.
 
     A path touches ``ends`` only at its last vertex, its internal vertices
-    avoid ``forbidden``, and no start lies in ``ends``.  ``prefixes`` holds
-    the open prefixes (vertex mask, edge mask, last vertex) of length
-    ``length``, or None before the first call.  ``paths(k)`` grows them to
-    length k - 1 and returns the (vertex mask, edge mask) of every path of
-    length k; k must rise from call to call.  The solver is charged one node
-    per start and one per new prefix, so after the calls for lengths 1..k
-    the charge is that of a depth-first enumeration of every path of length
-    at most k.
+    avoid ``forbidden``, and no start lies in ``ends``.  Two open prefixes
+    with the same vertex set and the same last vertex have the same
+    extensions, so ``states`` keeps one tally per (vertex mask, last vertex)
+    of the open prefixes of length ``length`` (None before the first call).
+    A tally is the edge mask of the state's one prefix, or minus the number
+    of its prefixes when there are several.  ``paths(k)`` grows the states
+    to length k - 1 and returns ``{vertex mask: tally}`` over the paths of
+    length k; k must rise from call to call.  ``expand(vmask)`` rebuilds the
+    edge masks of the paths behind one of those vertex masks.
+
+    The frontier stands for ``weight`` identical frontiers (the connectors
+    of that many base paths with one vertex set).  It is charged
+    ``weight`` nodes per start, and per grow step ``weight`` times the
+    summed counts of the states the step creates, which is the number of
+    prefixes it would have listed; so after the calls for lengths 1..k the
+    charge is that of ``weight`` depth-first enumerations of every path of
+    length at most k.
 
     At a prefix ending at x the extensions are ``free[x] & open & ~path_v``,
     where ``open`` is every vertex outside ``ends`` and ``forbidden``, and
@@ -212,7 +236,9 @@ class _Frontier:
     is needed.
     """
 
-    __slots__ = ("solver", "free", "starts", "ends", "open_v", "prefixes", "length")
+    __slots__ = (
+        "solver", "free", "starts", "ends", "open_v", "weight", "states", "length"
+    )
 
     def __init__(
         self,
@@ -221,52 +247,96 @@ class _Frontier:
         starts: int,
         ends: int,
         forbidden: int = 0,
+        weight: int = 1,
     ):
         self.solver = solver
         self.free = free
         self.starts = starts
         self.ends = ends
         self.open_v = solver.vertex_mask & ~ends & ~forbidden
-        self.prefixes: list[tuple[int, int, int]] | None = None
+        self.weight = weight
+        self.states: dict[tuple[int, int], int] | None = None
         self.length = 0
 
-    def paths(self, k: int) -> list[tuple[int, int]]:
+    def paths(self, k: int) -> dict[int, int]:
         solver, free = self.solver, self.free
         ebit = solver.ebit
-        prefixes = self.prefixes
-        if prefixes is None:
-            solver._tick_prefixes(self.starts.bit_count())
-            prefixes = []
+        states = self.states
+        if states is None:
+            solver._tick_prefixes(self.weight * self.starts.bit_count())
+            states = {}
             rest = self.starts
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                prefixes.append((bit, 0, bit.bit_length() - 1))
+                states[bit, bit.bit_length() - 1] = 0
         open_v = self.open_v
-        while self.length < k - 1 and prefixes:
-            grown = []
-            for pv, pe, x in prefixes:
+        while self.length < k - 1 and states:
+            grown: dict[tuple[int, int], int] = {}
+            created = 0
+            for (pv, x), tally in states.items():
                 cand = free[x] & open_v & ~pv
-                if cand:
-                    ex = ebit[x]
-                    while cand:
-                        wbit = cand & -cand
-                        cand ^= wbit
-                        grown.append((pv | wbit, pe | ex[wbit], wbit.bit_length() - 1))
-            solver._tick_prefixes(len(grown))
-            prefixes = grown
+                if not cand:
+                    continue
+                one = tally >= 0
+                count = 1 if one else -tally
+                created += count * cand.bit_count()
+                ex = ebit[x]
+                while cand:
+                    wbit = cand & -cand
+                    cand ^= wbit
+                    key = (pv | wbit, wbit.bit_length() - 1)
+                    old = grown.get(key)
+                    if old is None:
+                        grown[key] = tally | ex[wbit] if one else tally
+                    else:  # _merged(old, count), inline in the hottest loop
+                        grown[key] = (old if old < 0 else -1) - count
+            solver._tick_prefixes(self.weight * created)
+            states = grown
             self.length += 1
-        self.prefixes = prefixes
+        self.states = states
         ends = self.ends
-        out = []
-        for pv, pe, x in prefixes:
+        out: dict[int, int] = {}
+        for (pv, x), tally in states.items():
             cand = free[x] & ends
             if cand:
                 ex = ebit[x]
                 while cand:
                     wbit = cand & -cand
                     cand ^= wbit
-                    out.append((pv | wbit, pe | ex[wbit]))
+                    key = pv | wbit
+                    old = out.get(key)
+                    if old is None:
+                        out[key] = tally | ex[wbit] if tally >= 0 else tally
+                    else:
+                        out[key] = _merged(old, _count(tally))
+        return out
+
+    def expand(self, vmask: int) -> list[int]:
+        """The edge masks of the frontier's paths whose vertex set is
+        exactly ``vmask``, by a depth-first walk inside ``vmask`` on an
+        explicit stack; charges nothing."""
+        free, ebit = self.free, self.solver.ebit
+        inner = vmask & self.open_v
+        last = vmask & self.ends
+        out = []
+        stack = []
+        rest = vmask & self.starts
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            stack.append((bit, bit.bit_length() - 1, 0))
+        while stack:
+            pv, x, pe = stack.pop()
+            if pv | last == vmask:  # the path uses the whole vertex set
+                if free[x] & last:
+                    out.append(pe | ebit[x][last])
+                continue
+            cand = free[x] & inner & ~pv
+            while cand:
+                wbit = cand & -cand
+                cand ^= wbit
+                stack.append((pv | wbit, wbit.bit_length() - 1, pe | ebit[x][wbit]))
         return out
 
 
@@ -297,21 +367,30 @@ class _TreeCoverSolver:
     for delta d + 1.  Delta leads the sort key, so the visit order is that
     of sorting every move of the node at once.  The paths behind the moves
     are kept per node as ``_Frontier`` objects (the u..v paths, each
-    attachment, each base path's connectors), each holding its open
-    prefixes of one length; a frontier grows by one edge only when a level
-    needs longer paths, so a path that no visited level needs is never
-    built.
+    attachment, the connectors of each base vertex set), each holding its
+    open prefixes of one length, counted per (vertex set, last vertex); a
+    frontier grows by one edge only when a level needs longer paths, so a
+    path that no visited level needs is never built.  A level comes as
+    groups of children with one target and one added vertex set, each with
+    its count.  The matching cut reads nothing else of a child, so it runs
+    once per group, and only the groups that pass it are rebuilt into
+    concrete moves, by a walk inside the group's vertex set.
 
     One node is charged per generated child, cut or not, per round root and
     per start or prefix that a frontier builds; ``max_nodes`` caps the sum,
     and the search raises with ``nodes == max_nodes + 1``.  ``path_nodes``
-    counts the starts and prefixes.  After lengths 1..k, a frontier's charge
-    is that of a plain depth-first enumeration of the paths up to length k
-    (the tests keep that enumerator as its reference).  A node that visits
-    every level is charged what building all its moves at once would cost;
-    a node that finds a cover early is charged less.  So no search is
-    charged more than one that builds every move of a node before visiting
-    any.
+    counts the starts and prefixes.  Counting changes no charge: a level is
+    charged the summed counts of its groups, which is its number of
+    children, before any of them is counted as cut, and a cut group counts
+    all its children; a grow step is charged its frontier's weight times
+    the summed counts of the states it creates, which is the number of
+    prefixes that the frontiers it stands for would have listed.  After
+    lengths 1..k, a frontier's charge is thus that of ``weight`` plain
+    depth-first enumerations of the paths up to length k (the tests keep
+    that enumerator as its reference).  A node that visits every level is
+    charged what building all its moves at once would cost; a node that
+    finds a cover early is charged less.  So no search is charged more than
+    one that builds every move of a node before visiting any.
     All iteration orders are fixed, so the witness is deterministic.
     """
 
@@ -542,12 +621,16 @@ class _TreeCoverSolver:
 
     def _levels(self, u: int, v: int, budget: int, dp: list[int]):
         """Every minimal service of the pair (u, v) within the waste budget,
-        one delta at a time: yields (1, the unsorted moves of delta 1), then
-        (2, the moves of delta 2), and so on.
+        one delta at a time, grouped by the vertices each move adds to its
+        tree: yields (1, groups, rebuild) for delta 1, then for delta 2, and
+        so on.
 
-        Moves are (delta, target, add_vmask, add_emask); target -1 opens a
-        new tree.  A move is kept only where its tree's ``_delta_gate``
-        passes its delta.  The kinds of move at delta d:
+        ``groups`` lists (target, {add_vmask: tally}): per target, the tally
+        of the moves that add each vertex set (see ``_Frontier``); target -1
+        opens a new tree.  ``rebuild(target, add_vmask)`` lists the edge
+        masks of one group's moves, and holds until the next level is asked
+        for.  A move is kept only where its tree's ``_delta_gate`` passes its
+        delta.  The kinds of move at delta d:
 
         - a new tree: a u..v path of length d + 1;
         - a tree housing one endpoint: an attachment path of length d from
@@ -557,12 +640,15 @@ class _TreeCoverSolver:
           plus a connector of length d - L from one of its vertices into
           the tree, avoiding the base's vertices.
 
-        The u..v paths, each attachment and each (base, tree) connector are
-        a ``_Frontier`` that grows only when a level asks for a longer path,
-        so the paths of delta d + 1 are built only after the caller has
-        visited every child of delta d.  Children change ``used_edges`` and
-        the trees between levels and restore them, so the frontiers work
-        over a snapshot of the free edges and of the trees taken here.
+        The u..v paths, each attachment and the connectors of each (base
+        vertex set, tree) are a ``_Frontier`` that grows only when a level
+        asks for a longer path, so the paths of delta d + 1 are built only
+        after the caller has visited every child of delta d.  A connector
+        never uses an edge inside its base's vertex set, so the base paths
+        that share a vertex set share one connector frontier, weighted by
+        their number.  Children change ``used_edges`` and the trees between
+        levels and restore them, so the frontiers work over a snapshot of
+        the free edges and of the trees taken here.
         """
 
         def top(ok: list[bool]) -> int:
@@ -571,10 +657,11 @@ class _TreeCoverSolver:
         free = self._free_masks()
         new_ok = self._delta_gate(2, 0, budget, dp)
         last = top(new_ok)
-        housing = []  # (t, delta gate, attachment frontier)
-        # (t, tree vertices, delta gate, [first base length not yet joined to
-        # connectors], connectors)
-        pending = []
+        housing = {}  # t -> (delta gate, attachment frontier)
+        # t -> (tree vertices, delta gate, [first base length not yet joined
+        # to connectors], connectors: [base vertex mask, base tally,
+        # frontier, its paths at this level])
+        pending = {}
         ubit, vbit = 1 << u, 1 << v
         for t, tv in enumerate(self.tree_v):
             ok = self._delta_gate(
@@ -586,48 +673,82 @@ class _TreeCoverSolver:
             last = max(last, worth)
             if tv & (ubit | vbit):
                 start = vbit if tv & ubit else ubit
-                housing.append((t, ok, _Frontier(self, free, start, tv)))
+                housing[t] = (ok, _Frontier(self, free, start, tv))
             else:
-                pending.append((t, tv, ok, [1], []))
+                pending[t] = (tv, ok, [1], [])
 
         uv_front = _Frontier(self, free, ubit, vbit)
         # uv_paths[k]: the u..v paths of length k, cached for every consumer
-        uv_paths: list[list[tuple[int, int]]] = [[]]
+        uv_paths: list[dict[int, int]] = [{}]
 
-        def uv(length: int) -> list[tuple[int, int]]:
+        def uv(length: int) -> dict[int, int]:
             while len(uv_paths) <= length:
                 uv_paths.append(uv_front.paths(len(uv_paths)))
             return uv_paths[length]
 
         for d in range(1, last + 1):
-            level = []
+            groups = []
             if new_ok[d]:
-                level += [(d, -1, pv, pe) for pv, pe in uv(d + 1)]
-            for t, ok, front in housing:
+                groups.append((-1, uv(d + 1)))
+            for t, (ok, front) in housing.items():
                 if ok[d]:
-                    level += [(d, t, pv, pe) for pv, pe in front.paths(d)]
-            for t, tv, ok, next_base, connectors in pending:
+                    groups.append((t, front.paths(d)))
+            for t, (tv, ok, next_base, connectors) in pending.items():
                 if not ok[d]:
                     continue
-                for pv, pe in uv(d):
+                joined = {}
+                for pv, tally in uv(d).items():
                     crossing = pv & tv
                     if crossing and not crossing & (crossing - 1):
-                        level.append((d, t, pv, pe))
+                        joined[pv] = tally
                 for length in range(next_base[0], d):
-                    for pv, pe in uv(length):
+                    for pv, tally in uv(length).items():
                         if not pv & tv:
-                            front = _Frontier(self, free, pv, tv, forbidden=pv)
-                            connectors.append((length, pv, pe, front))
+                            front = _Frontier(
+                                self, free, pv, tv, forbidden=pv, weight=_count(tally)
+                            )
+                            connectors.append([pv, tally, front, None])
                 next_base[0] = d
                 live = []
                 for conn in connectors:
-                    length, pv, pe, front = conn
-                    for cv, ce in front.paths(d - length):
-                        level.append((d, t, pv | cv, pe | ce))
-                    if front.prefixes:
+                    base_v, base, front = conn[0], conn[1], conn[2]
+                    conn[3] = found = front.paths(d + 1 - base_v.bit_count())
+                    for cv, tally in found.items():
+                        if base >= 0 and tally >= 0:  # one base path, one connector
+                            tally |= base
+                        else:
+                            tally = -front.weight * _count(tally)
+                        key = base_v | cv
+                        old = joined.get(key)
+                        if old is not None:
+                            tally = _merged(old, _count(tally))
+                        joined[key] = tally
+                    if front.states:
                         live.append(conn)
                 connectors[:] = live
-            yield d, level
+                groups.append((t, joined))
+
+            def rebuild(t: int, add_v: int, d: int = d) -> list[int]:
+                if t < 0:
+                    return uv_front.expand(add_v)
+                if t in housing:
+                    return housing[t][1].expand(add_v)
+                out = uv_front.expand(add_v) if add_v in uv_paths[d] else []
+                for base_v, _, front, found in pending[t][3]:
+                    if base_v & ~add_v:
+                        continue
+                    # the connector holds the rest and one vertex y of the base
+                    rest, ys = add_v & ~base_v, base_v
+                    while ys:
+                        y = ys & -ys
+                        ys ^= y
+                        if (rest | y) in found:
+                            bases = uv_front.expand(base_v)
+                            for ce in front.expand(rest | y):
+                                out += [be | ce for be in bases]
+                return out
+
+            yield d, groups, rebuild
 
     # -- state updates ------------------------------------------------------
 
@@ -671,27 +792,39 @@ class _TreeCoverSolver:
             return None
         u, v = self.pairs[(rest & -rest).bit_length() - 1]
         inside_memo, matching_memo = self.inside_memo, self.matching_memo
-        for delta, level in self._levels(u, v, budget, dp):
-            self._tick(len(level))
-            # the matching cut runs once per generated child, so the memo
-            # hits are taken inline, saving two method calls per child
+        for delta, groups, rebuild in self._levels(u, v, budget, dp):
+            # the matching cut reads only a child's target and vertex set, so
+            # it runs once per group, with the memo hits taken inline; the
+            # level is charged before its cuts are counted, as if each child
+            # were charged and then cut
             slack = budget - delta
             covered, tree_v = self.covered, self.tree_v
             children = []
-            for move in level:
-                target, add_v = move[1], move[2]
-                tv = add_v if target < 0 else tree_v[target] | add_v
-                inside = inside_memo.get(tv)
-                if inside is None:
-                    inside = self._inside(tv)
-                after = covered | inside
-                need = matching_memo.get(after)
-                if need is None:
-                    need = self._matching(after)
-                if need > slack:
-                    self.cut += 1
-                else:
-                    children.append(move)
+            total = cut = 0
+            for target, found in groups:
+                tree = 0 if target < 0 else tree_v[target]
+                for add_v, tally in found.items():
+                    count = 1 if tally >= 0 else -tally
+                    total += count
+                    tv = tree | add_v
+                    inside = inside_memo.get(tv)
+                    if inside is None:
+                        inside = self._inside(tv)
+                    after = covered | inside
+                    need = matching_memo.get(after)
+                    if need is None:
+                        need = self._matching(after)
+                    if need > slack:
+                        cut += count
+                    elif tally >= 0:
+                        children.append((delta, target, add_v, tally))
+                    else:
+                        children += [
+                            (delta, target, add_v, add_e)
+                            for add_e in rebuild(target, add_v)
+                        ]
+            self._tick(total)
+            self.cut += cut
             children.sort(key=self._move_key)
             for _delta, target, add_v, add_e in children:
                 created, t, state = self._apply(target, add_v, add_e, delta)

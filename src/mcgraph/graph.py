@@ -387,7 +387,8 @@ def has_cut_vertex(g: Graph) -> bool:
 #   S and its own side, and the two sides and S share n vertices, so
 #   deg x + deg y <= n + |S| - 2 <= n + k - 3.  Hence 2 delta >= n + k - 2
 #   gives kappa >= k with no flow at all: the complement of a sparse graph,
-#   where Thm1(a) asks "kappa >= 4?", answers at once.
+#   where Thm1(a) asks "kappa >= 4?", answers at once, from the maximum
+#   degree of the graph, without the complement being built.
 # * Threshold (Even, SIAM J. Comput. 4(3), 1975).  A cut of fewer than k
 #   vertices misses one of any k vertices and separates it from one of its
 #   non-neighbours, so kappa >= k iff every flow from the first k vertices to
@@ -501,6 +502,17 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
+def _connectivity_by_degree(n: int, delta: int, k: int) -> bool | None:
+    """Whether a graph on n vertices of minimum degree ``delta`` has kappa
+    >= k >= 1, where the degrees settle it (kappa <= delta, and the degree
+    threshold above), or None where Even's flows must decide."""
+    if k > delta:
+        return False
+    if 2 * delta >= n + k - 2:
+        return True
+    return None
+
+
 def connectivity_at_least(g: Graph, k: int) -> bool:
     """Whether ``vertex_connectivity(g) >= k``, by the degree threshold or by
     at most k(n - 1) flows capped at k rather than by computing the
@@ -509,11 +521,24 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
         return True
     if is_complete(g):
         return g.n - 1 >= k
-    delta = min_degree(g)
-    if k > delta:
-        return False
-    if 2 * delta >= g.n + k - 2:
+    by_degree = _connectivity_by_degree(g.n, min_degree(g), k)
+    return _even_flows_reach(g, k) if by_degree is None else by_degree
+
+
+def complement_connectivity_at_least(g: Graph, k: int) -> bool:
+    """``connectivity_at_least(complement(g), k)``, with the complement built
+    only when Even's flows must run: its minimum degree is n - 1 - max
+    degree of ``g``."""
+    if k <= 0:
         return True
+    max_degree = max((g.degree(v) for v in g.vertices()), default=0)
+    by_degree = _connectivity_by_degree(g.n, g.n - 1 - max_degree, k)
+    return _even_flows_reach(complement(g), k) if by_degree is None else by_degree
+
+
+def _even_flows_reach(g: Graph, k: int) -> bool:
+    """Even's test: every flow from the first k vertices to their
+    non-neighbours reaches k."""
     net = _split_network(g)
     return all(
         _max_flow(net, 2 * v + 1, 2 * u, k) == k

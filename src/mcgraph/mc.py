@@ -20,8 +20,7 @@ from .errors import InapplicableError
 from .graph import (
     Graph,
     bfs_parents,
-    complement,
-    connectivity_at_least,
+    complement_connectivity_at_least,
     edge_components,
     has_cut_vertex,
     is_complete,
@@ -279,7 +278,7 @@ def theorem1_certificate(g: Graph) -> Theorem1Certificate:
     n, m = g.n, g.m
     delta = max(g.degree(v) for v in g.vertices())
     conditions: list[str] = []
-    if connectivity_at_least(complement(g), 4):
+    if complement_connectivity_at_least(g, 4):
         conditions.append("a")
     if not _has_triangle(g):
         conditions.append("b")

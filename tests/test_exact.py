@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from mcgraph.errors import BudgetExceededError
 from mcgraph import exact
-from mcgraph.exact import _Frontier, _TreeCoverSolver, mc_exact, mc_exact_naive
+from mcgraph.exact import (
+    _count,
+    _Frontier,
+    _TreeCoverSolver,
+    mc_exact,
+    mc_exact_naive,
+)
 from mcgraph.families import (
     NetworkSpec,
     complete_graph,
@@ -202,11 +208,43 @@ PINNED_DIGESTS = {
 }
 
 
+# The exact search counters (nodes, cut, path_nodes), the regression gates:
+# recorded with the listed path frontiers that the counted ones replaced.
+# lex_P3_C5 is the bounds-only run at 500,000 nodes.
+COUNTER_PINS = {
+    "strong_P3_K4": (37, 0, 14),
+    "lex_P3_C4": (688_620, 377_023, 309_950),
+    "lex_P3_star4": (129_693, 70_127, 56_222),
+    "lex_P3_P4": (59_496, 37_353, 22_021),
+    "lex_P2_C5": (521, 293, 177),
+    "cartesian_C3_C4": (0, 0, 0),
+    "lex_P3_C5": (500_001, 257_820, 186_160),
+    "strong_P3_K5": (4_142_946, 2_949_496, 1_192_712),
+}
+
+# sha256 of every SearchStats.to_dict() over each set, recorded likewise
+STATS_DIGESTS = {
+    "corpus6": "2df3ef3e7305b3c750a034de93e46b3b6bb43730c6106fa599e300ab3e8df420",
+    "dense_random": "53e616a35c71554dbff3d18151c83b785752f2dceb9e9d11c83668ce14ebcafc",
+}
+
+
 def witness_digest(results) -> str:
     h = hashlib.sha256()
     for res in results:
         h.update(repr((res.value, res.method, res.witness.colors)).encode())
     return h.hexdigest()
+
+
+def stats_digest(results) -> str:
+    h = hashlib.sha256()
+    for res in results:
+        h.update(repr(res.stats.to_dict()).encode())
+    return h.hexdigest()
+
+
+def counters(res) -> tuple[int, int, int]:
+    return res.stats.nodes, res.stats.cut, res.stats.path_nodes
 
 
 @pytest.fixture(scope="module")
@@ -221,13 +259,15 @@ def product_results():
 
 class TestSearchRegression:
     def test_corpus6_witnesses_pinned(self, corpus6):
-        digest = witness_digest(mc_exact(g) for g in corpus6)
-        assert digest == PINNED_DIGESTS["corpus6"]
+        results = [mc_exact(g) for g in corpus6]
+        assert witness_digest(results) == PINNED_DIGESTS["corpus6"]
+        assert stats_digest(results) == STATS_DIGESTS["corpus6"]
 
     def test_dense_random_witnesses_pinned(self):
         graphs = dense_random_graphs()
         results = [mc_exact(g) for g in graphs]
         assert witness_digest(results) == PINNED_DIGESTS["dense_random"]
+        assert stats_digest(results) == STATS_DIGESTS["dense_random"]
         # the set exercises deepening: some floors sit below the optimum, and
         # some covers are found only after a round at the floor found none
         wastes = [g.m - res.value for g, res in zip(graphs, results)]
@@ -255,6 +295,14 @@ class TestSearchRegression:
         assert product_results["lex_P3_star4"][1].stats.nodes <= 150_000
         assert product_results["lex_P3_P4"][1].stats.nodes <= 70_000
 
+    def test_counters_pinned(self, product_results):
+        for name, *_ in PRODUCTS:
+            assert counters(product_results[name][1]) == COUNTER_PINS[name], name
+        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
+        res = mc_exact(g, max_nodes=500_000)
+        assert res.method == "bounds-only"
+        assert counters(res) == COUNTER_PINS["lex_P3_C5"]
+
     def test_strong_P3_K5_decided(self):
         # the Lem1 ceiling 71 is attained; the stream took 4,142,946 nodes,
         # where building every move before visiting any exceeded 10^7
@@ -265,6 +313,7 @@ class TestSearchRegression:
         assert ok and res.witness.color_count == 71
         assert res.stats.nodes <= 5_000_000
         assert witness_digest([res]) == PINNED_DIGESTS["strong_P3_K5"]
+        assert counters(res) == COUNTER_PINS["strong_P3_K5"]
 
     @pytest.mark.parametrize(
         "kind,a,b,max_nodes",
@@ -400,17 +449,39 @@ def run_reference(g, args, used, budget, spent):
     return out, solver.nodes - spent
 
 
-def run_frontier(g, args, used, budget, spent):
+def grouped(pairs):
+    """(vertex mask, edge mask) pairs as {vertex mask: (count, sorted edge masks)}."""
+    groups = {}
+    for pv, pe in pairs:
+        groups.setdefault(pv, []).append(pe)
+    return {pv: (len(pes), sorted(pes)) for pv, pes in groups.items()}
+
+
+def rebuilt(found, expand):
+    """Counted paths or moves, ``{key: tally}``, with every group rebuilt by
+    ``expand(key)``: {key: (count, sorted edge masks)}.  Each group rebuilds
+    to as many as it counts, and a one-path tally is that path's edge mask."""
+    out = {}
+    for key, tally in found.items():
+        edges = sorted(expand(key))
+        assert len(edges) == _count(tally)
+        if tally >= 0:
+            assert edges == [tally]
+        out[key] = (_count(tally), edges)
+    return out
+
+
+def run_frontier(g, args, used, budget, spent, weight=1):
     """One frontier asked for lengths 1..max_len in turn: per length, the
-    sorted paths (or "budget exceeded", ending the run) and the ticks
-    spent so far."""
+    paths grouped by vertex set as counted and as rebuilt (or "budget
+    exceeded", ending the run), and the ticks spent so far."""
     starts, ends, max_len, forbidden = args
     solver = fresh_solver(g, used, budget, spent)
-    front = _Frontier(solver, solver._free_masks(), starts, ends, forbidden)
+    front = _Frontier(solver, solver._free_masks(), starts, ends, forbidden, weight)
     levels = []
     for k in range(1, max_len + 1):
         try:
-            out = sorted(front.paths(k))
+            out = rebuilt(front.paths(k), front.expand)
         except BudgetExceededError:
             out = "budget exceeded"
         levels.append((out, solver.nodes - spent))
@@ -429,8 +500,9 @@ class TestPathEnumeration:
         starts, ends, max_len, forbidden = args
         levels = run_frontier(g, args, used, budget, spent)
         for k, (out, ticks) in enumerate(levels, start=1):
-            # the reference capped at length k: same paths of length k (as a
-            # multiset), the same ticks, the same budget raise
+            # the reference capped at length k: per vertex set, the same
+            # number of paths of length k and the same paths rebuilt, the
+            # same ticks, the same budget raise
             ref_out, ref_ticks = run_reference(
                 g, (starts, ends, k, forbidden), used, budget, spent
             )
@@ -439,7 +511,7 @@ class TestPathEnumeration:
                 assert out == ref_out
             else:
                 ref_k = [(pv, pe) for pv, pe, n_edges in ref_out if n_edges == k]
-                assert out == sorted(ref_k)
+                assert out == grouped(ref_k)
 
     @pytest.mark.parametrize("max_nodes", [0, 1, 10])
     def test_tiny_budget_raises_at_the_same_node(self, max_nodes):
@@ -450,6 +522,18 @@ class TestPathEnumeration:
             "budget exceeded",
             max_nodes + 1,
         )
+
+    def test_weight_multiplies_the_charge(self):
+        # a frontier of weight w finds the same paths and is charged w
+        # times as much: it stands for w frontiers with one start set
+        args = (0b11, 1 << 6, 5, 0b11)
+        one = run_frontier(complete_graph(7), args, 0, 10**9, 0)
+        three = run_frontier(complete_graph(7), args, 0, 10**9, 0, weight=3)
+        assert [out for out, _ in three] == [out for out, _ in one]
+        assert [ticks for _, ticks in three] == [3 * ticks for _, ticks in one]
+        budget = 3 * one[2][1] - 1  # enough for two lengths, not three
+        tight = run_frontier(complete_graph(7), args, 0, budget, 0, weight=3)
+        assert tight[-1] == ("budget exceeded", budget + 1) and len(tight) == 3
 
 
 # -- move levels: every move of every delta, against the reference paths ----
@@ -494,6 +578,26 @@ def reference_moves(solver, u, v, budget, dp):
     return moves
 
 
+def vertices_of(solver, emask):
+    vmask = 0
+    for i in bits_of(emask):
+        u, v = solver.g.edges[i]
+        vmask |= (1 << u) | (1 << v)
+    return vmask
+
+
+def level_moves(delta, groups, rebuild):
+    """The moves of one ``_levels`` level, every group rebuilt."""
+    return [
+        (delta, target, add_v, add_e)
+        for target, found in groups
+        for add_v, (_, edges) in rebuilt(
+            found, lambda add_v: rebuild(target, add_v)
+        ).items()
+        for add_e in edges
+    ]
+
+
 def search_state(seed):
     """A solver on a seeded dense connected graph, a waste limit, a capacity
     table, and the state after up to three cheapest services of random
@@ -520,7 +624,7 @@ def search_state(seed):
         # a cheapest service of a random uncovered pair
         u, v = solver.pairs[rng.choice(bits_of(rest))]
         levels = solver._levels(u, v, budget, capacity(budget, optimistic=True))
-        moves = next((level for _, level in levels if level), None)
+        moves = next(filter(None, (level_moves(*level) for level in levels)), None)
         if moves is None:
             break
         delta, target, add_v, add_e = rng.choice(sorted(moves, key=solver._move_key))
@@ -539,8 +643,11 @@ class TestMoveLevels:
             u, v = solver.pairs[(rest & -rest).bit_length() - 1]
             dp = capacity(budget)
             deltas, moves = [], []
-            for delta, level in solver._levels(u, v, budget, dp):
-                assert all(move[0] == delta for move in level), seed
+            for delta, groups, rebuild in solver._levels(u, v, budget, dp):
+                # every rebuilt move adds exactly its group's vertices
+                level = level_moves(delta, groups, rebuild)
+                for _, _, add_v, add_e in level:
+                    assert vertices_of(solver, add_e) == add_v, seed
                 deltas.append(delta)
                 moves += level
             assert deltas == sorted(set(deltas)), seed  # each delta once, ascending

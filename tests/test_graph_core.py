@@ -22,6 +22,7 @@ from mcgraph.graph import (
     bfs_parents,
     build_graph,
     complement,
+    complement_connectivity_at_least,
     connected_components,
     connectivity_at_least,
     diameter,
@@ -321,6 +322,9 @@ def test_connectivity_matches_exhaustive_oracles(g):
         # 8-vertex graphs would take minutes
         if comb(h.m, min_degree(h)) <= 4000:
             assert edge_connectivity(h) == min_edge_cut_exhaustive(h)
+    assert [complement_connectivity_at_least(g, k) for k in range(g.n + 1)] == [
+        connectivity_at_least(complement(g), k) for k in range(g.n + 1)
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -531,6 +535,20 @@ class TestFlowPins:
     def test_theorem1a_on_sparse_graphs_runs_no_flow(self, flows, g):
         assert "a" in theorem1_certificate(g).conditions
         assert flows == []
+
+    @pytest.mark.parametrize(
+        "g,builds", [(TORUS_3333, 0), (Q6, 0), (HL4, 1)], ids=["torus3333", "Q6", "hl4"]
+    )
+    def test_theorem1a_builds_the_complement_only_for_flows(
+        self, monkeypatch, g, builds
+    ):
+        calls = []
+        real = graph_module.complement
+        monkeypatch.setattr(
+            graph_module, "complement", lambda h: calls.append(h) or real(h)
+        )
+        assert ("a" in theorem1_certificate(g).conditions) == (builds == 0)
+        assert len(calls) == builds
 
     def test_theorem1a_threshold_in_4n_flows_on_hl4(self, flows):
         # the complement has delta 6 < (20 + 2) / 2, so Even's flows still run
