@@ -87,16 +87,16 @@ def cmd_mc(args: argparse.Namespace) -> int:
         cert = theorem1_certificate(g)
         _emit(gio.dumps(cert.to_dict(), args.pretty), None)
         return EXIT_OK
-    # exact
+    # exact; the witness is written first, so a write error emits nothing
     result = mc_exact(g, max_nodes=_budget())
-    _emit(gio.dumps(result.to_dict(), args.pretty), None)
-    if args.stats:
-        stats = result.stats.to_dict() if result.stats else None
-        print(gio.dumps(stats), file=sys.stderr)
     if args.witness and result.witness is not None:
         Path(args.witness).write_text(
             gio.dumps(gio.coloring_to_obj(result.witness), args.pretty) + "\n"
         )
+    _emit(gio.dumps(result.to_dict(), args.pretty), None)
+    if args.stats:
+        stats = result.stats.to_dict() if result.stats else None
+        print(gio.dumps(stats), file=sys.stderr)
     return EXIT_BUDGET if result.method == "bounds-only" else EXIT_OK
 
 

@@ -18,16 +18,18 @@ round per waste limit, from the root floor up to n - 3, and stops at the
 first cover found.  A node's children are generated one waste increment
 (delta) at a time, from path frontiers kept between increments, and bounded
 before they are applied; the moves of delta d + 1 are built only after
-every child of delta d has failed.  The frontiers count paths per (vertex
-set, last vertex) instead of listing them (Held and Karp's subset states),
-children are bounded once per (target, vertex set) group, and only the
-groups that pass are rebuilt into concrete moves; every node is charged
-exactly what listing the paths and children would cost.  When no round
-finds a cover, or the floor is already n - 2 (kappa <= 1), the
-spanning-tree coloring (waste n - 2) is returned.  The two engines are kept
-independent and are cross-checked against each other in the test suite.
-Each passes its witness through ``check_mc_coloring`` before it returns a
-value.
+every child of delta d has failed.  Each tree's capacity gate is one
+number, the largest delta it passes, because the deltas it passes are
+always 1..top.  A frontier maps each (vertex set, last vertex) to its
+number of path prefixes instead of listing them (Held and Karp's subset
+states), children are bounded once per (target, vertex set) group, and
+every group that passes is rebuilt into concrete moves; every node is
+charged exactly what listing the paths and children would cost.  When no
+round finds a cover, or the floor is already n - 2 (kappa <= 1), the
+spanning-tree coloring (waste n - 2) is returned.  The two engines are
+kept independent and are cross-checked against each other in the test
+suite.  Each passes its witness through ``check_mc_coloring`` before it
+returns a value.
 """
 
 from __future__ import annotations
@@ -196,16 +198,6 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
 # ---------------------------------------------------------------------------
 
 
-def _count(tally: int) -> int:
-    """The number of paths or moves behind a tally (see ``_Frontier``)."""
-    return 1 if tally >= 0 else -tally
-
-
-def _merged(tally: int, count: int) -> int:
-    """The tally of the paths or moves behind ``tally`` and ``count`` more."""
-    return (tally if tally < 0 else -1) - count
-
-
 class _Frontier:
     """The simple paths over ``free`` from a vertex of ``starts`` to a vertex
     of ``ends``, one length at a time, counted rather than listed.
@@ -213,13 +205,12 @@ class _Frontier:
     A path touches ``ends`` only at its last vertex, its internal vertices
     avoid ``forbidden``, and no start lies in ``ends``.  Two open prefixes
     with the same vertex set and the same last vertex have the same
-    extensions, so ``states`` keeps one tally per (vertex mask, last vertex)
-    of the open prefixes of length ``length`` (None before the first call).
-    A tally is the edge mask of the state's one prefix, or minus the number
-    of its prefixes when there are several.  ``paths(k)`` grows the states
-    to length k - 1 and returns ``{vertex mask: tally}`` over the paths of
-    length k; k must rise from call to call.  ``expand(vmask)`` rebuilds the
-    edge masks of the paths behind one of those vertex masks.
+    extensions, so ``states`` maps each (vertex mask, last vertex) to its
+    number of open prefixes of length ``length`` (None before the first
+    call).  ``paths(k)`` grows the states to length k - 1 and returns
+    ``{vertex mask: number of paths}`` over the paths of length k; k must
+    rise from call to call.  ``expand(vmask)`` rebuilds the edge masks of
+    the paths behind one of those vertex masks.
 
     The frontier stands for ``weight`` identical frontiers (the connectors
     of that many base paths with one vertex set).  It is charged
@@ -260,7 +251,6 @@ class _Frontier:
 
     def paths(self, k: int) -> dict[int, int]:
         solver, free = self.solver, self.free
-        ebit = solver.ebit
         states = self.states
         if states is None:
             solver._tick_prefixes(self.weight * self.starts.bit_count())
@@ -269,47 +259,33 @@ class _Frontier:
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                states[bit, bit.bit_length() - 1] = 0
+                states[bit, bit.bit_length() - 1] = 1
         open_v = self.open_v
         while self.length < k - 1 and states:
             grown: dict[tuple[int, int], int] = {}
             created = 0
-            for (pv, x), tally in states.items():
+            for (pv, x), count in states.items():
                 cand = free[x] & open_v & ~pv
                 if not cand:
                     continue
-                one = tally >= 0
-                count = 1 if one else -tally
                 created += count * cand.bit_count()
-                ex = ebit[x]
                 while cand:
                     wbit = cand & -cand
                     cand ^= wbit
                     key = (pv | wbit, wbit.bit_length() - 1)
-                    old = grown.get(key)
-                    if old is None:
-                        grown[key] = tally | ex[wbit] if one else tally
-                    else:  # _merged(old, count), inline in the hottest loop
-                        grown[key] = (old if old < 0 else -1) - count
+                    grown[key] = grown.get(key, 0) + count
             solver._tick_prefixes(self.weight * created)
             states = grown
             self.length += 1
         self.states = states
         ends = self.ends
         out: dict[int, int] = {}
-        for (pv, x), tally in states.items():
+        for (pv, x), count in states.items():
             cand = free[x] & ends
-            if cand:
-                ex = ebit[x]
-                while cand:
-                    wbit = cand & -cand
-                    cand ^= wbit
-                    key = pv | wbit
-                    old = out.get(key)
-                    if old is None:
-                        out[key] = tally | ex[wbit] if tally >= 0 else tally
-                    else:
-                        out[key] = _merged(old, _count(tally))
+            while cand:
+                wbit = cand & -cand
+                cand ^= wbit
+                out[pv | wbit] = out.get(pv | wbit, 0) + count
         return out
 
     def expand(self, vmask: int) -> list[int]:
@@ -367,14 +343,17 @@ class _TreeCoverSolver:
     for delta d + 1.  Delta leads the sort key, so the visit order is that
     of sorting every move of the node at once.  The paths behind the moves
     are kept per node as ``_Frontier`` objects (the u..v paths, each
-    attachment, the connectors of each base vertex set), each holding its
-    open prefixes of one length, counted per (vertex set, last vertex); a
-    frontier grows by one edge only when a level needs longer paths, so a
-    path that no visited level needs is never built.  A level comes as
-    groups of children with one target and one added vertex set, each with
-    its count.  The matching cut reads nothing else of a child, so it runs
-    once per group, and only the groups that pass it are rebuilt into
-    concrete moves, by a walk inside the group's vertex set.
+    attachment, the connectors of each base vertex set), each mapping every
+    (vertex set, last vertex) state to its number of open prefixes of one
+    length; a frontier grows by one edge only when a level needs longer
+    paths, so a path that no visited level needs is never built.  A level
+    comes as groups of children with one target and one added vertex set,
+    each with its count.  The matching cut reads nothing else of a child,
+    so it runs once per group, and every group that passes it is rebuilt
+    into concrete moves, by a walk inside the group's vertex set.  A
+    tree's capacity gate is the one number ``_delta_gate`` returns: it
+    passes exactly the deltas 1..top, so level d asks only trees with
+    top >= d.
 
     One node is charged per generated child, cut or not, per round root and
     per start or prefix that a frontier builds; ``max_nodes`` caps the sum,
@@ -597,27 +576,22 @@ class _TreeCoverSolver:
 
     def _delta_gate(
         self, base_size: int, inside: int, budget: int, dp: list[int]
-    ) -> list[bool]:
-        """ok[d] for d <= budget: a move that grows a tree of ``base_size``
-        vertices holding ``inside`` pairs by d edges passes a sound capacity
-        test.  The tree may keep growing later, so the test maximizes over
-        how much further budget it could absorb before charging the rest to
-        ``dp``."""
+    ) -> int:
+        """The largest delta d <= budget, or 0, at which a move growing a
+        tree of ``base_size`` vertices holding ``inside`` pairs by d edges
+        passes a sound capacity test.  The tree may keep growing later, so d
+        passes when some total growth s in [d, budget] has
+        ``maxedges[base_size + s] - inside + dp[budget - s]`` reach the
+        uncovered count.  An s that serves d serves every smaller delta, so
+        the passing deltas are exactly 1..top, and top is the largest such
+        s."""
         n, maxedges = self.n, self.maxedges
         uncovered_cnt = (self.all_mask & ~self.covered).bit_count()
-        ok = [False] * (budget + 1)
-        for delta in range(1, budget + 1):
-            best = 0
-            for extra in range(budget - delta + 1):
-                val = (
-                    maxedges[min(base_size + delta + extra, n)]
-                    - inside
-                    + dp[budget - delta - extra]
-                )
-                if val > best:
-                    best = val
-            ok[delta] = best >= uncovered_cnt
-        return ok
+        for s in range(budget, 0, -1):
+            span = maxedges[min(base_size + s, n)] - inside
+            if span + dp[budget - s] >= uncovered_cnt:
+                return s
+        return 0
 
     def _levels(self, u: int, v: int, budget: int, dp: list[int]):
         """Every minimal service of the pair (u, v) within the waste budget,
@@ -625,12 +599,12 @@ class _TreeCoverSolver:
         tree: yields (1, groups, rebuild) for delta 1, then for delta 2, and
         so on.
 
-        ``groups`` lists (target, {add_vmask: tally}): per target, the tally
-        of the moves that add each vertex set (see ``_Frontier``); target -1
-        opens a new tree.  ``rebuild(target, add_vmask)`` lists the edge
-        masks of one group's moves, and holds until the next level is asked
-        for.  A move is kept only where its tree's ``_delta_gate`` passes its
-        delta.  The kinds of move at delta d:
+        ``groups`` lists (target, {add_vmask: count}): per target, the
+        number of moves that add each vertex set; target -1 opens a new
+        tree.  ``rebuild(target, add_vmask)`` lists the edge masks of one
+        group's moves, and holds until the next level is asked for.  A move
+        is kept only where its delta is at most its tree's ``_delta_gate``
+        top.  The kinds of move at delta d:
 
         - a new tree: a u..v path of length d + 1;
         - a tree housing one endpoint: an attachment path of length d from
@@ -646,36 +620,35 @@ class _TreeCoverSolver:
         after the caller has visited every child of delta d.  A connector
         never uses an edge inside its base's vertex set, so the base paths
         that share a vertex set share one connector frontier, weighted by
-        their number.  Children change ``used_edges`` and the trees between
-        levels and restore them, so the frontiers work over a snapshot of
-        the free edges and of the trees taken here.
+        their number, and a group's count sums each frontier's weight times
+        its paths.  A tree's gate passes every delta up to its top, so the
+        connectors of the base paths of length d - 1 are created at level
+        d, the first level that can use them.  Children change
+        ``used_edges`` and the trees between levels and restore them, so the
+        frontiers work over a snapshot of the free edges and of the trees
+        taken here.
         """
 
-        def top(ok: list[bool]) -> int:
-            return max((d for d in range(budget + 1) if ok[d]), default=0)
-
         free = self._free_masks()
-        new_ok = self._delta_gate(2, 0, budget, dp)
-        last = top(new_ok)
-        housing = {}  # t -> (delta gate, attachment frontier)
-        # t -> (tree vertices, delta gate, [first base length not yet joined
-        # to connectors], connectors: [base vertex mask, base tally,
-        # frontier, its paths at this level])
+        new_top = self._delta_gate(2, 0, budget, dp)
+        last = new_top
+        housing = {}  # t -> (top delta, attachment frontier)
+        # t -> (tree vertices, top delta, connectors: [frontier, its paths
+        # at this level])
         pending = {}
         ubit, vbit = 1 << u, 1 << v
         for t, tv in enumerate(self.tree_v):
-            ok = self._delta_gate(
+            top = self._delta_gate(
                 tv.bit_count(), self._inside(tv).bit_count(), budget, dp
             )
-            worth = top(ok)
-            if worth == 0:
+            if top == 0:
                 continue
-            last = max(last, worth)
+            last = max(last, top)
             if tv & (ubit | vbit):
                 start = vbit if tv & ubit else ubit
-                housing[t] = (ok, _Frontier(self, free, start, tv))
+                housing[t] = (top, _Frontier(self, free, start, tv))
             else:
-                pending[t] = (tv, ok, [1], [])
+                pending[t] = (tv, top, [])
 
         uv_front = _Frontier(self, free, ubit, vbit)
         # uv_paths[k]: the u..v paths of length k, cached for every consumer
@@ -688,41 +661,32 @@ class _TreeCoverSolver:
 
         for d in range(1, last + 1):
             groups = []
-            if new_ok[d]:
+            if d <= new_top:
                 groups.append((-1, uv(d + 1)))
-            for t, (ok, front) in housing.items():
-                if ok[d]:
+            for t, (top, front) in housing.items():
+                if d <= top:
                     groups.append((t, front.paths(d)))
-            for t, (tv, ok, next_base, connectors) in pending.items():
-                if not ok[d]:
+            for t, (tv, top, connectors) in pending.items():
+                if d > top:
                     continue
                 joined = {}
-                for pv, tally in uv(d).items():
+                for pv, count in uv(d).items():
                     crossing = pv & tv
                     if crossing and not crossing & (crossing - 1):
-                        joined[pv] = tally
-                for length in range(next_base[0], d):
-                    for pv, tally in uv(length).items():
-                        if not pv & tv:
-                            front = _Frontier(
-                                self, free, pv, tv, forbidden=pv, weight=_count(tally)
-                            )
-                            connectors.append([pv, tally, front, None])
-                next_base[0] = d
+                        joined[pv] = count
+                for pv, count in uv(d - 1).items():
+                    if not pv & tv:
+                        front = _Frontier(
+                            self, free, pv, tv, forbidden=pv, weight=count
+                        )
+                        connectors.append([front, None])
                 live = []
                 for conn in connectors:
-                    base_v, base, front = conn[0], conn[1], conn[2]
-                    conn[3] = found = front.paths(d + 1 - base_v.bit_count())
-                    for cv, tally in found.items():
-                        if base >= 0 and tally >= 0:  # one base path, one connector
-                            tally |= base
-                        else:
-                            tally = -front.weight * _count(tally)
-                        key = base_v | cv
-                        old = joined.get(key)
-                        if old is not None:
-                            tally = _merged(old, _count(tally))
-                        joined[key] = tally
+                    front = conn[0]
+                    conn[1] = found = front.paths(d + 1 - front.starts.bit_count())
+                    for cv, count in found.items():
+                        key = front.starts | cv
+                        joined[key] = joined.get(key, 0) + front.weight * count
                     if front.states:
                         live.append(conn)
                 connectors[:] = live
@@ -734,7 +698,8 @@ class _TreeCoverSolver:
                 if t in housing:
                     return housing[t][1].expand(add_v)
                 out = uv_front.expand(add_v) if add_v in uv_paths[d] else []
-                for base_v, _, front, found in pending[t][3]:
+                for front, found in pending[t][2]:
+                    base_v = front.starts
                     if base_v & ~add_v:
                         continue
                     # the connector holds the rest and one vertex y of the base
@@ -803,8 +768,7 @@ class _TreeCoverSolver:
             total = cut = 0
             for target, found in groups:
                 tree = 0 if target < 0 else tree_v[target]
-                for add_v, tally in found.items():
-                    count = 1 if tally >= 0 else -tally
+                for add_v, count in found.items():
                     total += count
                     tv = tree | add_v
                     inside = inside_memo.get(tv)
@@ -816,8 +780,6 @@ class _TreeCoverSolver:
                         need = self._matching(after)
                     if need > slack:
                         cut += count
-                    elif tally >= 0:
-                        children.append((delta, target, add_v, tally))
                     else:
                         children += [
                             (delta, target, add_v, add_e)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from .bounds import (
@@ -279,8 +280,8 @@ def suite_products(max_vertices: int = 24) -> SuiteResult:
     lex_noncommutative_witnessed = False
 
     for name_g, g, name_h, h in pool_pairs(max_vertices):
-        for kind in ProductKind:
-            product = make_product(kind, g, h)
+        products = {kind: make_product(kind, g, h) for kind in ProductKind}
+        for kind, product in products.items():
             res.check(
                 "edge_count_formula",
                 product.m == edge_count_formula(kind, g, h),
@@ -293,7 +294,7 @@ def suite_products(max_vertices: int = 24) -> SuiteResult:
                 f"{kind.value}({name_g},{name_h})",
             )
         key = tuple(sorted((name_g, name_h)))
-        cart = make_product(ProductKind.CARTESIAN, g, h)
+        cart = products[ProductKind.CARTESIAN]
         if (key[0], key[1], ProductKind.CARTESIAN) not in seen_unordered:
             seen_unordered.add((key[0], key[1], ProductKind.CARTESIAN))
             swapped = make_product(ProductKind.CARTESIAN, h, g)
@@ -303,7 +304,7 @@ def suite_products(max_vertices: int = 24) -> SuiteResult:
                 relabel(cart, perm).edges == swapped.edges,
                 f"({name_g},{name_h})",
             )
-        lex = make_product(ProductKind.LEXICOGRAPHIC, g, h)
+        lex = products[ProductKind.LEXICOGRAPHIC]
         lex_swapped = make_product(ProductKind.LEXICOGRAPHIC, h, g)
         if relabel(lex, swap_map(g.n, h.n)).edges != lex_swapped.edges:
             lex_noncommutative_witnessed = True
@@ -314,7 +315,7 @@ def suite_products(max_vertices: int = 24) -> SuiteResult:
             ProductKind.LEXICOGRAPHIC,
             ProductKind.STRONG,
         ):
-            product = make_product(kind, g, h)
+            product = products[kind]
             dist = [distances_from(product, v) for v in product.vertices()]
             bad = None
             for a in range(product.n):
@@ -337,17 +338,15 @@ def suite_products(max_vertices: int = 24) -> SuiteResult:
             diameter(cart) == diameter(g) + diameter(h),
             f"({name_g},{name_h})",
         )
-        strong = make_product(ProductKind.STRONG, g, h)
         res.check(
             "strong_diameter",
-            diameter(strong) == max(diameter(g), diameter(h)),
+            diameter(products[ProductKind.STRONG]) == max(diameter(g), diameter(h)),
             f"({name_g},{name_h})",
         )
-        direct = make_product(ProductKind.DIRECT, g, h)
         expected_connected = not (is_bipartite(g) and is_bipartite(h))
         res.check(
             "direct_connectivity",
-            is_connected(direct) == expected_connected,
+            is_connected(products[ProductKind.DIRECT]) == expected_connected,
             f"({name_g},{name_h})",
         )
     res.check(
@@ -364,6 +363,8 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
     weak_lowers: list[str] = []
 
     for name_g, g, name_h, h in pool_pairs(24):
+        # each product this pair needs, built once
+        product_of = cache(lambda kind: make_product(kind, g, h))
         # vertex-connectivity formulas against the built products
         for kind in (
             ProductKind.CARTESIAN,
@@ -374,7 +375,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
                 predicted = kappa_formula(kind, g, h)
             except InapplicableError:
                 continue
-            actual = vertex_connectivity(make_product(kind, g, h))
+            actual = vertex_connectivity(product_of(kind))
             res.check(
                 "kappa_formula",
                 predicted == actual,
@@ -385,19 +386,22 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
         except InapplicableError:
             predicted = None
         if predicted is not None:
-            actual = metrics(make_product(ProductKind.DIRECT, g, h)).edge_connectivity
+            actual = metrics(product_of(ProductKind.DIRECT)).edge_connectivity
             res.check(
                 "edge_conn_direct",
                 predicted == actual,
                 f"direct({name_g},{name_h}): formula {predicted}, direct {actual}",
             )
 
+        small = g.n * h.n <= max_exact_vertices
+        if small:
+            mc_g, mc_h = mc_exact(g).value, mc_exact(h).value
         for kind in ProductKind:
             try:
                 interval = product_mc_bounds(kind, g, h)
             except InapplicableError:
                 continue
-            product = make_product(kind, g, h)
+            product = product_of(kind)
             floor = product.m - product.n + 2
             if is_connected(product) and interval.lower < floor:
                 weak_lowers.append(
@@ -405,9 +409,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
                     f"{interval.lower} < {floor}"
                 )
             # corollary bound never exceeds the theorem bound (mc <= edges)
-            if g.n * h.n <= max_exact_vertices:
-                mc_g = mc_exact(g).value
-                mc_h = mc_exact(h).value
+            if small:
                 try:
                     cor = corollary_lower(kind, g, h, mc_g, mc_h)
                 except InapplicableError:

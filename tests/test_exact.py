@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from mcgraph.errors import BudgetExceededError
 from mcgraph import exact
 from mcgraph.exact import (
-    _count,
     _Frontier,
     _TreeCoverSolver,
     mc_exact,
@@ -458,16 +457,14 @@ def grouped(pairs):
 
 
 def rebuilt(found, expand):
-    """Counted paths or moves, ``{key: tally}``, with every group rebuilt by
+    """Counted paths or moves, ``{key: count}``, with every group rebuilt by
     ``expand(key)``: {key: (count, sorted edge masks)}.  Each group rebuilds
-    to as many as it counts, and a one-path tally is that path's edge mask."""
+    to exactly as many paths or moves as it counts."""
     out = {}
-    for key, tally in found.items():
+    for key, count in found.items():
         edges = sorted(expand(key))
-        assert len(edges) == _count(tally)
-        if tally >= 0:
-            assert edges == [tally]
-        out[key] = (_count(tally), edges)
+        assert len(edges) == count
+        out[key] = (count, edges)
     return out
 
 
@@ -544,24 +541,24 @@ def reference_moves(solver, u, v, budget, dp):
     length cap but the budget, each kept where its tree's gate passes: the
     reference for the moves of all levels of ``_levels``."""
     moves = []
-    new_ok = solver._delta_gate(2, 0, budget, dp)
+    new_top = solver._delta_gate(2, 0, budget, dp)
     for pv, pe, length in reference_paths(solver, u, 1 << v, budget + 1):
-        if new_ok[length - 1]:
+        if 0 < length - 1 <= new_top:
             moves.append((length - 1, -1, pv, pe))
     uv_paths = reference_paths(solver, u, 1 << v, budget)
     for t, tv in enumerate(solver.tree_v):
-        ok = solver._delta_gate(
+        top = solver._delta_gate(
             tv.bit_count(), solver._inside(tv).bit_count(), budget, dp
         )
         if tv & ((1 << u) | (1 << v)):
             x = v if tv >> u & 1 else u
             for pv, pe, length in reference_paths(solver, x, tv, budget):
-                if ok[length]:
+                if 0 < length <= top:
                     moves.append((length, t, pv, pe))
             continue
         for pv, pe, length in uv_paths:
             overlap = (pv & tv).bit_count()
-            if overlap == 1 and ok[length]:
+            if overlap == 1 and 0 < length <= top:
                 moves.append((length, t, pv, pe))
             if overlap == 0:
                 # a connector from a vertex of the path, avoiding its edges
@@ -572,7 +569,7 @@ def reference_moves(solver, u, v, budget, dp):
                     for cv, ce, n_edges in reference_paths(
                         solver, y, tv, budget - length, pv
                     ):
-                        if ok[length + n_edges]:
+                        if 0 < length + n_edges <= top:
                             moves.append((length + n_edges, t, pv | cv, pe | ce))
                 solver.used_edges = saved
     return moves
@@ -653,6 +650,49 @@ class TestMoveLevels:
             assert deltas == sorted(set(deltas)), seed  # each delta once, ascending
             reference = reference_moves(solver, u, v, budget, dp)
             assert sorted(moves) == sorted(reference), seed
+
+
+# -- the delta gate: one top delta against the boolean list ------------------
+
+
+def reference_gate(solver, base_size, inside, budget, dp):
+    """ok[d] for d <= budget by the O(budget^2) double loop over (delta,
+    extra): the reference for ``_delta_gate``."""
+    n, maxedges = solver.n, solver.maxedges
+    uncovered_cnt = (solver.all_mask & ~solver.covered).bit_count()
+    ok = [False] * (budget + 1)
+    for delta in range(1, budget + 1):
+        best = 0
+        for extra in range(budget - delta + 1):
+            val = (
+                maxedges[min(base_size + delta + extra, n)]
+                - inside
+                + dp[budget - delta - extra]
+            )
+            if val > best:
+                best = val
+        ok[delta] = best >= uncovered_cnt
+    return ok
+
+
+class TestDeltaGate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6))
+    @example(0)  # tops 1 and 2 below their budgets
+    @example(61)
+    @example(256)
+    def test_top_is_the_last_passing_delta(self, seed):
+        # the passing deltas are a prefix 1..top, and top is the last of them
+        solver, limit, capacity = search_state(seed)
+        trees = [(2, 0)] + [
+            (tv.bit_count(), solver._inside(tv).bit_count()) for tv in solver.tree_v
+        ]
+        for budget in range(limit - solver.waste + 1):
+            dp = capacity(budget)
+            for base_size, inside in trees:
+                ok = reference_gate(solver, base_size, inside, budget, dp)
+                top = solver._delta_gate(base_size, inside, budget, dp)
+                assert ok == [False] + [True] * top + [False] * (budget - top)
 
 
 # -- the matching bound: one pass over the uncovered pairs' bits ------------

@@ -121,6 +121,18 @@ class TestCli:
         code, out, _ = run_cli(capsys, "check", str(c4), str(wit))
         assert code == 0 and out.strip() == "VALID 2 colors"
 
+    def test_mc_exact_unwritable_witness_emits_nothing(self, workdir, capsys):
+        # exit 2 comes with an empty stdout and one error line, stats included
+        c4 = workdir / "c4.json"
+        wit = workdir / "missing" / "w.json"
+        run_cli(capsys, "gen", "cycle", "4", "-o", str(c4))
+        code, out, err = run_cli(
+            capsys, "mc", "exact", str(c4), "--witness", str(wit), "--stats"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not wit.exists()
+
     def test_check_invalid_pair(self, workdir, capsys):
         p3 = workdir / "p3.json"
         bad = workdir / "bad.json"
