@@ -208,23 +208,23 @@ PINNED_DIGESTS = {
 
 
 # The exact search counters (nodes, cut, path_nodes), the regression gates:
-# recorded with the listed path frontiers that the counted ones replaced.
-# lex_P3_C5 is the bounds-only run at 500,000 nodes.
+# recorded with the maximum-matching cut behind the greedy one.  lex_P3_C5 is
+# the bounds-only run at 500,000 nodes.
 COUNTER_PINS = {
     "strong_P3_K4": (37, 0, 14),
-    "lex_P3_C4": (688_620, 377_023, 309_950),
-    "lex_P3_star4": (129_693, 70_127, 56_222),
-    "lex_P3_P4": (59_496, 37_353, 22_021),
+    "lex_P3_C4": (440_152, 232_939, 207_109),
+    "lex_P3_star4": (110_952, 60_605, 49_352),
+    "lex_P3_P4": (54_134, 33_445, 20_635),
     "lex_P2_C5": (521, 293, 177),
     "cartesian_C3_C4": (0, 0, 0),
-    "lex_P3_C5": (500_001, 257_820, 186_160),
+    "lex_P3_C5": (500_001, 258_954, 214_144),
     "strong_P3_K5": (4_142_946, 2_949_496, 1_192_712),
 }
 
 # sha256 of every SearchStats.to_dict() over each set, recorded likewise
 STATS_DIGESTS = {
-    "corpus6": "2df3ef3e7305b3c750a034de93e46b3b6bb43730c6106fa599e300ab3e8df420",
-    "dense_random": "53e616a35c71554dbff3d18151c83b785752f2dceb9e9d11c83668ce14ebcafc",
+    "corpus6": "509fe97f6f4be98c23d4db671c71032c39bf73070023c7c848231cfa125c4771",
+    "dense_random": "8834986b6d733f93f06e99fd377b44f64a7fc5ce6d05ed2b26f7546a2a6c13ee",
 }
 
 
@@ -289,10 +289,14 @@ class TestSearchRegression:
         assert strong.nodes <= 400_000
         assert (strong.floor, strong.floor_by, strong.targets) == (7, "Lem1", (7,))
         assert product_results["lex_P2_C5"][1].stats.nodes <= 3_000
-        # the level-by-level move stream took 688,620, 129,693 and 59,496
-        assert product_results["lex_P3_C4"][1].stats.nodes <= 800_000
-        assert product_results["lex_P3_star4"][1].stats.nodes <= 150_000
-        assert product_results["lex_P3_P4"][1].stats.nodes <= 70_000
+        # the greedy matching cut alone took 688,620, 129,693 and 59,496;
+        # the maximum matching behind it takes 440,152, 110,952 and 54,134
+        assert product_results["lex_P3_C4"][1].stats.nodes <= 450_000
+        assert product_results["lex_P3_star4"][1].stats.nodes <= 115_000
+        assert product_results["lex_P3_P4"][1].stats.nodes <= 56_000
+        for name in ("lex_P3_C4", "lex_P3_star4", "lex_P3_P4"):
+            stats = product_results[name][1].stats
+            assert 0 < stats.matching_cut < stats.cut, name
 
     def test_counters_pinned(self, product_results):
         for name, *_ in PRODUCTS:
@@ -712,9 +716,29 @@ def reference_matching(solver, covered):
     return size
 
 
+def reference_max_matching(solver, covered):
+    """The largest vertex-disjoint set of uncovered pairs, by walking every
+    such set on an explicit stack: the reference for ``_max_matching``."""
+    pms = [
+        solver.pair_vmask[i]
+        for i in range(solver.num_pairs)
+        if not covered >> i & 1
+    ]
+    best = 0
+    stack = [(0, 0, 0)]  # (next pair, vertices used, pairs taken)
+    while stack:
+        i, used, size = stack.pop()
+        best = max(best, size)
+        if i < len(pms):
+            stack.append((i + 1, used, size))
+            if not pms[i] & used:
+                stack.append((i + 1, used | pms[i], size + 1))
+    return best
+
+
 @st.composite
-def matching_queries(draw):
-    n = draw(st.integers(2, 12))
+def matching_queries(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     solver = _TreeCoverSolver(build_graph(n, [e for e, k in zip(pairs, keep) if k]), 0)
@@ -727,6 +751,27 @@ class TestMatchingBound:
     def test_matches_reference(self, query):
         solver, covered = query
         assert solver._matching(covered) == reference_matching(solver, covered)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matching_queries(max_n=8))
+    def test_maximum_matches_brute_force(self, query):
+        solver, covered = query
+        size = solver._max_matching(covered)
+        assert size == reference_max_matching(solver, covered)
+        assert size >= solver._matching(covered)
+
+    def test_maximum_has_no_recursion_cliff(self):
+        # the complement of C60 has a perfect matching; with every pair at
+        # vertex 0 covered, the other 59 vertices leave one free
+        solver = _TreeCoverSolver(cycle_graph(60), 0)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+        try:
+            full = solver._max_matching(0)
+            without_0 = solver._max_matching(solver.vertex_pairs[0])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (full, without_0) == (30, 29)
 
 
 # -- naive engine: the coverage cut against the unpruned enumerator ---------------

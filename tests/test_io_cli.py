@@ -200,9 +200,11 @@ class TestCli:
             assert err.count("\n") == 1
             stats = json.loads(err)
             assert set(stats) == {
-                "nodes", "floor", "floor_by", "targets", "cut", "path_nodes"
+                "nodes", "floor", "floor_by", "targets", "cut", "matching_cut",
+                "path_nodes",
             }
             assert stats["floor_by"] in {"Lem1", "matching", "capacity"}
+            assert 0 <= stats["matching_cut"] <= stats["cut"]
             if searched:
                 assert stats["nodes"] > 0 and stats["targets"] == [stats["floor"]]
                 assert 0 < stats["path_nodes"] < stats["nodes"]
