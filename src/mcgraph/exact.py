@@ -17,11 +17,12 @@ so the solver branch-and-bounds over tree covers.  It runs one depth-first
 round per waste limit, from the root floor up to n - 3, and stops at the
 first cover found.  A node's children are generated one waste increment
 (delta) at a time, from path frontiers kept between increments, and bounded
-before they are applied: a child is cut when the pairs it leaves uncovered
-hold a vertex-disjoint set larger than the waste left, tried first with a
-greedy matching and then with a maximum one (Edmonds' blossom algorithm),
-by the argument in the ``_TreeCoverSolver`` docstring.  The moves of
-delta d + 1 are built only after every child of delta d has failed.  Each
+before they are applied: a child is cut when a matching of the pairs it
+leaves uncovered, tried first greedily and then fractionally (half a
+maximum matching of the bipartite double cover, rounded up), exceeds the
+waste left, by the argument in the ``_TreeCoverSolver`` docstring.  The
+moves of delta d + 1 are built only after every child of delta d has
+failed.  Each
 tree's capacity gate is one number, the largest delta it passes, because
 the deltas it passes are always 1..top.  A frontier maps each (vertex
 set, last vertex) to its number of path prefixes instead of listing them
@@ -319,70 +320,31 @@ class _Frontier:
         return out
 
 
-def _augment(root: int, nbr: list[int], mate: list[int]) -> int:
-    """One search of Edmonds' blossom algorithm from the free vertex
-    ``root`` over the neighbour bitmasks ``nbr``: if an augmenting path
-    exists, flip it in ``mate`` and return its other end, else -1.
-
-    Even vertices (the root and the mates of odd ones) are queued, and
-    ``parent`` links each odd vertex to the even vertex it was reached
-    from.  An edge between two even vertices of different bases closes an
-    odd cycle, which is contracted onto the base nearest the root, with the
-    parent links on both sides rewired so a path can enter it from either
-    end."""
-    n = len(mate)
-    parent = [-1] * n
-    base = list(range(n))
-    even = 1 << root
-    queue = [root]
-    for x in queue:  # the queue grows while it is read
-        cand = nbr[x]
-        while cand:
+def _augment(root: int, nbr: list[int], mate: list[int]) -> bool:
+    """Flip an augmenting path from the free left copy ``root`` of the
+    bipartite double cover into ``mate`` and return True, or return False
+    if there is none.  Left copy x is joined to the right copies ``nbr[x]``,
+    and ``mate[y]`` is the left copy matched to right copy y, or -1.  The
+    depth-first search keeps the path's right copies on a stack; the left
+    copy after y is ``mate[y]``.  Each step marks a right copy not seen
+    before in this search or pops one, so it ends within 2n + 1 steps."""
+    seen = 0
+    path: list[int] = []
+    while True:
+        cand = nbr[mate[path[-1]] if path else root] & ~seen
+        if cand:
             bit = cand & -cand
-            cand ^= bit
-            y = bit.bit_length() - 1
-            if base[x] == base[y] or mate[x] == y:
-                continue
-            if y == root or (mate[y] >= 0 and parent[mate[y]] >= 0):
-                # x and y are both even: find the lowest common base of
-                # their alternating paths to the root
-                marked = 0
-                a = x
-                while True:
-                    a = base[a]
-                    marked |= 1 << a
-                    if mate[a] < 0:
-                        break
-                    a = parent[mate[a]]
-                b = base[y]
-                while not marked >> b & 1:
-                    b = base[parent[mate[b]]]
-                blossom = 0
-                for a, child in ((x, y), (y, x)):
-                    while base[a] != b:
-                        blossom |= (1 << base[a]) | (1 << base[mate[a]])
-                        parent[a] = child
-                        child = mate[a]
-                        a = parent[child]
-                for i in range(n):
-                    if blossom >> base[i] & 1:
-                        base[i] = b
-                        if not even >> i & 1:
-                            even |= 1 << i
-                            queue.append(i)
-            elif parent[y] < 0:
-                parent[y] = x
-                if mate[y] < 0:
-                    end = y
-                    while y >= 0:  # flip the path's edges back to the root
-                        x = parent[y]
-                        nxt = mate[x]
-                        mate[y], mate[x] = x, y
-                        y = nxt
-                    return end
-                even |= 1 << mate[y]
-                queue.append(mate[y])
-    return -1
+            seen |= bit
+            path.append(bit.bit_length() - 1)
+            if mate[path[-1]] < 0:
+                x = root
+                for y in path:  # each right copy takes the left copy before it
+                    mate[y], x = x, mate[y]
+                return True
+        elif path:
+            path.pop()
+        else:
+            return False
 
 
 class _TreeCoverSolver:
@@ -398,30 +360,33 @@ class _TreeCoverSolver:
     depth-first search that stops at its first cover, which is optimal
     because the round before found none.  A generated child is first tested
     without being applied: its covered set comes from a memo of the pairs
-    inside each vertex set, and it is cut when a vertex-disjoint set of the
-    pairs it leaves uncovered is larger than the budget left.  The greedy
-    matching in pair order (``_matching``) is tried first; only a child it
-    passes pays for the maximum matching (``_max_matching``, Edmonds'
-    blossom algorithm started from the greedy matching), and both are
-    memoised by covered set.  The
-    survivors are sorted by (delta, edge key, target), applied one by one,
-    and tested against a capacity bound built from the densest-subset table
+    inside each vertex set, and it is cut when a matching bound on the
+    pairs it leaves uncovered exceeds the budget left.  The greedy matching
+    in pair order (``_matching``) is tried first; only a child it passes
+    pays for the fractional matching bound (``_max_matching``, one
+    augmenting search per free vertex on the bipartite double cover,
+    started from the greedy matching), and both are memoised by covered
+    set.  The survivors are sorted by (delta, edge key, target), applied
+    one by one, and tested against a capacity bound built from the densest-subset table
     of the non-adjacency graph.  Every pruning test is monotone in the
     limit and a smaller limit only filters the move lists, so the first
     cover found is the one a strict-improvement search over the same move
     order ends on.
 
-    The matching cut is sound for any vertex-disjoint set M of uncovered
-    (non-adjacent) pairs: completing the cover costs at least |M| more
-    waste.  A completion grows existing trees, one vertex and one edge (one
-    unit of waste) per added vertex, and opens new ones.  Adding a vertex w
-    to an existing tree newly covers only pairs at w, and at most one pair
-    of M contains w.  A new tree over s vertices has waste s - 2; if it
-    covers j >= 1 pairs of M, then s >= 2j, and s >= 3 because the pairs
-    are non-adjacent, so s - 2 >= j.  Every pair of M must be covered, so
-    the waste to come is at least |M|.  A larger M only cuts more: the
-    maximum matching cuts every child the greedy one cuts, and no cut child
-    leads to a cover within the limit.
+    The matching cut is sound for any weights y >= 0 on the uncovered
+    (non-adjacent) pairs with sum(y_p for p at w) <= 1 at every vertex w:
+    completing the cover costs at least sum(y) more waste.  A completion
+    grows existing trees, one vertex and one edge (one unit of waste) per
+    added vertex, and opens new ones.  Adding a vertex w to an existing
+    tree newly covers only pairs at w, of weight at most 1.  A new tree
+    over s vertices has waste s - 2 and covers pairs inside its s
+    vertices, of weight at most s/2.  If s >= 4, then s/2 <= s - 2.  If
+    s = 3, the tree is a path, so it holds one non-adjacent pair, of weight
+    at most 1 = s - 2.  Every uncovered pair must be covered, so the waste
+    to come is at least sum(y), and, being whole, at least its ceiling.  A
+    matching is such a y with weights 0 and 1, so the fractional matching
+    number, never below the largest matching, cuts every child the greedy
+    matching cuts, and no cut child leads to a cover within the limit.
 
     Moves stream one delta level at a time (``_levels``): a node generates,
     charges, cuts, sorts and visits every child of delta d before it asks
@@ -605,26 +570,22 @@ class _TreeCoverSolver:
         return size
 
     def _max_matching(self, covered: int) -> int:
-        """Maximum vertex-disjoint matching of the uncovered pairs: the
-        strongest bound of ``_matching``'s kind (memoised).
-
-        Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965) on
-        the uncovered pairs' neighbour bitmasks, started from the greedy
-        matching, with one search per free vertex on an explicit queue
-        while two are free: a vertex with no augmenting path never gains
-        one as the matching grows.  Each search is O(n^2) and there are at
-        most n, with no recursion.  The greedy start leaves few searches
-        where the uncovered pairs are dense: the root of C1100 takes 0.5 s
-        with it and 10 s without.
-        """
+        """The fractional matching number of the uncovered pairs, rounded
+        up: the strongest bound of ``_matching``'s kind (memoised; the
+        argument is in the class docstring).  It is half the maximum
+        matching of the bipartite double cover, whose left copy x is joined
+        to right copy y when the pair xy is uncovered (Schrijver,
+        *Combinatorial Optimization*, ch. 30).  That matching starts from
+        both copies of the greedy pairs, and ``_augment`` runs once from
+        each free left copy: one with no augmenting path never gains one."""
         size = self.max_matching_memo.get(covered)
         if size is not None:
             return size
-        size = self._matching(covered)
+        size = 2 * self._matching(covered)
         chosen = self.greedy_pairs[covered]
         n, pairs = self.n, self.pairs
         nbr = [0] * n
-        mate = [-1] * n
+        mate = [-1] * n  # mate[y]: the left copy matched to right copy y
         bits = bin(self.all_mask & ~covered)[:1:-1]  # bits[i] is pair i
         i = bits.find("1")
         while i >= 0:
@@ -634,14 +595,11 @@ class _TreeCoverSolver:
             if chosen >> i & 1:
                 mate[u], mate[v] = v, u
             i = bits.find("1", i + 1)
-        free = sum(1 << v for v in range(n) if nbr[v] and mate[v] < 0)
-        while free & (free - 1):  # an augmenting path joins two free vertices
-            root = free & -free
-            free ^= root
-            end = _augment(root.bit_length() - 1, nbr, mate)
-            if end >= 0:
-                size += 1
-                free &= ~(1 << end)
+        # seeded symmetrically, left copy x is free exactly when right copy x
+        # is, and an augmentation matches no left copy but its root
+        for x in [x for x in range(n) if nbr[x] and mate[x] < 0]:
+            size += _augment(x, nbr, mate)
+        size = (size + 1) // 2
         self.max_matching_memo[covered] = size
         return size
 
@@ -892,12 +850,13 @@ class _TreeCoverSolver:
         for delta, groups, rebuild in self._levels(u, v, budget, dp):
             # the matching cut reads only a child's target and vertex set, so
             # it runs once per group: the greedy matching first, with its
-            # memo hits taken inline, and the maximum one only where greedy
-            # passes (the maximum alone makes the same cuts, but on every
-            # group it made exact-products wall_s 0.384 s against 0.346 s,
-            # median of 10 alternating 30 s runs); the level is charged
-            # before its cuts are counted, as if each child were charged
-            # and then cut
+            # memo hits taken inline, and the fractional bound only where
+            # greedy passes (the fractional bound alone makes the same cuts,
+            # but on every group it made exact-products op_p50_ms 32.5-33.8
+            # ms against 23.4-25.2 ms and wall_s 0.34-0.35 s against
+            # 0.25-0.27 s, 4 alternating 10 s runs each); the level is
+            # charged before its cuts are counted, as if each child were
+            # charged and then cut
             slack = budget - delta
             covered, tree_v = self.covered, self.tree_v
             children = []

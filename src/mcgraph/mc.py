@@ -157,7 +157,7 @@ class SearchStats:
     floor_by: str  # Lem1 | matching | capacity: the first bound reaching it
     targets: tuple[int, ...] = ()  # the deepening limits tried
     cut: int = 0  # children cut before they were applied
-    matching_cut: int = 0  # of ``cut``: passed the greedy matching, not the maximum
+    matching_cut: int = 0  # of ``cut``: passed greedy, not the fractional bound
     path_nodes: int = 0  # the path-enumeration prefixes among ``nodes``
 
     def to_dict(self) -> dict:

@@ -5,11 +5,13 @@ import random
 import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcgraph.bounds import product_mc_bounds
 from mcgraph.errors import BudgetExceededError
 from mcgraph import exact
 from mcgraph.exact import (
@@ -27,6 +29,7 @@ from mcgraph.families import (
     star_graph,
 )
 from mcgraph.graph import build_graph, edge_components, is_connected
+from mcgraph.io import loads_coloring
 from mcgraph.mc import EdgeColoring, TreeCover, check_mc_coloring, mc_bounds_basic
 from mcgraph.products import ProductKind, make_product
 from mcgraph.smallgraphs import random_connected_graph
@@ -208,23 +211,23 @@ PINNED_DIGESTS = {
 
 
 # The exact search counters (nodes, cut, path_nodes), the regression gates:
-# recorded with the maximum-matching cut behind the greedy one.  lex_P3_C5 is
-# the bounds-only run at 500,000 nodes.
+# recorded with the fractional matching cut behind the greedy one.  lex_P3_C5
+# is the bounds-only run at 500,000 nodes.
 COUNTER_PINS = {
     "strong_P3_K4": (37, 0, 14),
     "lex_P3_C4": (440_152, 232_939, 207_109),
-    "lex_P3_star4": (110_952, 60_605, 49_352),
+    "lex_P3_star4": (55_390, 30_864, 24_339),
     "lex_P3_P4": (54_134, 33_445, 20_635),
-    "lex_P2_C5": (521, 293, 177),
+    "lex_P2_C5": (155, 73, 63),
     "cartesian_C3_C4": (0, 0, 0),
-    "lex_P3_C5": (500_001, 258_954, 214_144),
+    "lex_P3_C5": (500_001, 241_664, 207_082),
     "strong_P3_K5": (4_142_946, 2_949_496, 1_192_712),
 }
 
 # sha256 of every SearchStats.to_dict() over each set, recorded likewise
 STATS_DIGESTS = {
-    "corpus6": "509fe97f6f4be98c23d4db671c71032c39bf73070023c7c848231cfa125c4771",
-    "dense_random": "8834986b6d733f93f06e99fd377b44f64a7fc5ce6d05ed2b26f7546a2a6c13ee",
+    "corpus6": "eaf59a4a87418119d012ede708ef0d830fa5fb9df4c69cedcbcf5d020878c721",
+    "dense_random": "54ce4470fd96e320ada78b8622eac0044f495d6de1ba3e783581d2ec6ddc7689",
 }
 
 
@@ -288,11 +291,13 @@ class TestSearchRegression:
         strong = product_results["strong_P3_K4"][1].stats
         assert strong.nodes <= 400_000
         assert (strong.floor, strong.floor_by, strong.targets) == (7, "Lem1", (7,))
-        assert product_results["lex_P2_C5"][1].stats.nodes <= 3_000
-        # the greedy matching cut alone took 688,620, 129,693 and 59,496;
-        # the maximum matching behind it takes 440,152, 110,952 and 54,134
+        # on lex_P3_C4, lex_P3_star4, lex_P3_P4 and lex_P2_C5, the greedy
+        # matching cut alone takes 688,620, 129,693, 59,496 and 521 nodes,
+        # and with the fractional bound behind it 440,152, 55,390, 54,134
+        # and 155
+        assert product_results["lex_P2_C5"][1].stats.nodes <= 200
         assert product_results["lex_P3_C4"][1].stats.nodes <= 450_000
-        assert product_results["lex_P3_star4"][1].stats.nodes <= 115_000
+        assert product_results["lex_P3_star4"][1].stats.nodes <= 60_000
         assert product_results["lex_P3_P4"][1].stats.nodes <= 56_000
         for name in ("lex_P3_C4", "lex_P3_star4", "lex_P3_P4"):
             stats = product_results[name][1].stats
@@ -305,6 +310,23 @@ class TestSearchRegression:
         res = mc_exact(g, max_nodes=500_000)
         assert res.method == "bounds-only"
         assert counters(res) == COUNTER_PINS["lex_P3_C5"]
+
+    def test_lex_P3_C5_witness_attains_53(self):
+        # the engine's witness for mc(lex(P3,C5)) = 53, written by
+        # `MCGRAPH_BUDGET=10000000000 mcgraph mc exact ... --witness`; the
+        # search that proves no cover beats it takes about 9 * 10^8 nodes,
+        # but the witness alone proves mc >= 53 in milliseconds, so Thm3(3)'s
+        # [52, 56] is not attained at its lower end
+        kind, a, b = ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)
+        g = make_product(kind, a, b).graph
+        path = Path(__file__).parent / "data" / "lex_P3_C5_mc53.json"
+        witness = loads_coloring(g, path.read_text())
+        ok, pair = check_mc_coloring(g, witness)
+        assert ok, pair
+        assert witness.color_count == 53
+        bounds = product_mc_bounds(kind, a, b)
+        assert (bounds.lower_source, bounds.lower, bounds.upper) == ("Thm3(3)", 52, 56)
+        assert 53 in bounds
 
     def test_strong_P3_K5_decided(self):
         # the Lem1 ceiling 71 is attained; the stream took 4,142,946 nodes,
@@ -324,7 +346,7 @@ class TestSearchRegression:
             (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 0),
             (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 1),
             (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 10),
-            (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 300),
+            (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 100),
             (ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5), 500_000),
         ],
     )
@@ -716,24 +738,48 @@ def reference_matching(solver, covered):
     return size
 
 
-def reference_max_matching(solver, covered):
-    """The largest vertex-disjoint set of uncovered pairs, by walking every
-    such set on an explicit stack: the reference for ``_max_matching``."""
-    pms = [
-        solver.pair_vmask[i]
-        for i in range(solver.num_pairs)
-        if not covered >> i & 1
+def reference_fractional_matching(solver, covered):
+    """The fractional matching bound by brute force, for n <= 8: the best
+    vertex-disjoint union of uncovered pairs (value 1 each) and odd cycles
+    of uncovered pairs (value |C|/2 each), which is the shape of a basic
+    optimal fractional matching, rounded up.  The reference for
+    ``_max_matching``."""
+    n = solver.n
+    nbr = [0] * n
+    for i, (u, v) in enumerate(solver.pairs):
+        if not covered >> i & 1:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+    # (vertex mask, value in halves): each pair, and each odd cycle's vertex
+    # set, found by walking the simple paths out of its lowest vertex
+    parts = [
+        ((1 << u) | (1 << v), 2) for u in range(n) for v in range(u + 1, n)
+        if nbr[u] >> v & 1
     ]
-    best = 0
-    stack = [(0, 0, 0)]  # (next pair, vertices used, pairs taken)
-    while stack:
-        i, used, size = stack.pop()
-        best = max(best, size)
-        if i < len(pms):
-            stack.append((i + 1, used, size))
-            if not pms[i] & used:
-                stack.append((i + 1, used | pms[i], size + 1))
-    return best
+    for low in range(n):
+        above = ((1 << n) - 1) >> (low + 1) << (low + 1)
+        stack = [(1 << low, low)]
+        while stack:
+            pv, x = stack.pop()
+            size = pv.bit_count()
+            if size >= 3 and size % 2 and nbr[x] >> low & 1:
+                parts.append((pv, size))
+            cand = nbr[x] & above & ~pv
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                stack.append((pv | bit, bit.bit_length() - 1))
+    # best[mask]: the most halves placed inside mask; the lowest vertex of
+    # mask is either left out or lies in one part
+    best = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        best[mask] = max(
+            [best[mask ^ low]]
+            + [best[mask ^ pv] + value for pv, value in parts
+               if pv & low and pv & mask == pv]
+        )
+    return (best[(1 << n) - 1] + 1) // 2
 
 
 @st.composite
@@ -754,24 +800,33 @@ class TestMatchingBound:
 
     @settings(max_examples=300, deadline=None)
     @given(matching_queries(max_n=8))
-    def test_maximum_matches_brute_force(self, query):
+    def test_fractional_matches_brute_force(self, query):
         solver, covered = query
         size = solver._max_matching(covered)
-        assert size == reference_max_matching(solver, covered)
+        assert size == reference_fractional_matching(solver, covered)
         assert size >= solver._matching(covered)
 
-    def test_maximum_has_no_recursion_cliff(self):
+    def test_fractional_beats_every_matching_on_c5(self):
+        # the uncovered pairs of C5 form another C5: no matching holds more
+        # than 2 of them, but weight 1/2 on each gives 5/2, rounded up to 3
+        solver = _TreeCoverSolver(cycle_graph(5), 0)
+        assert (solver._matching(0), solver._max_matching(0)) == (2, 3)
+
+    def test_fractional_has_no_recursion_cliff(self):
         # the complement of C60 has a perfect matching; with every pair at
-        # vertex 0 covered, the other 59 vertices leave one free
+        # vertices 0 and 1 covered, the complement of the path 2..59 is left,
+        # which has one too
         solver = _TreeCoverSolver(cycle_graph(60), 0)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 25)
         try:
             full = solver._max_matching(0)
-            without_0 = solver._max_matching(solver.vertex_pairs[0])
+            without_01 = solver._max_matching(
+                solver.vertex_pairs[0] | solver.vertex_pairs[1]
+            )
         finally:
             sys.setrecursionlimit(limit)
-        assert (full, without_0) == (30, 29)
+        assert (full, without_01) == (30, 29)
 
 
 # -- naive engine: the coverage cut against the unpruned enumerator ---------------
