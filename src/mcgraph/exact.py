@@ -22,9 +22,13 @@ leaves uncovered, tried first greedily and then fractionally (half a
 maximum matching of the bipartite double cover, rounded up), exceeds the
 waste left, by the argument in the ``_TreeCoverSolver`` docstring.  The
 moves of delta d + 1 are built only after every child of delta d has
-failed.  Each
-tree's capacity gate is one number, the largest delta it passes, because
-the deltas it passes are always 1..top.  A frontier maps each (vertex
+failed.  A state that an automorphism of the host maps onto a state
+already exhausted in the same round is not searched again, since it holds
+no cover either; the test is lazy and never enumerates the automorphism
+group (a bucket of equal tree sizes, then 1-WL colours of the host, then
+per-vertex classes, then a backtracked vertex map).  Each tree's capacity
+gate is one number, the largest delta it passes, because the deltas it
+passes are always 1..top.  A frontier maps each (vertex
 set, last vertex) to its number of path prefixes instead of listing them
 (Held and Karp's subset states), children are bounded once per (target,
 vertex set) group, and every group that passes is rebuilt into concrete
@@ -211,7 +215,8 @@ class _Frontier:
     with the same vertex set and the same last vertex have the same
     extensions, so ``states`` maps each (vertex mask, last vertex) to its
     number of open prefixes of length ``length`` (None before the first
-    call).  ``paths(k)`` grows the states to length k - 1 and returns
+    call), keyed by the int ``last_bit << n | vmask``, which takes far less
+    memory than a tuple.  ``paths(k)`` grows the states to length k - 1 and returns
     ``{vertex mask: number of paths}`` over the paths of length k; k must
     rise from call to call.  ``expand(vmask)`` rebuilds the edge masks of
     the paths behind one of those vertex masks.
@@ -250,11 +255,12 @@ class _Frontier:
         self.ends = ends
         self.open_v = solver.vertex_mask & ~ends & ~forbidden
         self.weight = weight
-        self.states: dict[tuple[int, int], int] | None = None
+        self.states: dict[int, int] | None = None
         self.length = 0
 
     def paths(self, k: int) -> dict[int, int]:
         solver, free = self.solver, self.free
+        n, all_v = solver.n, solver.vertex_mask
         states = self.states
         if states is None:
             solver._tick_prefixes(self.weight * self.starts.bit_count())
@@ -263,29 +269,32 @@ class _Frontier:
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                states[bit, bit.bit_length() - 1] = 1
+                states[bit << n | bit] = 1
         open_v = self.open_v
         while self.length < k - 1 and states:
-            grown: dict[tuple[int, int], int] = {}
+            grown: dict[int, int] = {}
             created = 0
-            for (pv, x), count in states.items():
-                cand = free[x] & open_v & ~pv
+            for key, count in states.items():
+                # open_v lies inside all_v, so ~key clears the path's vertices
+                cand = free[(key >> n).bit_length() - 1] & open_v & ~key
                 if not cand:
                     continue
                 created += count * cand.bit_count()
+                pv = key & all_v
                 while cand:
                     wbit = cand & -cand
                     cand ^= wbit
-                    key = (pv | wbit, wbit.bit_length() - 1)
-                    grown[key] = grown.get(key, 0) + count
+                    grown_key = wbit << n | pv | wbit
+                    grown[grown_key] = grown.get(grown_key, 0) + count
             solver._tick_prefixes(self.weight * created)
             states = grown
             self.length += 1
         self.states = states
         ends = self.ends
         out: dict[int, int] = {}
-        for (pv, x), count in states.items():
-            cand = free[x] & ends
+        for key, count in states.items():
+            pv = key & all_v
+            cand = free[(key >> n).bit_length() - 1] & ends
             while cand:
                 wbit = cand & -cand
                 cand ^= wbit
@@ -405,6 +414,30 @@ class _TreeCoverSolver:
     passes exactly the deltas 1..top, so level d asks only trees with
     top >= d.
 
+    States that are symmetric to exhausted ones are pruned, as in orbital
+    branching (Ostrowski et al., *Math. Program.* 126, 2011).  A state is
+    the family of tree edge masks; it fixes the tree vertex sets, the
+    covered pairs, the used edges and the waste.  Each round keeps the
+    states whose ``_dfs`` returned None, and ``_dfs`` returns None at once
+    (counted in ``symmetric``) for a state S that an automorphism sigma of
+    the host maps onto one of them, S*.  This is sound because the search
+    from a state is complete: it returns None only when no cover within the
+    limit extends the state, every tree of the state inside its own tree of
+    the cover.  sigma maps the covers that extend S onto the covers that
+    extend sigma(S) = S*, of the same waste, and none extends S*, so none
+    extends S.  A pruned subtree therefore holds no cover, the first cover
+    found, which is the witness, does not change, and only the counters
+    move.  A round at a larger limit starts with no exhausted state, since
+    a state exhausted at one limit may hold a cover at the next.  The test
+    (``_symmetric``) never enumerates the automorphism group: exhausted
+    states are bucketed by their sorted tree edge counts; at the first
+    bucket hit the host's 1-WL colours are computed once, and if they are
+    discrete only the identity is an automorphism and pruning stops for the
+    solve; otherwise the buckets are keyed from then on by the sorted
+    per-vertex classes (WL colour and the size and degree of each tree at
+    the vertex), so only states whose classes agree reach ``_equivalent``,
+    which backtracks a vertex map.
+
     One node is charged per generated child, cut or not, per round root and
     per start or prefix that a frontier builds; ``max_nodes`` caps the sum,
     and the search raises with ``nodes == max_nodes + 1``.  ``path_nodes``
@@ -431,14 +464,18 @@ class _TreeCoverSolver:
         self.path_nodes = 0
         self.cut = 0
         self.matching_cut = 0
+        self.symmetric = 0
 
         self.vertex_mask = (1 << self.n) - 1
         self.adj_vmask = [0] * self.n
+        self.incident = [0] * self.n  # the edge mask of the edges at v
         # ebit[u][1 << w] is the bit of edge uw in an edge mask
         self.ebit: list[dict[int, int]] = [{} for _ in range(self.n)]
         for i, (u, v) in enumerate(g.edges):
             self.adj_vmask[u] |= 1 << v
             self.adj_vmask[v] |= 1 << u
+            self.incident[u] |= 1 << i
+            self.incident[v] |= 1 << i
             self.ebit[u][1 << v] = self.ebit[v][1 << u] = 1 << i
 
         dist = all_pairs_distances(g)
@@ -474,6 +511,12 @@ class _TreeCoverSolver:
         self.floor = 0
         self.floor_by = "Lem1"
         self.targets: list[int] = []
+
+        # symmetry: this round's exhausted states by ``_state_key`` (None
+        # once the host's 1-WL colouring ``wl`` is found discrete)
+        self.exhausted: dict[tuple, list[tuple[int, ...]]] | None = {}
+        self.wl: list[int] | None = None
+        self.prepared: tuple | None = None  # see ``_prepared``
 
     # -- precomputed tables -------------------------------------------------
 
@@ -833,6 +876,175 @@ class _TreeCoverSolver:
             self.tree_v[target] = state[3]
             self.tree_e[target] = state[4]
 
+    # -- symmetry -----------------------------------------------------------
+
+    def _wl_colours(self) -> list[int]:
+        """The host's 1-WL colour classes (colour refinement from one
+        colour), numbered by their sorted signatures.  Every automorphism
+        keeps each vertex's class."""
+        n, nbrs = self.n, self.g.neighbors
+        colour = [0] * n
+        count = 1
+        while True:
+            sigs = [
+                (colour[x], tuple(sorted(colour[w] for w in nbrs[x])))
+                for x in range(n)
+            ]
+            ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+            colour = [ids[sig] for sig in sigs]
+            if len(ids) == count:  # no class split: the colouring is stable
+                return colour
+            count = len(ids)
+
+    def _vertex_classes(self, state: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Each vertex's class in ``state``: its WL colour, then the sorted
+        (edge count, degree) of each tree at it, each pair as one int."""
+        shift = self.n.bit_length()  # a degree is below n
+        classes = []
+        for c, inc in zip(self.wl, self.incident):
+            at = sorted(
+                e.bit_count() << shift | (e & inc).bit_count() for e in state if e & inc
+            )
+            classes.append((c, *at))
+        return classes
+
+    def _state_key(self, state: tuple[int, ...]) -> tuple:
+        """The bucket of ``state``: its sorted tree edge counts until the WL
+        colours are known, then its sorted vertex classes, which an
+        automorphism keeps and which fix the tree edge counts."""
+        if self.wl is None:
+            return tuple(sorted(e.bit_count() for e in state))
+        return tuple(sorted(self._vertex_classes(state)))
+
+    def _tree_of_edge(self, state: tuple[int, ...]) -> dict[int, int]:
+        """The index of the tree of ``state`` that holds each tree edge's bit."""
+        tree_of = {}
+        for i, emask in enumerate(state):
+            while emask:
+                bit = emask & -emask
+                emask ^= bit
+                tree_of[bit] = i
+        return tree_of
+
+    def _prepared(self, a: tuple[int, ...]) -> tuple:
+        """(a, its vertex classes, their sorted tuple, ``_tree_of_edge(a)``),
+        kept for the last state asked: a state is compared with every state
+        of its bucket."""
+        if self.prepared is None or self.prepared[0] != a:
+            classes = self._vertex_classes(a)
+            key = tuple(sorted(classes))
+            self.prepared = (a, classes, key, self._tree_of_edge(a))
+        return self.prepared
+
+    def _equivalent(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        """Whether an automorphism of the host maps the trees of state ``a``
+        onto the trees of state ``b`` (``wl`` set).
+
+        The classes of ``_vertex_classes`` must agree as multisets.  Then a
+        vertex map sigma is backtracked on an explicit stack, each vertex of
+        ``a`` tried on the vertices of ``b`` of its class: sigma must keep
+        adjacency and non-adjacency with every vertex mapped before, and
+        take an edge of tree i to an edge of tree pi(i), for one bijection
+        pi between trees of equal edge counts, built along the way (an edge
+        outside the trees goes to an edge outside them).  A complete sigma is
+        an automorphism with sigma(T_i) inside T_pi(i), hence equal to it.
+        The vertices of the trees of ``a`` go first, as they have the
+        fewest candidates."""
+        _, classes_a, key_a, tree_a = self._prepared(a)
+        classes_b = self._vertex_classes(b)
+        if key_a != tuple(sorted(classes_b)):
+            return False
+        n, adj, ebit = self.n, self.adj_vmask, self.ebit
+        order = sorted(range(n), key=lambda x: len(classes_a[x]) == 1)
+        of_class: dict[tuple[int, ...], int] = {}
+        for y, c in enumerate(classes_b):
+            of_class[c] = of_class.get(c, 0) | 1 << y
+        cands = [of_class[c] for c in classes_a]
+        tree_b = self._tree_of_edge(b)
+        pi, pi_inv = [-1] * len(a), [-1] * len(b)
+        sigma = [-1] * n
+        paired: list[list[int]] = [[] for _ in range(n)]  # pi entries per depth
+        left = [0] * n  # the candidates still to try at each depth
+        left[0] = cands[order[0]]
+        domain = image = 0
+        depth = 0
+        while depth >= 0:
+            if not left[depth]:
+                depth -= 1
+                if depth >= 0:  # undo the vertex mapped at this depth
+                    x = order[depth]
+                    domain ^= 1 << x
+                    image ^= 1 << sigma[x]
+                    for i in paired[depth]:
+                        pi_inv[pi[i]] = pi[i] = -1
+                continue
+            ybit = left[depth] & -left[depth]
+            left[depth] ^= ybit
+            x, y = order[depth], ybit.bit_length() - 1
+            near = adj[x] & domain
+            if near.bit_count() != (adj[y] & image).bit_count():
+                continue
+            new_pairs: list[int] = []
+            while near:  # each mapped neighbour w of x, going to z
+                w = (near & -near).bit_length() - 1
+                near &= near - 1
+                z = sigma[w]
+                if not adj[y] >> z & 1:
+                    break
+                i = tree_a.get(ebit[x][1 << w], -1)
+                j = tree_b.get(ebit[y][1 << z], -1)
+                if (i < 0) != (j < 0):
+                    break
+                if i >= 0 and pi[i] != j:  # pair trees i and j, if both free
+                    if pi[i] >= 0 or pi_inv[j] >= 0:
+                        break
+                    if a[i].bit_count() != b[j].bit_count():
+                        break
+                    pi[i], pi_inv[j] = j, i
+                    new_pairs.append(i)
+            else:  # x goes to y
+                sigma[x] = y
+                domain |= 1 << x
+                image |= ybit
+                paired[depth] = new_pairs
+                depth += 1
+                if depth == n:
+                    return True
+                left[depth] = cands[order[depth]] & ~image
+                continue
+            for i in new_pairs:
+                pi_inv[pi[i]] = pi[i] = -1
+        return False
+
+    def _symmetric(self, state: tuple[int, ...]) -> bool:
+        """Whether an automorphism of the host maps ``state`` onto a state
+        exhausted in this round.  The first time a state meets a bucket of
+        exhausted states with its tree edge counts, the WL colouring is
+        computed: if it is discrete, only the identity is an automorphism,
+        and pruning is off for the rest of the solve; if not, the buckets
+        are split by vertex classes from then on."""
+        exhausted = self.exhausted
+        if exhausted is None:
+            return False
+        if self.wl is None:
+            if self._state_key(state) not in exhausted:
+                return False
+            self.wl = self._wl_colours()
+            if len(set(self.wl)) == self.n:
+                self.exhausted = None
+                return False
+            self.exhausted = {}
+            for bucket in exhausted.values():
+                for other in bucket:
+                    self._exhaust(other)
+        bucket = self.exhausted.get(self._prepared(state)[2], ())
+        return any(self._equivalent(state, other) for other in bucket)
+
+    def _exhaust(self, state: tuple[int, ...]) -> None:
+        """Keep ``state``, whose search found no cover, for ``_symmetric``."""
+        if self.exhausted is not None:
+            self.exhausted.setdefault(self._state_key(state), []).append(state)
+
     # -- search -------------------------------------------------------------
 
     def _dfs(self, limit: int) -> list[int] | None:
@@ -840,6 +1052,10 @@ class _TreeCoverSolver:
         below the current state, or None."""
         if self.covered == self.all_mask:
             return list(self.tree_e)
+        state = tuple(self.tree_e)
+        if self._symmetric(state):
+            self.symmetric += 1
+            return None
         budget = limit - self.waste
         rest = self.all_mask & ~self.covered
         dp = self._capacity_dp(budget)
@@ -889,11 +1105,12 @@ class _TreeCoverSolver:
             self.matching_cut += matching_cut
             children.sort(key=self._move_key)
             for _delta, target, add_v, add_e in children:
-                created, t, state = self._apply(target, add_v, add_e, delta)
+                created, t, saved = self._apply(target, add_v, add_e, delta)
                 found = self._dfs(limit)
-                self._undo(created, t, state)
+                self._undo(created, t, saved)
                 if found is not None:
                     return found
+        self._exhaust(state)
         return None
 
     def solve(self, lemma1_floor: int) -> list[int] | None:
@@ -913,6 +1130,8 @@ class _TreeCoverSolver:
             return []
         for limit in range(self.floor, self.n - 2):
             self.targets.append(limit)
+            if self.exhausted is not None:  # a state exhausted at a smaller
+                self.exhausted.clear()  # limit may hold a cover at this one
             self._tick()  # the round's root
             found = self._dfs(limit)
             if found is not None:
@@ -927,6 +1146,7 @@ class _TreeCoverSolver:
             targets=tuple(self.targets),
             cut=self.cut,
             matching_cut=self.matching_cut,
+            symmetric=self.symmetric,
             path_nodes=self.path_nodes,
         )
 

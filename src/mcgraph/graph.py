@@ -26,7 +26,7 @@ forces the answer (Chartrand and Harary, 1968), else from the first k
 vertices only with flows capped at k (Even, *SIAM J. Comput.* 4(3), 1975).
 The comment above ``_max_flow`` gives the arguments.
 
-Four searches stay separate on purpose:
+Five searches stay separate on purpose:
 
 * ``_max_flow`` walks residual arc arrays, not the graph: a list of arc ids
   per node, a ``head`` list and a ``room`` list, with arc ``a ^ 1`` the
@@ -41,6 +41,10 @@ Four searches stay separate on purpose:
   and ``smallgraphs._mask_connected`` run over up to 2^21 vertex or edge
   masks inside search and corpus set-up, where building a ``Graph`` per mask
   would dominate.
+* ``exact._TreeCoverSolver._wl_colours`` refines vertex colours (1-WL), and
+  ``_equivalent`` backtracks a vertex map over neighbour bitmasks on its own
+  stack: together they decide whether an automorphism maps one search state
+  onto another, without listing the automorphisms.
 
 Each search of a graph costs O(n + m), so a large sparse graph costs what its
 edges cost.  The exhaustive-cut oracles in ``verification`` are kept

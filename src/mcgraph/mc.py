@@ -158,6 +158,7 @@ class SearchStats:
     targets: tuple[int, ...] = ()  # the deepening limits tried
     cut: int = 0  # children cut before they were applied
     matching_cut: int = 0  # of ``cut``: passed greedy, not the fractional bound
+    symmetric: int = 0  # applied states pruned as images of exhausted ones
     path_nodes: int = 0  # the path-enumeration prefixes among ``nodes``
 
     def to_dict(self) -> dict:

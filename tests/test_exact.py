@@ -4,7 +4,7 @@ import inspect
 import random
 import sys
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -30,7 +30,13 @@ from mcgraph.families import (
 )
 from mcgraph.graph import build_graph, edge_components, is_connected
 from mcgraph.io import loads_coloring
-from mcgraph.mc import EdgeColoring, TreeCover, check_mc_coloring, mc_bounds_basic
+from mcgraph.mc import (
+    EdgeColoring,
+    McResult,
+    TreeCover,
+    check_mc_coloring,
+    mc_bounds_basic,
+)
 from mcgraph.products import ProductKind, make_product
 from mcgraph.smallgraphs import random_connected_graph
 
@@ -207,27 +213,31 @@ PINNED_DIGESTS = {
     "products": "9742121e60fb56341ba3b58ff38c517a386d2bbbd8c38b431a7433c1290f7f01",
     # first decided by the level-by-level move stream
     "strong_P3_K5": "00c7c4480ae71197f6dd7513e11393b8e54e7e5fb5bd4482aa3de8f11927d0b9",
+    # first decided with symmetric states pruned; the witness is the file
+    # tests/data/lex_P3_C5_mc53.json
+    "lex_P3_C5": "07ff21cd7b11aa5ba812ba10715718b219b4d348236aa1c8d1d363230bd1b89e",
 }
 
 
 # The exact search counters (nodes, cut, path_nodes), the regression gates:
-# recorded with the fractional matching cut behind the greedy one.  lex_P3_C5
-# is the bounds-only run at 500,000 nodes.
+# recorded with the states that an automorphism maps onto exhausted ones
+# pruned.  lex_P3_C5 is the bounds-only run at 500,000 nodes.
 COUNTER_PINS = {
     "strong_P3_K4": (37, 0, 14),
-    "lex_P3_C4": (440_152, 232_939, 207_109),
-    "lex_P3_star4": (55_390, 30_864, 24_339),
-    "lex_P3_P4": (54_134, 33_445, 20_635),
-    "lex_P2_C5": (155, 73, 63),
+    "lex_P3_C4": (101_597, 52_963, 48_551),
+    "lex_P3_star4": (10_450, 6_125, 4_253),
+    "lex_P3_P4": (27_139, 16_735, 10_356),
+    "lex_P2_C5": (118, 48, 51),
     "cartesian_C3_C4": (0, 0, 0),
-    "lex_P3_C5": (500_001, 241_664, 207_082),
-    "strong_P3_K5": (4_142_946, 2_949_496, 1_192_712),
+    "lex_P3_C5": (500_001, 288_019, 211_968),
+    "strong_P3_K5": (563_121, 398_960, 164_037),
 }
 
 # sha256 of every SearchStats.to_dict() over each set, recorded likewise
+# (on corpus6 no state is pruned, and only the ``symmetric`` key is new)
 STATS_DIGESTS = {
-    "corpus6": "eaf59a4a87418119d012ede708ef0d830fa5fb9df4c69cedcbcf5d020878c721",
-    "dense_random": "54ce4470fd96e320ada78b8622eac0044f495d6de1ba3e783581d2ec6ddc7689",
+    "corpus6": "165a02812ae8cf1d400021815af6600d0066d65f9f19b43e8c70a4b958ba6b47",
+    "dense_random": "4bec560f662381ee9da1ef246d8796a7c3fdb453d778ef7605a664e72665338d",
 }
 
 
@@ -293,15 +303,17 @@ class TestSearchRegression:
         assert (strong.floor, strong.floor_by, strong.targets) == (7, "Lem1", (7,))
         # on lex_P3_C4, lex_P3_star4, lex_P3_P4 and lex_P2_C5, the greedy
         # matching cut alone takes 688,620, 129,693, 59,496 and 521 nodes,
-        # and with the fractional bound behind it 440,152, 55,390, 54,134
-        # and 155
+        # with the fractional bound behind it 440,152, 55,390, 54,134 and
+        # 155, and with symmetric states pruned as well 101,597, 10,450,
+        # 27,139 and 118
         assert product_results["lex_P2_C5"][1].stats.nodes <= 200
-        assert product_results["lex_P3_C4"][1].stats.nodes <= 450_000
-        assert product_results["lex_P3_star4"][1].stats.nodes <= 60_000
-        assert product_results["lex_P3_P4"][1].stats.nodes <= 56_000
+        assert product_results["lex_P3_C4"][1].stats.nodes <= 110_000
+        assert product_results["lex_P3_star4"][1].stats.nodes <= 12_000
+        assert product_results["lex_P3_P4"][1].stats.nodes <= 30_000
         for name in ("lex_P3_C4", "lex_P3_star4", "lex_P3_P4"):
             stats = product_results[name][1].stats
             assert 0 < stats.matching_cut < stats.cut, name
+            assert stats.symmetric > 0, name
 
     def test_counters_pinned(self, product_results):
         for name, *_ in PRODUCTS:
@@ -313,10 +325,11 @@ class TestSearchRegression:
 
     def test_lex_P3_C5_witness_attains_53(self):
         # the engine's witness for mc(lex(P3,C5)) = 53, written by
-        # `MCGRAPH_BUDGET=10000000000 mcgraph mc exact ... --witness`; the
-        # search that proves no cover beats it takes about 9 * 10^8 nodes,
-        # but the witness alone proves mc >= 53 in milliseconds, so Thm3(3)'s
-        # [52, 56] is not attained at its lower end
+        # `MCGRAPH_BUDGET=200000000 mcgraph mc exact ... --witness`; the
+        # search that proves no cover beats it takes about 1.1 * 10^8 nodes
+        # (a CI step runs it), but the witness alone proves mc >= 53 in
+        # milliseconds, so Thm3(3)'s [52, 56] is not attained at its lower
+        # end
         kind, a, b = ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)
         g = make_product(kind, a, b).graph
         path = Path(__file__).parent / "data" / "lex_P3_C5_mc53.json"
@@ -324,19 +337,22 @@ class TestSearchRegression:
         ok, pair = check_mc_coloring(g, witness)
         assert ok, pair
         assert witness.color_count == 53
+        engine = McResult(53, witness, "tree-cover", mc_bounds_basic(g))
+        assert witness_digest([engine]) == PINNED_DIGESTS["lex_P3_C5"]
         bounds = product_mc_bounds(kind, a, b)
         assert (bounds.lower_source, bounds.lower, bounds.upper) == ("Thm3(3)", 52, 56)
         assert 53 in bounds
 
     def test_strong_P3_K5_decided(self):
         # the Lem1 ceiling 71 is attained; the stream took 4,142,946 nodes,
-        # where building every move before visiting any exceeded 10^7
+        # where building every move before visiting any exceeded 10^7, and
+        # pruning symmetric states takes it to 563,121
         g = make_product(ProductKind.STRONG, path_graph(3), complete_graph(5)).graph
         res = mc_exact(g)
         assert (res.value, res.method) == (71, "tree-cover")
         ok, _ = check_mc_coloring(g, res.witness)
         assert ok and res.witness.color_count == 71
-        assert res.stats.nodes <= 5_000_000
+        assert res.stats.nodes <= 600_000
         assert witness_digest([res]) == PINNED_DIGESTS["strong_P3_K5"]
         assert counters(res) == COUNTER_PINS["strong_P3_K5"]
 
@@ -378,6 +394,188 @@ class TestSearchRegression:
         finally:
             sys.setrecursionlimit(limit)
         assert res.value == 2
+
+
+# -- symmetry: states that an automorphism maps onto exhausted ones ---------
+
+
+def lex_p3_c4():
+    return make_product(
+        ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(4)
+    ).graph
+
+
+def lex_p3_c4_automorphisms():
+    """Aut(C4) wr Aut(P3), all 1,024 automorphisms of lex(P3,C4) (vertex
+    (a, x) is 4a + x): P3's identity or flip, then one C4 automorphism per
+    copy of C4."""
+    c4 = [tuple((s * x + r) % 4 for x in range(4)) for r in range(4) for s in (1, -1)]
+    maps = []
+    for flip in (False, True):
+        for per_copy in product(c4, repeat=3):
+            maps.append(tuple(
+                4 * (2 - a if flip else a) + per_copy[a][x]
+                for a in range(3)
+                for x in range(4)
+            ))
+    return maps
+
+
+def state_of(g, *trees):
+    """The tree edge masks of trees given as edge lists."""
+    return tuple(sum(1 << g.edge_index[e] for e in tree) for tree in trees)
+
+
+def image(g, state, sigma):
+    """The set of tree edge masks that ``sigma`` maps ``state`` onto."""
+    out = set()
+    for emask in state:
+        edges = [g.edges[i] for i in bits_of(emask)]
+        out.add(sum(
+            1 << g.edge_index[tuple(sorted((sigma[u], sigma[v])))] for u, v in edges
+        ))
+    return frozenset(out)
+
+
+def solver_with_wl(g):
+    solver = _TreeCoverSolver(g, 10**9)
+    solver.wl = solver._wl_colours()
+    return solver
+
+
+class TestSymmetry:
+    def test_the_automorphisms_are_automorphisms(self):
+        g = lex_p3_c4()
+        maps = lex_p3_c4_automorphisms()
+        assert len(set(maps)) == 1024
+        for sigma in maps:
+            assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in g.edges} == set(
+                g.edges
+            )
+
+    def test_a_state_and_its_image_are_equivalent(self):
+        g = lex_p3_c4()
+        solver = solver_with_wl(g)
+        # a path in the first copy of C4 and a path through the middle copy
+        state = state_of(g, [(0, 1), (1, 2)], [(0, 4), (4, 8)])
+        # P3 flipped, every copy of C4 rotated by one, and the middle copy
+        # alone rotated (a wreath element outside Aut(P3) x Aut(C4))
+        flip_rotate = tuple(
+            4 * (2 - a) + (x + 1) % 4 for a in range(3) for x in range(4)
+        )
+        middle = tuple(
+            4 * a + ((x + 1) % 4 if a == 1 else x) for a in range(3) for x in range(4)
+        )
+        for sigma in (flip_rotate, middle):
+            other = tuple(sorted(image(g, state, sigma), reverse=True))
+            assert other != state
+            assert solver._equivalent(state, other)
+            assert solver._equivalent(other, state)
+        # the tree order does not matter
+        assert solver._equivalent(state, state[::-1])
+
+    def test_unrelated_states_are_not_equivalent(self):
+        g = lex_p3_c4()
+        solver = solver_with_wl(g)
+        # each a path from the first copy of C4 through vertex 4 back into
+        # it: the same classes of vertices (two ends in an outer copy, a
+        # centre in the middle one), but the ends are adjacent in one and
+        # not in the other, which no automorphism changes
+        adjacent = state_of(g, [(0, 4), (1, 4)])
+        apart = state_of(g, [(0, 4), (2, 4)])
+        assert solver._state_key(adjacent) == solver._state_key(apart)
+        assert not solver._equivalent(adjacent, apart)
+        assert not solver._equivalent(apart, adjacent)
+        # the star from vertex 4 onto the first copy of C4 cut into two
+        # trees, pairing its leaves along the cycle or across it: the same
+        # tree edges and vertex classes, and the identity takes tree edges
+        # to tree edges, but the trees themselves onto no trees
+        along = state_of(g, [(0, 4), (1, 4)], [(2, 4), (3, 4)])
+        across_c4 = state_of(g, [(0, 4), (2, 4)], [(1, 4), (3, 4)])
+        assert solver._state_key(along) == solver._state_key(across_c4)
+        assert not solver._equivalent(along, across_c4)
+        # a path inside a copy of C4 and one across the copies
+        inside = state_of(g, [(0, 1), (1, 2)])
+        across = state_of(g, [(0, 4), (4, 8)])
+        assert not solver._equivalent(inside, across)
+
+    def test_equivalence_matches_the_automorphism_group(self):
+        # every state the unpruned search applies on lex(P3,C4), against
+        # its orbit under all 1,024 automorphisms
+        g = lex_p3_c4()
+        applied = []
+
+        class Recording(_TreeCoverSolver):
+            def _symmetric(self, state):
+                applied.append(state)
+                return False
+
+        Recording(g, 10**7).solve(0)
+        maps = lex_p3_c4_automorphisms()
+        solver = solver_with_wl(g)
+        related = unrelated = 0
+        for i, a in enumerate(applied):
+            orbit = {image(g, a, sigma) for sigma in maps}
+            for b in applied[:i]:
+                if sorted(map(int.bit_count, a)) != sorted(map(int.bit_count, b)):
+                    continue
+                truth = frozenset(b) in orbit
+                assert solver._equivalent(a, b) == truth, (a, b)
+                related += truth
+                unrelated += not truth
+        assert related > 0 and unrelated > 0
+
+    def test_discrete_colouring_turns_pruning_off(self):
+        # legs of 1, 2 and 3 edges at vertex 0: every vertex has its own
+        # 1-WL colour, so only the identity is an automorphism, and not
+        # even the same state is then tested again
+        g = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        solver = _TreeCoverSolver(g, 10**9)
+        state = state_of(g, [(0, 1), (0, 2)], [(4, 5), (5, 6)])
+        solver._exhaust(state)
+        assert not solver._symmetric(state)
+        assert solver.exhausted is None and sorted(solver.wl) == list(range(7))
+
+    def test_pruning_changes_no_outcome(self, corpus6, monkeypatch):
+        # value, method and witness, and the rounds tried (every round but
+        # the last found no cover; the last found the witness, or none if the
+        # witness is the spanning tree), with the equivalence test as is and
+        # always False; lex_P3_C5 is left out, as it decides nothing at the
+        # exact-products budget
+        rng = random.Random(1)
+        n7 = [random_connected_graph(7, m, rng) for m in (9, 10, 11) for _ in range(8)]
+        products = [(make_product(kind, a, b).graph, budget)
+                    for _, kind, a, b, budget in PRODUCTS]
+        runs = [(g, None) for g in list(corpus6) + n7] + products
+
+        def outcomes():
+            out = []
+            for g, budget in runs:
+                res = mc_exact(g) if budget is None else mc_exact(g, max_nodes=budget)
+                colors = res.witness.colors if res.witness else None
+                targets = res.stats.targets if res.stats else None
+                out.append((res.value, res.method, colors, targets))
+            return out
+
+        pruned = outcomes()
+        monkeypatch.setattr(_TreeCoverSolver, "_equivalent", lambda self, a, b: False)
+        assert outcomes() == pruned
+
+    def test_search_is_freed_without_the_collector(self):
+        # the search, its frontiers and the symmetry test leave no reference
+        # cycle: with the cycle collector off, a call leaves no object that
+        # only a collection would free (a recursive closure in the
+        # backtracking would leave over a thousand)
+        g = lex_p3_c4()
+        gc.collect()
+        gc.disable()
+        try:
+            res = mc_exact(g)
+            assert res.stats.symmetric > 0
+            del res
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # -- path frontiers: the level-by-level kernel against the arc-iterator enumerator --

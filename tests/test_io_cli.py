@@ -201,7 +201,7 @@ class TestCli:
             stats = json.loads(err)
             assert set(stats) == {
                 "nodes", "floor", "floor_by", "targets", "cut", "matching_cut",
-                "path_nodes",
+                "symmetric", "path_nodes",
             }
             assert stats["floor_by"] in {"Lem1", "matching", "capacity"}
             assert 0 <= stats["matching_cut"] <= stats["cut"]
