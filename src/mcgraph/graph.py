@@ -20,18 +20,26 @@ Every traversal of a ``Graph`` in the package goes through two primitives:
 
 Vertex and edge connectivity are unit-capacity max flows (Menger), run
 sparingly: from a minimum-degree pivot only (Esfahanian and Hakimi,
-*Networks* 14(2), 1984), each capped at the best cut found so far, and, for
-the question "is kappa >= k?", not at all when the minimum degree already
-forces the answer (Chartrand and Harary, 1968), else from the first k
-vertices only with flows capped at k (Even, *SIAM J. Comput.* 4(3), 1975).
-The comment above ``_max_flow`` gives the arguments.
+*Networks* 14(2), 1984), each capped at the best cut found so far, and none
+once the best cut meets a floor that facts already known prove.  kappa is 1
+when the graph has a cut vertex, else at least 2 and at least
+2 delta - n + 2 (Chartrand and Harary, 1968); lambda is at least kappa by
+Whitney's chain kappa <= lambda <= delta (*Amer. J. Math.* 54, 1932).  A
+floor that reaches delta is the answer, with no flow at all.  For the
+question "is kappa >= k?" the minimum degree may force the answer, else the
+flows run from the first k vertices only, capped at k (Even, *SIAM J.
+Comput.* 4(3), 1975).  Each augmenting path comes from a breadth-first
+search run from both ends of the flow (Pohl, 1971).  The comment above
+``_max_flow`` gives the arguments.
 
 Five searches stay separate on purpose:
 
 * ``_max_flow`` walks residual arc arrays, not the graph: a list of arc ids
   per node, a ``head`` list and a ``room`` list, with arc ``a ^ 1`` the
-  reverse of arc ``a``.  It undoes only the arcs it pushed, so one network
-  serves every flow of a search without a copy per flow.
+  reverse of arc ``a``.  It searches forward from the source and backward
+  from the sink, level by level, with one mark list for both trees.  It
+  undoes only the arcs it pushed, so one network serves every flow of a
+  search without a copy per flow.
 * :func:`has_cut_vertex` is one depth-first lowpoint search (Hopcroft and
   Tarjan), which a breadth-first tree cannot replace; it keeps its own stack,
   so deep graphs meet no recursion limit.
@@ -373,7 +381,7 @@ def has_cut_vertex(g: Graph) -> bool:
 # Connectivity.  By Menger's theorem the local connectivity of a non-adjacent
 # pair is the number of internally vertex-disjoint paths joining it, a
 # unit-capacity max flow on the vertex-split digraph; edge connectivity is
-# the same on the graph's own arcs.  Three facts keep the flows few and short:
+# the same on the graph's own arcs.  Five facts keep the flows few and short:
 #
 # * Pivot (Esfahanian and Hakimi, Networks 14(2), 1984).  Let v have minimum
 #   degree delta; on a non-complete graph kappa <= delta.  A minimum cut S
@@ -382,10 +390,18 @@ def has_cut_vertex(g: Graph) -> bool:
 #   G - S, which are non-adjacent.  So kappa is the least of delta, the flows
 #   from v to its non-neighbours and the flows between non-adjacent
 #   neighbours of v: at most n + delta^2 flows, not one per non-adjacent pair.
-# * Caps.  A flow that reaches the best cut found so far cannot lower it, so
-#   each flow stops after that many augmenting paths; a connected graph has
-#   no cut below 1, so the search stops once it finds one of size 1, and
-#   does not start (nor build its network) when delta is 1.
+# * Caps and floors.  A flow that reaches the best cut found so far cannot
+#   lower it, so each flow stops after that many augmenting paths; and no
+#   cut lies below a proven floor, so the search stops once its best cut
+#   meets the floor, and does not start (nor build its network) when the
+#   floor reaches delta.  kappa's floor: one depth-first search
+#   (``has_cut_vertex``) finds a cut vertex, and then kappa is 1; a
+#   connected graph on 3 or more vertices with none is 2-connected, so
+#   kappa >= 2; and kappa >= 2 delta - n + 2 by the degree threshold below.
+#   Cycles, grids and every other graph of delta 2 without a cut vertex
+#   thus run no flow.  lambda's floor is kappa, by Whitney's chain kappa <=
+#   lambda <= delta (Amer. J. Math. 54, 1932), so kappa = delta settles
+#   lambda with no flow, as on hypercubes, tori and the hl graphs.
 # * Degree threshold (Chartrand and Harary, 1968).  If a set S of at most
 #   k - 1 vertices separates x from y, each of x and y has its neighbours in
 #   S and its own side, and the two sides and S share n vertices, so
@@ -398,6 +414,20 @@ def has_cut_vertex(g: Graph) -> bool:
 #   non-neighbours, so kappa >= k iff every flow from the first k vertices to
 #   their non-neighbours reaches k.  ``connectivity_at_least`` asks only that,
 #   with flows capped at k.
+# * Both ends (Pohl, Machine Intelligence 6, 1971).  Each augmenting path is
+#   found by a breadth-first search forward from s and backward from t, one
+#   whole level of the smaller frontier at a time.  Where levels grow fast,
+#   as on a hypercube, each side stops near half the distance and the two
+#   together scan far fewer arcs than one search from s; on a long thin
+#   graph, such as a prism C300 x P2, both scan about the same arcs, and the
+#   search from both ends pays a little more per level.  The backward side
+#   walks arc ``a ^ 1`` into a node, so both sides read the same ``room``
+#   list.  One ``via`` list keeps a single mark per node, the arc that tree
+#   reached it by, so no node is in both trees, and the trees join on an
+#   arc: the first arc with room from a forward node to a backward node
+#   closes the path s .. u -> w .. t, which the marks spell out from u back
+#   to s and from w on to t.  Every augmenting path raises the flow by one,
+#   so the value does not depend on which path is found.
 #
 # ``Graph.vertex_connectivity`` and ``Graph.edge_connectivity`` cache the two
 # values, so metrics, bounds and product formulas share one computation per
@@ -413,33 +443,78 @@ FlowNetwork = tuple[list[list[int]], list[int], list[int]]
 def _max_flow(net: FlowNetwork, s: int, t: int, cap: int) -> int:
     """Arc-disjoint ``s``-``t`` paths in a unit-capacity network, at most ``cap``.
 
-    Augments along breadth-first paths and stops after ``cap`` paths; on
-    return every pushed arc is restored, so ``net`` serves every flow of a
-    search.
+    Finds each augmenting path by a breadth-first search from both ends and
+    stops after ``cap`` paths; on return every pushed arc is restored, so
+    ``net`` serves every flow of a search.
     """
     out, head, room = net
     pushed: list[int] = []
+    no_arc = len(head)
     flow = 0
     while flow < cap:
-        via = [-1] * len(out)  # the arc a search first reached each node by
-        via[s] = len(head)  # no arc: marks the source reached
-        queue = [s]
-        for u in queue:  # the queue grows while it is read
-            for a in out[u]:
-                if room[a] and via[head[a]] < 0:
-                    via[head[a]] = a
-                    queue.append(head[a])
-            if via[t] >= 0:
-                break
-        if via[t] < 0:
+        # one mark per node: the arc the forward tree reached it by (>= 0),
+        # -2 - the arc the backward tree left it by, or -1 for unseen
+        via = [-1] * len(out)
+        via[s], via[t] = no_arc, -2 - no_arc
+        front, back = [s], [t]
+        join = -1
+        while True:
+            nxt: list[int] = []
+            if len(front) <= len(back):
+                for u in front:
+                    for a in out[u]:
+                        if room[a]:
+                            w = head[a]
+                            mark = via[w]
+                            if mark == -1:
+                                via[w] = a
+                                nxt.append(w)
+                            elif mark < -1:
+                                join = a
+                                break
+                    else:
+                        continue
+                    break
+                if join >= 0 or not nxt:
+                    break
+                front = nxt
+            else:
+                for v in back:
+                    for b in out[v]:
+                        if room[b ^ 1]:
+                            u = head[b]
+                            mark = via[u]
+                            if mark == -1:
+                                via[u] = -2 - (b ^ 1)
+                                nxt.append(u)
+                            elif mark >= 0:
+                                join = b ^ 1
+                                break
+                    else:
+                        continue
+                    break
+                if join >= 0 or not nxt:
+                    break
+                back = nxt
+        if join < 0:
             break
-        v = t
-        while v != s:
-            a = via[v]
+        room[join] -= 1
+        room[join ^ 1] += 1
+        pushed.append(join)
+        u = head[join ^ 1]
+        while u != s:
+            a = via[u]
             room[a] -= 1
             room[a ^ 1] += 1
             pushed.append(a)
-            v = head[a ^ 1]
+            u = head[a ^ 1]
+        w = head[join]
+        while w != t:
+            a = -2 - via[w]
+            room[a] -= 1
+            room[a ^ 1] += 1
+            pushed.append(a)
+            w = head[a]
         flow += 1
     for a in pushed:
         room[a] += 1
@@ -483,25 +558,31 @@ def min_degree(g: Graph) -> int:
 def vertex_connectivity(g: Graph) -> int:
     """Vertex connectivity, with the convention kappa(K_n) = n - 1.
 
+    A cut vertex gives 1 with no flow.  Otherwise kappa is at least 2 and at
+    least 2 delta - n + 2 (the degree threshold above): a floor that reaches
+    delta is the answer, and below it the flows stop once one meets it.
     Computes afresh; ``g.vertex_connectivity`` holds the value computed once.
     """
     if g.n <= 1 or not is_connected(g):
         return 0
     if is_complete(g):
         return g.n - 1
+    if has_cut_vertex(g):
+        return 1
     v = min(g.vertices(), key=g.degree)
     near = g.adjacency[v]
+    best = len(near)
+    floor = max(2, 2 * best - g.n + 2)
+    if floor >= best:
+        return best
     pairs = chain(
         ((v, u) for u in g.vertices() if u != v and u not in near),
         ((x, y) for x, y in combinations(g.neighbors[v], 2) if not g.has_edge(x, y)),
     )
-    best = len(near)
-    if best == 1:
-        return 1
     net = _split_network(g)
     for s, t in pairs:
         best = min(best, _max_flow(net, 2 * s + 1, 2 * t, best))
-        if best == 1:
+        if best == floor:
             break
     return best
 
@@ -555,21 +636,23 @@ def _even_flows_reach(g: Graph, k: int) -> bool:
 def edge_connectivity(g: Graph) -> int:
     """Edge connectivity, with the convention lambda(K_n) = n - 1.
 
-    Every edge cut separates vertex 0 from some other vertex, so the flows
-    run from vertex 0 only.  Computes afresh; ``g.edge_connectivity`` holds
-    the value computed once.
+    Whitney's chain kappa <= lambda <= delta floors lambda at the cached
+    ``g.vertex_connectivity``: kappa = delta is the answer with no flow, and
+    below it the flows stop once one meets kappa.  Every edge cut separates
+    vertex 0 from some other vertex, so the flows run from vertex 0 only.
+    Computes afresh; ``g.edge_connectivity`` holds the value computed once.
     """
     if g.n <= 1 or not is_connected(g):
         return 0
     if is_complete(g):
         return g.n - 1
-    best = min_degree(g)
-    if best == 1:
-        return 1
+    floor, best = g.vertex_connectivity, min_degree(g)
+    if floor == best:
+        return best
     net = _edge_network(g)
     for t in range(1, g.n):
         best = min(best, _max_flow(net, 0, t, best))
-        if best == 1:
+        if best == floor:
             break
     return best
 

@@ -45,6 +45,7 @@ from mcgraph.mc import (
     mc_bounds_basic,
     theorem1_certificate,
 )
+from mcgraph.products import ProductKind, make_product
 from mcgraph.smallgraphs import nonisomorphic_connected_graphs, random_connected_graph
 from mcgraph.verification import (
     min_edge_cut_exhaustive,
@@ -213,6 +214,21 @@ class TestDistances:
         assert diameter(build_graph(1, [])) == 0
 
 
+def _two_cliques_joined(k, links):
+    """Two copies of K_k, on 0..k-1 and k..2k-1, plus the ``links`` edges."""
+    inside = list(combinations(range(k), 2))
+    return build_graph(2 * k, inside + [(u + k, v + k) for u, v in inside] + links)
+
+
+# Graphs whose kappa, lambda and delta differ where the floors meet them:
+# three edges from one vertex of a K5 to another K5 (kappa 1 < lambda 3 <
+# delta 4), two K4 joined by two disjoint edges (kappa = lambda = 2 < delta
+# 3), and two triangles sharing a vertex (kappa 1 < lambda = delta = 2).
+K5_THREE_EDGES_K5 = _two_cliques_joined(5, [(0, 5), (0, 6), (0, 7)])
+K4_TWO_EDGES_K4 = _two_cliques_joined(4, [(0, 4), (1, 5)])
+BOWTIE = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+
+
 class TestMetrics:
     def test_petersen(self):
         m = metrics(petersen_graph())
@@ -240,6 +256,19 @@ class TestMetrics:
             assert vertex_connectivity(g) == min_vertex_cut_exhaustive(g)
             assert edge_connectivity(g) == min_edge_cut_exhaustive(g)
 
+    @pytest.mark.parametrize(
+        "g,want",
+        [
+            (K5_THREE_EDGES_K5, (1, 3, 4)),
+            (K4_TWO_EDGES_K4, (2, 2, 3)),
+            (BOWTIE, (1, 2, 2)),
+        ],
+        ids=["K5-3-K5", "K4=K4", "bowtie"],
+    )
+    def test_named_graphs_against_exhaustive_cuts(self, g, want):
+        assert (min_vertex_cut_exhaustive(g), min_edge_cut_exhaustive(g)) == want[:2]
+        assert (vertex_connectivity(g), edge_connectivity(g), min_degree(g)) == want
+
     def test_connectivity_oracle_n7_samples(self):
         rng = random.Random(7)
         for _ in range(40):
@@ -255,10 +284,12 @@ def test_whitney_chain_property(seed):
     n = rng.randint(3, 7)
     g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
     m = metrics(g)
+    # lambda is floored at kappa by construction, so the chain is checked on
+    # the values of the exhaustive oracles, which share no code with it
+    kappa, lam = min_vertex_cut_exhaustive(g), min_edge_cut_exhaustive(g)
+    assert (m.vertex_connectivity, m.edge_connectivity) == (kappa, lam)
     if not m.is_complete:
-        assert (
-            m.vertex_connectivity <= m.edge_connectivity <= m.min_degree
-        )
+        assert kappa <= lam <= m.min_degree
 
 
 @settings(max_examples=30, deadline=None)
@@ -309,6 +340,9 @@ PIVOT_IN_EVERY_MIN_CUT = build_graph(
 @settings(max_examples=80, deadline=None)
 @given(small_graphs())
 @example(PIVOT_IN_EVERY_MIN_CUT)
+@example(K5_THREE_EDGES_K5)
+@example(K4_TWO_EDGES_K4)
+@example(BOWTIE)
 def test_connectivity_matches_exhaustive_oracles(g):
     # complements are where Thm1(a) asks its question, and they are dense
     for h in (g, complement(g)):
@@ -443,6 +477,9 @@ def reference_check(g, coloring):
 # vertex 0 is the only cut vertex: only the root rule finds it
 @example(build_graph(3, [(0, 1), (0, 2)]), random.Random(0))
 @example(PIVOT_IN_EVERY_MIN_CUT, random.Random(1))
+# thin graphs, where the two frontiers of the search alternate every level
+@example(cycle_graph(8), random.Random(2))
+@example(make_product(ProductKind.CARTESIAN, cycle_graph(6), path_graph(2)), random.Random(3))
 def test_kernel_matches_references(g, rnd):
     for h in (g, complement(g)):
         caps = range(1, min_degree(h) + 2)
@@ -519,16 +556,25 @@ HL4 = generate(NetworkSpec("hl", (4,)))
 
 
 class TestFlowPins:
-    # kappa and lambda run exactly the flows they ran over the dict network
+    # kappa runs exactly the flows it ran over the dict network, and none
+    # where its floor (no cut vertex: 2) reaches delta; lambda, floored at
+    # the cached kappa, runs none where kappa = delta
     @pytest.mark.parametrize(
         "g,kappa_flows,lambda_flows",
-        [(TORUS_3333, 96, 80), (Q6, 72, 63), (HL4, 39, 19)],
-        ids=["torus3333", "Q6", "hl4"],
+        [
+            (TORUS_3333, 96, 0),
+            (Q6, 72, 0),
+            (HL4, 39, 0),
+            (generate(NetworkSpec("grid", (10, 10))), 0, 0),
+            (cycle_graph(200), 0, 0),
+        ],
+        ids=["torus3333", "Q6", "hl4", "grid10x10", "C200"],
     )
     def test_same_flow_counts(self, flows, g, kappa_flows, lambda_flows):
-        vertex_connectivity(g)
+        g = build_graph(g.n, g.edges)  # a fresh instance: nothing cached
+        assert g.vertex_connectivity == min_degree(g)
         assert len(flows) == kappa_flows
-        edge_connectivity(g)
+        assert edge_connectivity(g) == min_degree(g)
         assert len(flows) == kappa_flows + lambda_flows
 
     @pytest.mark.parametrize("g", [TORUS_3333, Q6], ids=["torus3333", "Q6"])
