@@ -50,6 +50,7 @@ from .graph import (
     Graph,
     all_pairs_distances,
     edge_components,
+    is_complete,
     is_connected,
 )
 from .mc import (
@@ -1158,18 +1159,20 @@ def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
     stays independent of the certificate machinery.  When that floor already
     allows no cover cheaper than a spanning tree (kappa <= 1, so any tree or
     graph with a cut vertex), the spanning tree is returned without a search.
-    On budget exhaustion no value is claimed: the result carries just the
-    interval, with method ``bounds-only``.  ``stats`` holds the search
-    counters either way.
+    A complete graph has no pair to cover, so it gets the empty cover (every
+    color distinct) without building the solver.  On budget exhaustion no
+    value is claimed: the result carries just the interval, with method
+    ``bounds-only``.  ``stats`` holds the search counters either way.
     """
     if g.n <= 1 or not is_connected(g):
         return _trivial_result(g, "tree-cover")
     bounds = mc_bounds_basic(g)
     lemma1_floor = g.m - bounds.upper
+    stats = SearchStats(nodes=0, floor=lemma1_floor, floor_by="Lem1")
     tree_masks = None
-    if lemma1_floor >= g.n - 2:
-        stats = SearchStats(nodes=0, floor=lemma1_floor, floor_by="Lem1")
-    else:
+    if is_complete(g):  # no non-adjacent pair: the empty cover
+        tree_masks = []
+    elif lemma1_floor < g.n - 2:
         solver = _TreeCoverSolver(g, max_nodes)
         try:
             tree_masks = solver.solve(lemma1_floor)

@@ -15,8 +15,10 @@ Every traversal of a ``Graph`` in the package goes through two primitives:
   and the spanning trees of the colorings and the exact solver are all read
   off it.
 * :func:`edge_components` -- the one union-find, grouping the vertices touched
-  by an edge subset (a color class, a cover tree).  It roots only the vertices
-  it touches, so a one-edge class costs O(1), not O(n).
+  by an edge subset (a color class of two or more edges, a cover tree).  It
+  roots only the vertices it touches, so a small class costs what its edges
+  cost, not O(n).  ``mc.check_mc_coloring`` serves a one-edge class itself,
+  with no call here: such a class joins exactly its two ends.
 
 Vertex and edge connectivity are unit-capacity max flows (Menger), run
 sparingly: from a minimum-degree pivot only (Esfahanian and Hakimi,

@@ -194,11 +194,22 @@ def check_mc_coloring(
 
     Valid iff every vertex pair lies in one component of some color class's
     subgraph.  The returned violation is the lexicographically smallest pair.
+
+    A class of one edge (u, v) has one component, {u, v}, so it serves
+    exactly the pair it joins and needs no union-find.  Such classes are
+    nearly all the classes of the colorings that attain the known values:
+    every non-tree edge of a spanning-tree coloring, every edge of an
+    all-distinct one.
     """
     if coloring.host.n != g.n or coloring.host.edges != g.edges:
         raise ValueError("coloring does not color this graph's edge set")
     served = [0] * g.n  # bit v of served[u]: some class joins u and v
     for edges in coloring.color_classes():
+        if len(edges) == 1:
+            (u, v), = edges
+            served[u] |= 1 << v
+            served[v] |= 1 << u
+            continue
         for comp in edge_components(g.n, edges):
             mask = sum(1 << v for v in comp)
             for v in comp:

@@ -214,14 +214,6 @@ def suite_core(max_n: int = 6, seed: int = 0) -> SuiteResult:
             mets.edge_connectivity == min_edge_cut_exhaustive(g),
             f"n={g.n} edges={g.edges}",
         )
-        if not mets.is_complete:
-            res.check(
-                "whitney_chain",
-                mets.vertex_connectivity
-                <= mets.edge_connectivity
-                <= mets.min_degree,
-                f"n={g.n} edges={g.edges}",
-            )
         res.check(
             "complement_involution",
             complement(complement(g)).edges == g.edges,

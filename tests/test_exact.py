@@ -33,6 +33,7 @@ from mcgraph.io import loads_coloring
 from mcgraph.mc import (
     EdgeColoring,
     McResult,
+    SearchStats,
     TreeCover,
     check_mc_coloring,
     mc_bounds_basic,
@@ -384,6 +385,18 @@ class TestSearchRegression:
         assert (res.value, res.method, res.stats.nodes) == (1, "tree-cover", 0)
         ok, _ = check_mc_coloring(g, res.witness)
         assert ok and res.witness.color_count == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 81])
+    def test_complete_graph_builds_no_solver(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a complete graph needs no tree-cover search")
+
+        monkeypatch.setattr(exact, "_TreeCoverSolver", refuse)
+        g = complete_graph(n)
+        res = mc_exact(g)
+        assert (res.value, res.method) == (g.m, "tree-cover")
+        assert res.witness.colors == tuple(range(g.m))
+        assert res.stats == SearchStats(nodes=0, floor=0, floor_by="Lem1")
 
     def test_path_enumeration_has_no_recursion_cliff(self):
         # u..v paths in C60 run 30 edges deep; allow far fewer frames

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcgraph.errors import InapplicableError
@@ -101,16 +101,80 @@ def _reference_check(g, coloring):
     return True, None
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**6))
-def test_checker_matches_pair_scan_reference(seed):
-    rng = random.Random(seed)
+def _ranked(drawn):
+    rank = {c: i for i, c in enumerate(sorted(set(drawn)))}
+    return tuple(rank[c] for c in drawn)
+
+
+def _random_colors(rng):
     n = rng.randint(2, 8)
     g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
     k = rng.randint(1, g.m)
-    drawn = [rng.randrange(k) for _ in range(g.m)]
-    rank = {c: i for i, c in enumerate(sorted(set(drawn)))}
-    coloring = EdgeColoring(g, tuple(rank[c] for c in drawn))
+    return g, _ranked([rng.randrange(k) for _ in range(g.m)])
+
+
+def _host_up_to_12(rng):
+    n = rng.randint(2, 12)
+    return random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+
+
+def _spanning_tree_colors(rng):
+    g = _host_up_to_12(rng)
+    return g, spanning_tree_coloring(g).colors
+
+
+def _all_distinct_colors(rng):  # invalid on every non-complete host
+    g = _host_up_to_12(rng)
+    return g, tuple(range(g.m))
+
+
+def _classes_and_singletons(rng):
+    """A few classes of any size, every other edge a color of its own."""
+    g = _host_up_to_12(rng)
+    few = rng.randint(1, 3)
+    return g, _ranked(
+        [rng.randrange(few) if rng.random() < 0.5 else few + i for i in range(g.m)]
+    )
+
+
+def _one_tree_edge_moved(rng):
+    """One of the shapes above, with an edge of a multi-edge class recolored
+    fresh: a tree edge, for a spanning-tree coloring."""
+    g, colors = rng.choice(
+        [_spanning_tree_colors, _all_distinct_colors, _classes_and_singletons]
+    )(rng)
+    shared = [i for i, c in enumerate(colors) if colors.count(c) > 1]
+    if not shared:
+        return g, colors
+    moved = list(colors)
+    moved[rng.choice(shared)] = len(set(colors))
+    return g, _ranked(moved)
+
+
+_COLORINGS = [
+    _random_colors,
+    _spanning_tree_colors,
+    _all_distinct_colors,
+    _classes_and_singletons,
+    _one_tree_edge_moved,
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.builds(
+        lambda seed, draw: draw(random.Random(seed)),
+        st.integers(0, 10**6),
+        st.sampled_from(_COLORINGS),
+    )
+)
+@example((complete_graph(2), (0,)))
+@example((build_graph(4, [(0, 1), (2, 3)]), (0, 1)))  # disconnected: (0, 2)
+# (0, 2) is the smallest bad pair, and only one-edge classes touch 0 and 2
+@example((cycle_graph(6), (0, 1, 2, 3, 4, 4)))
+def test_checker_matches_pair_scan_reference(case):
+    g, colors = case
+    coloring = EdgeColoring(g, colors)
     assert check_mc_coloring(g, coloring) == _reference_check(g, coloring)
 
 
