@@ -24,11 +24,12 @@ waste left, by the argument in the ``_TreeCoverSolver`` docstring.  The
 moves of delta d + 1 are built only after every child of delta d has
 failed.  A state that an automorphism of the host maps onto a state
 already exhausted in the same round is not searched again, since it holds
-no cover either; the test is lazy and never enumerates the automorphism
-group (a bucket of equal tree sizes, then 1-WL colours of the host, then
-per-vertex classes, then a backtracked vertex map).  Each tree's capacity
-gate is one number, the largest delta it passes, because the deltas it
-passes are always 1..top.  A frontier maps each (vertex
+no cover either; the test never enumerates the automorphism group (1-WL
+colours of the host, computed once, then a bucket of equal per-vertex
+classes, then a backtracked vertex map).  The capacity bound reads a table
+of the most non-adjacent pairs inside a connected subset of each size.  Each
+tree's capacity gate is one number, the largest delta it passes, because
+the deltas it passes are always 1..top.  A frontier maps each (vertex
 set, last vertex) to its number of path prefixes instead of listing them
 (Held and Karp's subset states), children are bounded once per (target,
 vertex set) group, and every group that passes is rebuilt into concrete
@@ -377,8 +378,10 @@ class _TreeCoverSolver:
     augmenting search per free vertex on the bipartite double cover,
     started from the greedy matching), and both are memoised by covered
     set.  The survivors are sorted by (delta, edge key, target), applied
-    one by one, and tested against a capacity bound built from the densest-subset table
-    of the non-adjacency graph.  Every pruning test is monotone in the
+    one by one, and tested against a capacity bound built from
+    ``_max_subset_edges_table``: the most non-adjacent pairs inside a
+    connected subset of each size, every subset tested for connectivity, as
+    a tree's span is connected.  Every pruning test is monotone in the
     limit and a smaller limit only filters the move lists, so the first
     cover found is the one a strict-improvement search over the same move
     order ends on.
@@ -430,14 +433,13 @@ class _TreeCoverSolver:
     found, which is the witness, does not change, and only the counters
     move.  A round at a larger limit starts with no exhausted state, since
     a state exhausted at one limit may hold a cover at the next.  The test
-    (``_symmetric``) never enumerates the automorphism group: exhausted
-    states are bucketed by their sorted tree edge counts; at the first
-    bucket hit the host's 1-WL colours are computed once, and if they are
-    discrete only the identity is an automorphism and pruning stops for the
-    solve; otherwise the buckets are keyed from then on by the sorted
-    per-vertex classes (WL colour and the size and degree of each tree at
-    the vertex), so only states whose classes agree reach ``_equivalent``,
-    which backtracks a vertex map.
+    (``_symmetric``) never enumerates the automorphism group: just before
+    the first exhausted state is kept, the host's 1-WL colours are computed
+    once, and if they are discrete only the identity is an automorphism and
+    no state is kept for the solve; otherwise exhausted states are bucketed
+    by their sorted per-vertex classes (WL colour and the size and degree of
+    each tree at the vertex), so only states whose classes agree reach
+    ``_equivalent``, which backtracks a vertex map.
 
     One node is charged per generated child, cut or not, per round root and
     per start or prefix that a frontier builds; ``max_nodes`` caps the sum,
@@ -522,8 +524,10 @@ class _TreeCoverSolver:
     # -- precomputed tables -------------------------------------------------
 
     def _max_subset_edges_table(self) -> list[int]:
-        """maxedges[s] = most non-adjacent pairs inside any s-vertex subset
-        whose induced subgraph is connected (a tree's span always is)."""
+        """maxedges[s] = most non-adjacent pairs inside a subset of at most
+        s vertices whose induced subgraph is connected (a tree's span always
+        is).  Every subset is tested for connectivity; above 16 vertices the
+        2^n subsets are not listed, and the bound is min(s choose 2, pairs)."""
         n, total = self.n, self.num_pairs
         if total == 0:
             return [0] * (n + 1)
@@ -534,7 +538,6 @@ class _TreeCoverSolver:
             na_vmask[u] |= 1 << v
             na_vmask[v] |= 1 << u
         adj_vmask = self.adj_vmask
-        check_connected = n <= 14  # subset BFS is the costly part
         best = [0] * (n + 1)
         counts = bytearray(1 << n)
         for mask in range(1, 1 << n):
@@ -546,20 +549,19 @@ class _TreeCoverSolver:
             s = mask.bit_count()
             if c <= best[s]:
                 continue
-            if check_connected:
-                seen = low
-                frontier = low
-                while frontier:
-                    nxt = 0
-                    f = frontier
-                    while f:
-                        w = (f & -f).bit_length() - 1
-                        f &= f - 1
-                        nxt |= adj_vmask[w]
-                    frontier = nxt & mask & ~seen
-                    seen |= frontier
-                if seen != mask:
-                    continue
+            seen = low
+            frontier = low
+            while frontier:
+                nxt = 0
+                f = frontier
+                while f:
+                    w = (f & -f).bit_length() - 1
+                    f &= f - 1
+                    nxt |= adj_vmask[w]
+                frontier = nxt & mask & ~seen
+                seen |= frontier
+            if seen != mask:
+                continue
             best[s] = c
         for s in range(1, n + 1):  # connected spans extend one vertex at a time
             best[s] = max(best[s], best[s - 1])
@@ -910,12 +912,9 @@ class _TreeCoverSolver:
         return classes
 
     def _state_key(self, state: tuple[int, ...]) -> tuple:
-        """The bucket of ``state``: its sorted tree edge counts until the WL
-        colours are known, then its sorted vertex classes, which an
-        automorphism keeps and which fix the tree edge counts."""
-        if self.wl is None:
-            return tuple(sorted(e.bit_count() for e in state))
-        return tuple(sorted(self._vertex_classes(state)))
+        """The bucket of ``state``: its sorted vertex classes, which an
+        automorphism keeps (``wl`` set)."""
+        return self._prepared(state)[2]
 
     def _tree_of_edge(self, state: tuple[int, ...]) -> dict[int, int]:
         """The index of the tree of ``state`` that holds each tree edge's bit."""
@@ -1019,30 +1018,21 @@ class _TreeCoverSolver:
 
     def _symmetric(self, state: tuple[int, ...]) -> bool:
         """Whether an automorphism of the host maps ``state`` onto a state
-        exhausted in this round.  The first time a state meets a bucket of
-        exhausted states with its tree edge counts, the WL colouring is
-        computed: if it is discrete, only the identity is an automorphism,
-        and pruning is off for the rest of the solve; if not, the buckets
-        are split by vertex classes from then on."""
-        exhausted = self.exhausted
-        if exhausted is None:
+        exhausted in this round."""
+        if not self.exhausted:  # empty or None until ``_exhaust`` sets ``wl``
             return False
-        if self.wl is None:
-            if self._state_key(state) not in exhausted:
-                return False
-            self.wl = self._wl_colours()
-            if len(set(self.wl)) == self.n:
-                self.exhausted = None
-                return False
-            self.exhausted = {}
-            for bucket in exhausted.values():
-                for other in bucket:
-                    self._exhaust(other)
-        bucket = self.exhausted.get(self._prepared(state)[2], ())
+        bucket = self.exhausted.get(self._state_key(state), ())
         return any(self._equivalent(state, other) for other in bucket)
 
     def _exhaust(self, state: tuple[int, ...]) -> None:
-        """Keep ``state``, whose search found no cover, for ``_symmetric``."""
+        """Keep ``state``, whose search found no cover, for ``_symmetric``.
+        The WL colours are computed before the first state is kept: if they
+        are discrete, only the identity is an automorphism, and no state is
+        kept for the rest of the solve."""
+        if self.wl is None:
+            self.wl = self._wl_colours()
+            if len(set(self.wl)) == self.n:
+                self.exhausted = None
         if self.exhausted is not None:
             self.exhausted.setdefault(self._state_key(state), []).append(state)
 

@@ -414,8 +414,8 @@ def has_cut_vertex(g: Graph) -> bool:
 # * Threshold (Even, SIAM J. Comput. 4(3), 1975).  A cut of fewer than k
 #   vertices misses one of any k vertices and separates it from one of its
 #   non-neighbours, so kappa >= k iff every flow from the first k vertices to
-#   their non-neighbours reaches k.  ``connectivity_at_least`` asks only that,
-#   with flows capped at k.
+#   their non-neighbours reaches k.  ``complement_connectivity_at_least``
+#   asks only that of a complement, with flows capped at k.
 # * Both ends (Pohl, Machine Intelligence 6, 1971).  Each augmenting path is
 #   found by a breadth-first search forward from s and backward from t, one
 #   whole level of the smaller frontier at a time.  Where levels grow fast,
@@ -600,22 +600,11 @@ def _connectivity_by_degree(n: int, delta: int, k: int) -> bool | None:
     return None
 
 
-def connectivity_at_least(g: Graph, k: int) -> bool:
-    """Whether ``vertex_connectivity(g) >= k``, by the degree threshold or by
-    at most k(n - 1) flows capped at k rather than by computing the
-    connectivity."""
-    if k <= 0:
-        return True
-    if is_complete(g):
-        return g.n - 1 >= k
-    by_degree = _connectivity_by_degree(g.n, min_degree(g), k)
-    return _even_flows_reach(g, k) if by_degree is None else by_degree
-
-
 def complement_connectivity_at_least(g: Graph, k: int) -> bool:
-    """``connectivity_at_least(complement(g), k)``, with the complement built
-    only when Even's flows must run: its minimum degree is n - 1 - max
-    degree of ``g``."""
+    """Whether ``vertex_connectivity(complement(g)) >= k``, by the degree
+    threshold or by at most k(n - 1) flows capped at k rather than by
+    computing the connectivity.  The complement is built only when Even's
+    flows must run: its minimum degree is n - 1 - max degree of ``g``."""
     if k <= 0:
         return True
     max_degree = max((g.degree(v) for v in g.vertices()), default=0)

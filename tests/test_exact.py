@@ -29,7 +29,7 @@ from mcgraph.families import (
     star_graph,
 )
 from mcgraph.graph import build_graph, edge_components, is_connected
-from mcgraph.io import loads_coloring
+from mcgraph.io import coloring_to_obj, dumps, loads_coloring
 from mcgraph.mc import (
     EdgeColoring,
     McResult,
@@ -222,7 +222,9 @@ PINNED_DIGESTS = {
 
 # The exact search counters (nodes, cut, path_nodes), the regression gates:
 # recorded with the states that an automorphism maps onto exhausted ones
-# pruned.  lex_P3_C5 is the bounds-only run at 500,000 nodes.
+# pruned; the two 15-vertex entries since the capacity table tests every
+# subset for connectivity.  lex_P3_C5 is the bounds-only run at 500,000
+# nodes.
 COUNTER_PINS = {
     "strong_P3_K4": (37, 0, 14),
     "lex_P3_C4": (101_597, 52_963, 48_551),
@@ -230,8 +232,8 @@ COUNTER_PINS = {
     "lex_P3_P4": (27_139, 16_735, 10_356),
     "lex_P2_C5": (118, 48, 51),
     "cartesian_C3_C4": (0, 0, 0),
-    "lex_P3_C5": (500_001, 288_019, 211_968),
-    "strong_P3_K5": (563_121, 398_960, 164_037),
+    "lex_P3_C5": (500_001, 179_104, 312_912),
+    "strong_P3_K5": (52, 0, 18),
 }
 
 # sha256 of every SearchStats.to_dict() over each set, recorded likewise
@@ -326,11 +328,9 @@ class TestSearchRegression:
 
     def test_lex_P3_C5_witness_attains_53(self):
         # the engine's witness for mc(lex(P3,C5)) = 53, written by
-        # `MCGRAPH_BUDGET=200000000 mcgraph mc exact ... --witness`; the
-        # search that proves no cover beats it takes about 1.1 * 10^8 nodes
-        # (a CI step runs it), but the witness alone proves mc >= 53 in
-        # milliseconds, so Thm3(3)'s [52, 56] is not attained at its lower
-        # end
+        # `mcgraph mc exact ... --witness`; the witness alone proves mc >= 53
+        # in milliseconds, so Thm3(3)'s [52, 56] is not attained at its
+        # lower end
         kind, a, b = ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)
         g = make_product(kind, a, b).graph
         path = Path(__file__).parent / "data" / "lex_P3_C5_mc53.json"
@@ -344,16 +344,31 @@ class TestSearchRegression:
         assert (bounds.lower_source, bounds.lower, bounds.upper) == ("Thm3(3)", 52, 56)
         assert 53 in bounds
 
+    def test_lex_P3_C5_decided(self):
+        # the capacity floor 12 is the optimum waste 65 - 53, so the round at
+        # the floor finds the committed witness at the default budget
+        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
+        res = mc_exact(g)
+        assert (res.value, res.method) == (53, "tree-cover")
+        path = Path(__file__).parent / "data" / "lex_P3_C5_mc53.json"
+        written = dumps(coloring_to_obj(res.witness)) + "\n"
+        assert written.encode() == path.read_bytes()
+        assert counters(res) == (3_332_422, 2_109_063, 1_223_140)
+        assert (res.stats.floor, res.stats.floor_by, res.stats.targets) == (
+            12, "capacity", (12,)
+        )
+
     def test_strong_P3_K5_decided(self):
         # the Lem1 ceiling 71 is attained; the stream took 4,142,946 nodes,
-        # where building every move before visiting any exceeded 10^7, and
-        # pruning symmetric states takes it to 563,121
+        # where building every move before visiting any exceeded 10^7,
+        # pruning symmetric states took it to 563,121, and a capacity table
+        # that tests every subset for connectivity to 52
         g = make_product(ProductKind.STRONG, path_graph(3), complete_graph(5)).graph
         res = mc_exact(g)
         assert (res.value, res.method) == (71, "tree-cover")
         ok, _ = check_mc_coloring(g, res.witness)
         assert ok and res.witness.color_count == 71
-        assert res.stats.nodes <= 600_000
+        assert res.stats.nodes <= 100
         assert witness_digest([res]) == PINNED_DIGESTS["strong_P3_K5"]
         assert counters(res) == COUNTER_PINS["strong_P3_K5"]
 
@@ -540,8 +555,8 @@ class TestSymmetry:
 
     def test_discrete_colouring_turns_pruning_off(self):
         # legs of 1, 2 and 3 edges at vertex 0: every vertex has its own
-        # 1-WL colour, so only the identity is an automorphism, and not
-        # even the same state is then tested again
+        # 1-WL colour, so only the identity is an automorphism: no state is
+        # kept, and not even the same state is then tested again
         g = build_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
         solver = _TreeCoverSolver(g, 10**9)
         state = state_of(g, [(0, 1), (0, 2)], [(4, 5), (5, 6)])
@@ -887,6 +902,56 @@ class TestMoveLevels:
             assert deltas == sorted(set(deltas)), seed  # each delta once, ascending
             reference = reference_moves(solver, u, v, budget, dp)
             assert sorted(moves) == sorted(reference), seed
+
+
+# -- the capacity table: connected subsets against brute force --------------
+
+
+def reference_max_subset_edges(g):
+    """best[s] by listing every vertex subset: the most non-adjacent pairs
+    inside a connected induced subgraph on s vertices, then the running
+    maximum over s; the reference for ``_max_subset_edges_table``."""
+    best = [0] * (g.n + 1)
+    for s in range(1, g.n + 1):
+        for subset in combinations(range(g.n), s):
+            inside = set(subset)
+            seen, stack = {subset[0]}, [subset[0]]
+            while stack:
+                for w in g.neighbors[stack.pop()]:
+                    if w in inside and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) == s:
+                apart = sum(not g.has_edge(u, v) for u, v in combinations(subset, 2))
+                best[s] = max(best[s], apart)
+        best[s] = max(best[s], best[s - 1])
+    return best
+
+
+def table_graphs():
+    """15 seeded connected graphs for each n in 3..10, then the two
+    15-vertex products."""
+    rng = random.Random(23)
+    graphs = [
+        random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+        for n in range(3, 11)
+        for _ in range(15)
+    ]
+    for kind, b in (
+        (ProductKind.LEXICOGRAPHIC, cycle_graph(5)),
+        (ProductKind.STRONG, complete_graph(5)),
+    ):
+        graphs.append(make_product(kind, path_graph(3), b).graph)
+    return graphs
+
+
+class TestCapacityTable:
+    def test_table_counts_connected_subsets_only(self):
+        graphs = table_graphs()
+        assert len(graphs) == 122
+        for g in graphs:
+            table = _TreeCoverSolver(g, 1)._max_subset_edges_table()
+            assert table == reference_max_subset_edges(g), g.edges
 
 
 # -- the delta gate: one top delta against the boolean list ------------------

@@ -24,7 +24,6 @@ from mcgraph.graph import (
     complement,
     complement_connectivity_at_least,
     connected_components,
-    connectivity_at_least,
     diameter,
     distance,
     distances_from,
@@ -348,16 +347,12 @@ def test_connectivity_matches_exhaustive_oracles(g):
     for h in (g, complement(g)):
         kappa = min_vertex_cut_exhaustive(h)
         assert vertex_connectivity(h) == kappa
-        thresholds = range(h.n + 1)
-        assert [connectivity_at_least(h, k) for k in thresholds] == [
-            kappa >= k for k in thresholds
-        ]
         # the oracle tries every set of up to lambda <= delta edges; dense
         # 8-vertex graphs would take minutes
         if comb(h.m, min_degree(h)) <= 4000:
             assert edge_connectivity(h) == min_edge_cut_exhaustive(h)
     assert [complement_connectivity_at_least(g, k) for k in range(g.n + 1)] == [
-        connectivity_at_least(complement(g), k) for k in range(g.n + 1)
+        vertex_connectivity(complement(g)) >= k for k in range(g.n + 1)
     ]
 
 
@@ -602,10 +597,9 @@ class TestFlowPins:
         assert 0 < len(flows) <= 4 * HL4.n
 
     def test_degree_threshold_is_tight(self, flows):
-        # the prism: n = 6, delta = kappa = 3
-        prism = complement(cycle_graph(6))
-        assert connectivity_at_least(prism, 2) and flows == []
-        assert connectivity_at_least(prism, 3) and flows != []
+        # the prism, the complement of C6: n = 6, delta = kappa = 3
+        assert complement_connectivity_at_least(cycle_graph(6), 2) and flows == []
+        assert complement_connectivity_at_least(cycle_graph(6), 3) and flows != []
 
     def test_diameter_computed_once_for_metrics_and_theorem1(self, monkeypatch):
         calls = []
