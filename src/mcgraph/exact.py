@@ -27,7 +27,8 @@ already exhausted in the same round is not searched again, since it holds
 no cover either; the test never enumerates the automorphism group (1-WL
 colours of the host, computed once, then a bucket of equal per-vertex
 classes, then a backtracked vertex map).  The capacity bound reads a table
-of the most non-adjacent pairs inside a connected subset of each size.  Each
+of the most non-adjacent pairs inside a connected subset of each size,
+summed in byte lanes; a subset too sparse to be connected is skipped.  Each
 tree's capacity gate is one number, the largest delta it passes, because
 the deltas it passes are always 1..top.  A frontier maps each (vertex
 set, last vertex) to its number of path prefixes instead of listing them
@@ -43,6 +44,7 @@ before it returns a value.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 from .bounds import BoundInterval
@@ -66,6 +68,7 @@ from .mc import (
 
 DEFAULT_NAIVE_EDGE_CAP = 12
 DEFAULT_NODE_BUDGET = 10_000_000
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # adds 1 to each byte lane
 
 __all__ = [
     "mc_exact_naive",
@@ -380,11 +383,12 @@ class _TreeCoverSolver:
     set.  The survivors are sorted by (delta, edge key, target), applied
     one by one, and tested against a capacity bound built from
     ``_max_subset_edges_table``: the most non-adjacent pairs inside a
-    connected subset of each size, every subset tested for connectivity, as
-    a tree's span is connected.  Every pruning test is monotone in the
-    limit and a smaller limit only filters the move lists, so the first
-    cover found is the one a strict-improvement search over the same move
-    order ends on.
+    connected subset of each size, as a tree's span is connected (a subset
+    spanning fewer than s - 1 edges is skipped as disconnected, and every
+    other one that would raise the table is searched).  Every pruning test
+    is monotone in the limit and a smaller limit only filters the move
+    lists, so the first cover found is the one a strict-improvement search
+    over the same move order ends on.
 
     The matching cut is sound for any weights y >= 0 on the uncovered
     (non-adjacent) pairs with sum(y_p for p at w) <= 1 at every vertex w:
@@ -491,7 +495,6 @@ class _TreeCoverSolver:
         self.pairs = na
         self.num_pairs = len(na)
         self.all_mask = (1 << self.num_pairs) - 1
-        self.pair_vmask = [(1 << u) | (1 << v) for u, v in na]
         self.vertex_pairs = [0] * self.n  # the pairs with an endpoint at v
         for i, (u, v) in enumerate(na):
             self.vertex_pairs[u] |= 1 << i
@@ -526,31 +529,39 @@ class _TreeCoverSolver:
     def _max_subset_edges_table(self) -> list[int]:
         """maxedges[s] = most non-adjacent pairs inside a subset of at most
         s vertices whose induced subgraph is connected (a tree's span always
-        is).  Every subset is tested for connectivity; above 16 vertices the
-        2^n subsets are not listed, and the bound is min(s choose 2, pairs)."""
+        is); above 16 vertices the 2^n subsets are not listed, and the bound
+        is min(s choose 2, pairs).
+
+        Each mask's pair count and size are byte lanes, built one top vertex
+        v at a time: mask 2^v + r (r < 2^v) adds ``popcount(na & r)`` to the
+        lane of r, na being v's non-neighbours below v.  The increments
+        double over the bits of na by ``bytes.translate``, and one big-int
+        addition adds the whole block; no lane carries, as none exceeds
+        C(16, 2) = 120.  A mask holding more than C(s, 2) - s + 1 pairs
+        spans fewer than s - 1 edges, so it is skipped as disconnected; each
+        other mask that would raise best[s] is searched."""
         n, total = self.n, self.num_pairs
         if total == 0:
             return [0] * (n + 1)
         if n > 16:
             return [min(s * (s - 1) // 2, total) for s in range(n + 1)]
-        na_vmask = [0] * n
-        for u, v in self.pairs:
-            na_vmask[u] |= 1 << v
-            na_vmask[v] |= 1 << u
         adj_vmask = self.adj_vmask
+        counts = sizes = b"\0"
+        for v in range(n):
+            na, inc = ~adj_vmask[v], b"\0"
+            for w in range(v):
+                inc += inc.translate(_PLUS_ONE) if na >> w & 1 else inc
+            block = int.from_bytes(counts, "little") + int.from_bytes(inc, "little")
+            counts += block.to_bytes(1 << v, "little")
+            sizes += sizes.translate(_PLUS_ONE)
         best = [0] * (n + 1)
-        counts = bytearray(1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            v = low.bit_length() - 1
-            rest = mask ^ low
-            c = counts[rest] + (na_vmask[v] & rest).bit_count()
-            counts[mask] = c
-            s = mask.bit_count()
-            if c <= best[s]:
+        most = [s * (s - 1) // 2 - s + 1 for s in range(n + 1)]
+        mask = -1  # counted by hand: enumerate costs more per mask
+        for c, s in zip(counts, sizes):
+            mask += 1
+            if c <= best[s] or c > most[s]:
                 continue
-            seen = low
-            frontier = low
+            seen = frontier = mask & -mask
             while frontier:
                 nxt = 0
                 f = frontier
@@ -560,9 +571,8 @@ class _TreeCoverSolver:
                     nxt |= adj_vmask[w]
                 frontier = nxt & mask & ~seen
                 seen |= frontier
-            if seen != mask:
-                continue
-            best[s] = c
+            if seen == mask:
+                best[s] = c
         for s in range(1, n + 1):  # connected spans extend one vertex at a time
             best[s] = max(best[s], best[s - 1])
         return best
@@ -597,20 +607,19 @@ class _TreeCoverSolver:
         """Greedy vertex-disjoint matching of the uncovered pairs, in pair
         order: a lower bound on the waste still needed (memoised, with the
         chosen pairs as ``_max_matching``'s start; the argument is in the
-        class docstring)."""
+        class docstring).  It takes the lowest pair left and drops every
+        pair at its endpoints, one step per chosen pair."""
         size = self.matching_memo.get(covered)
         if size is None:
-            used = chosen = size = 0
-            bits = bin(self.all_mask & ~covered)[:1:-1]  # bits[i] is pair i
-            pair_vmask = self.pair_vmask
-            i = bits.find("1")
-            while i >= 0:
-                pm = pair_vmask[i]
-                if not pm & used:
-                    used |= pm
-                    chosen |= 1 << i
-                    size += 1
-                i = bits.find("1", i + 1)
+            chosen = size = 0
+            rest = self.all_mask & ~covered
+            pairs, vertex_pairs = self.pairs, self.vertex_pairs
+            while rest:
+                bit = rest & -rest
+                u, v = pairs[bit.bit_length() - 1]
+                rest &= ~(vertex_pairs[u] | vertex_pairs[v])
+                chosen |= bit
+                size += 1
             self.matching_memo[covered] = size
             self.greedy_pairs[covered] = chosen
         return size
@@ -1058,12 +1067,9 @@ class _TreeCoverSolver:
             # the matching cut reads only a child's target and vertex set, so
             # it runs once per group: the greedy matching first, with its
             # memo hits taken inline, and the fractional bound only where
-            # greedy passes (the fractional bound alone makes the same cuts,
-            # but on every group it made exact-products op_p50_ms 32.5-33.8
-            # ms against 23.4-25.2 ms and wall_s 0.34-0.35 s against
-            # 0.25-0.27 s, 4 alternating 10 s runs each); the level is
-            # charged before its cuts are counted, as if each child were
-            # charged and then cut
+            # greedy passes (alone it makes the same cuts, in about a third
+            # more exact-products wall_s); the level is charged before its
+            # cuts are counted, as if each child were charged and then cut
             slack = budget - delta
             covered, tree_v = self.covered, self.tree_v
             children = []
@@ -1152,7 +1158,8 @@ def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
     A complete graph has no pair to cover, so it gets the empty cover (every
     color distinct) without building the solver.  On budget exhaustion no
     value is claimed: the result carries just the interval, with method
-    ``bounds-only``.  ``stats`` holds the search counters either way.
+    ``bounds-only`` and the upper end m - (root floor) where that is lower,
+    tagged ``search(<floor_by>)``.  ``stats`` holds the counters either way.
     """
     if g.n <= 1 or not is_connected(g):
         return _trivial_result(g, "tree-cover")
@@ -1167,25 +1174,18 @@ def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
         try:
             tree_masks = solver.solve(lemma1_floor)
         except BudgetExceededError:
-            return McResult(
-                value=None,
-                witness=None,
-                method="bounds-only",
-                bounds=bounds,
-                stats=solver.stats(),
-            )
+            upper = g.m - solver.floor  # the root floor proves mc <= m - floor
+            if upper < bounds.upper:
+                source = f"search({solver.floor_by})"
+                bounds = replace(bounds, upper=upper, upper_source=source)
+            return McResult(None, None, "bounds-only", bounds, solver.stats())
         stats = solver.stats()
     if tree_masks is None:
         witness = spanning_tree_coloring(g)
     else:
-        trees = []
-        for emask in tree_masks:
-            edges = []
-            rest = emask
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                edges.append(g.edges[i])
-            trees.append(tuple(sorted(edges)))
+        trees = [
+            tuple(sorted(e for i, e in enumerate(g.edges) if emask >> i & 1))
+            for emask in tree_masks
+        ]
         witness = TreeCover(host=g, trees=tuple(sorted(trees))).to_coloring()
     return _checked_result(g, witness, "tree-cover", bounds, stats)

@@ -389,6 +389,21 @@ class TestSearchRegression:
         assert res.method == "bounds-only"
         assert res.stats.nodes == max_nodes + 1
 
+    def test_bounds_only_keeps_the_root_floor(self):
+        # the root floor proves mc <= m - floor, below the Lem1 upper end
+        # (56 on lex(P3,C5), 124 on hl(4)); lex(P3,C5) has mc = 53
+        lex = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
+        hl4 = generate(NetworkSpec("hl", (4,))).graph
+        got = []
+        for g, max_nodes in ((lex, 500_000), (hl4, 10)):
+            res = mc_exact(g, max_nodes=max_nodes)
+            iv = res.bounds
+            got.append((res.method, iv.lower, iv.upper, iv.upper_source))
+        assert got == [
+            ("bounds-only", 52, 53, "search(capacity)"),
+            ("bounds-only", 112, 120, "search(matching)"),
+        ]
+
     def test_stats_stay_out_of_the_json(self, product_results):
         res = product_results["lex_P2_C5"][1]
         assert set(res.to_dict()) == {"value", "method", "bounds", "witness"}
@@ -929,14 +944,16 @@ def reference_max_subset_edges(g):
 
 
 def table_graphs():
-    """15 seeded connected graphs for each n in 3..10, then the two
-    15-vertex products."""
+    """15 seeded connected graphs for each n in 3..10, the six products
+    above, then the two 15-vertex products (the first and those six are the
+    exact-products hosts)."""
     rng = random.Random(23)
     graphs = [
         random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
         for n in range(3, 11)
         for _ in range(15)
     ]
+    graphs += [make_product(kind, a, b).graph for _, kind, a, b, _ in PRODUCTS]
     for kind, b in (
         (ProductKind.LEXICOGRAPHIC, cycle_graph(5)),
         (ProductKind.STRONG, complete_graph(5)),
@@ -945,13 +962,43 @@ def table_graphs():
     return graphs
 
 
+# the tables of three 16-vertex hosts, also pinned by the CI step "Capacity
+# table"
+SIXTEEN_VERTEX_TABLES = {
+    "lex_P2_C8": (
+        lambda: make_product(
+            ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(8)
+        ).graph,
+        [0, 0, 0, 1, 3, 6, 10, 15, 20, 20, 21, 23, 26, 28, 31, 35, 40],
+    ),
+    "Q4": (
+        lambda: generate(NetworkSpec("hypercube", (4,))).graph,
+        [0, 0, 0, 1, 3, 6, 10, 15, 21, 28, 35, 43, 50, 58, 67, 77, 88],
+    ),
+    "grid_4_4": (
+        lambda: generate(NetworkSpec("grid", (4, 4))).graph,
+        [0, 0, 0, 1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 65, 75, 85, 96],
+    ),
+}
+
+
 class TestCapacityTable:
     def test_table_counts_connected_subsets_only(self):
         graphs = table_graphs()
-        assert len(graphs) == 122
+        assert len(graphs) == 128
         for g in graphs:
             table = _TreeCoverSolver(g, 1)._max_subset_edges_table()
             assert table == reference_max_subset_edges(g), g.edges
+
+    @pytest.mark.parametrize("name", sorted(SIXTEEN_VERTEX_TABLES))
+    def test_sixteen_vertex_hosts(self, name):
+        # the largest hosts the table lists every subset of; Q4 and the grid
+        # are sparse, so most of their masks span too few edges to be connected
+        build, table = SIXTEEN_VERTEX_TABLES[name]
+        g = build()
+        assert g.n == 16
+        assert _TreeCoverSolver(g, 1).maxedges == table
+        assert reference_max_subset_edges(g) == table
 
 
 # -- the delta gate: one top delta against the boolean list ------------------
@@ -1001,17 +1048,21 @@ class TestDeltaGate:
 
 
 def reference_matching(solver, covered):
-    """The greedy matching by lowest-bit extraction, which rewrites the
-    P-bit remainder at every step: the reference for ``_matching``."""
-    used = size = 0
+    """The greedy matching in pair order, one step per uncovered pair, as
+    (size, chosen pair mask): the reference for ``_matching`` and its
+    ``greedy_pairs`` entry."""
+    used = size = chosen = 0
     rest = solver.all_mask & ~covered
     while rest:
-        pm = solver.pair_vmask[(rest & -rest).bit_length() - 1]
+        i = (rest & -rest).bit_length() - 1
         rest &= rest - 1
+        u, v = solver.pairs[i]
+        pm = (1 << u) | (1 << v)
         if not pm & used:
             used |= pm
+            chosen |= 1 << i
             size += 1
-    return size
+    return size, chosen
 
 
 def reference_fractional_matching(solver, covered):
@@ -1072,7 +1123,28 @@ class TestMatchingBound:
     @given(matching_queries())
     def test_matches_reference(self, query):
         solver, covered = query
-        assert solver._matching(covered) == reference_matching(solver, covered)
+        size = solver._matching(covered)
+        assert (size, solver.greedy_pairs[covered]) == reference_matching(
+            solver, covered
+        )
+
+    def test_matches_reference_on_c60(self):
+        # 1,710 non-adjacent pairs; seeded covered masks from dense to sparse
+        solver = _TreeCoverSolver(cycle_graph(60), 0)
+        assert solver.num_pairs == 1_710
+        rng = random.Random(29)
+        masks = [0, solver.all_mask, solver.vertex_pairs[0] | solver.vertex_pairs[7]]
+        for ands in range(5):
+            for _ in range(8):
+                covered = rng.getrandbits(solver.num_pairs)
+                for _ in range(ands):
+                    covered &= rng.getrandbits(solver.num_pairs)
+                masks.append(covered)
+        for covered in masks:
+            size = solver._matching(covered)
+            assert (size, solver.greedy_pairs[covered]) == reference_matching(
+                solver, covered
+            ), covered
 
     @settings(max_examples=300, deadline=None)
     @given(matching_queries(max_n=8))
