@@ -30,13 +30,13 @@ classes, then a backtracked vertex map).  The capacity bound reads a table
 of the most non-adjacent pairs inside a connected subset of each size,
 summed in byte lanes; a subset too sparse to be connected is skipped.  Each
 tree's capacity gate is one number, the largest delta it passes, because
-the deltas it passes are always 1..top.  A frontier maps each (vertex
-set, last vertex) to its number of path prefixes instead of listing them
+the deltas it passes are always 1..top.  A frontier keeps, per last
+vertex, each vertex set's number of path prefixes instead of listing them
 (Held and Karp's subset states), children are bounded once per (target,
-vertex set) group, and every group that passes is rebuilt into concrete
-moves; every node is charged exactly what listing the paths and children
-would cost.  When no round finds a cover, or the floor is already n - 2
-(kappa <= 1), the spanning-tree coloring (waste n - 2) is returned.  The
+added vertex set) group, and every group that passes is rebuilt into
+concrete moves; every node is charged exactly what listing the paths and
+children would cost.  When no round finds a cover, or the floor is already
+n - 2 (kappa <= 1), the spanning-tree coloring (waste n - 2) is returned.  The
 two engines are kept independent and are cross-checked against each other
 in the test suite.  Each passes its witness through ``check_mc_coloring``
 before it returns a value.
@@ -218,13 +218,14 @@ class _Frontier:
     A path touches ``ends`` only at its last vertex, its internal vertices
     avoid ``forbidden``, and no start lies in ``ends``.  Two open prefixes
     with the same vertex set and the same last vertex have the same
-    extensions, so ``states`` maps each (vertex mask, last vertex) to its
-    number of open prefixes of length ``length`` (None before the first
-    call), keyed by the int ``last_bit << n | vmask``, which takes far less
-    memory than a tuple.  ``paths(k)`` grows the states to length k - 1 and returns
-    ``{vertex mask: number of paths}`` over the paths of length k; k must
-    rise from call to call.  ``expand(vmask)`` rebuilds the edge masks of
-    the paths behind one of those vertex masks.
+    extensions, so ``states`` maps each last vertex x to ``{vertex mask:
+    number of open prefixes}`` over the prefixes of length ``length`` that
+    end at x (None before the first call).  ``paths(k)`` grows the states to
+    length k - 1 and returns ``{key: number of paths}`` over the paths of
+    length k, where a path's key is its vertex set without its last vertex:
+    a state (vmask, x) adds ``count * popcount(free[x] & ends)`` to key
+    vmask, one path per free end vertex.  k must rise from call to call.
+    ``expand(key)`` rebuilds the edge masks of the paths behind one key.
 
     The frontier stands for ``weight`` identical frontiers (the connectors
     of that many base paths with one vertex set).  It is charged
@@ -234,11 +235,12 @@ class _Frontier:
     charge is that of ``weight`` depth-first enumerations of every path of
     length at most k.
 
-    At a prefix ending at x the extensions are ``free[x] & open & ~path_v``,
+    At a prefix ending at x the extensions are ``free[x] & open & ~vmask``,
     where ``open`` is every vertex outside ``ends`` and ``forbidden``, and
-    the paths are ``free[x] & ends``.  A path's own edges join vertices of
-    ``path_v``, which ``ends`` never meets, so no edge test beyond ``free``
-    is needed.
+    the paths close at ``free[x] & ends``.  A grow step lists x's steps
+    ``free[x] & open`` once, for every state ending at x.  A path's own
+    edges join vertices of its prefix, which ``ends`` never meets, so no
+    edge test beyond ``free`` is needed.
     """
 
     __slots__ = (
@@ -260,71 +262,78 @@ class _Frontier:
         self.ends = ends
         self.open_v = solver.vertex_mask & ~ends & ~forbidden
         self.weight = weight
-        self.states: dict[int, int] | None = None
+        self.states: dict[int, dict[int, int]] | None = None
         self.length = 0
 
     def paths(self, k: int) -> dict[int, int]:
-        solver, free = self.solver, self.free
-        n, all_v = solver.n, solver.vertex_mask
+        """``{key: number of paths}`` over the paths of length k, a path's
+        key being its vertex set without its last vertex; grows the states
+        to length k - 1 first, charging each grow step (see the class
+        docstring)."""
+        free = self.free
         states = self.states
         if states is None:
-            solver._tick_prefixes(self.weight * self.starts.bit_count())
+            self.solver._tick_prefixes(self.weight * self.starts.bit_count())
             states = {}
             rest = self.starts
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                states[bit << n | bit] = 1
+                states[bit.bit_length() - 1] = {bit: 1}
         open_v = self.open_v
         while self.length < k - 1 and states:
-            grown: dict[int, int] = {}
-            created = 0
-            for key, count in states.items():
-                # open_v lies inside all_v, so ~key clears the path's vertices
-                cand = free[(key >> n).bit_length() - 1] & open_v & ~key
-                if not cand:
-                    continue
-                created += count * cand.bit_count()
-                pv = key & all_v
+            grown: dict[int, dict[int, int]] = {}
+            for x, at_x in states.items():
+                steps = []
+                cand = free[x] & open_v
                 while cand:
                     wbit = cand & -cand
                     cand ^= wbit
-                    grown_key = wbit << n | pv | wbit
-                    grown[grown_key] = grown.get(grown_key, 0) + count
-            solver._tick_prefixes(self.weight * created)
-            states = grown
+                    w = wbit.bit_length() - 1
+                    steps.append((wbit, grown.setdefault(w, {})))
+                for vmask, count in at_x.items():
+                    for wbit, at_w in steps:
+                        if not vmask & wbit:
+                            key = vmask | wbit
+                            at_w[key] = at_w.get(key, 0) + count
+            # each created state's count is the number of prefixes it holds
+            self.solver._tick_prefixes(
+                self.weight * sum(sum(at_w.values()) for at_w in grown.values())
+            )
+            states = {w: at_w for w, at_w in grown.items() if at_w}
             self.length += 1
         self.states = states
         ends = self.ends
         out: dict[int, int] = {}
-        for key, count in states.items():
-            pv = key & all_v
-            cand = free[(key >> n).bit_length() - 1] & ends
-            while cand:
-                wbit = cand & -cand
-                cand ^= wbit
-                out[pv | wbit] = out.get(pv | wbit, 0) + count
+        for x, at_x in states.items():
+            closes = (free[x] & ends).bit_count()
+            if closes:
+                for vmask, count in at_x.items():
+                    out[vmask] = out.get(vmask, 0) + count * closes
         return out
 
-    def expand(self, vmask: int) -> list[int]:
-        """The edge masks of the frontier's paths whose vertex set is
-        exactly ``vmask``, by a depth-first walk inside ``vmask`` on an
-        explicit stack; charges nothing."""
-        free, ebit = self.free, self.solver.ebit
-        inner = vmask & self.open_v
-        last = vmask & self.ends
+    def expand(self, key: int) -> list[int]:
+        """The edge masks of the frontier's paths whose vertex set without
+        the last vertex is exactly ``key``: a depth-first walk inside
+        ``key`` on an explicit stack, closed at each free end vertex of the
+        walk's last vertex; charges nothing."""
+        free, ebit, ends = self.free, self.solver.ebit, self.ends
+        inner = key & self.open_v
         out = []
         stack = []
-        rest = vmask & self.starts
+        rest = key & self.starts
         while rest:
             bit = rest & -rest
             rest ^= bit
             stack.append((bit, bit.bit_length() - 1, 0))
         while stack:
             pv, x, pe = stack.pop()
-            if pv | last == vmask:  # the path uses the whole vertex set
-                if free[x] & last:
-                    out.append(pe | ebit[x][last])
+            if pv == key:  # the walk uses the whole key
+                close, at_x = free[x] & ends, ebit[x]
+                while close:
+                    wbit = close & -close
+                    close ^= wbit
+                    out.append(pe | at_x[wbit])
                 continue
             cand = free[x] & inner & ~pv
             while cand:
@@ -410,14 +419,16 @@ class _TreeCoverSolver:
     for delta d + 1.  Delta leads the sort key, so the visit order is that
     of sorting every move of the node at once.  The paths behind the moves
     are kept per node as ``_Frontier`` objects (the u..v paths, each
-    attachment, the connectors of each base vertex set), each mapping every
-    (vertex set, last vertex) state to its number of open prefixes of one
-    length; a frontier grows by one edge only when a level needs longer
-    paths, so a path that no visited level needs is never built.  A level
-    comes as groups of children with one target and one added vertex set,
-    each with its count.  The matching cut reads nothing else of a child,
-    so it runs once per group, and every group that passes it is rebuilt
-    into concrete moves, by a walk inside the group's vertex set.  A
+    attachment, the connectors of each base vertex set), each holding, per
+    last vertex, every vertex set's number of open prefixes of one length;
+    a frontier grows by one edge only when a level needs longer paths, so
+    a path that no visited level needs is never built.  A level comes as
+    groups of children with one target and one set of vertices added to
+    that target, each with its count; the paths that differ only in the
+    tree vertex they end at fall in one group, as one frontier entry.  The
+    matching cut reads nothing else of a child, so it runs once per group,
+    and every group that passes it is rebuilt into concrete moves, by a
+    walk inside the group's vertex set closed at each free end vertex.  A
     tree's capacity gate is the one number ``_delta_gate`` returns: it
     passes exactly the deltas 1..top, so level d asks only trees with
     top >= d.
@@ -745,19 +756,31 @@ class _TreeCoverSolver:
         so on.
 
         ``groups`` lists (target, {add_vmask: count}): per target, the
-        number of moves that add each vertex set; target -1 opens a new
-        tree.  ``rebuild(target, add_vmask)`` lists the edge masks of one
-        group's moves, and holds until the next level is asked for.  A move
-        is kept only where its delta is at most its tree's ``_delta_gate``
-        top.  The kinds of move at delta d:
+        number of moves that add each vertex set, the move's vertices
+        outside the target tree; target -1 opens a new tree, to which a
+        move adds all its vertices.  ``rebuild(target, add_vmask)`` lists
+        the edge masks of one group's moves, and holds until the next level
+        is asked for.  A move is kept only where its delta is at most its
+        tree's ``_delta_gate`` top.  The kinds of move at delta d, and the
+        key of each in its target's groups:
 
-        - a new tree: a u..v path of length d + 1;
+        - a new tree: a u..v path of length d + 1, keyed by the u..v
+          frontier's key with v put back;
         - a tree housing one endpoint: an attachment path of length d from
-          the other endpoint into the tree;
+          the other endpoint into the tree, keyed by the attachment
+          frontier's key (the path without its last vertex, the one in the
+          tree);
         - a tree housing neither: a u..v path of length d that crosses the
-          tree exactly once, or a disjoint u..v base path of length L < d
-          plus a connector of length d - L from one of its vertices into
-          the tree, avoiding the base's vertices.
+          tree exactly once, keyed by its vertex set minus that one tree
+          vertex, or a disjoint u..v base path of length L < d plus a
+          connector of length d - L from one of its vertices into the tree,
+          avoiding the base's vertices, keyed by the base's vertices joined
+          with the connector frontier's key.
+
+        The key is all that the matching cut and ``_apply`` read of a move
+        (the tree grows to ``tree_v[target] | add_vmask``), and no key
+        depends on the vertex where a path enters its tree, so a frontier
+        gives one entry per state however many end vertices close it.
 
         The u..v paths, each attachment and the connectors of each (base
         vertex set, tree) are a ``_Frontier`` that grows only when a level
@@ -768,7 +791,9 @@ class _TreeCoverSolver:
         their number, and a group's count sums each frontier's weight times
         its paths.  A tree's gate passes every delta up to its top, so the
         connectors of the base paths of length d - 1 are created at level
-        d, the first level that can use them.  Children change
+        d, the first level that can use them.  A pending tree's ``rebuild``
+        finds the crossing paths as the u..v paths with vertex set
+        ``add_vmask | c``, for each vertex c of the tree.  Children change
         ``used_edges`` and the trees between levels and restore them, so the
         frontiers work over a snapshot of the free edges and of the trees
         taken here.
@@ -796,12 +821,14 @@ class _TreeCoverSolver:
                 pending[t] = (tv, top, [])
 
         uv_front = _Frontier(self, free, ubit, vbit)
-        # uv_paths[k]: the u..v paths of length k, cached for every consumer
+        # uv_paths[k]: the u..v paths of length k by vertex set (the
+        # frontier's key with v put back), cached for every consumer
         uv_paths: list[dict[int, int]] = [{}]
 
         def uv(length: int) -> dict[int, int]:
             while len(uv_paths) <= length:
-                uv_paths.append(uv_front.paths(len(uv_paths)))
+                found = uv_front.paths(len(uv_paths))
+                uv_paths.append({key | vbit: count for key, count in found.items()})
             return uv_paths[length]
 
         for d in range(1, last + 1):
@@ -818,7 +845,8 @@ class _TreeCoverSolver:
                 for pv, count in uv(d).items():
                     crossing = pv & tv
                     if crossing and not crossing & (crossing - 1):
-                        joined[pv] = count
+                        key = pv ^ crossing
+                        joined[key] = joined.get(key, 0) + count
                 for pv, count in uv(d - 1).items():
                     if not pv & tv:
                         front = _Frontier(
@@ -839,21 +867,30 @@ class _TreeCoverSolver:
 
             def rebuild(t: int, add_v: int, d: int = d) -> list[int]:
                 if t < 0:
-                    return uv_front.expand(add_v)
+                    return uv_front.expand(add_v ^ vbit)
                 if t in housing:
                     return housing[t][1].expand(add_v)
-                out = uv_front.expand(add_v) if add_v in uv_paths[d] else []
-                for front, found in pending[t][2]:
+                tv, _, connectors = pending[t]
+                out = []
+                # a u..v path that crosses the tree once, at c, has the
+                # vertex set add_v | c
+                uv_d, cs = uv_paths[d], tv
+                while cs:
+                    c = cs & -cs
+                    cs ^= c
+                    if add_v | c in uv_d:
+                        out += uv_front.expand((add_v | c) ^ vbit)
+                for front, found in connectors:
                     base_v = front.starts
                     if base_v & ~add_v:
                         continue
-                    # the connector holds the rest and one vertex y of the base
+                    # the connector's key is the rest and one vertex y of the base
                     rest, ys = add_v & ~base_v, base_v
                     while ys:
                         y = ys & -ys
                         ys ^= y
                         if (rest | y) in found:
-                            bases = uv_front.expand(base_v)
+                            bases = uv_front.expand(base_v ^ vbit)
                             for ce in front.expand(rest | y):
                                 out += [be | ce for be in bases]
                 return out

@@ -28,7 +28,7 @@ from mcgraph.families import (
     path_graph,
     star_graph,
 )
-from mcgraph.graph import build_graph, edge_components, is_connected
+from mcgraph.graph import build_graph, edge_components, is_connected, relabel
 from mcgraph.io import coloring_to_obj, dumps, loads_coloring
 from mcgraph.mc import (
     EdgeColoring,
@@ -39,7 +39,7 @@ from mcgraph.mc import (
     mc_bounds_basic,
 )
 from mcgraph.products import ProductKind, make_product
-from mcgraph.smallgraphs import random_connected_graph
+from mcgraph.smallgraphs import random_connected_graph, random_permutation
 
 
 class TestNaiveEngine:
@@ -217,6 +217,9 @@ PINNED_DIGESTS = {
     # first decided with symmetric states pruned; the witness is the file
     # tests/data/lex_P3_C5_mc53.json
     "lex_P3_C5": "07ff21cd7b11aa5ba812ba10715718b219b4d348236aa1c8d1d363230bd1b89e",
+    # recorded with the byte-lane capacity table; the witness is the file
+    # tests/data/lex_P2_C8_mc68.json
+    "lex_P2_C8": "8d4d72bd5e917966224365cde413a7c916848d8db95343a30f81024927896178",
 }
 
 
@@ -234,6 +237,17 @@ COUNTER_PINS = {
     "cartesian_C3_C4": (0, 0, 0),
     "lex_P3_C5": (500_001, 179_104, 312_912),
     "strong_P3_K5": (52, 0, 18),
+    # recorded with the byte-lane capacity table, at the default budget
+    "lex_P2_C8": (2_094_398, 1_365_196, 727_424),
+}
+
+# The same counters on lex(P3,P4) relabelled as ``bench/run.py --relabel``
+# relabels it, by seed: the search must not depend on the vertex names'
+# dict order.  Recorded with the byte-lane capacity table.
+RELABELLED_COUNTER_PINS = {
+    2: (71, 0, 35),
+    3: (39_645, 25_695, 13_890),
+    4: (30_479, 19_784, 10_649),
 }
 
 # sha256 of every SearchStats.to_dict() over each set, recorded likewise
@@ -357,6 +371,34 @@ class TestSearchRegression:
         assert (res.stats.floor, res.stats.floor_by, res.stats.targets) == (
             12, "capacity", (12,)
         )
+
+    def test_lex_P2_C8_decided(self):
+        # a 16-vertex host: the capacity floor 12 is the optimum waste
+        # 80 - 68, and the round at the floor finds the committed witness
+        # at the default budget
+        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(8)).graph
+        path = Path(__file__).parent / "data" / "lex_P2_C8_mc68.json"
+        witness = loads_coloring(g, path.read_text())
+        ok, pair = check_mc_coloring(g, witness)
+        assert ok, pair
+        assert witness.color_count == 68
+        res = mc_exact(g)
+        assert (res.value, res.method) == (68, "tree-cover")
+        written = dumps(coloring_to_obj(res.witness)) + "\n"
+        assert written.encode() == path.read_bytes()
+        assert witness_digest([res]) == PINNED_DIGESTS["lex_P2_C8"]
+        assert counters(res) == COUNTER_PINS["lex_P2_C8"]
+        assert (res.stats.floor, res.stats.floor_by, res.stats.targets) == (
+            12, "capacity", (12,)
+        )
+
+    @pytest.mark.parametrize("seed", sorted(RELABELLED_COUNTER_PINS))
+    def test_relabelled_counters_pinned(self, seed):
+        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), path_graph(4)).graph
+        g = relabel(g, random_permutation(g.n, random.Random(f"{seed}:lex_P3_P4")))
+        res = mc_exact(g)
+        assert res.value == 32
+        assert counters(res) == RELABELLED_COUNTER_PINS[seed]
 
     def test_strong_P3_K5_decided(self):
         # the Lem1 ceiling 71 is attained; the stream took 4,142,946 nodes,
@@ -716,7 +758,7 @@ def run_reference(g, args, used, budget, spent):
 
 
 def grouped(pairs):
-    """(vertex mask, edge mask) pairs as {vertex mask: (count, sorted edge masks)}."""
+    """(key, edge mask) pairs as {key: (count, sorted edge masks)}."""
     groups = {}
     for pv, pe in pairs:
         groups.setdefault(pv, []).append(pe)
@@ -737,8 +779,9 @@ def rebuilt(found, expand):
 
 def run_frontier(g, args, used, budget, spent, weight=1):
     """One frontier asked for lengths 1..max_len in turn: per length, the
-    paths grouped by vertex set as counted and as rebuilt (or "budget
-    exceeded", ending the run), and the ticks spent so far."""
+    paths grouped by key (vertex set without the last vertex) as counted
+    and as rebuilt (or "budget exceeded", ending the run), and the ticks
+    spent so far."""
     starts, ends, max_len, forbidden = args
     solver = fresh_solver(g, used, budget, spent)
     front = _Frontier(solver, solver._free_masks(), starts, ends, forbidden, weight)
@@ -764,9 +807,10 @@ class TestPathEnumeration:
         starts, ends, max_len, forbidden = args
         levels = run_frontier(g, args, used, budget, spent)
         for k, (out, ticks) in enumerate(levels, start=1):
-            # the reference capped at length k: per vertex set, the same
-            # number of paths of length k and the same paths rebuilt, the
-            # same ticks, the same budget raise
+            # the reference capped at length k: per key (the vertex set
+            # without the end vertex, the one vertex of ends on a path),
+            # the same number of paths of length k and the same paths
+            # rebuilt, the same ticks, the same budget raise
             ref_out, ref_ticks = run_reference(
                 g, (starts, ends, k, forbidden), used, budget, spent
             )
@@ -774,7 +818,9 @@ class TestPathEnumeration:
             if ref_out == "budget exceeded":
                 assert out == ref_out
             else:
-                ref_k = [(pv, pe) for pv, pe, n_edges in ref_out if n_edges == k]
+                ref_k = [
+                    (pv & ~ends, pe) for pv, pe, n_edges in ref_out if n_edges == k
+                ]
                 assert out == grouped(ref_k)
 
     @pytest.mark.parametrize("max_nodes", [0, 1, 10])
@@ -805,8 +851,9 @@ class TestPathEnumeration:
 
 def reference_moves(solver, u, v, budget, dp):
     """Every minimal service of (u, v) built from ``reference_paths`` with no
-    length cap but the budget, each kept where its tree's gate passes: the
-    reference for the moves of all levels of ``_levels``."""
+    length cap but the budget, each kept where its tree's gate passes, and
+    each with the vertices it adds to its tree: the reference for the moves
+    of all levels of ``_levels``."""
     moves = []
     new_top = solver._delta_gate(2, 0, budget, dp)
     for pv, pe, length in reference_paths(solver, u, 1 << v, budget + 1):
@@ -839,7 +886,15 @@ def reference_moves(solver, u, v, budget, dp):
                         if 0 < length + n_edges <= top:
                             moves.append((length + n_edges, t, pv | cv, pe | ce))
                 solver.used_edges = saved
-    return moves
+    return [
+        (delta, t, vmask & ~tree_of(solver, t), emask)
+        for delta, t, vmask, emask in moves
+    ]
+
+
+def tree_of(solver, target):
+    """The vertices of a move's target tree; none for a new tree."""
+    return 0 if target < 0 else solver.tree_v[target]
 
 
 def vertices_of(solver, emask):
@@ -908,10 +963,12 @@ class TestMoveLevels:
             dp = capacity(budget)
             deltas, moves = [], []
             for delta, groups, rebuild in solver._levels(u, v, budget, dp):
-                # every rebuilt move adds exactly its group's vertices
+                # every rebuilt move adds exactly its group's vertices to
+                # its tree
                 level = level_moves(delta, groups, rebuild)
-                for _, _, add_v, add_e in level:
-                    assert vertices_of(solver, add_e) == add_v, seed
+                for _, target, add_v, add_e in level:
+                    added = vertices_of(solver, add_e) & ~tree_of(solver, target)
+                    assert added == add_v, seed
                 deltas.append(delta)
                 moves += level
             assert deltas == sorted(set(deltas)), seed  # each delta once, ascending
