@@ -7,6 +7,14 @@ Every interval carries provenance tags drawn from a fixed vocabulary:
 
 The tags name entries of the package's bound catalog (see README) so that
 reports can say exactly which inequality produced each endpoint.
+
+Every product statement shares one set of factor hypotheses, checked in
+one place (``_require_product_factors``): both factors connected with at
+least 2 vertices, and both nonbipartite for the direct product (Lem5, Thm5,
+CorDirect).  Two further conditions hold for upper ends only, so
+``product_mc_bounds`` checks them itself: Thm4 excludes two complete
+factors, and Thm3 needs a non-complete first factor unless the stated form
+is asked for.
 """
 
 from __future__ import annotations
@@ -124,29 +132,36 @@ def daleth_min(g: Graph, h: Graph) -> tuple[int, DalethSet]:
     return best
 
 
+def _require_product_factors(kind: ProductKind, g: Graph, h: Graph) -> None:
+    """Refuse factors outside the hypotheses every product statement shares."""
+    for name, f in (("first", g), ("second", h)):
+        if f.n < 2:
+            raise InapplicableError(f"bounds inapplicable: trivial {name} factor")
+        if not is_connected(f):
+            raise InapplicableError(
+                f"bounds inapplicable: disconnected {name} factor"
+            )
+    if kind is ProductKind.DIRECT and (is_bipartite(g) or is_bipartite(h)):
+        raise InapplicableError(
+            "bounds inapplicable: direct-product bounds need nonbipartite factors"
+        )
+
+
 def kappa_formula(kind: ProductKind, g: Graph, h: Graph) -> int:
     """Vertex connectivity of a product from the factor metrics alone.
 
-    cartesian:     min(kG*nH, kH*nG, dG + dH)       (nontrivial factors)
+    cartesian:     min(kG*nH, kH*nG, dG + dH)
     lexicographic: kG*nH                            (G nontrivial, non-complete)
     strong:        min(kG*nH, kH*nG, daleth size)   (some factor non-complete)
 
-    No vertex-connectivity formula is available for the direct product.
+    Cartesian and strong factors must meet the shared hypotheses; Lem3 holds
+    for any second factor, so the lexicographic formula checks G alone.  No
+    vertex-connectivity formula is available for the direct product.
     """
     kind = ProductKind(kind)
     if kind is ProductKind.DIRECT:
         raise InapplicableError(
             "no vertex-connectivity formula for the direct product"
-        )
-    if kind is ProductKind.CARTESIAN:
-        if g.n < 2 or h.n < 2:
-            raise InapplicableError("formula inapplicable: trivial factor")
-        if not (is_connected(g) and is_connected(h)):
-            raise InapplicableError("formula inapplicable: disconnected factor")
-        return min(
-            g.vertex_connectivity * h.n,
-            h.vertex_connectivity * g.n,
-            min_degree(g) + min_degree(h),
         )
     if kind is ProductKind.LEXICOGRAPHIC:
         if g.n < 2:
@@ -160,9 +175,13 @@ def kappa_formula(kind: ProductKind, g: Graph, h: Graph) -> int:
                 "formula inapplicable: disconnected first factor"
             )
         return g.vertex_connectivity * h.n
-    # strong
-    if not (is_connected(g) and is_connected(h)):
-        raise InapplicableError("formula inapplicable: disconnected factor")
+    _require_product_factors(kind, g, h)
+    if kind is ProductKind.CARTESIAN:
+        return min(
+            g.vertex_connectivity * h.n,
+            h.vertex_connectivity * g.n,
+            min_degree(g) + min_degree(h),
+        )
     if is_complete(g) and is_complete(h):
         raise InapplicableError("formula inapplicable: both factors complete")
     terms = [g.vertex_connectivity * h.n, h.vertex_connectivity * g.n]
@@ -175,35 +194,12 @@ def kappa_formula(kind: ProductKind, g: Graph, h: Graph) -> int:
 
 def edge_conn_direct_formula(g: Graph, h: Graph) -> int:
     """Edge connectivity of the direct product of nonbipartite factors."""
-    for name, f in (("first", g), ("second", h)):
-        if not is_connected(f):
-            raise InapplicableError(f"formula inapplicable: {name} factor disconnected")
-        if is_bipartite(f):
-            raise InapplicableError(f"formula inapplicable: {name} factor bipartite")
+    _require_product_factors(ProductKind.DIRECT, g, h)
     return min(
         2 * g.edge_connectivity * h.n,
         2 * h.edge_connectivity * g.n,
         min_degree(g) * min_degree(h),
     )
-
-
-def _require_product_factors(kind: ProductKind, g: Graph, h: Graph) -> None:
-    for name, f in (("first", g), ("second", h)):
-        if f.n < 2:
-            raise InapplicableError(f"bounds inapplicable: trivial {name} factor")
-        if not is_connected(f):
-            raise InapplicableError(
-                f"bounds inapplicable: disconnected {name} factor"
-            )
-    if kind is ProductKind.STRONG and is_complete(g) and is_complete(h):
-        raise InapplicableError(
-            "bounds inapplicable: strong product of two complete graphs"
-        )
-    if kind is ProductKind.DIRECT:
-        if is_bipartite(g) or is_bipartite(h):
-            raise InapplicableError(
-                "bounds inapplicable: direct-product bounds need nonbipartite factors"
-            )
 
 
 # per kind: theorem name, corollary name, and the case text of each branch
@@ -285,7 +281,8 @@ def product_mc_bounds(
 ) -> BoundInterval:
     """mc interval for a product, on the branch :func:`_branch` selects.
 
-    Direct-product bounds need both factors nonbipartite.  Lexicographic
+    Besides the shared factor hypotheses, two upper-end conditions are
+    checked here.  Thm4 excludes two complete factors.  Lexicographic
     upper bounds lean on the first factor being non-complete (its product
     connectivity formula has that hypothesis), and they really do fail
     otherwise: the single-edge graph composed with itself has mc 6 against a
@@ -295,6 +292,10 @@ def product_mc_bounds(
     """
     kind = ProductKind(kind)
     _require_product_factors(kind, g, h)
+    if kind is ProductKind.STRONG and is_complete(g) and is_complete(h):
+        raise InapplicableError(
+            "bounds inapplicable: strong product of two complete graphs"
+        )
     complete_first = kind is ProductKind.LEXICOGRAPHIC and is_complete(g)
     if complete_first and not allow_complete_first_factor:
         raise InapplicableError(
@@ -350,16 +351,12 @@ def corollary_lower(
     """mc lower bound for a product in terms of the factors' mc values.
 
     The lower end of the :func:`product_mc_bounds` branch, with mc(G) and
-    mc(H) in place of the factors' edge counts.
+    mc(H) in place of the factors' edge counts.  It answers exactly where
+    that lower end applies: on factors that meet the shared hypotheses,
+    whatever the upper-end conditions say.
     """
     kind = ProductKind(kind)
-    for name, f in (("first", g), ("second", h)):
-        if not is_connected(f):
-            raise InapplicableError(f"bound inapplicable: {name} factor disconnected")
-    if kind is ProductKind.DIRECT and is_bipartite(g) and is_bipartite(h):
-        raise InapplicableError(
-            "bound inapplicable: needs a nonbipartite factor"
-        )
+    _require_product_factors(kind, g, h)
     branch, swapped = _branch(kind, g, h)
     if swapped:
         g, h, mc_g, mc_h = h, g, mc_h, mc_g

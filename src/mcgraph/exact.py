@@ -552,8 +552,6 @@ class _TreeCoverSolver:
         spans fewer than s - 1 edges, so it is skipped as disconnected; each
         other mask that would raise best[s] is searched."""
         n, total = self.n, self.num_pairs
-        if total == 0:
-            return [0] * (n + 1)
         if n > 16:
             return [min(s * (s - 1) // 2, total) for s in range(n + 1)]
         adj_vmask = self.adj_vmask
@@ -1160,8 +1158,6 @@ class _TreeCoverSolver:
         }
         self.floor = max(floors.values())
         self.floor_by = next(name for name, b in floors.items() if b == self.floor)
-        if self.num_pairs == 0:
-            return []
         for limit in range(self.floor, self.n - 2):
             self.targets.append(limit)
             if self.exhausted is not None:  # a state exhausted at a smaller

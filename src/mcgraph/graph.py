@@ -574,7 +574,7 @@ def vertex_connectivity(g: Graph) -> int:
     v = min(g.vertices(), key=g.degree)
     near = g.adjacency[v]
     best = len(near)
-    floor = max(2, 2 * best - g.n + 2)
+    floor = max(2, _degree_floor(g.n, best))
     if floor >= best:
         return best
     pairs = chain(
@@ -589,15 +589,10 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
-def _connectivity_by_degree(n: int, delta: int, k: int) -> bool | None:
-    """Whether a graph on n vertices of minimum degree ``delta`` has kappa
-    >= k >= 1, where the degrees settle it (kappa <= delta, and the degree
-    threshold above), or None where Even's flows must decide."""
-    if k > delta:
-        return False
-    if 2 * delta >= n + k - 2:
-        return True
-    return None
+def _degree_floor(n: int, delta: int) -> int:
+    """kappa >= 2 delta - n + 2 on n vertices of minimum degree ``delta``
+    (the degree threshold above)."""
+    return 2 * delta - n + 2
 
 
 def complement_connectivity_at_least(g: Graph, k: int) -> bool:
@@ -608,8 +603,10 @@ def complement_connectivity_at_least(g: Graph, k: int) -> bool:
     if k <= 0:
         return True
     max_degree = max((g.degree(v) for v in g.vertices()), default=0)
-    by_degree = _connectivity_by_degree(g.n, g.n - 1 - max_degree, k)
-    return _even_flows_reach(complement(g), k) if by_degree is None else by_degree
+    delta = g.n - 1 - max_degree  # the complement's, and kappa <= delta
+    if k > delta:
+        return False
+    return _degree_floor(g.n, delta) >= k or _even_flows_reach(complement(g), k)
 
 
 def _even_flows_reach(g: Graph, k: int) -> bool:

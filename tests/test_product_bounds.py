@@ -13,6 +13,7 @@ from mcgraph.bounds import (
     product_mc_bounds,
 )
 from mcgraph.errors import InapplicableError
+from mcgraph.exact import mc_exact
 from mcgraph.families import (
     complete_graph,
     cycle_graph,
@@ -22,11 +23,13 @@ from mcgraph.families import (
 from mcgraph.graph import (
     Graph,
     connected_components,
+    edge_connectivity,
     is_connected,
     metrics,
     vertex_connectivity,
 )
 from mcgraph.products import ProductKind, make_product
+from mcgraph.verification import factor_pool
 
 P2, P3, P4 = path_graph(2), path_graph(3), path_graph(4)
 C3, C4, C5 = cycle_graph(3), cycle_graph(4), cycle_graph(5)
@@ -218,14 +221,16 @@ class TestCorollaryLower:
         assert corollary_lower(ProductKind.STRONG, P2, P2, 1, 1) == 4
         assert corollary_source(ProductKind.STRONG, P2, P2) == "Cor5(3)"
         # exact value for the complete 4-vertex product is 6; the bound holds
-        from mcgraph.exact import mc_exact
-
         assert mc_exact(make_product(ProductKind.STRONG, P2, P2).graph).value == 6
 
-    def test_direct_needs_a_nonbipartite_factor(self):
-        with pytest.raises(InapplicableError):
-            corollary_lower(ProductKind.DIRECT, C4, C4, 2, 2)
-        assert corollary_lower(ProductKind.DIRECT, C3, C4, 3, 2) == 8
+    def test_direct_needs_nonbipartite_factors(self):
+        # Thm5, whose lower end this is, holds for nonbipartite factors only:
+        # direct(K3, P2) is C6, of mc 2 against a Thm5 form of 5
+        K3 = complete_graph(3)
+        for g, h, mc_g, mc_h in ((C4, C4, 2, 2), (C3, C4, 3, 2), (K3, P2, 3, 1)):
+            with pytest.raises(InapplicableError, match="nonbipartite"):
+                corollary_lower(ProductKind.DIRECT, g, h, mc_g, mc_h)
+        assert corollary_lower(ProductKind.DIRECT, C3, C5, 3, 3) == 11
 
     def test_source_vocabulary_closed(self):
         for kind in ProductKind:
@@ -254,3 +259,54 @@ def test_daleth_connectivity_contract():
         built = make_product(ProductKind.STRONG, g, h)
         assert is_connected(built.graph)
         assert vertex_connectivity(built.graph) == predicted
+
+
+def test_catalog_answers_are_sound():
+    # every number the catalog gives on the byte-pinned factor pool, in both
+    # orders, against the built product: kappa and lambda exactly, and on
+    # products small enough for the exact engine, mc against the corollary
+    # and the theorem interval
+    factors = factor_pool() + [
+        ("K1", Graph(1, ())),
+        ("2K2", Graph(4, ((0, 1), (2, 3)))),
+    ]
+    mc = {name: mc_exact(f).value for name, f in factors}
+
+    def answer(call):
+        try:
+            return call()
+        except InapplicableError:
+            return None
+
+    checks, wrong = 0, []
+    for kind in ProductKind:
+        for gname, g in factors:
+            for hname, h in factors:
+                product = make_product(kind, g, h)
+                where = f"{kind.value}({gname},{hname})"
+                claims = []  # (holds, what it says)
+                if kind is not ProductKind.DIRECT:
+                    kappa = answer(lambda: kappa_formula(kind, g, h))
+                    if kappa is not None:
+                        actual = vertex_connectivity(product)
+                        claims.append((kappa == actual, f"kappa {kappa} != {actual}"))
+                else:
+                    lam = answer(lambda: edge_conn_direct_formula(g, h))
+                    if lam is not None:
+                        actual = edge_connectivity(product)
+                        claims.append((lam == actual, f"lambda {lam} != {actual}"))
+                if product.n <= 12:
+                    lower = answer(
+                        lambda: corollary_lower(kind, g, h, mc[gname], mc[hname])
+                    )
+                    iv = answer(lambda: product_mc_bounds(kind, g, h))
+                    if lower is not None or iv is not None:
+                        exact = mc_exact(product).value
+                    if lower is not None:
+                        claims.append((lower <= exact, f"Cor {lower} > mc {exact}"))
+                    if iv is not None:
+                        claims.append((exact in iv, f"mc {exact} not in {iv}"))
+                checks += len(claims)
+                wrong += [f"{where}: {text}" for ok, text in claims if not ok]
+    assert wrong == []
+    assert checks == 489  # so a sweep that reaches no answer cannot pass
