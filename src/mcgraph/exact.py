@@ -34,12 +34,17 @@ the deltas it passes are always 1..top.  A frontier keeps, per last
 vertex, each vertex set's number of path prefixes instead of listing them
 (Held and Karp's subset states), children are bounded once per (target,
 added vertex set) group, and every group that passes is rebuilt into
-concrete moves; every node is charged exactly what listing the paths and
-children would cost.  When no round finds a cover, or the floor is already
-n - 2 (kappa <= 1), the spanning-tree coloring (waste n - 2) is returned.  The
-two engines are kept independent and are cross-checked against each other
-in the test suite.  Each passes its witness through ``check_mc_coloring``
-before it returns a value.
+concrete moves.  A frontier that serves one tree (an attachment, or the
+connectors of one base path) drops a prefix as soon as the partial move it
+stands for fails the matching cut: each vertex a completion adds lowers
+the bound by at most 1 and the waste left by exactly 1, so no completion
+passes.  Every node is charged exactly what a depth-first enumeration of
+the paths and children that abandons each dead prefix would cost.  When no
+round finds a cover, or the floor is already n - 2 (kappa <= 1), the
+spanning-tree coloring (waste n - 2) is returned.  The two engines are
+kept independent and are cross-checked against each other in the test
+suite.  Each passes its witness through ``check_mc_coloring`` before it
+returns a value.
 """
 
 from __future__ import annotations
@@ -235,6 +240,21 @@ class _Frontier:
     charge is that of ``weight`` depth-first enumerations of every path of
     length at most k.
 
+    A frontier given a ``budget`` serves one tree, ``ends``: each of its
+    paths, joined with ``starts``, is one move into that tree, adding
+    every vertex but the last with one unit of waste each.  A state with
+    vertex set P then stands for the partial move that adds ``starts | P``
+    (delta popcount(``starts | P``), which is ``starts.bit_count()`` plus
+    the length), and a grow step drops it, after charging it, when that
+    move fails the matching cut (``_TreeCoverSolver._cut_by``).  Every move
+    through a dropped prefix fails the cut too: a completion A of P adds
+    |A - P| more vertices; each newly covers only pairs at itself, of
+    fractional-matching weight at most 1, so the bound falls by at most
+    |A - P| while the waste left falls by exactly |A - P|.  Dropping is
+    thus sound, no kept state loses a prefix (each prefix of a kept state
+    passes as well), and the charge is that of a depth-first enumerator
+    that abandons a dead prefix.  Without a budget nothing is dropped.
+
     At a prefix ending at x the extensions are ``free[x] & open & ~vmask``,
     where ``open`` is every vertex outside ``ends`` and ``forbidden``, and
     the paths close at ``free[x] & ends``.  A grow step lists x's steps
@@ -244,7 +264,8 @@ class _Frontier:
     """
 
     __slots__ = (
-        "solver", "free", "starts", "ends", "open_v", "weight", "states", "length"
+        "solver", "free", "starts", "ends", "open_v", "weight", "budget", "states",
+        "length",
     )
 
     def __init__(
@@ -255,6 +276,7 @@ class _Frontier:
         ends: int,
         forbidden: int = 0,
         weight: int = 1,
+        budget: int | None = None,
     ):
         self.solver = solver
         self.free = free
@@ -262,6 +284,7 @@ class _Frontier:
         self.ends = ends
         self.open_v = solver.vertex_mask & ~ends & ~forbidden
         self.weight = weight
+        self.budget = budget
         self.states: dict[int, dict[int, int]] | None = None
         self.length = 0
 
@@ -300,8 +323,10 @@ class _Frontier:
             self.solver._tick_prefixes(
                 self.weight * sum(sum(at_w.values()) for at_w in grown.values())
             )
-            states = {w: at_w for w, at_w in grown.items() if at_w}
             self.length += 1
+            if self.budget is not None:
+                self._cut(grown)
+            states = {w: at_w for w, at_w in grown.items() if at_w}
         self.states = states
         ends = self.ends
         out: dict[int, int] = {}
@@ -311,6 +336,29 @@ class _Frontier:
                 for vmask, count in at_x.items():
                     out[vmask] = out.get(vmask, 0) + count * closes
         return out
+
+    def _cut(self, grown: dict[int, dict[int, int]]) -> None:
+        """Drop from ``grown`` the states whose partial move fails the
+        matching cut (see the class docstring), counting their prefixes in
+        the solver's ``cut``, and in ``matching_cut`` when only the
+        fractional bound drops them.  The solver's covered set is the
+        node's own here, as ``_levels`` grows its frontiers only between
+        children."""
+        solver = self.solver
+        cut_by, covered = solver._cut_by, solver.covered
+        tree = self.ends | self.starts
+        slack = self.budget - self.starts.bit_count() - self.length
+        cut = matching_cut = 0
+        for at_w in grown.values():
+            for vmask, count in list(at_w.items()):
+                why = cut_by(covered, tree | vmask, slack)
+                if why:
+                    del at_w[vmask]
+                    cut += count
+                    if why == 2:
+                        matching_cut += count
+        solver.cut += self.weight * cut
+        solver.matching_cut += self.weight * matching_cut
 
     def expand(self, key: int) -> list[int]:
         """The edge masks of the frontier's paths whose vertex set without
@@ -412,7 +460,13 @@ class _TreeCoverSolver:
     to come is at least sum(y), and, being whole, at least its ceiling.  A
     matching is such a y with weights 0 and 1, so the fractional matching
     number, never below the largest matching, cuts every child the greedy
-    matching cuts, and no cut child leads to a cover within the limit.
+    matching cuts, and no cut child leads to a cover within the limit.  The
+    same count cuts a path prefix before its move is finished: the
+    frontiers that serve one tree (each attachment, the connectors of each
+    base) drop a prefix whose partial move already fails the cut, since
+    each vertex that finishes the move lowers the waste left by 1 and the
+    bound by at most 1 (see ``_Frontier``).  The u..v frontier also serves
+    new trees, crossing paths and connector bases, so it drops nothing.
 
     Moves stream one delta level at a time (``_levels``): a node generates,
     charges, cuts, sorts and visits every child of delta d before it asks
@@ -464,10 +518,12 @@ class _TreeCoverSolver:
     children, before any of them is counted as cut, and a cut group counts
     all its children; a grow step is charged its frontier's weight times
     the summed counts of the states it creates, which is the number of
-    prefixes that the frontiers it stands for would have listed.  After
-    lengths 1..k, a frontier's charge is thus that of ``weight`` plain
-    depth-first enumerations of the paths up to length k (the tests keep
-    that enumerator as its reference).  A node that visits every level is
+    prefixes that the frontiers it stands for would have listed, dead ones
+    included, and ``cut`` (``matching_cut`` when only the fractional bound
+    drops them) counts the dead ones the same way.  After lengths 1..k, a frontier's charge is thus that of
+    ``weight`` depth-first enumerations of the paths up to length k that
+    abandon each dead prefix (the tests keep the plain enumerator as the
+    reference of an uncut frontier).  A node that visits every level is
     charged what building all its moves at once would cost; a node that
     finds a cover early is charged less.  So no search is charged more than
     one that builds every move of a node before visiting any.
@@ -667,6 +723,25 @@ class _TreeCoverSolver:
         self.max_matching_memo[covered] = size
         return size
 
+    def _cut_by(self, covered: int, tv: int, slack: int) -> int:
+        """Whether a move that grows a tree to the vertex set ``tv`` from the
+        covered set ``covered`` fails the matching cut at ``slack`` waste
+        left: 0 when it passes, 1 when the greedy matching cuts it, 2 when
+        only the fractional bound does.  The greedy matching goes first,
+        with its memo hits taken inline, and the fractional bound runs only
+        where greedy passes (alone it makes the same cuts, in about a third
+        more exact-products wall_s)."""
+        inside = self.inside_memo.get(tv)
+        if inside is None:
+            inside = self._inside(tv)
+        after = covered | inside
+        need = self.matching_memo.get(after)
+        if need is None:
+            need = self._matching(after)
+        if need > slack:
+            return 1
+        return 2 if self._max_matching(after) > slack else 0
+
     def _capacity_dp(self, budget: int) -> list[int]:
         """Budget-indexed optimistic coverage: extensions plus fresh trees."""
         dp = list(self.dp_new[: budget + 1])
@@ -783,11 +858,14 @@ class _TreeCoverSolver:
         The u..v paths, each attachment and the connectors of each (base
         vertex set, tree) are a ``_Frontier`` that grows only when a level
         asks for a longer path, so the paths of delta d + 1 are built only
-        after the caller has visited every child of delta d.  A connector
-        never uses an edge inside its base's vertex set, so the base paths
-        that share a vertex set share one connector frontier, weighted by
-        their number, and a group's count sums each frontier's weight times
-        its paths.  A tree's gate passes every delta up to its top, so the
+        after the caller has visited every child of delta d.  An attachment
+        or connector frontier serves one tree, so it gets the budget and
+        drops each prefix whose partial move fails the matching cut; a
+        group that passes the cut keeps the count it has without the drop.
+        A connector never uses an edge inside its base's vertex set, so the
+        base paths that share a vertex set share one connector frontier,
+        weighted by their number, and a group's count sums each frontier's
+        weight times its paths.  A tree's gate passes every delta up to its top, so the
         connectors of the base paths of length d - 1 are created at level
         d, the first level that can use them.  A pending tree's ``rebuild``
         finds the crossing paths as the u..v paths with vertex set
@@ -814,7 +892,7 @@ class _TreeCoverSolver:
             last = max(last, top)
             if tv & (ubit | vbit):
                 start = vbit if tv & ubit else ubit
-                housing[t] = (top, _Frontier(self, free, start, tv))
+                housing[t] = (top, _Frontier(self, free, start, tv, budget=budget))
             else:
                 pending[t] = (tv, top, [])
 
@@ -848,7 +926,8 @@ class _TreeCoverSolver:
                 for pv, count in uv(d - 1).items():
                     if not pv & tv:
                         front = _Frontier(
-                            self, free, pv, tv, forbidden=pv, weight=count
+                            self, free, pv, tv, forbidden=pv, weight=count,
+                            budget=budget,
                         )
                         connectors.append([front, None])
                 live = []
@@ -1097,14 +1176,11 @@ class _TreeCoverSolver:
         if dp[budget] < rest.bit_count():
             return None
         u, v = self.pairs[(rest & -rest).bit_length() - 1]
-        inside_memo, matching_memo = self.inside_memo, self.matching_memo
+        cut_by = self._cut_by
         for delta, groups, rebuild in self._levels(u, v, budget, dp):
             # the matching cut reads only a child's target and vertex set, so
-            # it runs once per group: the greedy matching first, with its
-            # memo hits taken inline, and the fractional bound only where
-            # greedy passes (alone it makes the same cuts, in about a third
-            # more exact-products wall_s); the level is charged before its
-            # cuts are counted, as if each child were charged and then cut
+            # it runs once per group; the level is charged before its cuts
+            # are counted, as if each child were charged and then cut
             slack = budget - delta
             covered, tree_v = self.covered, self.tree_v
             children = []
@@ -1113,20 +1189,11 @@ class _TreeCoverSolver:
                 tree = 0 if target < 0 else tree_v[target]
                 for add_v, count in found.items():
                     total += count
-                    tv = tree | add_v
-                    inside = inside_memo.get(tv)
-                    if inside is None:
-                        inside = self._inside(tv)
-                    after = covered | inside
-                    need = matching_memo.get(after)
-                    if need is None:
-                        need = self._matching(after)
-                    if need <= slack:
-                        need = self._max_matching(after)
-                        if need > slack:
-                            matching_cut += count
-                    if need > slack:
+                    why = cut_by(covered, tree | add_v, slack)
+                    if why:
                         cut += count
+                        if why == 2:
+                            matching_cut += count
                     else:
                         children += [
                             (delta, target, add_v, add_e)

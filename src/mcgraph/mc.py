@@ -156,7 +156,7 @@ class SearchStats:
     floor: int  # the root waste floor
     floor_by: str  # Lem1 | matching | capacity: the first bound reaching it
     targets: tuple[int, ...] = ()  # the deepening limits tried
-    cut: int = 0  # children cut before they were applied
+    cut: int = 0  # children cut before they were applied, and dropped path prefixes
     matching_cut: int = 0  # of ``cut``: passed greedy, not the fractional bound
     symmetric: int = 0  # applied states pruned as images of exhausted ones
     path_nodes: int = 0  # the path-enumeration prefixes among ``nodes``

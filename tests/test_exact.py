@@ -224,37 +224,34 @@ PINNED_DIGESTS = {
 
 
 # The exact search counters (nodes, cut, path_nodes), the regression gates:
-# recorded with the states that an automorphism maps onto exhausted ones
-# pruned; the two 15-vertex entries since the capacity table tests every
-# subset for connectivity.  lex_P3_C5 is the bounds-only run at 500,000
-# nodes.
+# recorded with the path prefixes whose partial move fails the matching cut
+# dropped.  lex_P3_C5 is the bounds-only run at 1,000 nodes.
 COUNTER_PINS = {
     "strong_P3_K4": (37, 0, 14),
-    "lex_P3_C4": (101_597, 52_963, 48_551),
-    "lex_P3_star4": (10_450, 6_125, 4_253),
-    "lex_P3_P4": (27_139, 16_735, 10_356),
-    "lex_P2_C5": (118, 48, 51),
+    "lex_P3_C4": (42_163, 15_430, 26_755),
+    "lex_P3_star4": (4_216, 1_901, 2_530),
+    "lex_P3_P4": (325, 166, 232),
+    "lex_P2_C5": (87, 32, 51),
     "cartesian_C3_C4": (0, 0, 0),
-    "lex_P3_C5": (500_001, 179_104, 312_912),
+    "lex_P3_C5": (1_001, 715, 779),
     "strong_P3_K5": (52, 0, 18),
-    # recorded with the byte-lane capacity table, at the default budget
-    "lex_P2_C8": (2_094_398, 1_365_196, 727_424),
+    # at the default budget
+    "lex_P2_C8": (8_744, 5_615, 6_581),
 }
 
 # The same counters on lex(P3,P4) relabelled as ``bench/run.py --relabel``
 # relabels it, by seed: the search must not depend on the vertex names'
-# dict order.  Recorded with the byte-lane capacity table.
+# dict order.  Recorded likewise.
 RELABELLED_COUNTER_PINS = {
     2: (71, 0, 35),
-    3: (39_645, 25_695, 13_890),
-    4: (30_479, 19_784, 10_649),
+    3: (490, 281, 331),
+    4: (378, 227, 243),
 }
 
 # sha256 of every SearchStats.to_dict() over each set, recorded likewise
-# (on corpus6 no state is pruned, and only the ``symmetric`` key is new)
 STATS_DIGESTS = {
-    "corpus6": "165a02812ae8cf1d400021815af6600d0066d65f9f19b43e8c70a4b958ba6b47",
-    "dense_random": "4bec560f662381ee9da1ef246d8796a7c3fdb453d778ef7605a664e72665338d",
+    "corpus6": "e82a0f80349a595eff38fe06488f028f561eaf18aa3103d3af6c1d3f7456dde2",
+    "dense_random": "ebac972e981903be7a02b08d897f937892f12cdd0061927f01f120009eddd0bc",
 }
 
 
@@ -321,12 +318,13 @@ class TestSearchRegression:
         # on lex_P3_C4, lex_P3_star4, lex_P3_P4 and lex_P2_C5, the greedy
         # matching cut alone takes 688,620, 129,693, 59,496 and 521 nodes,
         # with the fractional bound behind it 440,152, 55,390, 54,134 and
-        # 155, and with symmetric states pruned as well 101,597, 10,450,
-        # 27,139 and 118
-        assert product_results["lex_P2_C5"][1].stats.nodes <= 200
-        assert product_results["lex_P3_C4"][1].stats.nodes <= 110_000
-        assert product_results["lex_P3_star4"][1].stats.nodes <= 12_000
-        assert product_results["lex_P3_P4"][1].stats.nodes <= 30_000
+        # 155, with symmetric states pruned as well 101,597, 10,450, 27,139
+        # and 118, and with dead path prefixes dropped 42,163, 4,216, 325
+        # and 87
+        assert product_results["lex_P2_C5"][1].stats.nodes <= 100
+        assert product_results["lex_P3_C4"][1].stats.nodes <= 45_000
+        assert product_results["lex_P3_star4"][1].stats.nodes <= 5_000
+        assert product_results["lex_P3_P4"][1].stats.nodes <= 1_000
         for name in ("lex_P3_C4", "lex_P3_star4", "lex_P3_P4"):
             stats = product_results[name][1].stats
             assert 0 < stats.matching_cut < stats.cut, name
@@ -336,7 +334,7 @@ class TestSearchRegression:
         for name, *_ in PRODUCTS:
             assert counters(product_results[name][1]) == COUNTER_PINS[name], name
         g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
-        res = mc_exact(g, max_nodes=500_000)
+        res = mc_exact(g, max_nodes=1_000)
         assert res.method == "bounds-only"
         assert counters(res) == COUNTER_PINS["lex_P3_C5"]
 
@@ -367,7 +365,7 @@ class TestSearchRegression:
         path = Path(__file__).parent / "data" / "lex_P3_C5_mc53.json"
         written = dumps(coloring_to_obj(res.witness)) + "\n"
         assert written.encode() == path.read_bytes()
-        assert counters(res) == (3_332_422, 2_109_063, 1_223_140)
+        assert counters(res) == (1_865, 1_310, 1_445)
         assert (res.stats.floor, res.stats.floor_by, res.stats.targets) == (
             12, "capacity", (12,)
         )
@@ -420,8 +418,8 @@ class TestSearchRegression:
             (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 0),
             (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 1),
             (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 10),
-            (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 100),
-            (ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5), 500_000),
+            (ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(5), 50),
+            (ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5), 1_000),
         ],
     )
     def test_bounds_only_stops_at_the_first_node_past_the_budget(
@@ -437,7 +435,7 @@ class TestSearchRegression:
         lex = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
         hl4 = generate(NetworkSpec("hl", (4,))).graph
         got = []
-        for g, max_nodes in ((lex, 500_000), (hl4, 10)):
+        for g, max_nodes in ((lex, 1_000), (hl4, 10)):
             res = mc_exact(g, max_nodes=max_nodes)
             iv = res.bounds
             got.append((res.method, iv.lower, iv.upper, iv.upper_source))
@@ -520,6 +518,29 @@ def image(g, state, sigma):
             1 << g.edge_index[tuple(sorted((sigma[u], sigma[v])))] for u, v in edges
         ))
     return frozenset(out)
+
+
+def outcome_runs(corpus6):
+    """(graph, node budget or None) over corpus6, 24 seeded 7-vertex graphs
+    and the decided exact-products instances at their budgets."""
+    rng = random.Random(1)
+    n7 = [random_connected_graph(7, m, rng) for m in (9, 10, 11) for _ in range(8)]
+    products = [(make_product(kind, a, b).graph, budget)
+                for _, kind, a, b, budget in PRODUCTS]
+    return [(g, None) for g in list(corpus6) + n7] + products
+
+
+def outcomes(runs):
+    """Per run: value, method and witness, and the rounds tried (every round
+    but the last found no cover; the last found the witness, or none if the
+    witness is the spanning tree)."""
+    out = []
+    for g, budget in runs:
+        res = mc_exact(g) if budget is None else mc_exact(g, max_nodes=budget)
+        colors = res.witness.colors if res.witness else None
+        targets = res.stats.targets if res.stats else None
+        out.append((res.value, res.method, colors, targets))
+    return out
 
 
 def solver_with_wl(g):
@@ -622,29 +643,11 @@ class TestSymmetry:
         assert solver.exhausted is None and sorted(solver.wl) == list(range(7))
 
     def test_pruning_changes_no_outcome(self, corpus6, monkeypatch):
-        # value, method and witness, and the rounds tried (every round but
-        # the last found no cover; the last found the witness, or none if the
-        # witness is the spanning tree), with the equivalence test as is and
-        # always False; lex_P3_C5 is left out, as it decides nothing at the
-        # exact-products budget
-        rng = random.Random(1)
-        n7 = [random_connected_graph(7, m, rng) for m in (9, 10, 11) for _ in range(8)]
-        products = [(make_product(kind, a, b).graph, budget)
-                    for _, kind, a, b, budget in PRODUCTS]
-        runs = [(g, None) for g in list(corpus6) + n7] + products
-
-        def outcomes():
-            out = []
-            for g, budget in runs:
-                res = mc_exact(g) if budget is None else mc_exact(g, max_nodes=budget)
-                colors = res.witness.colors if res.witness else None
-                targets = res.stats.targets if res.stats else None
-                out.append((res.value, res.method, colors, targets))
-            return out
-
-        pruned = outcomes()
+        # with the equivalence test as is and always False
+        runs = outcome_runs(corpus6)
+        pruned = outcomes(runs)
         monkeypatch.setattr(_TreeCoverSolver, "_equivalent", lambda self, a, b: False)
-        assert outcomes() == pruned
+        assert outcomes(runs) == pruned
 
     def test_search_is_freed_without_the_collector(self):
         # the search, its frontiers and the symmetry test leave no reference
@@ -853,12 +856,14 @@ def reference_moves(solver, u, v, budget, dp):
     """Every minimal service of (u, v) built from ``reference_paths`` with no
     length cap but the budget, each kept where its tree's gate passes, and
     each with the vertices it adds to its tree: the reference for the moves
-    of all levels of ``_levels``."""
+    of all levels of ``_levels``.  Each move comes with whether a frontier
+    that serves one tree builds it through a grown prefix: an attachment or
+    a connector path of at least 2 edges."""
     moves = []
     new_top = solver._delta_gate(2, 0, budget, dp)
     for pv, pe, length in reference_paths(solver, u, 1 << v, budget + 1):
         if 0 < length - 1 <= new_top:
-            moves.append((length - 1, -1, pv, pe))
+            moves.append((length - 1, -1, pv, pe, False))
     uv_paths = reference_paths(solver, u, 1 << v, budget)
     for t, tv in enumerate(solver.tree_v):
         top = solver._delta_gate(
@@ -868,12 +873,12 @@ def reference_moves(solver, u, v, budget, dp):
             x = v if tv >> u & 1 else u
             for pv, pe, length in reference_paths(solver, x, tv, budget):
                 if 0 < length <= top:
-                    moves.append((length, t, pv, pe))
+                    moves.append((length, t, pv, pe, length >= 2))
             continue
         for pv, pe, length in uv_paths:
             overlap = (pv & tv).bit_count()
             if overlap == 1 and 0 < length <= top:
-                moves.append((length, t, pv, pe))
+                moves.append((length, t, pv, pe, False))
             if overlap == 0:
                 # a connector from a vertex of the path, avoiding its edges
                 # and, past its first vertex, its vertices
@@ -884,12 +889,20 @@ def reference_moves(solver, u, v, budget, dp):
                         solver, y, tv, budget - length, pv
                     ):
                         if 0 < length + n_edges <= top:
-                            moves.append((length + n_edges, t, pv | cv, pe | ce))
+                            moves.append(
+                                (length + n_edges, t, pv | cv, pe | ce, n_edges >= 2)
+                            )
                 solver.used_edges = saved
     return [
-        (delta, t, vmask & ~tree_of(solver, t), emask)
-        for delta, t, vmask, emask in moves
+        (delta, t, vmask & ~tree_of(solver, t), emask, grown)
+        for delta, t, vmask, emask, grown in moves
     ]
+
+
+def fails_matching_cut(solver, budget, move):
+    delta, target, add_v, _ = move
+    tv = tree_of(solver, target) | add_v
+    return solver._cut_by(solver.covered, tv, budget - delta) > 0
 
 
 def tree_of(solver, target):
@@ -951,16 +964,21 @@ def search_state(seed):
     return solver, limit, capacity
 
 
+def level_cases():
+    """The 300 seeded ``search_state`` states that have a pair to serve
+    within the budget: (seed, solver, budget, the pair, capacity table)."""
+    for seed in range(300):
+        solver, limit, capacity = search_state(seed)
+        rest = solver.all_mask & ~solver.covered
+        budget = limit - solver.waste
+        if rest and budget >= 1:
+            u, v = solver.pairs[(rest & -rest).bit_length() - 1]
+            yield seed, solver, budget, (u, v), capacity(budget)
+
+
 class TestMoveLevels:
     def test_levels_hold_every_move_once(self):
-        for seed in range(300):
-            solver, limit, capacity = search_state(seed)
-            rest = solver.all_mask & ~solver.covered
-            budget = limit - solver.waste
-            if not rest or budget < 1:
-                continue
-            u, v = solver.pairs[(rest & -rest).bit_length() - 1]
-            dp = capacity(budget)
+        for seed, solver, budget, (u, v), dp in level_cases():
             deltas, moves = [], []
             for delta, groups, rebuild in solver._levels(u, v, budget, dp):
                 # every rebuilt move adds exactly its group's vertices to
@@ -972,8 +990,57 @@ class TestMoveLevels:
                 deltas.append(delta)
                 moves += level
             assert deltas == sorted(set(deltas)), seed  # each delta once, ascending
+            # the reference moves less those a one-tree frontier drops: a
+            # move built through a grown prefix that fails the matching cut
+            # (the move's last grown prefix stands for the move itself)
             reference = reference_moves(solver, u, v, budget, dp)
-            assert sorted(moves) == sorted(reference), seed
+            full = [move[:4] for move in reference]
+            kept = [
+                move[:4]
+                for move in reference
+                if not (move[4] and fails_matching_cut(solver, budget, move[:4]))
+            ]
+            assert set(moves) <= set(full), seed
+            assert sorted(moves) == sorted(kept), seed
+
+    def test_prefix_cut_changes_no_outcome(self, corpus6, monkeypatch):
+        # with dead prefixes dropped and kept
+        runs = outcome_runs(corpus6)
+        cut = outcomes(runs)
+        monkeypatch.setattr(_Frontier, "_cut", lambda front, grown: None)
+        assert outcomes(runs) == cut
+
+    def test_a_dropped_prefix_fails_every_move_through_it(self, monkeypatch):
+        # every vertex a move into a tree adds brings one unit of waste and
+        # newly covers only pairs at itself, of fractional weight at most 1:
+        # so every reference move into the tree of a dropped prefix whose
+        # added vertices hold the prefix's fails the matching cut
+        dropped = []
+        cut = _Frontier._cut
+
+        def recording(front, grown):
+            before = {w: set(at_w) for w, at_w in grown.items()}
+            cut(front, grown)
+            for w, at_w in grown.items():
+                for vmask in before[w] - at_w.keys():
+                    dropped.append((front.ends, front.starts | vmask))
+
+        monkeypatch.setattr(_Frontier, "_cut", recording)
+        checked = 0
+        for seed, solver, budget, (u, v), dp in level_cases():
+            dropped.clear()
+            for _ in solver._levels(u, v, budget, dp):
+                pass
+            for tree, q in dropped:
+                t = solver.tree_v.index(tree)
+                assert fails_matching_cut(solver, budget, (q.bit_count(), t, q, 0))
+            for move in reference_moves(solver, u, v, budget, dp):
+                _, t, add_v, _, _ = move
+                tree = tree_of(solver, t)
+                if t >= 0 and any(d == tree and not q & ~add_v for d, q in dropped):
+                    assert fails_matching_cut(solver, budget, move[:4]), seed
+                    checked += 1
+        assert checked > 1000
 
 
 # -- the capacity table: connected subsets against brute force --------------
