@@ -418,6 +418,34 @@ def _augment(root: int, nbr: list[int], mate: list[int]) -> bool:
             return False
 
 
+class _Record(tuple):
+    """A search state, the tuple of its tree edge masks, with what the
+    symmetry test reads of it, built once by ``_TreeCoverSolver._record``:
+
+    - ``order``: the vertices in the order the vertex map takes them: those
+      at a tree edge first (they have the fewest candidates), then the
+      others, each part by index;
+    - ``classes``: the class of each vertex of ``order``, in that order: the
+      WL colour and then the sorted (edge count, degree) of each tree at the
+      vertex, each pair as one int, or the WL colour alone, an int, for a
+      vertex at no tree edge;
+    - ``key``: the sorted classes of the vertices at a tree edge, the
+      state's bucket, which an automorphism keeps.  The colours of the other
+      vertices are the host's colours less theirs, so two states of one key
+      have the same classes, with the same multiplicities;
+    - ``of_class``: each class's vertices, as a mask;
+    - ``tree_of``: the index of the tree that holds each tree edge's bit;
+    - ``tn``: each vertex's neighbours along tree edges, as a mask.
+    """
+
+    key: tuple
+    order: list[int]
+    classes: list
+    of_class: dict
+    tree_of: dict[int, int]
+    tn: list[int]
+
+
 class _TreeCoverSolver:
     """Minimizes total tree waste subject to covering all non-adjacent pairs.
 
@@ -505,10 +533,17 @@ class _TreeCoverSolver:
     (``_symmetric``) never enumerates the automorphism group: just before
     the first exhausted state is kept, the host's 1-WL colours are computed
     once, and if they are discrete only the identity is an automorphism and
-    no state is kept for the solve; otherwise exhausted states are bucketed
-    by their sorted per-vertex classes (WL colour and the size and degree of
-    each tree at the vertex), so only states whose classes agree reach
-    ``_equivalent``, which backtracks a vertex map.
+    no state is kept for the solve.  Otherwise a visit builds its state's
+    record (``_Record``) once, by one walk over the tree edges, when a kept
+    state may match it or when it is exhausted and kept itself: the vertex
+    classes (WL colour and the size and degree of each tree at the vertex),
+    their sorted tuple as the bucket key, the tree of each tree edge, each
+    vertex's tree neighbours and the order of the vertex map.  The store
+    keeps records by key, and only records of one key reach
+    ``_maps_onto``, which backtracks a vertex map: at each depth it
+    collects the images of the vertex's mapped neighbours and mapped tree
+    neighbours as two masks, and a candidate passes those constraints by
+    two int comparisons.
 
     One node is charged per generated child, cut or not, per round root and
     per start or prefix that a frontier builds; ``max_nodes`` caps the sum,
@@ -585,11 +620,10 @@ class _TreeCoverSolver:
         self.floor_by = "Lem1"
         self.targets: list[int] = []
 
-        # symmetry: this round's exhausted states by ``_state_key`` (None
-        # once the host's 1-WL colouring ``wl`` is found discrete)
-        self.exhausted: dict[tuple, list[tuple[int, ...]]] | None = {}
+        # symmetry: the records of this round's exhausted states by key
+        # (None once the host's 1-WL colouring ``wl`` is found discrete)
+        self.exhausted: dict[tuple, list[_Record]] | None = {}
         self.wl: list[int] | None = None
-        self.prepared: tuple | None = None  # see ``_prepared``
 
     # -- precomputed tables -------------------------------------------------
 
@@ -1022,103 +1056,119 @@ class _TreeCoverSolver:
                 return colour
             count = len(ids)
 
-    def _vertex_classes(self, state: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Each vertex's class in ``state``: its WL colour, then the sorted
-        (edge count, degree) of each tree at it, each pair as one int."""
-        shift = self.n.bit_length()  # a degree is below n
-        classes = []
-        for c, inc in zip(self.wl, self.incident):
-            at = sorted(
-                e.bit_count() << shift | (e & inc).bit_count() for e in state if e & inc
-            )
-            classes.append((c, *at))
-        return classes
-
-    def _state_key(self, state: tuple[int, ...]) -> tuple:
-        """The bucket of ``state``: its sorted vertex classes, which an
-        automorphism keeps (``wl`` set)."""
-        return self._prepared(state)[2]
-
-    def _tree_of_edge(self, state: tuple[int, ...]) -> dict[int, int]:
-        """The index of the tree of ``state`` that holds each tree edge's bit."""
-        tree_of = {}
+    def _record(self, state: tuple[int, ...]) -> _Record:
+        """The symmetry record of ``state`` (``wl`` set; see ``_Record``),
+        built by one walk over the tree edges and one pass over the
+        vertices."""
+        n, edges, wl = self.n, self.g.edges, self.wl
+        shift = n.bit_length()  # a degree is below n
+        tree_of: dict[int, int] = {}
+        tn = [0] * n
+        at: dict[int, tuple[int, ...]] = {}  # x -> WL colour, x's tree pairs
         for i, emask in enumerate(state):
+            size = emask.bit_count() << shift
+            deg: dict[int, int] = {}
             while emask:
                 bit = emask & -emask
                 emask ^= bit
                 tree_of[bit] = i
-        return tree_of
+                u, v = edges[bit.bit_length() - 1]
+                tn[u] |= 1 << v
+                tn[v] |= 1 << u
+                deg[u] = deg.get(u, 0) + 1
+                deg[v] = deg.get(v, 0) + 1
+            for x, d in deg.items():
+                c = at.get(x)
+                at[x] = (wl[x], size | d) if c is None else c + (size | d,)
+        order = sorted(at)
+        classes: list = []
+        of_class: dict = {}
+        for x in order:
+            c = at[x]
+            if len(c) > 2:  # x is in more than one tree
+                c = (c[0], *sorted(c[1:]))
+            classes.append(c)
+            of_class[c] = of_class.get(c, 0) | 1 << x
+        key = tuple(sorted(classes))
+        for x in range(n):
+            if not tn[x]:
+                c = wl[x]
+                order.append(x)
+                classes.append(c)
+                of_class[c] = of_class.get(c, 0) | 1 << x
+        rec = _Record(state)
+        rec.key, rec.order, rec.classes, rec.of_class = key, order, classes, of_class
+        rec.tree_of, rec.tn = tree_of, tn
+        return rec
 
-    def _prepared(self, a: tuple[int, ...]) -> tuple:
-        """(a, its vertex classes, their sorted tuple, ``_tree_of_edge(a)``),
-        kept for the last state asked: a state is compared with every state
-        of its bucket."""
-        if self.prepared is None or self.prepared[0] != a:
-            classes = self._vertex_classes(a)
-            key = tuple(sorted(classes))
-            self.prepared = (a, classes, key, self._tree_of_edge(a))
-        return self.prepared
+    def _state_key(self, state: tuple[int, ...]) -> tuple:
+        """The bucket of ``state``, which an automorphism keeps (``wl``
+        set; see ``_Record``)."""
+        return self._record(state).key
 
     def _equivalent(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         """Whether an automorphism of the host maps the trees of state ``a``
-        onto the trees of state ``b`` (``wl`` set).
+        onto the trees of state ``b`` (``wl`` set): their keys agree and
+        ``_maps_onto`` finds the map."""
+        ra, rb = self._record(a), self._record(b)
+        return ra.key == rb.key and self._maps_onto(ra, rb)
 
-        The classes of ``_vertex_classes`` must agree as multisets.  Then a
-        vertex map sigma is backtracked on an explicit stack, each vertex of
-        ``a`` tried on the vertices of ``b`` of its class: sigma must keep
-        adjacency and non-adjacency with every vertex mapped before, and
-        take an edge of tree i to an edge of tree pi(i), for one bijection
-        pi between trees of equal edge counts, built along the way (an edge
-        outside the trees goes to an edge outside them).  A complete sigma is
-        an automorphism with sigma(T_i) inside T_pi(i), hence equal to it.
-        The vertices of the trees of ``a`` go first, as they have the
-        fewest candidates."""
-        _, classes_a, key_a, tree_a = self._prepared(a)
-        classes_b = self._vertex_classes(b)
-        if key_a != tuple(sorted(classes_b)):
-            return False
-        n, adj, ebit = self.n, self.adj_vmask, self.ebit
-        order = sorted(range(n), key=lambda x: len(classes_a[x]) == 1)
-        of_class: dict[tuple[int, ...], int] = {}
-        for y, c in enumerate(classes_b):
-            of_class[c] = of_class.get(c, 0) | 1 << y
-        cands = [of_class[c] for c in classes_a]
-        tree_b = self._tree_of_edge(b)
+    def _maps_onto(self, a: _Record, b: _Record) -> bool:
+        """Whether an automorphism of the host maps the trees of ``a`` onto
+        the trees of ``b``, two records of one key.
+
+        A vertex map sigma is backtracked on an explicit stack, each vertex
+        of ``a`` in ``a.order`` tried on the vertices of ``b`` of its class,
+        in index order: sigma must keep adjacency and non-adjacency with
+        every vertex w mapped before, and take an edge xw of tree i to an
+        edge of tree pi(i), for one bijection pi between trees of equal edge
+        counts, built along the way (an edge outside the trees goes to an
+        edge outside them).  A complete sigma is an automorphism with
+        sigma(T_i) inside T_pi(i), hence equal to it.
+
+        The first two constraints are two int comparisons per candidate y:
+        on entering a depth, the images of x's mapped neighbours and of its
+        mapped tree neighbours are collected once, as masks, and y passes
+        when they are exactly y's neighbours and y's tree neighbours in
+        ``b`` among the mapped images.  pi is then checked over x's mapped
+        tree neighbours only."""
+        n, adj, ebit, nbrs = self.n, self.adj_vmask, self.ebit, self.g.neighbors
+        order, classes, tn_a, tree_a = a.order, a.classes, a.tn, a.tree_of
+        tn_b, tree_b, of_class = b.tn, b.tree_of, b.of_class
         pi, pi_inv = [-1] * len(a), [-1] * len(b)
-        sigma = [-1] * n
-        paired: list[list[int]] = [[] for _ in range(n)]  # pi entries per depth
+        sigma = [0] * n  # the bit of each vertex's image, 0 while unmapped
+        near_img = [0] * n  # per depth: the images of x's mapped neighbours
+        tree_img = [0] * n  # and of its mapped tree neighbours
+        paired: list[list[int]] = [[]] * n  # the pi entries made at each depth
         left = [0] * n  # the candidates still to try at each depth
-        left[0] = cands[order[0]]
+        left[0] = of_class[classes[0]]
         domain = image = 0
         depth = 0
+        x = order[0]
         while depth >= 0:
             if not left[depth]:
                 depth -= 1
                 if depth >= 0:  # undo the vertex mapped at this depth
                     x = order[depth]
+                    image ^= sigma[x]
+                    sigma[x] = 0
                     domain ^= 1 << x
-                    image ^= 1 << sigma[x]
                     for i in paired[depth]:
                         pi_inv[pi[i]] = pi[i] = -1
                 continue
             ybit = left[depth] & -left[depth]
             left[depth] ^= ybit
-            x, y = order[depth], ybit.bit_length() - 1
-            near = adj[x] & domain
-            if near.bit_count() != (adj[y] & image).bit_count():
+            y = ybit.bit_length() - 1
+            if adj[y] & image != near_img[depth] or tn_b[y] & image != tree_img[depth]:
                 continue
             new_pairs: list[int] = []
-            while near:  # each mapped neighbour w of x, going to z
-                w = (near & -near).bit_length() - 1
-                near &= near - 1
-                z = sigma[w]
-                if not adj[y] >> z & 1:
-                    break
-                i = tree_a.get(ebit[x][1 << w], -1)
-                j = tree_b.get(ebit[y][1 << z], -1)
-                if (i < 0) != (j < 0):
-                    break
-                if i >= 0 and pi[i] != j:  # pair trees i and j, if both free
+            near = tn_a[x] & domain
+            while near:  # each mapped tree neighbour w of x
+                wbit = near & -near
+                near ^= wbit
+                i = tree_a[ebit[x][wbit]]
+                j = tree_b[ebit[y][sigma[wbit.bit_length() - 1]]]
+                if pi[i] != j:  # pair trees i and j, if both free
                     if pi[i] >= 0 or pi_inv[j] >= 0:
                         break
                     if a[i].bit_count() != b[j].bit_count():
@@ -1126,14 +1176,26 @@ class _TreeCoverSolver:
                     pi[i], pi_inv[j] = j, i
                     new_pairs.append(i)
             else:  # x goes to y
-                sigma[x] = y
+                sigma[x] = ybit
                 domain |= 1 << x
                 image |= ybit
                 paired[depth] = new_pairs
                 depth += 1
                 if depth == n:
                     return True
-                left[depth] = cands[order[depth]] & ~image
+                x = order[depth]
+                img = 0
+                for w in nbrs[x]:  # an unmapped w adds nothing
+                    img |= sigma[w]
+                near_img[depth] = img
+                img = 0
+                near = tn_a[x] & domain
+                while near:
+                    wbit = near & -near
+                    near ^= wbit
+                    img |= sigma[wbit.bit_length() - 1]
+                tree_img[depth] = img
+                left[depth] = of_class[classes[depth]] & ~image
                 continue
             for i in new_pairs:
                 pi_inv[pi[i]] = pi[i] = -1
@@ -1141,23 +1203,27 @@ class _TreeCoverSolver:
 
     def _symmetric(self, state: tuple[int, ...]) -> bool:
         """Whether an automorphism of the host maps ``state`` onto a state
-        exhausted in this round."""
+        exhausted in this round; ``state`` is its record whenever the store
+        is non-empty, and the kernel runs on the records of its bucket."""
         if not self.exhausted:  # empty or None until ``_exhaust`` sets ``wl``
             return False
-        bucket = self.exhausted.get(self._state_key(state), ())
-        return any(self._equivalent(state, other) for other in bucket)
+        bucket = self.exhausted.get(state.key, ())
+        return any(self._maps_onto(state, other) for other in bucket)
 
     def _exhaust(self, state: tuple[int, ...]) -> None:
-        """Keep ``state``, whose search found no cover, for ``_symmetric``.
-        The WL colours are computed before the first state is kept: if they
-        are discrete, only the identity is an automorphism, and no state is
-        kept for the rest of the solve."""
+        """Keep the record of ``state``, whose search found no cover, for
+        ``_symmetric``; ``state`` may already be its record.  The WL colours
+        are computed before the first state is kept: if they are discrete,
+        only the identity is an automorphism, and no state is kept for the
+        rest of the solve."""
         if self.wl is None:
             self.wl = self._wl_colours()
             if len(set(self.wl)) == self.n:
                 self.exhausted = None
         if self.exhausted is not None:
-            self.exhausted.setdefault(self._state_key(state), []).append(state)
+            if not isinstance(state, _Record):
+                state = self._record(state)
+            self.exhausted.setdefault(state.key, []).append(state)
 
     # -- search -------------------------------------------------------------
 
@@ -1167,6 +1233,8 @@ class _TreeCoverSolver:
         if self.covered == self.all_mask:
             return list(self.tree_e)
         state = tuple(self.tree_e)
+        if self.exhausted:  # the one record of this visit, kept if exhausted
+            state = self._record(state)
         if self._symmetric(state):
             self.symmetric += 1
             return None

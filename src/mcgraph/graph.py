@@ -51,10 +51,14 @@ Five searches stay separate on purpose:
   and ``smallgraphs._mask_connected`` run over up to 2^21 vertex or edge
   masks inside search and corpus set-up, where building a ``Graph`` per mask
   would dominate.
-* ``exact._TreeCoverSolver._wl_colours`` refines vertex colours (1-WL), and
-  ``_equivalent`` backtracks a vertex map over neighbour bitmasks on its own
-  stack: together they decide whether an automorphism maps one search state
-  onto another, without listing the automorphisms.
+* ``exact._TreeCoverSolver._wl_colours`` refines vertex colours (1-WL),
+  ``_record`` builds one record per search state by walking its tree edges
+  (vertex classes, bucket key, tree neighbours as bitmasks), and
+  ``_maps_onto`` backtracks a vertex map on its own stack, where a candidate
+  meets the adjacency and tree-edge constraints by two mask comparisons
+  with the images of the mapped neighbours: together they decide whether an
+  automorphism maps one search state onto another, without listing the
+  automorphisms.
 
 Each search of a graph costs O(n + m), so a large sparse graph costs what its
 edges cost.  The exhaustive-cut oracles in ``verification`` are kept

@@ -239,6 +239,22 @@ COUNTER_PINS = {
     "lex_P2_C8": (8_744, 5_615, 6_581),
 }
 
+# SearchStats.symmetric, the applied states pruned as images of exhausted
+# ones, checked beside COUNTER_PINS: the symmetry test makes every prune
+# decision, so the count is gated too.  lex_P3_C5 is the run decided at the
+# default budget; lex_P2_C8 and strong_P3_K5 are at the default budget too.
+SYMMETRIC_PINS = {
+    "strong_P3_K4": 0,
+    "lex_P3_C4": 8,
+    "lex_P3_star4": 28,
+    "lex_P3_P4": 4,
+    "lex_P2_C5": 2,
+    "cartesian_C3_C4": 0,
+    "lex_P3_C5": 96,
+    "lex_P2_C8": 120,
+    "strong_P3_K5": 0,
+}
+
 # The same counters on lex(P3,P4) relabelled as ``bench/run.py --relabel``
 # relabels it, by seed: the search must not depend on the vertex names'
 # dict order.  Recorded likewise.
@@ -333,6 +349,8 @@ class TestSearchRegression:
     def test_counters_pinned(self, product_results):
         for name, *_ in PRODUCTS:
             assert counters(product_results[name][1]) == COUNTER_PINS[name], name
+            symmetric = product_results[name][1].stats.symmetric
+            assert symmetric == SYMMETRIC_PINS[name], name
         g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
         res = mc_exact(g, max_nodes=1_000)
         assert res.method == "bounds-only"
@@ -366,6 +384,7 @@ class TestSearchRegression:
         written = dumps(coloring_to_obj(res.witness)) + "\n"
         assert written.encode() == path.read_bytes()
         assert counters(res) == (1_865, 1_310, 1_445)
+        assert res.stats.symmetric == SYMMETRIC_PINS["lex_P3_C5"]
         assert (res.stats.floor, res.stats.floor_by, res.stats.targets) == (
             12, "capacity", (12,)
         )
@@ -386,6 +405,7 @@ class TestSearchRegression:
         assert written.encode() == path.read_bytes()
         assert witness_digest([res]) == PINNED_DIGESTS["lex_P2_C8"]
         assert counters(res) == COUNTER_PINS["lex_P2_C8"]
+        assert res.stats.symmetric == SYMMETRIC_PINS["lex_P2_C8"]
         assert (res.stats.floor, res.stats.floor_by, res.stats.targets) == (
             12, "capacity", (12,)
         )
@@ -411,6 +431,7 @@ class TestSearchRegression:
         assert res.stats.nodes <= 100
         assert witness_digest([res]) == PINNED_DIGESTS["strong_P3_K5"]
         assert counters(res) == COUNTER_PINS["strong_P3_K5"]
+        assert res.stats.symmetric == SYMMETRIC_PINS["strong_P3_K5"]
 
     @pytest.mark.parametrize(
         "kind,a,b,max_nodes",
@@ -549,6 +570,121 @@ def solver_with_wl(g):
     return solver
 
 
+def reference_vertex_classes(solver, state):
+    """Each vertex's class in ``state`` by one pass per (vertex, tree): its
+    WL colour, then the sorted (edge count, degree) of each tree at it, each
+    pair as one int."""
+    shift = solver.n.bit_length()
+    classes = []
+    for c, inc in zip(solver.wl, solver.incident):
+        at = sorted(
+            e.bit_count() << shift | (e & inc).bit_count() for e in state if e & inc
+        )
+        classes.append((c, *at))
+    return classes
+
+
+def reference_tree_of_edge(state):
+    """The index of the tree of ``state`` that holds each tree edge's bit."""
+    tree_of = {}
+    for i, emask in enumerate(state):
+        for j in bits_of(emask):
+            tree_of[1 << j] = i
+    return tree_of
+
+
+def reference_equivalent(solver, a, b):
+    """The per-neighbour backtrack, the differential reference for the
+    record kernel: the same constraints, vertex order and candidate order,
+    with every state's classes and tree edges rebuilt per call and each
+    mapped neighbour of a candidate tested in turn by dict lookups."""
+    classes_a = reference_vertex_classes(solver, a)
+    classes_b = reference_vertex_classes(solver, b)
+    if sorted(classes_a) != sorted(classes_b):
+        return False
+    n, adj, ebit = solver.n, solver.adj_vmask, solver.ebit
+    order = sorted(range(n), key=lambda x: len(classes_a[x]) == 1)
+    of_class = {}
+    for y, c in enumerate(classes_b):
+        of_class[c] = of_class.get(c, 0) | 1 << y
+    cands = [of_class[c] for c in classes_a]
+    tree_a, tree_b = reference_tree_of_edge(a), reference_tree_of_edge(b)
+    pi, pi_inv = [-1] * len(a), [-1] * len(b)
+    sigma = [-1] * n
+    paired = [[] for _ in range(n)]
+    left = [0] * n
+    left[0] = cands[order[0]]
+    domain = image = 0
+    depth = 0
+    while depth >= 0:
+        if not left[depth]:
+            depth -= 1
+            if depth >= 0:
+                x = order[depth]
+                domain ^= 1 << x
+                image ^= 1 << sigma[x]
+                for i in paired[depth]:
+                    pi_inv[pi[i]] = pi[i] = -1
+            continue
+        ybit = left[depth] & -left[depth]
+        left[depth] ^= ybit
+        x, y = order[depth], ybit.bit_length() - 1
+        near = adj[x] & domain
+        if near.bit_count() != (adj[y] & image).bit_count():
+            continue
+        new_pairs = []
+        for w in bits_of(near):
+            z = sigma[w]
+            if not adj[y] >> z & 1:
+                break
+            i = tree_a.get(ebit[x][1 << w], -1)
+            j = tree_b.get(ebit[y][1 << z], -1)
+            if (i < 0) != (j < 0):
+                break
+            if i >= 0 and pi[i] != j:
+                if pi[i] >= 0 or pi_inv[j] >= 0:
+                    break
+                if a[i].bit_count() != b[j].bit_count():
+                    break
+                pi[i], pi_inv[j] = j, i
+                new_pairs.append(i)
+        else:
+            sigma[x] = y
+            domain |= 1 << x
+            image |= ybit
+            paired[depth] = new_pairs
+            depth += 1
+            if depth == n:
+                return True
+            left[depth] = cands[order[depth]] & ~image
+            continue
+        for i in new_pairs:
+            pi_inv[pi[i]] = pi[i] = -1
+    return False
+
+
+def applied_states(g, max_nodes):
+    """The states the unpruned search applies on ``g`` within ``max_nodes``
+    nodes, in order: ``_symmetric`` records each and prunes none."""
+    applied = []
+
+    class Recording(_TreeCoverSolver):
+        def _symmetric(self, state):
+            applied.append(tuple(state))
+            return False
+
+    try:
+        Recording(g, max_nodes).solve(0)
+    except BudgetExceededError:
+        pass
+    return applied
+
+
+def relabelled_lex_p3_p4(seed):
+    g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), path_graph(4)).graph
+    return relabel(g, random_permutation(g.n, random.Random(f"{seed}:lex_P3_P4")))
+
+
 class TestSymmetry:
     def test_the_automorphisms_are_automorphisms(self):
         g = lex_p3_c4()
@@ -631,6 +767,77 @@ class TestSymmetry:
                 unrelated += not truth
         assert related > 0 and unrelated > 0
 
+    @pytest.mark.parametrize(
+        "name,max_nodes",
+        [("lex_P3_star4", 10**7), ("lex_P2_C5", 10**7), ("lex_P3_P4 seed 5", 8_000)],
+    )
+    def test_kernel_matches_the_reference_backtrack(self, name, max_nodes):
+        # every same-key pair of states that the unpruned search applies,
+        # both ways round (lex(P3,star4) and lex(P2,C5) are decided within
+        # the budget; 8,000 nodes of relabelled lex(P3,P4) give 1,551 pairs)
+        if name == "lex_P3_P4 seed 5":
+            g = relabelled_lex_p3_p4(5)
+        else:
+            _, kind, a, b, _ = next(p for p in PRODUCTS if p[0] == name)
+            g = make_product(kind, a, b).graph
+        applied = applied_states(g, max_nodes)
+        solver = solver_with_wl(g)
+        buckets = {}
+        keys = set()
+        for state in applied:
+            ref_key = tuple(sorted(reference_vertex_classes(solver, state)))
+            buckets.setdefault(ref_key, []).append(state)
+            keys.add((ref_key, solver._state_key(state)))
+        # the record's key splits the states exactly as the classes do
+        assert len(keys) == len(buckets) == len({key for _, key in keys})
+        related = unrelated = 0
+        for bucket in buckets.values():
+            for i, a in enumerate(bucket):
+                for b in bucket[:i]:
+                    for x, y in ((a, b), (b, a)):
+                        truth = reference_equivalent(solver, x, y)
+                        assert solver._equivalent(x, y) == truth, (x, y)
+                        related += truth
+                        unrelated += not truth
+        assert related > 0 and unrelated > 0
+
+    def test_a_record_is_built_once_per_visit(self):
+        # over the lex(P3,C5) solve: at most one record per _dfs visit, and
+        # none built again for a state whose record is kept; the store holds
+        # the records of the exhausted states only
+        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
+        visits = []  # records built per visit, by visit
+        open_visits = []
+        built = []
+        exhausted = []
+
+        class Counting(_TreeCoverSolver):
+            def _dfs(self, limit):
+                open_visits.append(len(visits))
+                visits.append(0)
+                try:
+                    return super()._dfs(limit)
+                finally:
+                    open_visits.pop()
+
+            def _record(self, state):
+                visits[open_visits[-1]] += 1
+                built.append(tuple(state))
+                return super()._record(state)
+
+            def _exhaust(self, state):
+                exhausted.append(tuple(state))
+                super()._exhaust(state)
+
+        solver = Counting(g, 10**7)
+        assert solver.solve(12) is not None
+        assert solver.symmetric == SYMMETRIC_PINS["lex_P3_C5"]
+        assert max(visits) == 1 and sum(visits) == len(built) == 166
+        assert len(set(built)) == len(built)  # no state's record built twice
+        kept = [rec for bucket in solver.exhausted.values() for rec in bucket]
+        assert sorted(map(tuple, kept)) == sorted(exhausted)
+        assert len(kept) == 61
+
     def test_discrete_colouring_turns_pruning_off(self):
         # legs of 1, 2 and 3 edges at vertex 0: every vertex has its own
         # 1-WL colour, so only the identity is an automorphism: no state is
@@ -646,7 +853,7 @@ class TestSymmetry:
         # with the equivalence test as is and always False
         runs = outcome_runs(corpus6)
         pruned = outcomes(runs)
-        monkeypatch.setattr(_TreeCoverSolver, "_equivalent", lambda self, a, b: False)
+        monkeypatch.setattr(_TreeCoverSolver, "_maps_onto", lambda self, a, b: False)
         assert outcomes(runs) == pruned
 
     def test_search_is_freed_without_the_collector(self):
