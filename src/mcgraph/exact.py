@@ -577,14 +577,11 @@ class _TreeCoverSolver:
 
         self.vertex_mask = (1 << self.n) - 1
         self.adj_vmask = [0] * self.n
-        self.incident = [0] * self.n  # the edge mask of the edges at v
         # ebit[u][1 << w] is the bit of edge uw in an edge mask
         self.ebit: list[dict[int, int]] = [{} for _ in range(self.n)]
         for i, (u, v) in enumerate(g.edges):
             self.adj_vmask[u] |= 1 << v
             self.adj_vmask[v] |= 1 << u
-            self.incident[u] |= 1 << i
-            self.incident[v] |= 1 << i
             self.ebit[u][1 << v] = self.ebit[v][1 << u] = 1 << i
 
         dist = all_pairs_distances(g)
@@ -1100,18 +1097,6 @@ class _TreeCoverSolver:
         rec.key, rec.order, rec.classes, rec.of_class = key, order, classes, of_class
         rec.tree_of, rec.tn = tree_of, tn
         return rec
-
-    def _state_key(self, state: tuple[int, ...]) -> tuple:
-        """The bucket of ``state``, which an automorphism keeps (``wl``
-        set; see ``_Record``)."""
-        return self._record(state).key
-
-    def _equivalent(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        """Whether an automorphism of the host maps the trees of state ``a``
-        onto the trees of state ``b`` (``wl`` set): their keys agree and
-        ``_maps_onto`` finds the map."""
-        ra, rb = self._record(a), self._record(b)
-        return ra.key == rb.key and self._maps_onto(ra, rb)
 
     def _maps_onto(self, a: _Record, b: _Record) -> bool:
         """Whether an automorphism of the host maps the trees of ``a`` onto

@@ -34,7 +34,7 @@ Comput.* 4(3), 1975).  Each augmenting path comes from a breadth-first
 search run from both ends of the flow (Pohl, 1971).  The comment above
 ``_max_flow`` gives the arguments.
 
-Five searches stay separate on purpose:
+Three searches stay separate on purpose:
 
 * ``_max_flow`` walks residual arc arrays, not the graph: a list of arc ids
   per node, a ``head`` list and a ``room`` list, with arc ``a ^ 1`` the
@@ -47,18 +47,9 @@ Five searches stay separate on purpose:
   so deep graphs meet no recursion limit.
 * :func:`diameter` runs one level-by-level search per source that keeps only
   a visited list and the depth, with no parent map per source.
-* The bitmask searches in ``exact._TreeCoverSolver._max_subset_edges_table``
-  and ``smallgraphs._mask_connected`` run over up to 2^21 vertex or edge
-  masks inside search and corpus set-up, where building a ``Graph`` per mask
-  would dominate.
-* ``exact._TreeCoverSolver._wl_colours`` refines vertex colours (1-WL),
-  ``_record`` builds one record per search state by walking its tree edges
-  (vertex classes, bucket key, tree neighbours as bitmasks), and
-  ``_maps_onto`` backtracks a vertex map on its own stack, where a candidate
-  meets the adjacency and tree-edge constraints by two mask comparisons
-  with the images of the mapped neighbours: together they decide whether an
-  automorphism maps one search state onto another, without listing the
-  automorphisms.
+
+The bitmask searches in ``exact`` and ``smallgraphs``, and the symmetry
+backtrack in ``exact``, also stay separate; those modules document them.
 
 Each search of a graph costs O(n + m), so a large sparse graph costs what its
 edges cost.  The exhaustive-cut oracles in ``verification`` are kept

@@ -182,8 +182,7 @@ class TestEngineAgreement:
 
 # -- search regression: witnesses pinned at the strict-improvement search ----
 
-# Six decided exact-products instances; the budgets are node gates (the
-# strict-improvement search took 1,020,101 and 8,628 nodes on the two gated).
+# Six decided exact-products instances, two at a node budget.
 PRODUCTS = [
     ("strong_P3_K4", ProductKind.STRONG, path_graph(3), complete_graph(4), 400_000),
     ("lex_P3_C4", ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(4), None),
@@ -206,6 +205,11 @@ def dense_random_graphs() -> list:
     return graphs
 
 
+def relabelled_lex_p3_p4(seed):
+    g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), path_graph(4)).graph
+    return relabel(g, random_permutation(g.n, random.Random(f"{seed}:lex_P3_P4")))
+
+
 # sha256 of (value, method, witness colors) over each set, recorded with the
 # strict-improvement search that the deepening search replaced
 PINNED_DIGESTS = {
@@ -223,48 +227,32 @@ PINNED_DIGESTS = {
 }
 
 
-# The exact search counters (nodes, cut, path_nodes), the regression gates:
-# recorded with the path prefixes whose partial move fails the matching cut
-# dropped.  lex_P3_C5 is the bounds-only run at 1,000 nodes.
+# The exact search counters of each pinned run, the regression gates:
+# (nodes, cut, path_nodes, symmetric), where symmetric counts the applied
+# states pruned as images of exhausted ones (the symmetry test makes every
+# prune decision, so that count is gated too).  The PRODUCTS rows run at
+# their budgets there, "at 1,000 nodes" is the bounds-only run at that
+# budget, and every other row runs at the default budget.  The seeded rows
+# are lex(P3,P4) relabelled as ``bench/run.py --relabel`` relabels it: the
+# search must not depend on the vertex names' dict order.
 COUNTER_PINS = {
-    "strong_P3_K4": (37, 0, 14),
-    "lex_P3_C4": (42_163, 15_430, 26_755),
-    "lex_P3_star4": (4_216, 1_901, 2_530),
-    "lex_P3_P4": (325, 166, 232),
-    "lex_P2_C5": (87, 32, 51),
-    "cartesian_C3_C4": (0, 0, 0),
-    "lex_P3_C5": (1_001, 715, 779),
-    "strong_P3_K5": (52, 0, 18),
-    # at the default budget
-    "lex_P2_C8": (8_744, 5_615, 6_581),
+    "strong_P3_K4": (37, 0, 14, 0),
+    "lex_P3_C4": (42_163, 15_430, 26_755, 8),
+    "lex_P3_star4": (4_216, 1_901, 2_530, 28),
+    "lex_P3_P4": (325, 166, 232, 4),
+    "lex_P2_C5": (87, 32, 51, 2),
+    "cartesian_C3_C4": (0, 0, 0, 0),
+    "lex_P3_C5 at 1,000 nodes": (1_001, 715, 779, 57),
+    "lex_P3_C5": (1_865, 1_310, 1_445, 96),
+    "strong_P3_K5": (52, 0, 18, 0),
+    "lex_P2_C8": (8_744, 5_615, 6_581, 120),
+    "lex_P3_P4 seed 2": (71, 0, 35, 0),
+    "lex_P3_P4 seed 3": (490, 281, 331, 0),
+    "lex_P3_P4 seed 4": (378, 227, 243, 0),
 }
 
-# SearchStats.symmetric, the applied states pruned as images of exhausted
-# ones, checked beside COUNTER_PINS: the symmetry test makes every prune
-# decision, so the count is gated too.  lex_P3_C5 is the run decided at the
-# default budget; lex_P2_C8 and strong_P3_K5 are at the default budget too.
-SYMMETRIC_PINS = {
-    "strong_P3_K4": 0,
-    "lex_P3_C4": 8,
-    "lex_P3_star4": 28,
-    "lex_P3_P4": 4,
-    "lex_P2_C5": 2,
-    "cartesian_C3_C4": 0,
-    "lex_P3_C5": 96,
-    "lex_P2_C8": 120,
-    "strong_P3_K5": 0,
-}
-
-# The same counters on lex(P3,P4) relabelled as ``bench/run.py --relabel``
-# relabels it, by seed: the search must not depend on the vertex names'
-# dict order.  Recorded likewise.
-RELABELLED_COUNTER_PINS = {
-    2: (71, 0, 35),
-    3: (490, 281, 331),
-    4: (378, 227, 243),
-}
-
-# sha256 of every SearchStats.to_dict() over each set, recorded likewise
+# sha256 of every SearchStats.to_dict() over each set, recorded with
+# COUNTER_PINS
 STATS_DIGESTS = {
     "corpus6": "e82a0f80349a595eff38fe06488f028f561eaf18aa3103d3af6c1d3f7456dde2",
     "dense_random": "ebac972e981903be7a02b08d897f937892f12cdd0061927f01f120009eddd0bc",
@@ -285,8 +273,9 @@ def stats_digest(results) -> str:
     return h.hexdigest()
 
 
-def counters(res) -> tuple[int, int, int]:
-    return res.stats.nodes, res.stats.cut, res.stats.path_nodes
+def counters(res) -> tuple[int, int, int, int]:
+    s = res.stats
+    return s.nodes, s.cut, s.path_nodes, s.symmetric
 
 
 @pytest.fixture(scope="module")
@@ -328,19 +317,10 @@ class TestSearchRegression:
         assert witness_digest(results) == PINNED_DIGESTS["products"]
 
     def test_node_gates(self, product_results):
+        # beside COUNTER_PINS: the root floor, and that the fractional
+        # bound and the symmetry pruning each act
         strong = product_results["strong_P3_K4"][1].stats
-        assert strong.nodes <= 400_000
         assert (strong.floor, strong.floor_by, strong.targets) == (7, "Lem1", (7,))
-        # on lex_P3_C4, lex_P3_star4, lex_P3_P4 and lex_P2_C5, the greedy
-        # matching cut alone takes 688,620, 129,693, 59,496 and 521 nodes,
-        # with the fractional bound behind it 440,152, 55,390, 54,134 and
-        # 155, with symmetric states pruned as well 101,597, 10,450, 27,139
-        # and 118, and with dead path prefixes dropped 42,163, 4,216, 325
-        # and 87
-        assert product_results["lex_P2_C5"][1].stats.nodes <= 100
-        assert product_results["lex_P3_C4"][1].stats.nodes <= 45_000
-        assert product_results["lex_P3_star4"][1].stats.nodes <= 5_000
-        assert product_results["lex_P3_P4"][1].stats.nodes <= 1_000
         for name in ("lex_P3_C4", "lex_P3_star4", "lex_P3_P4"):
             stats = product_results[name][1].stats
             assert 0 < stats.matching_cut < stats.cut, name
@@ -349,12 +329,10 @@ class TestSearchRegression:
     def test_counters_pinned(self, product_results):
         for name, *_ in PRODUCTS:
             assert counters(product_results[name][1]) == COUNTER_PINS[name], name
-            symmetric = product_results[name][1].stats.symmetric
-            assert symmetric == SYMMETRIC_PINS[name], name
         g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
         res = mc_exact(g, max_nodes=1_000)
         assert res.method == "bounds-only"
-        assert counters(res) == COUNTER_PINS["lex_P3_C5"]
+        assert counters(res) == COUNTER_PINS["lex_P3_C5 at 1,000 nodes"]
 
     def test_lex_P3_C5_witness_attains_53(self):
         # the engine's witness for mc(lex(P3,C5)) = 53, written by
@@ -383,8 +361,7 @@ class TestSearchRegression:
         path = Path(__file__).parent / "data" / "lex_P3_C5_mc53.json"
         written = dumps(coloring_to_obj(res.witness)) + "\n"
         assert written.encode() == path.read_bytes()
-        assert counters(res) == (1_865, 1_310, 1_445)
-        assert res.stats.symmetric == SYMMETRIC_PINS["lex_P3_C5"]
+        assert counters(res) == COUNTER_PINS["lex_P3_C5"]
         assert (res.stats.floor, res.stats.floor_by, res.stats.targets) == (
             12, "capacity", (12,)
         )
@@ -405,33 +382,25 @@ class TestSearchRegression:
         assert written.encode() == path.read_bytes()
         assert witness_digest([res]) == PINNED_DIGESTS["lex_P2_C8"]
         assert counters(res) == COUNTER_PINS["lex_P2_C8"]
-        assert res.stats.symmetric == SYMMETRIC_PINS["lex_P2_C8"]
         assert (res.stats.floor, res.stats.floor_by, res.stats.targets) == (
             12, "capacity", (12,)
         )
 
-    @pytest.mark.parametrize("seed", sorted(RELABELLED_COUNTER_PINS))
+    @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_relabelled_counters_pinned(self, seed):
-        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), path_graph(4)).graph
-        g = relabel(g, random_permutation(g.n, random.Random(f"{seed}:lex_P3_P4")))
-        res = mc_exact(g)
+        res = mc_exact(relabelled_lex_p3_p4(seed))
         assert res.value == 32
-        assert counters(res) == RELABELLED_COUNTER_PINS[seed]
+        assert counters(res) == COUNTER_PINS[f"lex_P3_P4 seed {seed}"]
 
     def test_strong_P3_K5_decided(self):
-        # the Lem1 ceiling 71 is attained; the stream took 4,142,946 nodes,
-        # where building every move before visiting any exceeded 10^7,
-        # pruning symmetric states took it to 563,121, and a capacity table
-        # that tests every subset for connectivity to 52
+        # the Lem1 ceiling 71 is attained
         g = make_product(ProductKind.STRONG, path_graph(3), complete_graph(5)).graph
         res = mc_exact(g)
         assert (res.value, res.method) == (71, "tree-cover")
         ok, _ = check_mc_coloring(g, res.witness)
         assert ok and res.witness.color_count == 71
-        assert res.stats.nodes <= 100
         assert witness_digest([res]) == PINNED_DIGESTS["strong_P3_K5"]
         assert counters(res) == COUNTER_PINS["strong_P3_K5"]
-        assert res.stats.symmetric == SYMMETRIC_PINS["strong_P3_K5"]
 
     @pytest.mark.parametrize(
         "kind,a,b,max_nodes",
@@ -452,17 +421,20 @@ class TestSearchRegression:
 
     def test_bounds_only_keeps_the_root_floor(self):
         # the root floor proves mc <= m - floor, below the Lem1 upper end
-        # (56 on lex(P3,C5), 124 on hl(4)); lex(P3,C5) has mc = 53
+        # (56 on lex(P3,C5), 124 on hl(4)); lex(P3,C5) has mc = 53.  On
+        # strong(P3,K4) the root floor is Lem1's own, so Lem1 keeps the tag
         lex = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
         hl4 = generate(NetworkSpec("hl", (4,))).graph
+        strong = make_product(ProductKind.STRONG, path_graph(3), complete_graph(4)).graph
         got = []
-        for g, max_nodes in ((lex, 1_000), (hl4, 10)):
+        for g, max_nodes in ((lex, 1_000), (hl4, 10), (strong, 1)):
             res = mc_exact(g, max_nodes=max_nodes)
             iv = res.bounds
             got.append((res.method, iv.lower, iv.upper, iv.upper_source))
         assert got == [
             ("bounds-only", 52, 53, "search(capacity)"),
             ("bounds-only", 112, 120, "search(matching)"),
+            ("bounds-only", 40, 43, "Lem1"),
         ]
 
     def test_stats_stay_out_of_the_json(self, product_results):
@@ -570,13 +542,25 @@ def solver_with_wl(g):
     return solver
 
 
+def equivalent(solver, a, b):
+    """Whether an automorphism of the host maps the trees of state ``a``
+    onto the trees of state ``b`` (``wl`` set), decided as ``_symmetric``
+    decides it: the record keys agree and ``_maps_onto`` finds the map."""
+    ra, rb = solver._record(a), solver._record(b)
+    return ra.key == rb.key and solver._maps_onto(ra, rb)
+
+
 def reference_vertex_classes(solver, state):
     """Each vertex's class in ``state`` by one pass per (vertex, tree): its
     WL colour, then the sorted (edge count, degree) of each tree at it, each
     pair as one int."""
     shift = solver.n.bit_length()
+    incident = [0] * solver.n  # the edge mask of the edges at each vertex
+    for i, (u, v) in enumerate(solver.g.edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
     classes = []
-    for c, inc in zip(solver.wl, solver.incident):
+    for c, inc in zip(solver.wl, incident):
         at = sorted(
             e.bit_count() << shift | (e & inc).bit_count() for e in state if e & inc
         )
@@ -680,11 +664,6 @@ def applied_states(g, max_nodes):
     return applied
 
 
-def relabelled_lex_p3_p4(seed):
-    g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), path_graph(4)).graph
-    return relabel(g, random_permutation(g.n, random.Random(f"{seed}:lex_P3_P4")))
-
-
 class TestSymmetry:
     def test_the_automorphisms_are_automorphisms(self):
         g = lex_p3_c4()
@@ -711,10 +690,10 @@ class TestSymmetry:
         for sigma in (flip_rotate, middle):
             other = tuple(sorted(image(g, state, sigma), reverse=True))
             assert other != state
-            assert solver._equivalent(state, other)
-            assert solver._equivalent(other, state)
+            assert equivalent(solver, state, other)
+            assert equivalent(solver, other, state)
         # the tree order does not matter
-        assert solver._equivalent(state, state[::-1])
+        assert equivalent(solver, state, state[::-1])
 
     def test_unrelated_states_are_not_equivalent(self):
         g = lex_p3_c4()
@@ -725,21 +704,21 @@ class TestSymmetry:
         # not in the other, which no automorphism changes
         adjacent = state_of(g, [(0, 4), (1, 4)])
         apart = state_of(g, [(0, 4), (2, 4)])
-        assert solver._state_key(adjacent) == solver._state_key(apart)
-        assert not solver._equivalent(adjacent, apart)
-        assert not solver._equivalent(apart, adjacent)
+        assert solver._record(adjacent).key == solver._record(apart).key
+        assert not equivalent(solver, adjacent, apart)
+        assert not equivalent(solver, apart, adjacent)
         # the star from vertex 4 onto the first copy of C4 cut into two
         # trees, pairing its leaves along the cycle or across it: the same
         # tree edges and vertex classes, and the identity takes tree edges
         # to tree edges, but the trees themselves onto no trees
         along = state_of(g, [(0, 4), (1, 4)], [(2, 4), (3, 4)])
         across_c4 = state_of(g, [(0, 4), (2, 4)], [(1, 4), (3, 4)])
-        assert solver._state_key(along) == solver._state_key(across_c4)
-        assert not solver._equivalent(along, across_c4)
+        assert solver._record(along).key == solver._record(across_c4).key
+        assert not equivalent(solver, along, across_c4)
         # a path inside a copy of C4 and one across the copies
         inside = state_of(g, [(0, 1), (1, 2)])
         across = state_of(g, [(0, 4), (4, 8)])
-        assert not solver._equivalent(inside, across)
+        assert not equivalent(solver, inside, across)
 
     def test_equivalence_matches_the_automorphism_group(self):
         # every state the unpruned search applies on lex(P3,C4), against
@@ -762,7 +741,7 @@ class TestSymmetry:
                 if sorted(map(int.bit_count, a)) != sorted(map(int.bit_count, b)):
                     continue
                 truth = frozenset(b) in orbit
-                assert solver._equivalent(a, b) == truth, (a, b)
+                assert equivalent(solver, a, b) == truth, (a, b)
                 related += truth
                 unrelated += not truth
         assert related > 0 and unrelated > 0
@@ -787,7 +766,7 @@ class TestSymmetry:
         for state in applied:
             ref_key = tuple(sorted(reference_vertex_classes(solver, state)))
             buckets.setdefault(ref_key, []).append(state)
-            keys.add((ref_key, solver._state_key(state)))
+            keys.add((ref_key, solver._record(state).key))
         # the record's key splits the states exactly as the classes do
         assert len(keys) == len(buckets) == len({key for _, key in keys})
         related = unrelated = 0
@@ -796,7 +775,7 @@ class TestSymmetry:
                 for b in bucket[:i]:
                     for x, y in ((a, b), (b, a)):
                         truth = reference_equivalent(solver, x, y)
-                        assert solver._equivalent(x, y) == truth, (x, y)
+                        assert equivalent(solver, x, y) == truth, (x, y)
                         related += truth
                         unrelated += not truth
         assert related > 0 and unrelated > 0
@@ -831,7 +810,7 @@ class TestSymmetry:
 
         solver = Counting(g, 10**7)
         assert solver.solve(12) is not None
-        assert solver.symmetric == SYMMETRIC_PINS["lex_P3_C5"]
+        assert solver.symmetric == COUNTER_PINS["lex_P3_C5"][3]
         assert max(visits) == 1 and sum(visits) == len(built) == 166
         assert len(set(built)) == len(built)  # no state's record built twice
         kept = [rec for bucket in solver.exhausted.values() for rec in bucket]
@@ -1293,8 +1272,7 @@ def table_graphs():
     return graphs
 
 
-# the tables of three 16-vertex hosts, also pinned by the CI step "Capacity
-# table"
+# the tables of three 16-vertex hosts
 SIXTEEN_VERTEX_TABLES = {
     "lex_P2_C8": (
         lambda: make_product(

@@ -167,13 +167,17 @@ class TestCli:
         assert "b" in obj["conditions"] and obj["value"] == 7
 
     def test_mc_exact_budget_exhaustion(self, workdir, capsys, monkeypatch):
+        # the search stops at the first node past the budget the variable
+        # sets, and prints the bounds the root floor proves
         hl4 = workdir / "hl4.json"
         run_cli(capsys, "gen", "hl", "4", "-o", str(hl4))
         monkeypatch.setenv("MCGRAPH_BUDGET", "10")
-        code, out, _ = run_cli(capsys, "mc", "exact", str(hl4))
+        code, out, err = run_cli(capsys, "mc", "exact", str(hl4), "--stats")
         assert code == 3
         obj = json.loads(out)
         assert obj["method"] == "bounds-only" and obj["value"] is None
+        assert (obj["bounds"]["lower"], obj["bounds"]["upper"]) == (112, 120)
+        assert json.loads(err)["nodes"] == 11
 
     @pytest.mark.parametrize("raw", ["0", "-5"])
     def test_non_positive_budget_is_an_input_error(
