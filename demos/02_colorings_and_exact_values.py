@@ -3,8 +3,9 @@
 A coloring qualifies when every vertex pair is joined by a single-color path;
 mc(G) is the most colors such a coloring can use.  One color on a spanning
 tree plus fresh colors elsewhere always works, giving the floor m - n + 2.
-The naive engine brute-forces all edge partitions; the tree-cover engine
-minimizes the edge surplus of covering trees.  Both must agree.
+The naive engine searches the edge partitions by branch and bound; the
+tree-cover engine minimizes the edge surplus of covering trees.  Both must
+agree.
 """
 
 from mcgraph import (

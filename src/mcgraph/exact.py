@@ -1,13 +1,13 @@
 """Exact monochromatic connection numbers via two independent engines.
 
-``mc_exact_naive`` enumerates set partitions of the edge set into color
-classes and keeps the best partition that passes the validity check; it is
-the ground-truth oracle for small edge counts.  It cuts a partial partition
-as soon as no completion can be valid: every class of a completion is a
-subset of some class so far joined with all unassigned edges (or of the
-unassigned edges alone), and the pairs an edge set serves only grow with
-the set, so if those unions together leave a pair unserved, so does every
-completion.
+``mc_exact_naive`` is the ground-truth oracle for small edge counts: one
+branch and bound over the set partitions of the edge set into color
+classes, keeping the valid partition with the most classes found so far.
+It cuts a partial partition that cannot beat it, or that no completion can
+make valid: every class of a completion is a subset of some class so far
+joined with all unassigned edges (or of the unassigned edges alone), and
+the pairs an edge set serves only grow with the set, so if those unions
+together leave a pair unserved, so does every completion.
 
 ``mc_exact`` reformulates the search: a maximum coloring can be assumed to be
 a family of edge-disjoint monochromatic trees with at least two edges each,
@@ -108,7 +108,7 @@ def _checked_result(
 
 
 # ---------------------------------------------------------------------------
-# Naive engine: exhaustive set-partition search
+# Naive engine: branch and bound over set partitions
 # ---------------------------------------------------------------------------
 
 
@@ -135,18 +135,19 @@ class _ServedPairs(dict):
 
 
 def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResult:
-    """Exact mc by brute force over all edge-set partitions.
+    """Exact mc by one branch and bound over the edge-set partitions.
 
-    Iterates candidate color counts from m downward and returns the first
-    count admitting a valid partition.  Edges are assigned in index order,
-    each to an existing class or to the next new one.  With edges 0..i-1
-    assigned to classes C_1..C_j and R the unassigned edges, every class of a
-    partition completed below is a subset of some C_c | R, or of R if it is
-    opened later.  The pairs an edge set serves only grow with the set, so
-    when the pairs served by the sets C_c | R and R together miss one, no
-    completion is valid and the branch is cut.  The cut never removes a
-    valid partition, so the first one found, and the witness, are those of
-    the plain enumeration; with R empty it is the leaf's validity check.
+    Edges are assigned in index order, each to an existing class or to the
+    next new one, and the search keeps the valid partition with the most
+    classes found so far.  A node is cut when its classes plus its
+    unassigned edges cannot beat that.  With edges 0..i-1 assigned to
+    classes C_1..C_j and R the unassigned edges, every class of a partition
+    completed below is a subset of some C_c | R, or of R if it is opened
+    later.  The pairs an edge set serves only grow with the set, so when
+    the pairs served by the sets C_c | R and R together miss one, no
+    completion is valid and the node is cut; with R empty it is the leaf's
+    validity check.  The witness is the first valid mc-class leaf in
+    enumeration order: the incumbent stays below mc until that leaf.
     Refuses graphs with more than ``max_edges`` edges.
     """
     if g.n <= 1 or not is_connected(g):
@@ -158,57 +159,47 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
     served_pairs = _ServedPairs(g)
     full_mask = (1 << len(served_pairs.pair_id)) - 1
     all_edges = (1 << m) - 1
+    assignment = [0] * m
+    classes: list[int] = []
+    best, partition = 0, None
 
-    def search(k: int) -> list[int] | None:
-        """First valid partition of the edges into exactly k classes."""
-        assignment = [0] * m
-        classes: list[int] = []
+    def rec(i: int) -> None:
+        nonlocal best, partition
+        if len(classes) + (m - i) <= best:
+            return
+        # the coverage cut (see the docstring)
+        rest = all_edges >> i << i
+        acc = served_pairs[rest]
+        for cmask in classes:
+            if acc == full_mask:
+                break
+            acc |= served_pairs[cmask | rest]
+        if acc != full_mask:
+            return
+        if i == m:
+            best, partition = len(classes), tuple(assignment)
+            return
+        bit = 1 << i
+        for c in range(len(classes) + 1):
+            opened = c == len(classes)
+            if opened:
+                classes.append(bit)
+            else:
+                classes[c] |= bit
+            assignment[i] = c
+            rec(i + 1)
+            if opened:
+                classes.pop()
+            else:
+                classes[c] ^= bit
 
-        def rec(i: int) -> bool:
-            if len(classes) + (m - i) < k:
-                return False
-            # The coverage cut (see the docstring).  At i == m, rest is empty,
-            # the test above has left exactly k classes, and this is the
-            # leaf's validity check.
-            rest = all_edges >> i << i
-            acc = served_pairs[rest]
-            for cmask in classes:
-                if acc == full_mask:
-                    break
-                acc |= served_pairs[cmask | rest]
-            if acc != full_mask:
-                return False
-            if i == m:
-                return True
-            bit = 1 << i
-            limit = min(len(classes) + 1, k)
-            for c in range(limit):
-                opened = c == len(classes)
-                if opened:
-                    classes.append(bit)
-                else:
-                    classes[c] |= bit
-                assignment[i] = c
-                if rec(i + 1):
-                    return True
-                if opened:
-                    classes.pop()
-                else:
-                    classes[c] ^= bit
-            return False
-
-        try:
-            return list(assignment) if rec(0) else None
-        finally:
-            # rec's closure holds its own cell, and through it the memo
-            del rec
-
-    for k in range(m, 0, -1):
-        partition = search(k)
-        if partition is not None:
-            witness = EdgeColoring(g, tuple(partition))
-            return _checked_result(g, witness, "naive-partition", mc_bounds_basic(g))
-    raise AssertionError("one color class always works on a connected graph")
+    try:
+        rec(0)
+    finally:
+        # rec's closure holds its own cell, and through it the memo
+        del rec
+    witness = EdgeColoring(g, partition)
+    return _checked_result(g, witness, "naive-partition", mc_bounds_basic(g))
 
 
 # ---------------------------------------------------------------------------
@@ -1106,10 +1097,13 @@ class _TreeCoverSolver:
         of ``a`` in ``a.order`` tried on the vertices of ``b`` of its class,
         in index order: sigma must keep adjacency and non-adjacency with
         every vertex w mapped before, and take an edge xw of tree i to an
-        edge of tree pi(i), for one bijection pi between trees of equal edge
-        counts, built along the way (an edge outside the trees goes to an
-        edge outside them).  A complete sigma is an automorphism with
-        sigma(T_i) inside T_pi(i), hence equal to it.
+        edge of tree pi(i), for one map pi of trees built along the way (an
+        edge outside the trees goes to an edge outside them).  A complete
+        sigma is an automorphism taking the tree edges of ``a`` onto those
+        of ``b``, and T_i into T_pi(i).  pi is onto, and one to one by the
+        classes: were pi(i) = pi(i') = j, the connected T_j, the union of
+        the images sent to it, would have two meet at some z = sigma(x), and
+        x, in more trees than z, has another class.  So sigma(T_i) = T_pi(i).
 
         The first two constraints are two int comparisons per candidate y:
         on entering a depth, the images of x's mapped neighbours and of its
@@ -1120,7 +1114,7 @@ class _TreeCoverSolver:
         n, adj, ebit, nbrs = self.n, self.adj_vmask, self.ebit, self.g.neighbors
         order, classes, tn_a, tree_a = a.order, a.classes, a.tn, a.tree_of
         tn_b, tree_b, of_class = b.tn, b.tree_of, b.of_class
-        pi, pi_inv = [-1] * len(a), [-1] * len(b)
+        pi = [-1] * len(a)
         sigma = [0] * n  # the bit of each vertex's image, 0 while unmapped
         near_img = [0] * n  # per depth: the images of x's mapped neighbours
         tree_img = [0] * n  # and of its mapped tree neighbours
@@ -1139,7 +1133,7 @@ class _TreeCoverSolver:
                     sigma[x] = 0
                     domain ^= 1 << x
                     for i in paired[depth]:
-                        pi_inv[pi[i]] = pi[i] = -1
+                        pi[i] = -1
                 continue
             ybit = left[depth] & -left[depth]
             left[depth] ^= ybit
@@ -1153,12 +1147,10 @@ class _TreeCoverSolver:
                 near ^= wbit
                 i = tree_a[ebit[x][wbit]]
                 j = tree_b[ebit[y][sigma[wbit.bit_length() - 1]]]
-                if pi[i] != j:  # pair trees i and j, if both free
-                    if pi[i] >= 0 or pi_inv[j] >= 0:
+                if pi[i] != j:  # send tree i to tree j, if i is free
+                    if pi[i] >= 0:
                         break
-                    if a[i].bit_count() != b[j].bit_count():
-                        break
-                    pi[i], pi_inv[j] = j, i
+                    pi[i] = j
                     new_pairs.append(i)
             else:  # x goes to y
                 sigma[x] = ybit
@@ -1183,7 +1175,7 @@ class _TreeCoverSolver:
                 left[depth] = of_class[classes[depth]] & ~image
                 continue
             for i in new_pairs:
-                pi_inv[pi[i]] = pi[i] = -1
+                pi[i] = -1
         return False
 
     def _symmetric(self, state: tuple[int, ...]) -> bool:

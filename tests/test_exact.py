@@ -581,7 +581,10 @@ def reference_equivalent(solver, a, b):
     """The per-neighbour backtrack, the differential reference for the
     record kernel: the same constraints, vertex order and candidate order,
     with every state's classes and tree edges rebuilt per call and each
-    mapped neighbour of a candidate tested in turn by dict lookups."""
+    mapped neighbour of a candidate tested in turn by dict lookups.  It
+    also checks that pi takes no tree of ``b`` twice and pairs trees of
+    equal edge counts, which the kernel drops as implied by the classes
+    (see ``_maps_onto``)."""
     classes_a = reference_vertex_classes(solver, a)
     classes_b = reference_vertex_classes(solver, b)
     if sorted(classes_a) != sorted(classes_b):
@@ -715,6 +718,13 @@ class TestSymmetry:
         across_c4 = state_of(g, [(0, 4), (2, 4)], [(1, 4), (3, 4)])
         assert solver._record(along).key == solver._record(across_c4).key
         assert not equivalent(solver, along, across_c4)
+        # the path 0-4-8-5-1 cut at vertex 8 into two trees, and the same
+        # edges as one tree: a class holds one entry per tree at its vertex,
+        # so the keys differ, which is what lets ``_maps_onto`` skip checking
+        # that no two trees go to one
+        cut = state_of(g, [(0, 4), (4, 8)], [(5, 8), (1, 5)])
+        whole = state_of(g, [(0, 4), (4, 8), (5, 8), (1, 5)])
+        assert solver._record(cut).key != solver._record(whole).key
         # a path inside a copy of C4 and one across the copies
         inside = state_of(g, [(0, 1), (1, 2)])
         across = state_of(g, [(0, 4), (4, 8)])
