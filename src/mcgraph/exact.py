@@ -31,20 +31,20 @@ of the most non-adjacent pairs inside a connected subset of each size,
 summed in byte lanes; a subset too sparse to be connected is skipped.  Each
 tree's capacity gate is one number, the largest delta it passes, because
 the deltas it passes are always 1..top.  A frontier keeps, per last
-vertex, each vertex set's number of path prefixes instead of listing them
-(Held and Karp's subset states), children are bounded once per (target,
-added vertex set) group, and every group that passes is rebuilt into
-concrete moves.  A frontier that serves one tree (an attachment, or the
-connectors of one base path) drops a prefix as soon as the partial move it
-stands for fails the matching cut: each vertex a completion adds lowers
-the bound by at most 1 and the waste left by exactly 1, so no completion
-passes.  Every node is charged exactly what a depth-first enumeration of
-the paths and children that abandons each dead prefix would cost.  When no
-round finds a cover, or the floor is already n - 2 (kappa <= 1), the
-spanning-tree coloring (waste n - 2) is returned.  The two engines are
-kept independent and are cross-checked against each other in the test
-suite.  Each passes its witness through ``check_mc_coloring`` before it
-returns a value.
+vertex, the vertex sets of its path prefixes instead of listing the
+prefixes (Held and Karp's subset states), children are bounded once per
+(target, added vertex set) group, and every group that passes is rebuilt
+into concrete moves.  A frontier that serves one tree (an attachment, or
+the connectors of one base vertex set) drops a state as soon as the
+partial move it stands for fails the matching cut: each vertex a
+completion adds lowers the bound by at most 1 and the waste left by
+exactly 1, so no completion passes.  A node is one unit of work the search
+does: a ``_dfs`` visit, a frontier start or state created, or a group
+tested.  When no round finds a cover, or the floor is already n - 2
+(kappa <= 1), the spanning-tree coloring (waste n - 2) is returned.  The
+two engines are kept independent and are cross-checked against each other
+in the test suite.  Each passes its witness through ``check_mc_coloring``
+before it returns a value.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .mc import (
 )
 
 DEFAULT_NAIVE_EDGE_CAP = 12
-DEFAULT_NODE_BUDGET = 10_000_000
+DEFAULT_NODE_BUDGET = 1_000_000
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # adds 1 to each byte lane
 
 __all__ = [
@@ -209,27 +209,20 @@ def mc_exact_naive(g: Graph, max_edges: int = DEFAULT_NAIVE_EDGE_CAP) -> McResul
 
 class _Frontier:
     """The simple paths over ``free`` from a vertex of ``starts`` to a vertex
-    of ``ends``, one length at a time, counted rather than listed.
+    of ``ends``, one length at a time, kept as subset states rather than
+    listed.
 
     A path touches ``ends`` only at its last vertex, its internal vertices
     avoid ``forbidden``, and no start lies in ``ends``.  Two open prefixes
     with the same vertex set and the same last vertex have the same
-    extensions, so ``states`` maps each last vertex x to ``{vertex mask:
-    number of open prefixes}`` over the prefixes of length ``length`` that
-    end at x (None before the first call).  ``paths(k)`` grows the states to
-    length k - 1 and returns ``{key: number of paths}`` over the paths of
-    length k, where a path's key is its vertex set without its last vertex:
-    a state (vmask, x) adds ``count * popcount(free[x] & ends)`` to key
-    vmask, one path per free end vertex.  k must rise from call to call.
+    extensions, so ``states`` maps each last vertex x to the set of vertex
+    masks of the prefixes of length ``length`` that end at x (None before
+    the first call).  ``paths(k)`` grows the states to length k - 1 and
+    returns the keys of the paths of length k, a path's key being its
+    vertex set without its last vertex: a state (vmask, x) gives key vmask
+    when ``free[x] & ends`` is not empty.  k must rise from call to call.
     ``expand(key)`` rebuilds the edge masks of the paths behind one key.
-
-    The frontier stands for ``weight`` identical frontiers (the connectors
-    of that many base paths with one vertex set).  It is charged
-    ``weight`` nodes per start, and per grow step ``weight`` times the
-    summed counts of the states the step creates, which is the number of
-    prefixes it would have listed; so after the calls for lengths 1..k the
-    charge is that of ``weight`` depth-first enumerations of every path of
-    length at most k.
+    The frontier is charged one node per start and per state it creates.
 
     A frontier given a ``budget`` serves one tree, ``ends``: each of its
     paths, joined with ``starts``, is one move into that tree, adding
@@ -238,13 +231,12 @@ class _Frontier:
     (delta popcount(``starts | P``), which is ``starts.bit_count()`` plus
     the length), and a grow step drops it, after charging it, when that
     move fails the matching cut (``_TreeCoverSolver._cut_by``).  Every move
-    through a dropped prefix fails the cut too: a completion A of P adds
+    through a dropped state fails the cut too: a completion A of P adds
     |A - P| more vertices; each newly covers only pairs at itself, of
     fractional-matching weight at most 1, so the bound falls by at most
     |A - P| while the waste left falls by exactly |A - P|.  Dropping is
-    thus sound, no kept state loses a prefix (each prefix of a kept state
-    passes as well), and the charge is that of a depth-first enumerator
-    that abandons a dead prefix.  Without a budget nothing is dropped.
+    thus sound, and no kept state loses a prefix (each prefix of a kept
+    state passes as well).  Without a budget nothing is dropped.
 
     At a prefix ending at x the extensions are ``free[x] & open & ~vmask``,
     where ``open`` is every vertex outside ``ends`` and ``forbidden``, and
@@ -255,8 +247,7 @@ class _Frontier:
     """
 
     __slots__ = (
-        "solver", "free", "starts", "ends", "open_v", "weight", "budget", "states",
-        "length",
+        "solver", "free", "starts", "ends", "open_v", "budget", "states", "length",
     )
 
     def __init__(
@@ -266,7 +257,6 @@ class _Frontier:
         starts: int,
         ends: int,
         forbidden: int = 0,
-        weight: int = 1,
         budget: int | None = None,
     ):
         self.solver = solver
@@ -274,29 +264,27 @@ class _Frontier:
         self.starts = starts
         self.ends = ends
         self.open_v = solver.vertex_mask & ~ends & ~forbidden
-        self.weight = weight
         self.budget = budget
-        self.states: dict[int, dict[int, int]] | None = None
+        self.states: dict[int, set[int]] | None = None
         self.length = 0
 
-    def paths(self, k: int) -> dict[int, int]:
-        """``{key: number of paths}`` over the paths of length k, a path's
-        key being its vertex set without its last vertex; grows the states
-        to length k - 1 first, charging each grow step (see the class
-        docstring)."""
+    def paths(self, k: int) -> set[int]:
+        """The keys of the paths of length k, a path's key being its vertex
+        set without its last vertex; grows the states to length k - 1 first,
+        charging each state it creates."""
         free = self.free
         states = self.states
         if states is None:
-            self.solver._tick_prefixes(self.weight * self.starts.bit_count())
+            self.solver._tick(self.starts.bit_count())
             states = {}
             rest = self.starts
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                states[bit.bit_length() - 1] = {bit: 1}
+                states[bit.bit_length() - 1] = {bit}
         open_v = self.open_v
         while self.length < k - 1 and states:
-            grown: dict[int, dict[int, int]] = {}
+            grown: dict[int, set[int]] = {}
             for x, at_x in states.items():
                 steps = []
                 cand = free[x] & open_v
@@ -304,52 +292,40 @@ class _Frontier:
                     wbit = cand & -cand
                     cand ^= wbit
                     w = wbit.bit_length() - 1
-                    steps.append((wbit, grown.setdefault(w, {})))
-                for vmask, count in at_x.items():
+                    steps.append((wbit, grown.setdefault(w, set())))
+                for vmask in at_x:
                     for wbit, at_w in steps:
                         if not vmask & wbit:
-                            key = vmask | wbit
-                            at_w[key] = at_w.get(key, 0) + count
-            # each created state's count is the number of prefixes it holds
-            self.solver._tick_prefixes(
-                self.weight * sum(sum(at_w.values()) for at_w in grown.values())
-            )
+                            at_w.add(vmask | wbit)
+            self.solver._tick(sum(map(len, grown.values())))
             self.length += 1
             if self.budget is not None:
                 self._cut(grown)
             states = {w: at_w for w, at_w in grown.items() if at_w}
         self.states = states
         ends = self.ends
-        out: dict[int, int] = {}
-        for x, at_x in states.items():
-            closes = (free[x] & ends).bit_count()
-            if closes:
-                for vmask, count in at_x.items():
-                    out[vmask] = out.get(vmask, 0) + count * closes
-        return out
+        return {
+            vmask for x, at_x in states.items() if free[x] & ends for vmask in at_x
+        }
 
-    def _cut(self, grown: dict[int, dict[int, int]]) -> None:
+    def _cut(self, grown: dict[int, set[int]]) -> None:
         """Drop from ``grown`` the states whose partial move fails the
-        matching cut (see the class docstring), counting their prefixes in
-        the solver's ``cut``, and in ``matching_cut`` when only the
-        fractional bound drops them.  The solver's covered set is the
-        node's own here, as ``_levels`` grows its frontiers only between
-        children."""
+        matching cut (see the class docstring), counting each in the
+        solver's ``cut``, and in ``matching_cut`` when only the fractional
+        bound drops it.  The solver's covered set is the node's own here,
+        as ``_levels`` grows its frontiers only between children."""
         solver = self.solver
         cut_by, covered = solver._cut_by, solver.covered
         tree = self.ends | self.starts
         slack = self.budget - self.starts.bit_count() - self.length
-        cut = matching_cut = 0
         for at_w in grown.values():
-            for vmask, count in list(at_w.items()):
+            for vmask in list(at_w):
                 why = cut_by(covered, tree | vmask, slack)
                 if why:
-                    del at_w[vmask]
-                    cut += count
+                    at_w.discard(vmask)
+                    solver.cut += 1
                     if why == 2:
-                        matching_cut += count
-        solver.cut += self.weight * cut
-        solver.matching_cut += self.weight * matching_cut
+                        solver.matching_cut += 1
 
     def expand(self, key: int) -> list[int]:
         """The edge masks of the frontier's paths whose vertex set without
@@ -482,29 +458,28 @@ class _TreeCoverSolver:
     matching cuts, and no cut child leads to a cover within the limit.  The
     same count cuts a path prefix before its move is finished: the
     frontiers that serve one tree (each attachment, the connectors of each
-    base) drop a prefix whose partial move already fails the cut, since
+    base) drop a state whose partial move already fails the cut, since
     each vertex that finishes the move lowers the waste left by 1 and the
     bound by at most 1 (see ``_Frontier``).  The u..v frontier also serves
     new trees, crossing paths and connector bases, so it drops nothing.
 
     Moves stream one delta level at a time (``_levels``): a node generates,
-    charges, cuts, sorts and visits every child of delta d before it asks
-    for delta d + 1.  Delta leads the sort key, so the visit order is that
-    of sorting every move of the node at once.  The paths behind the moves
-    are kept per node as ``_Frontier`` objects (the u..v paths, each
-    attachment, the connectors of each base vertex set), each holding, per
-    last vertex, every vertex set's number of open prefixes of one length;
-    a frontier grows by one edge only when a level needs longer paths, so
-    a path that no visited level needs is never built.  A level comes as
-    groups of children with one target and one set of vertices added to
-    that target, each with its count; the paths that differ only in the
-    tree vertex they end at fall in one group, as one frontier entry.  The
-    matching cut reads nothing else of a child, so it runs once per group,
-    and every group that passes it is rebuilt into concrete moves, by a
-    walk inside the group's vertex set closed at each free end vertex.  A
-    tree's capacity gate is the one number ``_delta_gate`` returns: it
-    passes exactly the deltas 1..top, so level d asks only trees with
-    top >= d.
+    cuts, sorts and visits every child of delta d before it asks for delta
+    d + 1.  Delta leads the sort key, so the visit order is that of sorting
+    every move of the node at once.  The paths behind the moves are kept
+    per node as ``_Frontier`` objects (the u..v paths, each attachment, the
+    connectors of each base vertex set), each holding, per last vertex, the
+    vertex sets of its open prefixes of one length; a frontier grows by one
+    edge only when a level needs longer paths, so a path that no visited
+    level needs is never built.  A level comes as groups of children with
+    one target and one set of vertices added to that target; the paths
+    that differ only in the tree vertex they end at fall in one group, as
+    one frontier entry.  The matching cut reads nothing else of a child,
+    so it runs once per group, and every group that passes it is rebuilt
+    into concrete moves, by a walk inside the group's vertex set closed at
+    each free end vertex.  A tree's capacity gate is the one number
+    ``_delta_gate`` returns: it passes exactly the deltas 1..top, so level
+    d asks only trees with top >= d.
 
     States that are symmetric to exhausted ones are pruned, as in orbital
     branching (Ostrowski et al., *Math. Program.* 126, 2011).  A state is
@@ -536,24 +511,14 @@ class _TreeCoverSolver:
     neighbours as two masks, and a candidate passes those constraints by
     two int comparisons.
 
-    One node is charged per generated child, cut or not, per round root and
-    per start or prefix that a frontier builds; ``max_nodes`` caps the sum,
-    and the search raises with ``nodes == max_nodes + 1``.  ``path_nodes``
-    counts the starts and prefixes.  Counting changes no charge: a level is
-    charged the summed counts of its groups, which is its number of
-    children, before any of them is counted as cut, and a cut group counts
-    all its children; a grow step is charged its frontier's weight times
-    the summed counts of the states it creates, which is the number of
-    prefixes that the frontiers it stands for would have listed, dead ones
-    included, and ``cut`` (``matching_cut`` when only the fractional bound
-    drops them) counts the dead ones the same way.  After lengths 1..k, a frontier's charge is thus that of
-    ``weight`` depth-first enumerations of the paths up to length k that
-    abandon each dead prefix (the tests keep the plain enumerator as the
-    reference of an uncut frontier).  A node that visits every level is
-    charged what building all its moves at once would cost; a node that
-    finds a cover early is charged less.  So no search is charged more than
-    one that builds every move of a node before visiting any.
-    All iteration orders are fixed, so the witness is deterministic.
+    A node is one unit of work the search does: a ``_dfs`` visit (round
+    roots included), a frontier start or state created (dropped or not),
+    or a (target, added vertex set) group tested against the matching cut.
+    ``max_nodes`` caps the sum, and the search raises with ``nodes ==
+    max_nodes + 1``.  ``cut`` counts the groups cut and the frontier states
+    dropped, and ``matching_cut`` those of them that only the fractional
+    bound removes.  The children are sorted before they are visited, so
+    the witness does not depend on the order in which sets are iterated.
     """
 
     def __init__(self, g: Graph, max_nodes: int):
@@ -561,7 +526,6 @@ class _TreeCoverSolver:
         self.n = g.n
         self.max_nodes = max_nodes
         self.nodes = 0
-        self.path_nodes = 0
         self.cut = 0
         self.matching_cut = 0
         self.symmetric = 0
@@ -797,12 +761,6 @@ class _TreeCoverSolver:
             )
         self.nodes += count
 
-    def _tick_prefixes(self, count: int) -> None:
-        """``_tick`` for path starts and prefixes, also counted in
-        ``path_nodes`` (up to the node that raises)."""
-        self.path_nodes += min(count, self.max_nodes - self.nodes + 1)
-        self._tick(count)
-
     def _free_masks(self) -> list[int]:
         """Each vertex's neighbour mask over the edges outside ``used_edges``."""
         free = list(self.adj_vmask)
@@ -850,14 +808,14 @@ class _TreeCoverSolver:
         tree: yields (1, groups, rebuild) for delta 1, then for delta 2, and
         so on.
 
-        ``groups`` lists (target, {add_vmask: count}): per target, the
-        number of moves that add each vertex set, the move's vertices
-        outside the target tree; target -1 opens a new tree, to which a
-        move adds all its vertices.  ``rebuild(target, add_vmask)`` lists
-        the edge masks of one group's moves, and holds until the next level
-        is asked for.  A move is kept only where its delta is at most its
-        tree's ``_delta_gate`` top.  The kinds of move at delta d, and the
-        key of each in its target's groups:
+        ``groups`` lists (target, {add_vmask}): per target, the vertex sets
+        that its moves add, a move's vertices outside the target tree;
+        target -1 opens a new tree, to which a move adds all its vertices.
+        ``rebuild(target, add_vmask)`` lists the edge masks of one group's
+        moves, and holds until the next level is asked for.  A move is kept
+        only where its delta is at most its tree's ``_delta_gate`` top.  The
+        kinds of move at delta d, and the key of each in its target's
+        groups:
 
         - a new tree: a u..v path of length d + 1, keyed by the u..v
           frontier's key with v put back;
@@ -882,14 +840,13 @@ class _TreeCoverSolver:
         asks for a longer path, so the paths of delta d + 1 are built only
         after the caller has visited every child of delta d.  An attachment
         or connector frontier serves one tree, so it gets the budget and
-        drops each prefix whose partial move fails the matching cut; a
-        group that passes the cut keeps the count it has without the drop.
-        A connector never uses an edge inside its base's vertex set, so the
-        base paths that share a vertex set share one connector frontier,
-        weighted by their number, and a group's count sums each frontier's
-        weight times its paths.  A tree's gate passes every delta up to its top, so the
-        connectors of the base paths of length d - 1 are created at level
-        d, the first level that can use them.  A pending tree's ``rebuild``
+        drops each state whose partial move fails the matching cut, which
+        loses no move of a group that passes the cut.  A connector never
+        uses an edge inside its base's vertex set, so the base paths that
+        share a vertex set share one connector frontier.  A tree's gate
+        passes every delta up to its top, so the connectors of the base
+        paths of length d - 1 are created at level d, the first level that
+        can use them.  A pending tree's ``rebuild``
         finds the crossing paths as the u..v paths with vertex set
         ``add_vmask | c``, for each vertex c of the tree.  Children change
         ``used_edges`` and the trees between levels and restore them, so the
@@ -919,14 +876,14 @@ class _TreeCoverSolver:
                 pending[t] = (tv, top, [])
 
         uv_front = _Frontier(self, free, ubit, vbit)
-        # uv_paths[k]: the u..v paths of length k by vertex set (the
-        # frontier's key with v put back), cached for every consumer
-        uv_paths: list[dict[int, int]] = [{}]
+        # uv_paths[k]: the vertex sets of the u..v paths of length k (the
+        # frontier's keys with v put back), cached for every consumer
+        uv_paths: list[set[int]] = [set()]
 
-        def uv(length: int) -> dict[int, int]:
+        def uv(length: int) -> set[int]:
             while len(uv_paths) <= length:
                 found = uv_front.paths(len(uv_paths))
-                uv_paths.append({key | vbit: count for key, count in found.items()})
+                uv_paths.append({key | vbit for key in found})
             return uv_paths[length]
 
         for d in range(1, last + 1):
@@ -939,26 +896,22 @@ class _TreeCoverSolver:
             for t, (tv, top, connectors) in pending.items():
                 if d > top:
                     continue
-                joined = {}
-                for pv, count in uv(d).items():
+                joined = set()
+                for pv in uv(d):
                     crossing = pv & tv
                     if crossing and not crossing & (crossing - 1):
-                        key = pv ^ crossing
-                        joined[key] = joined.get(key, 0) + count
-                for pv, count in uv(d - 1).items():
+                        joined.add(pv ^ crossing)
+                for pv in uv(d - 1):
                     if not pv & tv:
                         front = _Frontier(
-                            self, free, pv, tv, forbidden=pv, weight=count,
-                            budget=budget,
+                            self, free, pv, tv, forbidden=pv, budget=budget
                         )
                         connectors.append([front, None])
                 live = []
                 for conn in connectors:
                     front = conn[0]
                     conn[1] = found = front.paths(d + 1 - front.starts.bit_count())
-                    for cv, count in found.items():
-                        key = front.starts | cv
-                        joined[key] = joined.get(key, 0) + front.weight * count
+                    joined.update(front.starts | cv for cv in found)
                     if front.states:
                         live.append(conn)
                 connectors[:] = live
@@ -1207,6 +1160,7 @@ class _TreeCoverSolver:
     def _dfs(self, limit: int) -> list[int] | None:
         """The tree edge masks of the first cover of waste at most ``limit``
         below the current state, or None."""
+        self._tick()
         if self.covered == self.all_mask:
             return list(self.tree_e)
         state = tuple(self.tree_e)
@@ -1224,29 +1178,24 @@ class _TreeCoverSolver:
         cut_by = self._cut_by
         for delta, groups, rebuild in self._levels(u, v, budget, dp):
             # the matching cut reads only a child's target and vertex set, so
-            # it runs once per group; the level is charged before its cuts
-            # are counted, as if each child were charged and then cut
+            # it runs once per group, and each group tested is one node
             slack = budget - delta
             covered, tree_v = self.covered, self.tree_v
             children = []
-            total = cut = matching_cut = 0
             for target, found in groups:
+                self._tick(len(found))
                 tree = 0 if target < 0 else tree_v[target]
-                for add_v, count in found.items():
-                    total += count
+                for add_v in found:
                     why = cut_by(covered, tree | add_v, slack)
                     if why:
-                        cut += count
+                        self.cut += 1
                         if why == 2:
-                            matching_cut += count
+                            self.matching_cut += 1
                     else:
                         children += [
                             (delta, target, add_v, add_e)
                             for add_e in rebuild(target, add_v)
                         ]
-            self._tick(total)
-            self.cut += cut
-            self.matching_cut += matching_cut
             children.sort(key=self._move_key)
             for _delta, target, add_v, add_e in children:
                 created, t, saved = self._apply(target, add_v, add_e, delta)
@@ -1274,7 +1223,6 @@ class _TreeCoverSolver:
             self.targets.append(limit)
             if self.exhausted is not None:  # a state exhausted at a smaller
                 self.exhausted.clear()  # limit may hold a cover at this one
-            self._tick()  # the round's root
             found = self._dfs(limit)
             if found is not None:
                 return found
@@ -1289,7 +1237,6 @@ class _TreeCoverSolver:
             cut=self.cut,
             matching_cut=self.matching_cut,
             symmetric=self.symmetric,
-            path_nodes=self.path_nodes,
         )
 
 

@@ -152,14 +152,13 @@ class Theorem1Certificate:
 class SearchStats:
     """Counters of one tree-cover search (see :mod:`mcgraph.exact`)."""
 
-    nodes: int  # generated children, round roots and path-enumeration prefixes
+    nodes: int  # search visits, frontier starts and states, and groups tested
     floor: int  # the root waste floor
     floor_by: str  # Lem1 | matching | capacity: the first bound reaching it
     targets: tuple[int, ...] = ()  # the deepening limits tried
-    cut: int = 0  # children cut before they were applied, and dropped path prefixes
+    cut: int = 0  # groups cut before they were applied, and dropped frontier states
     matching_cut: int = 0  # of ``cut``: passed greedy, not the fractional bound
     symmetric: int = 0  # applied states pruned as images of exhausted ones
-    path_nodes: int = 0  # the path-enumeration prefixes among ``nodes``
 
     def to_dict(self) -> dict:
         return asdict(self)

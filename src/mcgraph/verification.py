@@ -22,7 +22,7 @@ from .bounds import (
     product_mc_bounds,
 )
 from .errors import InapplicableError
-from .exact import mc_exact, mc_exact_naive
+from .exact import DEFAULT_NAIVE_EDGE_CAP, mc_exact, mc_exact_naive
 from .families import (
     NetworkSpec,
     complete_graph,
@@ -109,10 +109,9 @@ def factor_pool() -> list[tuple[str, Graph]]:
         ("P2", path_graph(2)),
         ("P3", path_graph(3)),
         ("P4", path_graph(4)),
-        ("C3", cycle_graph(3)),
+        ("C3", cycle_graph(3)),  # also K3
         ("C4", cycle_graph(4)),
         ("C5", cycle_graph(5)),
-        ("K3", complete_graph(3)),
         ("K4", complete_graph(4)),
         ("star4", star_graph(4)),
     ]
@@ -165,7 +164,7 @@ def suite_core(max_n: int = 6, seed: int = 0) -> SuiteResult:
     """Exact-engine equivalence plus the base graph invariants."""
     res = SuiteResult("core")
     rng = random.Random(seed)
-    corpus = connected_corpus(max_n, max_edges=10)
+    corpus = connected_corpus(max_n, max_edges=DEFAULT_NAIVE_EDGE_CAP)
 
     for g in corpus:
         naive = mc_exact_naive(g)

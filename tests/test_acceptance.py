@@ -113,7 +113,7 @@ def test_criterion_6_connectivity_formulas(bounds_suite):
     failed = [f for f in bounds_suite.failures if f.split(":")[0] in checked]
     assert not failed, failed
     counts = tuple(bounds_suite.passed.get(name, 0) for name in checked)
-    assert counts == (188, 15), counts
+    assert counts == (156, 8), counts
     _verdict(6, f"{sum(counts)} connectivity formulas match direct computation")
 
 

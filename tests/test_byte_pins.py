@@ -82,7 +82,7 @@ BOUNDS_DIGESTS = {
     "strong": "3849e5fea1cc578ef0dcf0ec1b4a2c2fe20c2d1a98c233dbfcff1fb468607db2",
     "direct": "e54e1a1e563d601a0fbb22e10defacb8fce5cc9f9490a240814f67ab0278a12a",
 }
-CATALOG_DIGEST = "26a6dfbbe6daf34cfeef3d881837c4927f691cf2758251ad11d9d65483f90393"
+CATALOG_DIGEST = "768ec2a4ab5b0398232567732b52c43486259e3229c820c09802921bd9d1a592"
 NAIVE_DIGEST = "8ec89b8f2f995e58e1bc54611859f0a16c02ebb92e78c36a14bc74dc96e19bda"
 REPORT_DIGESTS = {
     "csv": "4cb3643ead1d0936e326c4aafbb3ced06d0aa7771462088fa4675893ff8006c4",

@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -224,11 +225,17 @@ PINNED_DIGESTS = {
     # recorded with the byte-lane capacity table; the witness is the file
     # tests/data/lex_P2_C8_mc68.json
     "lex_P2_C8": "8d4d72bd5e917966224365cde413a7c916848d8db95343a30f81024927896178",
+    # recorded when a node was one path prefix and the default budget 10^7,
+    # of which the search took 3,734,143
+    "generalized_hypercube 2 3 3": (
+        "3b7826aee3afe624d6f6deb2ff906ab3b613fce3d3876fcffc4cf2ecc06ac899"
+    ),
 }
 
 
 # The exact search counters of each pinned run, the regression gates:
-# (nodes, cut, path_nodes, symmetric), where symmetric counts the applied
+# (nodes, cut, matching_cut, symmetric), where matching_cut counts the cuts
+# that only the fractional bound makes and symmetric counts the applied
 # states pruned as images of exhausted ones (the symmetry test makes every
 # prune decision, so that count is gated too).  The PRODUCTS rows run at
 # their budgets there, "at 1,000 nodes" is the bounds-only run at that
@@ -236,26 +243,27 @@ PINNED_DIGESTS = {
 # are lex(P3,P4) relabelled as ``bench/run.py --relabel`` relabels it: the
 # search must not depend on the vertex names' dict order.
 COUNTER_PINS = {
-    "strong_P3_K4": (37, 0, 14, 0),
-    "lex_P3_C4": (42_163, 15_430, 26_755, 8),
-    "lex_P3_star4": (4_216, 1_901, 2_530, 28),
-    "lex_P3_P4": (325, 166, 232, 4),
-    "lex_P2_C5": (87, 32, 51, 2),
+    "strong_P3_K4": (32, 0, 0, 0),
+    "lex_P3_C4": (3_428, 733, 50, 8),
+    "lex_P3_star4": (2_401, 493, 89, 28),
+    "lex_P3_P4": (315, 148, 11, 4),
+    "lex_P2_C5": (93, 29, 11, 2),
     "cartesian_C3_C4": (0, 0, 0, 0),
-    "lex_P3_C5 at 1,000 nodes": (1_001, 715, 779, 57),
-    "lex_P3_C5": (1_865, 1_310, 1_445, 96),
-    "strong_P3_K5": (52, 0, 18, 0),
-    "lex_P2_C8": (8_744, 5_615, 6_581, 120),
-    "lex_P3_P4 seed 2": (71, 0, 35, 0),
-    "lex_P3_P4 seed 3": (490, 281, 331, 0),
-    "lex_P3_P4 seed 4": (378, 227, 243, 0),
+    "lex_P3_C5 at 1,000 nodes": (1_001, 682, 299, 59),
+    "lex_P3_C5": (1_730, 1_120, 507, 96),
+    "strong_P3_K5": (41, 0, 0, 0),
+    "lex_P2_C8": (9_131, 5_303, 314, 120),
+    "lex_P3_P4 seed 2": (74, 0, 0, 0),
+    "lex_P3_P4 seed 3": (478, 245, 35, 0),
+    "lex_P3_P4 seed 4": (371, 194, 32, 0),
+    "generalized_hypercube 2 3 3": (557_903, 78_758, 15_428, 1_246),
 }
 
 # sha256 of every SearchStats.to_dict() over each set, recorded with
 # COUNTER_PINS
 STATS_DIGESTS = {
-    "corpus6": "e82a0f80349a595eff38fe06488f028f561eaf18aa3103d3af6c1d3f7456dde2",
-    "dense_random": "ebac972e981903be7a02b08d897f937892f12cdd0061927f01f120009eddd0bc",
+    "corpus6": "e41fb66b9ef2e906e7064e0c726647f88e7be2bf9b936941d33054c8dbc4d46e",
+    "dense_random": "329aed67b6a15a323eaf6973581a608d8e9be7d01e9f6b5a687e5bbc3dc31d7d",
 }
 
 
@@ -275,7 +283,7 @@ def stats_digest(results) -> str:
 
 def counters(res) -> tuple[int, int, int, int]:
     s = res.stats
-    return s.nodes, s.cut, s.path_nodes, s.symmetric
+    return s.nodes, s.cut, s.matching_cut, s.symmetric
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +409,20 @@ class TestSearchRegression:
         assert ok and res.witness.color_count == 71
         assert witness_digest([res]) == PINNED_DIGESTS["strong_P3_K5"]
         assert counters(res) == COUNTER_PINS["strong_P3_K5"]
+
+    def test_generalized_hypercube_2_3_3_decided(self):
+        # the default budget's guard: K2 x K3 x K3 needs 557,903 nodes, the
+        # most of any measured instance that the prefix-counting search
+        # also decided at its default 10^7, and its second round finds the
+        # same witness
+        g = generate(NetworkSpec("generalized_hypercube", (2, 3, 3)))
+        res = mc_exact(g)
+        assert (res.value, res.method) == (29, "tree-cover")
+        assert witness_digest([res]) == PINNED_DIGESTS["generalized_hypercube 2 3 3"]
+        assert counters(res) == COUNTER_PINS["generalized_hypercube 2 3 3"]
+        assert (res.stats.floor, res.stats.floor_by, res.stats.targets) == (
+            14, "capacity", (14, 15)
+        )
 
     @pytest.mark.parametrize(
         "kind,a,b,max_nodes",
@@ -865,10 +887,11 @@ class TestSymmetry:
 # -- path frontiers: the level-by-level kernel against the arc-iterator enumerator --
 
 
-def reference_paths(solver, start, ends, max_len, forbidden_vmask=0):
+def reference_paths(solver, start, ends, max_len, forbidden_vmask=0, states=None):
     """The plain neighbour-iterator enumerator, the differential reference
-    for ``_Frontier``: a stack of neighbour iterators, an explicit
-    used-or-on-path edge test, one ``_tick`` per prefix."""
+    for ``_Frontier``: a stack of neighbour iterators and an explicit
+    used-or-on-path edge test.  Each open prefix it extends past the start
+    is added to ``states``, if given, as (vertex mask, last vertex)."""
     ebit = {}
     for i, (u, v) in enumerate(solver.g.edges):
         ebit[(u, v)] = ebit[(v, u)] = 1 << i
@@ -881,7 +904,6 @@ def reference_paths(solver, start, ends, max_len, forbidden_vmask=0):
         return out
     blocked = forbidden_vmask & ~(1 << start)
     used = solver.used_edges
-    solver._tick()
     stack = [(1 << start, 0, 0, iter(arcs[start]))]
     while stack:
         path_v, path_e, length, it = stack[-1]
@@ -894,7 +916,8 @@ def reference_paths(solver, start, ends, max_len, forbidden_vmask=0):
                 continue
             if (path_v | blocked) & wbit or length + 1 >= max_len:
                 continue
-            solver._tick()
+            if states is not None:
+                states.add((path_v | wbit, w))
             stack.append((path_v | wbit, path_e | eb, length + 1, iter(arcs[w])))
             break
         else:
@@ -942,48 +965,48 @@ def fresh_solver(g, used, budget, spent):
     return solver
 
 
-def run_reference(g, args, used, budget, spent):
+def run_reference(g, args, used, budget):
     """Every start's reference enumeration in turn, on one solver: the
-    (vertex mask, edge mask, length) triples and the ticks spent."""
+    (vertex mask, edge mask, length) triples, or "budget exceeded", and the
+    charge: the starts plus the distinct (vertex mask, last vertex) prefix
+    states, stopped at ``budget + 1``."""
     starts, ends, max_len, forbidden = args
-    solver = fresh_solver(g, used, budget, spent)
-    out = []
-    try:
-        for y in bits_of(starts):
-            out += reference_paths(solver, y, ends, max_len, forbidden)
-    except BudgetExceededError:
-        out = "budget exceeded"
-    return out, solver.nodes - spent
+    solver = fresh_solver(g, used, budget, 0)
+    out, states = [], set()
+    for y in bits_of(starts):
+        out += reference_paths(solver, y, ends, max_len, forbidden, states)
+    charge = starts.bit_count() + len(states)
+    if charge > budget:
+        return "budget exceeded", budget + 1
+    return out, charge
 
 
 def grouped(pairs):
-    """(key, edge mask) pairs as {key: (count, sorted edge masks)}."""
+    """(key, edge mask) pairs as {key: sorted edge masks}."""
     groups = {}
     for pv, pe in pairs:
         groups.setdefault(pv, []).append(pe)
-    return {pv: (len(pes), sorted(pes)) for pv, pes in groups.items()}
+    return {pv: sorted(pes) for pv, pes in groups.items()}
 
 
 def rebuilt(found, expand):
-    """Counted paths or moves, ``{key: count}``, with every group rebuilt by
-    ``expand(key)``: {key: (count, sorted edge masks)}.  Each group rebuilds
-    to exactly as many paths or moves as it counts."""
+    """The keys of paths or moves with every group rebuilt by
+    ``expand(key)``: {key: sorted edge masks}.  No key rebuilds to
+    nothing."""
     out = {}
-    for key, count in found.items():
-        edges = sorted(expand(key))
-        assert len(edges) == count
-        out[key] = (count, edges)
+    for key in found:
+        out[key] = sorted(expand(key))
+        assert out[key]
     return out
 
 
-def run_frontier(g, args, used, budget, spent, weight=1):
+def run_frontier(g, args, used, budget, spent):
     """One frontier asked for lengths 1..max_len in turn: per length, the
-    paths grouped by key (vertex set without the last vertex) as counted
-    and as rebuilt (or "budget exceeded", ending the run), and the ticks
-    spent so far."""
+    paths grouped by key (vertex set without the last vertex) as rebuilt
+    (or "budget exceeded", ending the run), and the ticks spent so far."""
     starts, ends, max_len, forbidden = args
     solver = fresh_solver(g, used, budget, spent)
-    front = _Frontier(solver, solver._free_masks(), starts, ends, forbidden, weight)
+    front = _Frontier(solver, solver._free_masks(), starts, ends, forbidden)
     levels = []
     for k in range(1, max_len + 1):
         try:
@@ -991,7 +1014,6 @@ def run_frontier(g, args, used, budget, spent, weight=1):
         except BudgetExceededError:
             out = "budget exceeded"
         levels.append((out, solver.nodes - spent))
-        assert solver.path_nodes == solver.nodes - spent
         if out == "budget exceeded":
             assert solver.nodes == solver.max_nodes + 1
             break
@@ -1008,10 +1030,10 @@ class TestPathEnumeration:
         for k, (out, ticks) in enumerate(levels, start=1):
             # the reference capped at length k: per key (the vertex set
             # without the end vertex, the one vertex of ends on a path),
-            # the same number of paths of length k and the same paths
-            # rebuilt, the same ticks, the same budget raise
+            # the same paths of length k rebuilt, one tick per start and
+            # per distinct prefix state, the same budget raise
             ref_out, ref_ticks = run_reference(
-                g, (starts, ends, k, forbidden), used, budget, spent
+                g, (starts, ends, k, forbidden), used, budget
             )
             assert ticks == ref_ticks
             if ref_out == "budget exceeded":
@@ -1027,22 +1049,21 @@ class TestPathEnumeration:
         args = (1 << 0, 1 << 6, 6, 0)
         levels = run_frontier(complete_graph(7), args, 0, max_nodes, 0)
         assert levels[-1] == ("budget exceeded", max_nodes + 1)
-        assert run_reference(complete_graph(7), args, 0, max_nodes, 0) == (
+        assert run_reference(complete_graph(7), args, 0, max_nodes) == (
             "budget exceeded",
             max_nodes + 1,
         )
 
-    def test_weight_multiplies_the_charge(self):
-        # a frontier of weight w finds the same paths and is charged w
-        # times as much: it stands for w frontiers with one start set
-        args = (0b11, 1 << 6, 5, 0b11)
-        one = run_frontier(complete_graph(7), args, 0, 10**9, 0)
-        three = run_frontier(complete_graph(7), args, 0, 10**9, 0, weight=3)
-        assert [out for out, _ in three] == [out for out, _ in one]
-        assert [ticks for _, ticks in three] == [3 * ticks for _, ticks in one]
-        budget = 3 * one[2][1] - 1  # enough for two lengths, not three
-        tight = run_frontier(complete_graph(7), args, 0, budget, 0, weight=3)
-        assert tight[-1] == ("budget exceeded", budget + 1) and len(tight) == 3
+    def test_one_state_per_vertex_set_and_last_vertex(self):
+        # on K7 from vertex 0 to vertex 6, length k has 5!/(5-k)! prefixes
+        # of k edges but only C(5, k) * k states (vertex set, last vertex):
+        # the charge counts states, and prefixes of one state share it
+        args = (1 << 0, 1 << 6, 6, 0)
+        levels = run_frontier(complete_graph(7), args, 0, 10**9, 0)
+        states = [comb(5, k) * k for k in range(1, 6)]
+        assert [ticks for _, ticks in levels] == [
+            1 + sum(states[: k - 1]) for k in range(1, 7)
+        ]
 
 
 # -- move levels: every move of every delta, against the reference paths ----
@@ -1119,7 +1140,7 @@ def level_moves(delta, groups, rebuild):
     return [
         (delta, target, add_v, add_e)
         for target, found in groups
-        for add_v, (_, edges) in rebuilt(
+        for add_v, edges in rebuilt(
             found, lambda add_v: rebuild(target, add_v)
         ).items()
         for add_e in edges
@@ -1218,7 +1239,7 @@ class TestMoveLevels:
             before = {w: set(at_w) for w, at_w in grown.items()}
             cut(front, grown)
             for w, at_w in grown.items():
-                for vmask in before[w] - at_w.keys():
+                for vmask in before[w] - at_w:
                     dropped.append((front.ends, front.starts | vmask))
 
         monkeypatch.setattr(_Frontier, "_cut", recording)

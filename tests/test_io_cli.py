@@ -205,16 +205,14 @@ class TestCli:
             stats = json.loads(err)
             assert set(stats) == {
                 "nodes", "floor", "floor_by", "targets", "cut", "matching_cut",
-                "symmetric", "path_nodes",
+                "symmetric",
             }
             assert stats["floor_by"] in {"Lem1", "matching", "capacity"}
             assert 0 <= stats["matching_cut"] <= stats["cut"]
             if searched:
                 assert stats["nodes"] > 0 and stats["targets"] == [stats["floor"]]
-                assert 0 < stats["path_nodes"] < stats["nodes"]
             else:
                 assert stats["nodes"] == 0 and stats["targets"] == []
-                assert stats["path_nodes"] == 0
             assert json.loads(out)["value"] == value
 
     def test_mc_exact_disconnected_is_zero_exit_zero(self, workdir, capsys):
