@@ -33,23 +33,23 @@ tree's capacity gate is one number, the largest delta it passes, because
 the deltas it passes are always 1..top.  A frontier keeps, per last
 vertex, the vertex sets of its path prefixes instead of listing the
 prefixes (Held and Karp's subset states), children are bounded once per
-(target, added vertex set) group, and every group that passes is rebuilt
-into concrete moves.  A frontier that serves one tree (an attachment, or
-the connectors of one base vertex set) drops a state as soon as the
-partial move it stands for fails the matching cut: each vertex a
-completion adds lowers the bound by at most 1 and the waste left by
-exactly 1, so no completion passes.  A node is one unit of work the search
-does: a ``_dfs`` visit, a frontier start or state created, or a group
-tested.  When no round finds a cover, or the floor is already n - 2
-(kappa <= 1), the spanning-tree coloring (waste n - 2) is returned.  The
-two engines are kept independent and are cross-checked against each other
-in the test suite.  Each passes its witness through ``check_mc_coloring``
-before it returns a value.
+(target, added vertex set) group, and only a group that passes is
+expanded into concrete moves, by the frontier that produced it.  A
+frontier that serves one tree (an attachment, or the connectors of one
+base vertex set) drops a state as soon as the partial move it stands for
+fails the matching cut, which the same docstring shows loses no cover.  A
+node is one unit of work the search does: a ``_dfs`` visit, a frontier
+start or state created, or a group tested.  When no round finds a cover,
+or the floor is already n - 2 (kappa <= 1), the spanning-tree coloring
+(waste n - 2) is returned.  The two engines are kept independent and are
+cross-checked against each other in the test suite.  Each passes its
+witness through ``check_mc_coloring`` before it returns a value.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from itertools import combinations
 
 from .bounds import BoundInterval
@@ -230,13 +230,11 @@ class _Frontier:
     vertex set P then stands for the partial move that adds ``starts | P``
     (delta popcount(``starts | P``), which is ``starts.bit_count()`` plus
     the length), and a grow step drops it, after charging it, when that
-    move fails the matching cut (``_TreeCoverSolver._cut_by``).  Every move
-    through a dropped state fails the cut too: a completion A of P adds
-    |A - P| more vertices; each newly covers only pairs at itself, of
-    fractional-matching weight at most 1, so the bound falls by at most
-    |A - P| while the waste left falls by exactly |A - P|.  Dropping is
-    thus sound, and no kept state loses a prefix (each prefix of a kept
-    state passes as well).  Without a budget nothing is dropped.
+    move fails the matching cut (``_TreeCoverSolver._cuts``).  Every move
+    through a dropped state fails the cut too (the argument is in the
+    ``_TreeCoverSolver`` docstring), and no kept state loses a prefix (each
+    prefix of a kept state passes as well).  Without a budget nothing is
+    dropped.
 
     At a prefix ending at x the extensions are ``free[x] & open & ~vmask``,
     where ``open`` is every vertex outside ``ends`` and ``forbidden``, and
@@ -310,22 +308,14 @@ class _Frontier:
 
     def _cut(self, grown: dict[int, set[int]]) -> None:
         """Drop from ``grown`` the states whose partial move fails the
-        matching cut (see the class docstring), counting each in the
-        solver's ``cut``, and in ``matching_cut`` when only the fractional
-        bound drops it.  The solver's covered set is the node's own here,
-        as ``_levels`` grows its frontiers only between children."""
-        solver = self.solver
-        cut_by, covered = solver._cut_by, solver.covered
+        matching cut (see the class docstring).  The solver's covered set is
+        the node's own here, as ``_levels`` grows its frontiers only between
+        children."""
+        cuts, covered = self.solver._cuts, self.solver.covered
         tree = self.ends | self.starts
         slack = self.budget - self.starts.bit_count() - self.length
-        for at_w in grown.values():
-            for vmask in list(at_w):
-                why = cut_by(covered, tree | vmask, slack)
-                if why:
-                    at_w.discard(vmask)
-                    solver.cut += 1
-                    if why == 2:
-                        solver.matching_cut += 1
+        for w, at_w in grown.items():
+            grown[w] = {p for p in at_w if not cuts(covered, tree | p, slack)}
 
     def expand(self, key: int) -> list[int]:
         """The edge masks of the frontier's paths whose vertex set without
@@ -455,13 +445,19 @@ class _TreeCoverSolver:
     to come is at least sum(y), and, being whole, at least its ceiling.  A
     matching is such a y with weights 0 and 1, so the fractional matching
     number, never below the largest matching, cuts every child the greedy
-    matching cuts, and no cut child leads to a cover within the limit.  The
-    same count cuts a path prefix before its move is finished: the
-    frontiers that serve one tree (each attachment, the connectors of each
-    base) drop a state whose partial move already fails the cut, since
-    each vertex that finishes the move lowers the waste left by 1 and the
-    bound by at most 1 (see ``_Frontier``).  The u..v frontier also serves
-    new trees, crossing paths and connector bases, so it drops nothing.
+    matching cuts, and no cut child leads to a cover within the limit.
+
+    The same count cuts a path prefix before its move is finished.  A
+    frontier that serves one tree (each attachment, the connectors of each
+    base) holds states that stand for partial moves into that tree: a
+    state with vertex set P adds the vertices ``starts | P``.  When that
+    partial move fails the cut, so does every move through the state: a
+    completion A of P adds |A - P| more vertices, each of which newly
+    covers only pairs at itself, of weight at most 1, so the bound falls
+    by at most |A - P| while the waste left falls by exactly |A - P|.  So
+    the frontier drops the state, and loses no move of a group that passes
+    the cut.  The u..v frontier also serves new trees, crossing paths and
+    connector bases, so it drops nothing.
 
     Moves stream one delta level at a time (``_levels``): a node generates,
     cuts, sorts and visits every child of delta d before it asks for delta
@@ -475,11 +471,11 @@ class _TreeCoverSolver:
     one target and one set of vertices added to that target; the paths
     that differ only in the tree vertex they end at fall in one group, as
     one frontier entry.  The matching cut reads nothing else of a child,
-    so it runs once per group, and every group that passes it is rebuilt
-    into concrete moves, by a walk inside the group's vertex set closed at
-    each free end vertex.  A tree's capacity gate is the one number
-    ``_delta_gate`` returns: it passes exactly the deltas 1..top, so level
-    d asks only trees with top >= d.
+    so it runs once per group, and only a group that passes it is expanded
+    into concrete moves, by the frontier that produced it: a walk inside
+    the group's vertex set closed at each free end vertex.  A tree's
+    capacity gate is the one number ``_delta_gate`` returns: it passes
+    exactly the deltas 1..top, so level d asks only trees with top >= d.
 
     States that are symmetric to exhausted ones are pruned, as in orbital
     branching (Ostrowski et al., *Math. Program.* 126, 2011).  A state is
@@ -517,8 +513,11 @@ class _TreeCoverSolver:
     ``max_nodes`` caps the sum, and the search raises with ``nodes ==
     max_nodes + 1``.  ``cut`` counts the groups cut and the frontier states
     dropped, and ``matching_cut`` those of them that only the fractional
-    bound removes.  The children are sorted before they are visited, so
-    the witness does not depend on the order in which sets are iterated.
+    bound removes; ``_cuts`` counts both as it tests.  A child is undone
+    by restoring the snapshot of the node's state that ``_dfs`` takes
+    before its first child.  The children are sorted before they are
+    visited, so the witness does not depend on the order in which sets are
+    iterated.
     """
 
     def __init__(self, g: Graph, max_nodes: int):
@@ -709,11 +708,11 @@ class _TreeCoverSolver:
         self.max_matching_memo[covered] = size
         return size
 
-    def _cut_by(self, covered: int, tv: int, slack: int) -> int:
+    def _cuts(self, covered: int, tv: int, slack: int) -> bool:
         """Whether a move that grows a tree to the vertex set ``tv`` from the
         covered set ``covered`` fails the matching cut at ``slack`` waste
-        left: 0 when it passes, 1 when the greedy matching cuts it, 2 when
-        only the fractional bound does.  The greedy matching goes first,
+        left, counting a cut in ``cut``, and in ``matching_cut`` too when
+        only the fractional bound makes it.  The greedy matching goes first,
         with its memo hits taken inline, and the fractional bound runs only
         where greedy passes (alone it makes the same cuts, in about a third
         more exact-products wall_s)."""
@@ -724,9 +723,12 @@ class _TreeCoverSolver:
         need = self.matching_memo.get(after)
         if need is None:
             need = self._matching(after)
-        if need > slack:
-            return 1
-        return 2 if self._max_matching(after) > slack else 0
+        if need <= slack:
+            if self._max_matching(after) <= slack:
+                return False
+            self.matching_cut += 1
+        self.cut += 1
+        return True
 
     def _capacity_dp(self, budget: int) -> list[int]:
         """Budget-indexed optimistic coverage: extensions plus fresh trees."""
@@ -804,31 +806,34 @@ class _TreeCoverSolver:
 
     def _levels(self, u: int, v: int, budget: int, dp: list[int]):
         """Every minimal service of the pair (u, v) within the waste budget,
-        one delta at a time, grouped by the vertices each move adds to its
-        tree: yields (1, groups, rebuild) for delta 1, then for delta 2, and
-        so on.
+        one delta at a time: yields (1, groups) for delta 1, then (2,
+        groups), and so on.
 
-        ``groups`` lists (target, {add_vmask}): per target, the vertex sets
-        that its moves add, a move's vertices outside the target tree;
-        target -1 opens a new tree, to which a move adds all its vertices.
-        ``rebuild(target, add_vmask)`` lists the edge masks of one group's
-        moves, and holds until the next level is asked for.  A move is kept
+        A group is a triple (target, keys, expand).  ``keys`` are the vertex
+        sets that the target's moves at this delta add, a move's vertices
+        outside the target tree; target -1 opens a new tree, to which a
+        move adds all its vertices.  ``expand(add_vmask)`` lists the edge
+        masks of one key's moves, rebuilt by the frontier that produced the
+        key, and holds until the next level is asked for.  A move is kept
         only where its delta is at most its tree's ``_delta_gate`` top.  The
-        kinds of move at delta d, and the key of each in its target's
-        groups:
+        kinds of move at delta d, with the key and the expand of each:
 
         - a new tree: a u..v path of length d + 1, keyed by the u..v
-          frontier's key with v put back;
+          frontier's key with v put back, and expanded by that frontier;
         - a tree housing one endpoint: an attachment path of length d from
           the other endpoint into the tree, keyed by the attachment
           frontier's key (the path without its last vertex, the one in the
-          tree);
+          tree), and expanded by the attachment frontier's own ``expand``;
         - a tree housing neither: a u..v path of length d that crosses the
           tree exactly once, keyed by its vertex set minus that one tree
           vertex, or a disjoint u..v base path of length L < d plus a
           connector of length d - L from one of its vertices into the tree,
           avoiding the base's vertices, keyed by the base's vertices joined
-          with the connector frontier's key.
+          with the connector frontier's key.  Here ``keys`` is a map, filled
+          as the crossing paths and the connector keys are collected, from
+          each key to the (frontier, frontier key) pairs that give it; the
+          expand rebuilds each pair, and joins a connector's paths to every
+          u..v path over its frontier's start set, the base.
 
         The key is all that the matching cut and ``_apply`` read of a move
         (the tree grows to ``tree_v[target] | add_vmask``), and no key
@@ -840,27 +845,22 @@ class _TreeCoverSolver:
         asks for a longer path, so the paths of delta d + 1 are built only
         after the caller has visited every child of delta d.  An attachment
         or connector frontier serves one tree, so it gets the budget and
-        drops each state whose partial move fails the matching cut, which
-        loses no move of a group that passes the cut.  A connector never
-        uses an edge inside its base's vertex set, so the base paths that
-        share a vertex set share one connector frontier.  A tree's gate
-        passes every delta up to its top, so the connectors of the base
-        paths of length d - 1 are created at level d, the first level that
-        can use them.  A pending tree's ``rebuild``
-        finds the crossing paths as the u..v paths with vertex set
-        ``add_vmask | c``, for each vertex c of the tree.  Children change
-        ``used_edges`` and the trees between levels and restore them, so the
-        frontiers work over a snapshot of the free edges and of the trees
-        taken here.
+        drops each state whose partial move fails the matching cut (sound by
+        the argument in the class docstring).  A connector never uses an
+        edge inside its base's vertex set, so the base paths that share a
+        vertex set share one connector frontier.  A tree's gate passes every
+        delta up to its top, so the connectors of the base paths of length
+        d - 1 are created at level d, the first level that can use them.
+        Children change ``used_edges`` and the trees between levels and
+        restore them, so the frontiers work over a snapshot of the free
+        edges and of the trees taken here.
         """
 
         free = self._free_masks()
         new_top = self._delta_gate(2, 0, budget, dp)
         last = new_top
         housing = {}  # t -> (top delta, attachment frontier)
-        # t -> (tree vertices, top delta, connectors: [frontier, its paths
-        # at this level])
-        pending = {}
+        pending = {}  # t -> (tree vertices, top delta, connector frontiers)
         ubit, vbit = 1 << u, 1 << v
         for t, tv in enumerate(self.tree_v):
             top = self._delta_gate(
@@ -886,96 +886,60 @@ class _TreeCoverSolver:
                 uv_paths.append({key | vbit for key in found})
             return uv_paths[length]
 
+        def new_tree(add_v: int) -> list[int]:
+            return uv_front.expand(add_v ^ vbit)
+
+        def joined(sources: dict[int, list], add_v: int) -> list[int]:
+            out = []
+            for front, key in sources[add_v]:
+                paths = front.expand(key)
+                if front is not uv_front:  # a connector, after each base path
+                    bases = uv_front.expand(front.starts ^ vbit)
+                    paths = [be | ce for ce in paths for be in bases]
+                out += paths
+            return out
+
         for d in range(1, last + 1):
             groups = []
             if d <= new_top:
-                groups.append((-1, uv(d + 1)))
+                groups.append((-1, uv(d + 1), new_tree))
             for t, (top, front) in housing.items():
                 if d <= top:
-                    groups.append((t, front.paths(d)))
+                    groups.append((t, front.paths(d), front.expand))
             for t, (tv, top, connectors) in pending.items():
                 if d > top:
                     continue
-                joined = set()
+                sources: dict[int, list] = {}  # add_v -> [(frontier, key)]
                 for pv in uv(d):
                     crossing = pv & tv
                     if crossing and not crossing & (crossing - 1):
-                        joined.add(pv ^ crossing)
+                        entry = (uv_front, pv ^ vbit)
+                        sources.setdefault(pv ^ crossing, []).append(entry)
                 for pv in uv(d - 1):
                     if not pv & tv:
-                        front = _Frontier(
-                            self, free, pv, tv, forbidden=pv, budget=budget
+                        connectors.append(
+                            _Frontier(self, free, pv, tv, forbidden=pv, budget=budget)
                         )
-                        connectors.append([front, None])
-                live = []
-                for conn in connectors:
-                    front = conn[0]
-                    conn[1] = found = front.paths(d + 1 - front.starts.bit_count())
-                    joined.update(front.starts | cv for cv in found)
-                    if front.states:
-                        live.append(conn)
-                connectors[:] = live
-                groups.append((t, joined))
-
-            def rebuild(t: int, add_v: int, d: int = d) -> list[int]:
-                if t < 0:
-                    return uv_front.expand(add_v ^ vbit)
-                if t in housing:
-                    return housing[t][1].expand(add_v)
-                tv, _, connectors = pending[t]
-                out = []
-                # a u..v path that crosses the tree once, at c, has the
-                # vertex set add_v | c
-                uv_d, cs = uv_paths[d], tv
-                while cs:
-                    c = cs & -cs
-                    cs ^= c
-                    if add_v | c in uv_d:
-                        out += uv_front.expand((add_v | c) ^ vbit)
-                for front, found in connectors:
-                    base_v = front.starts
-                    if base_v & ~add_v:
-                        continue
-                    # the connector's key is the rest and one vertex y of the base
-                    rest, ys = add_v & ~base_v, base_v
-                    while ys:
-                        y = ys & -ys
-                        ys ^= y
-                        if (rest | y) in found:
-                            bases = uv_front.expand(base_v ^ vbit)
-                            for ce in front.expand(rest | y):
-                                out += [be | ce for be in bases]
-                return out
-
-            yield d, groups, rebuild
+                for front in connectors:
+                    for cv in front.paths(d + 1 - front.starts.bit_count()):
+                        sources.setdefault(front.starts | cv, []).append((front, cv))
+                connectors[:] = [front for front in connectors if front.states]
+                groups.append((t, sources, partial(joined, sources)))
+            yield d, groups
 
     # -- state updates ------------------------------------------------------
 
-    def _apply(self, target: int, add_v: int, add_e: int, delta: int):
-        state: tuple = (self.covered, self.used_edges, self.waste)
+    def _apply(self, target: int, add_v: int, add_e: int, delta: int) -> None:
+        """Grow tree ``target`` by a move, opening a new last tree for
+        target -1."""
         if target < 0:
-            self.tree_v.append(add_v)
-            self.tree_e.append(add_e)
-            target = len(self.tree_v) - 1
-            created = True
-        else:
-            created = False
-            state += (self.tree_v[target], self.tree_e[target])
-            self.tree_v[target] |= add_v
-            self.tree_e[target] |= add_e
+            self.tree_v.append(0)
+            self.tree_e.append(0)
+        self.tree_v[target] |= add_v
+        self.tree_e[target] |= add_e
         self.covered |= self._inside(self.tree_v[target])
         self.used_edges |= add_e
         self.waste += delta
-        return created, target, state
-
-    def _undo(self, created: bool, target: int, state: tuple) -> None:
-        self.covered, self.used_edges, self.waste = state[0], state[1], state[2]
-        if created:
-            self.tree_v.pop()
-            self.tree_e.pop()
-        else:
-            self.tree_v[target] = state[3]
-            self.tree_e[target] = state[4]
 
     # -- symmetry -----------------------------------------------------------
 
@@ -1175,32 +1139,30 @@ class _TreeCoverSolver:
         if dp[budget] < rest.bit_count():
             return None
         u, v = self.pairs[(rest & -rest).bit_length() - 1]
-        cut_by = self._cut_by
-        for delta, groups, rebuild in self._levels(u, v, budget, dp):
+        cuts = self._cuts
+        # the node's state, which undoes each child
+        saved = self.covered, self.used_edges, self.waste
+        trees = list(self.tree_v), list(self.tree_e)
+        for delta, groups in self._levels(u, v, budget, dp):
             # the matching cut reads only a child's target and vertex set, so
             # it runs once per group, and each group tested is one node
             slack = budget - delta
             covered, tree_v = self.covered, self.tree_v
             children = []
-            for target, found in groups:
-                self._tick(len(found))
+            for target, keys, expand in groups:
+                self._tick(len(keys))
                 tree = 0 if target < 0 else tree_v[target]
-                for add_v in found:
-                    why = cut_by(covered, tree | add_v, slack)
-                    if why:
-                        self.cut += 1
-                        if why == 2:
-                            self.matching_cut += 1
-                    else:
+                for add_v in keys:
+                    if not cuts(covered, tree | add_v, slack):
                         children += [
-                            (delta, target, add_v, add_e)
-                            for add_e in rebuild(target, add_v)
+                            (delta, target, add_v, add_e) for add_e in expand(add_v)
                         ]
             children.sort(key=self._move_key)
             for _delta, target, add_v, add_e in children:
-                created, t, saved = self._apply(target, add_v, add_e, delta)
+                self._apply(target, add_v, add_e, delta)
                 found = self._dfs(limit)
-                self._undo(created, t, saved)
+                self.covered, self.used_edges, self.waste = saved
+                self.tree_v[:], self.tree_e[:] = trees
                 if found is not None:
                     return found
         self._exhaust(state)

@@ -22,6 +22,17 @@ __all__ = [
     "random_permutation",
 ]
 
+# n = 7 takes a few CPU seconds; n = 8 walks 2^28 masks with 8! images per
+# class, and n = 9 would need a 64 GiB table of seen masks
+_MAX_N = 7
+
+
+def _refuse_large(n: int) -> None:
+    if n > _MAX_N:
+        raise ValueError(
+            f"exhaustive graph enumeration stops at {_MAX_N} vertices, got {n}"
+        )
+
 
 def _mask_connected(n: int, pairs: list[tuple[int, int]], mask: int) -> bool:
     nbr = [0] * n
@@ -52,9 +63,11 @@ def nonisomorphic_connected_graphs(
 
     Each class is represented by its minimum edge-set bitmask over all vertex
     permutations, and the classes are returned in a deterministic order (edge
-    count, then that bitmask).  Intended for n <= 7; the sweep visits all
-    2^(n(n-1)/2) masks and maps each class through all n! permutations.
+    count, then that bitmask).  The sweep visits all 2^(n(n-1)/2) masks and
+    maps each class through all n! permutations, so n above 7 raises
+    ``ValueError`` before any work starts.
     """
+    _refuse_large(n)
     if n < 1:
         return []
     if n == 1:
@@ -95,7 +108,9 @@ def nonisomorphic_connected_graphs(
 
 
 def connected_corpus(max_n: int, max_edges: int | None = None) -> list[Graph]:
-    """Nonisomorphic connected graphs on 2..max_n vertices (nontrivial only)."""
+    """Nonisomorphic connected graphs on 2..max_n vertices (nontrivial only);
+    max_n above 7 raises ``ValueError`` before any work starts."""
+    _refuse_large(max_n)
     out: list[Graph] = []
     for n in range(2, max_n + 1):
         out.extend(nonisomorphic_connected_graphs(n, max_edges))

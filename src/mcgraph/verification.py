@@ -352,6 +352,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
     """Connectivity formulas, theorem intervals, corollaries, discrepancies."""
     res = SuiteResult("bounds")
     weak_lowers: list[str] = []
+    undecided: list[str] = []  # products whose search ran out of nodes
 
     for name_g, g, name_h, h in pool_pairs(24):
         # each product this pair needs, built once
@@ -413,12 +414,30 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
                         f"{cor} > {interval.lower}",
                     )
                 exact = mc_exact(product)
-                res.check(
-                    "theorem_containment",
-                    exact.value is not None and exact.value in interval,
-                    f"{kind.value}({name_g},{name_h}): mc {exact.value} outside "
-                    f"[{interval.lower}, {interval.upper}] ({interval.case})",
-                )
+                if exact.value is None:
+                    # the search ran out of nodes: only its proven interval
+                    # is known, and that must meet the theorem's
+                    proven = exact.bounds
+                    undecided.append(
+                        f"{kind.value}({name_g},{name_h}) in "
+                        f"[{proven.lower}, {proven.upper}]"
+                    )
+                    res.check(
+                        "theorem_meets_search_interval",
+                        proven.lower <= interval.upper
+                        and interval.lower <= proven.upper,
+                        f"{kind.value}({name_g},{name_h}): proven "
+                        f"[{proven.lower}, {proven.upper}] misses "
+                        f"[{interval.lower}, {interval.upper}] ({interval.case})",
+                    )
+                else:
+                    res.check(
+                        "theorem_containment",
+                        exact.value in interval,
+                        f"{kind.value}({name_g},{name_h}): mc {exact.value} "
+                        f"outside [{interval.lower}, {interval.upper}] "
+                        f"({interval.case})",
+                    )
 
     if weak_lowers:
         shown = "; ".join(weak_lowers[:3])
@@ -426,6 +445,12 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
             f"theorem lower bounds fall below the spanning-tree floor on "
             f"{len(weak_lowers)} pool products (dense non-tree factors widen "
             f"the dropped slack), e.g. {shown}"
+        )
+    if undecided:
+        res.findings.append(
+            f"the exact search ran out of nodes on {len(undecided)} pool "
+            f"products, so only their proven intervals are checked against "
+            f"the theorems: {'; '.join(undecided)}"
         )
 
     # documented discrepancy: branch Thm3(3) statement vs its derivation

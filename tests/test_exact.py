@@ -253,9 +253,11 @@ COUNTER_PINS = {
     "lex_P3_C5": (1_730, 1_120, 507, 96),
     "strong_P3_K5": (41, 0, 0, 0),
     "lex_P2_C8": (9_131, 5_303, 314, 120),
+    "lex_P3_P4 seed 1": (69_499, 14_916, 3_133, 353),
     "lex_P3_P4 seed 2": (74, 0, 0, 0),
     "lex_P3_P4 seed 3": (478, 245, 35, 0),
     "lex_P3_P4 seed 4": (371, 194, 32, 0),
+    "lex_P3_P4 seed 5": (29_762, 9_061, 101, 318),
     "generalized_hypercube 2 3 3": (557_903, 78_758, 15_428, 1_246),
 }
 
@@ -394,7 +396,7 @@ class TestSearchRegression:
             12, "capacity", (12,)
         )
 
-    @pytest.mark.parametrize("seed", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_relabelled_counters_pinned(self, seed):
         res = mc_exact(relabelled_lex_p3_p4(seed))
         assert res.value == 32
@@ -1119,7 +1121,7 @@ def reference_moves(solver, u, v, budget, dp):
 def fails_matching_cut(solver, budget, move):
     delta, target, add_v, _ = move
     tv = tree_of(solver, target) | add_v
-    return solver._cut_by(solver.covered, tv, budget - delta) > 0
+    return solver._cuts(solver.covered, tv, budget - delta)
 
 
 def tree_of(solver, target):
@@ -1135,14 +1137,12 @@ def vertices_of(solver, emask):
     return vmask
 
 
-def level_moves(delta, groups, rebuild):
+def level_moves(delta, groups):
     """The moves of one ``_levels`` level, every group rebuilt."""
     return [
         (delta, target, add_v, add_e)
-        for target, found in groups
-        for add_v, edges in rebuilt(
-            found, lambda add_v: rebuild(target, add_v)
-        ).items()
+        for target, keys, expand in groups
+        for add_v, edges in rebuilt(keys, expand).items()
         for add_e in edges
     ]
 
@@ -1197,10 +1197,10 @@ class TestMoveLevels:
     def test_levels_hold_every_move_once(self):
         for seed, solver, budget, (u, v), dp in level_cases():
             deltas, moves = [], []
-            for delta, groups, rebuild in solver._levels(u, v, budget, dp):
+            for delta, groups in solver._levels(u, v, budget, dp):
                 # every rebuilt move adds exactly its group's vertices to
                 # its tree
-                level = level_moves(delta, groups, rebuild)
+                level = level_moves(delta, groups)
                 for _, target, add_v, add_e in level:
                     added = vertices_of(solver, add_e) & ~tree_of(solver, target)
                     assert added == add_v, seed

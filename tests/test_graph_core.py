@@ -45,7 +45,12 @@ from mcgraph.mc import (
     theorem1_certificate,
 )
 from mcgraph.products import ProductKind, make_product
-from mcgraph.smallgraphs import nonisomorphic_connected_graphs, random_connected_graph
+from mcgraph import smallgraphs
+from mcgraph.smallgraphs import (
+    connected_corpus,
+    nonisomorphic_connected_graphs,
+    random_connected_graph,
+)
 from mcgraph.verification import (
     min_edge_cut_exhaustive,
     min_vertex_cut_exhaustive,
@@ -618,6 +623,20 @@ class TestConnectedCorpus:
         # connected graphs on n vertices up to isomorphism (OEIS A001349)
         counts = [len(nonisomorphic_connected_graphs(n)) for n in range(1, 7)]
         assert counts == [1, 1, 2, 6, 21, 112]
+
+    def test_more_than_seven_vertices_is_refused_before_any_work(self, monkeypatch):
+        # n = 8 would walk 2^28 masks, n = 9 allocate a 64 GiB table: the
+        # size is refused before the pairs or permutations are listed
+        def never(*args):
+            pytest.fail("the enumeration started")
+
+        monkeypatch.setattr(smallgraphs, "combinations", never)
+        monkeypatch.setattr(smallgraphs, "permutations", never)
+        monkeypatch.setattr(smallgraphs, "bytearray", never, raising=False)
+        for call in (nonisomorphic_connected_graphs, connected_corpus):
+            for n in (8, 9):
+                with pytest.raises(ValueError, match=f"stops at 7 vertices, got {n}"):
+                    call(n)
 
     def test_each_graph_is_its_class_minimum(self, corpus6):
         def mask(n, edges):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mcgraph import cli
 from mcgraph import io as gio
+from mcgraph import smallgraphs
 from mcgraph.exact import mc_exact
 from mcgraph.families import NetworkSpec, cycle_graph, generate, path_graph
 from mcgraph.mc import EdgeColoring, mc_bounds_combined
@@ -250,6 +251,18 @@ class TestCli:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_verify_core_refuses_max_n_8_before_any_work(self, capsys, monkeypatch):
+        # the real suite runs; it must stop at the corpus size, before the
+        # enumeration lists a pair or a permutation
+        def never(*args):
+            pytest.fail("the enumeration started")
+
+        monkeypatch.setattr(smallgraphs, "combinations", never)
+        monkeypatch.setattr(smallgraphs, "permutations", never)
+        code, out, err = run_cli(capsys, "verify", "core", "--max-n", "8")
+        assert code == 2 and out == ""
+        assert err == "error: exhaustive graph enumeration stops at 7 vertices, got 8\n"
 
     @pytest.mark.parametrize(
         "argv,kwargs",

@@ -342,6 +342,17 @@ class TestBoundsBasic:
         assert (combined.lower, combined.upper) == (m, m)
         assert combined == mc_bounds_basic(product.graph)
 
+    def test_combined_keeps_an_interval_closed_to_a_point(self):
+        # Thm5's lower end meets Lem1's ceiling: the intersection is the
+        # point 18, which is kept, not thrown away for the basic interval
+        paw = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+        combined = mc_bounds_combined(make_product(ProductKind.DIRECT, paw, paw))
+        assert (combined.lower, combined.upper) == (18, 18)
+        assert (combined.lower_source, combined.upper_source) == ("Thm5", "Lem1")
+        assert combined.case == (
+            "basic sandwich intersected with Thm5 nonbipartite factors"
+        )
+
     def test_combined_falls_back_without_gain(self):
         # direct product with a bipartite factor: themed interval inapplicable
         product = make_product(ProductKind.DIRECT, cycle_graph(3), cycle_graph(4))

@@ -28,8 +28,10 @@ from mcgraph.graph import (
     metrics,
     vertex_connectivity,
 )
-from mcgraph.products import ProductKind, make_product
-from mcgraph.verification import factor_pool
+from mcgraph import verification
+from mcgraph.mc import McResult
+from mcgraph.products import ProductGraph, ProductKind, make_product
+from mcgraph.verification import factor_pool, suite_bounds
 
 P2, P3, P4 = path_graph(2), path_graph(3), path_graph(4)
 C3, C4, C5 = cycle_graph(3), cycle_graph(4), cycle_graph(5)
@@ -310,3 +312,39 @@ def test_catalog_answers_are_sound():
                 wrong += [f"{where}: {text}" for ok, text in claims if not ok]
     assert wrong == []
     assert checks == 368  # so a sweep that reaches no answer cannot pass
+
+
+def test_bounds_only_products_are_checked_by_their_proven_interval(monkeypatch):
+    # a product whose search runs out of nodes (direct(K4,C5) does at the
+    # default budget once ``verify bounds --max-n`` reaches 20) is no failed
+    # contract: its proven interval must meet the theorem interval, and the
+    # products are named in one finding.  Here every product search gets 1
+    # node, so no long search runs.
+    real = verification.mc_exact
+
+    def starved(g, **kwargs):
+        if isinstance(g, ProductGraph):
+            return real(g, max_nodes=1)
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(verification, "mc_exact", starved)
+    res = suite_bounds()
+    assert res.ok, res.failures
+    assert res.passed["theorem_meets_search_interval"] == 11
+    assert res.passed["theorem_containment"] == 29  # 40 when all are decided
+    [line] = [f for f in res.findings if "ran out of nodes" in f]
+    assert line.startswith("the exact search ran out of nodes on 11 pool products")
+    assert "; lexicographic(P3,C3) in [20, 22]; " in line
+    assert len(res.findings) == 6
+
+    # a proven interval that misses the theorem interval fails the check
+    def missing(g, **kwargs):
+        if isinstance(g, ProductGraph):
+            iv = BoundInterval(0, 0, "Obs1", "Lem1", "forged")
+            return McResult(None, None, "bounds-only", iv)
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(verification, "mc_exact", missing)
+    failed = [f for f in suite_bounds().failures if "search_interval" in f]
+    assert len(failed) == 40
+    assert "): proven [0, 0] misses [" in failed[0]
