@@ -1,17 +1,23 @@
 """Small-graph corpora: exhaustive connected graphs and seeded random ones.
 
 The exhaustive generator walks the edge-set bitmasks on ``n`` vertices in
-increasing order and keeps the first connected mask of each isomorphism
-class, which is the class's minimum bitmask over all vertex permutations;
-its whole orbit is then marked as seen.  Restricting suites to one
-representative per class is sound for isomorphism-invariant quantities;
-relabeling spot checks are provided separately.
+increasing order, so the first mask met in an isomorphism class is the
+class's minimum bitmask over all vertex permutations; its whole orbit is
+then marked as seen.  The walk is done by ``bytearray.find``: every mask's
+edge count is built as one byte lane, every count out of range is marked
+before the walk starts, and ``seen.find(0, mask + 1)`` jumps to the next
+unseen mask.  Every unseen orbit is marked, connected or not, because
+connectivity holds on a whole orbit or on none of it, so each class is
+visited and tested once.  Restricting suites to one representative per
+class is sound for isomorphism-invariant quantities; relabeling spot
+checks are provided separately.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .graph import Graph, is_connected
 
@@ -22,9 +28,11 @@ __all__ = [
     "random_permutation",
 ]
 
-# n = 7 takes a few CPU seconds; n = 8 walks 2^28 masks with 8! images per
-# class, and n = 9 would need a 64 GiB table of seen masks
+# n = 7 takes about 1.5 CPU seconds; n = 8 would need a 2^28-byte table of
+# edge counts and 8! images per class, and n = 9 a 64 GiB one
 _MAX_N = 7
+
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # adds 1 to each byte lane
 
 
 def _refuse_large(n: int) -> None:
@@ -32,6 +40,15 @@ def _refuse_large(n: int) -> None:
         raise ValueError(
             f"exhaustive graph enumeration stops at {_MAX_N} vertices, got {n}"
         )
+
+
+def _edge_counts(num_pairs: int) -> bytes:
+    """Byte ``mask`` is the number of set bits of ``mask``, for every mask
+    below 2^num_pairs: each doubling appends the lanes so far plus one."""
+    sizes = b"\0"
+    for _ in range(num_pairs):
+        sizes += sizes.translate(_PLUS_ONE)
+    return sizes
 
 
 def _mask_connected(n: int, pairs: list[tuple[int, int]], mask: int) -> bool:
@@ -63,8 +80,12 @@ def nonisomorphic_connected_graphs(
 
     Each class is represented by its minimum edge-set bitmask over all vertex
     permutations, and the classes are returned in a deterministic order (edge
-    count, then that bitmask).  The sweep visits all 2^(n(n-1)/2) masks and
-    maps each class through all n! permutations, so n above 7 raises
+    count, then that bitmask).  Masks with fewer than n - 1 or more than
+    ``max_edges`` edges are marked seen through a byte lane of edge counts;
+    the sweep jumps from one unseen mask to the next with ``bytearray.find``
+    and marks its orbit, each image summed from a row of pair bits per
+    permutation.  On 2 CPUs (Python 3.11) n = 6 takes about 0.03 CPU
+    seconds and n = 7 about 1.5 (1.1 at ``max_edges=12``); n above 7 raises
     ``ValueError`` before any work starts.
     """
     _refuse_large(n)
@@ -74,32 +95,30 @@ def nonisomorphic_connected_graphs(
         return [Graph(1, ())]
     pairs = list(combinations(range(n), 2))
     num_pairs = len(pairs)
-    pair_pos = {p: i for i, p in enumerate(pairs)}
-    # each vertex permutation as the position it sends every pair position to
-    images = [
-        [pair_pos[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+    top = num_pairs if max_edges is None else max_edges
+    out_of_range = bytes(not n - 1 <= size <= top for size in range(256))
+    seen = bytearray(_edge_counts(num_pairs).translate(out_of_range))
+    pos = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        pos[u][v] = pos[v][u] = i
+    # each vertex permutation as the bit it sends every pair position to,
+    # plus a 0 column so that itemgetter always returns a tuple
+    rows = [
+        [1 << pos[perm[u]][perm[v]] for u, v in pairs] + [0]
         for perm in permutations(range(n))
     ]
 
-    seen = bytearray(1 << num_pairs)
     canon = []
-    for mask in range(1 << num_pairs):
+    mask = seen.find(0)
+    while mask >= 0:
         # masks run upwards, so the first mask met in an orbit is its minimum;
-        # edge count and connectivity hold on a whole orbit or on none of it
-        if seen[mask]:
-            continue
-        size = mask.bit_count()
-        if size < n - 1 or (max_edges is not None and size > max_edges):
-            continue
-        if not _mask_connected(n, pairs, mask):
-            continue
-        canon.append(mask)
+        # connectivity holds on a whole orbit or on none of it
         bits = [i for i in range(num_pairs) if mask >> i & 1]
-        for target in images:
-            image = 0
-            for i in bits:
-                image |= 1 << target[i]
+        for image in map(sum, map(itemgetter(*bits, num_pairs), rows)):
             seen[image] = 1
+        if _mask_connected(n, pairs, mask):
+            canon.append(mask)
+        mask = seen.find(0, mask + 1)
     canon.sort(key=lambda m: (m.bit_count(), m))
     return [
         Graph(n, tuple(pairs[i] for i in range(num_pairs) if mask >> i & 1))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import deque
 from itertools import combinations, permutations
@@ -19,6 +20,7 @@ from mcgraph.families import (
 )
 from mcgraph.graph import (
     INFINITE,
+    Graph,
     bfs_parents,
     build_graph,
     complement,
@@ -618,21 +620,84 @@ class TestFlowPins:
         assert len(calls) == 1
 
 
+def reference_connected_graphs(n, max_edges=None):
+    """The mask-by-mask sweep, the differential reference for
+    ``nonisomorphic_connected_graphs``: visit every mask, skip it if seen,
+    out of range or disconnected, else keep it and mark its orbit."""
+    if n < 1:
+        return []
+    if n == 1:
+        return [Graph(1, ())]
+    pairs = list(combinations(range(n), 2))
+    num_pairs = len(pairs)
+    pair_pos = {p: i for i, p in enumerate(pairs)}
+    images = [
+        [pair_pos[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+        for perm in permutations(range(n))
+    ]
+    seen = bytearray(1 << num_pairs)
+    canon = []
+    for mask in range(1 << num_pairs):
+        if seen[mask]:
+            continue
+        size = mask.bit_count()
+        if size < n - 1 or (max_edges is not None and size > max_edges):
+            continue
+        edges = tuple(pairs[i] for i in range(num_pairs) if mask >> i & 1)
+        if not is_connected(Graph(n, edges)):
+            continue
+        canon.append(mask)
+        bits = [i for i in range(num_pairs) if mask >> i & 1]
+        for target in images:
+            seen[sum(1 << target[i] for i in bits)] = 1
+    canon.sort(key=lambda m: (m.bit_count(), m))
+    return [
+        Graph(n, tuple(pairs[i] for i in range(num_pairs) if mask >> i & 1))
+        for mask in canon
+    ]
+
+
+# sha256 of the edge lists of the 853 connected classes on 7 vertices, one
+# str(g.edges) a line in the generator's order, recorded with the mask-by-mask
+# sweep that ``reference_connected_graphs`` keeps
+CORPUS7_DIGEST = "44b54263ead6d86f84e736af184dde7de8f58775670babc12112eccb98b41e17"
+
+
+@pytest.fixture(scope="module")
+def classes7():
+    return nonisomorphic_connected_graphs(7)
+
+
 class TestConnectedCorpus:
-    def test_class_counts(self):
+    def test_class_counts(self, classes7):
         # connected graphs on n vertices up to isomorphism (OEIS A001349)
         counts = [len(nonisomorphic_connected_graphs(n)) for n in range(1, 7)]
-        assert counts == [1, 1, 2, 6, 21, 112]
+        assert counts + [len(classes7)] == [1, 1, 2, 6, 21, 112, 853]
+
+    def test_seven_vertex_classes_pinned(self, classes7):
+        lines = "\n".join(str(g.edges) for g in classes7)
+        assert hashlib.sha256(lines.encode()).hexdigest() == CORPUS7_DIGEST
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sweep_matches_reference(self, n):
+        for max_edges in [None, *range(n - 2, comb(n, 2) + 1)]:
+            assert nonisomorphic_connected_graphs(
+                n, max_edges
+            ) == reference_connected_graphs(n, max_edges), max_edges
 
     def test_more_than_seven_vertices_is_refused_before_any_work(self, monkeypatch):
-        # n = 8 would walk 2^28 masks, n = 9 allocate a 64 GiB table: the
-        # size is refused before the pairs or permutations are listed
+        # n = 8 would need a 2^28-byte table of edge counts, n = 9 a 64 GiB
+        # one: the size is refused before the pairs, the edge counts, the
+        # permutation rows or the seen table are built
         def never(*args):
             pytest.fail("the enumeration started")
 
         monkeypatch.setattr(smallgraphs, "combinations", never)
         monkeypatch.setattr(smallgraphs, "permutations", never)
+        monkeypatch.setattr(smallgraphs, "_edge_counts", never)
+        monkeypatch.setattr(smallgraphs, "itemgetter", never)
         monkeypatch.setattr(smallgraphs, "bytearray", never, raising=False)
+        monkeypatch.setattr(smallgraphs, "bytes", never, raising=False)
         for call in (nonisomorphic_connected_graphs, connected_corpus):
             for n in (8, 9):
                 with pytest.raises(ValueError, match=f"stops at 7 vertices, got {n}"):
