@@ -17,7 +17,6 @@ from .bounds import (
     product_mc_bounds,
 )
 from .errors import BudgetExceededError, InapplicableError
-from .exact import mc_exact, mc_exact_naive
 from .families import (
     NetworkSpec,
     PropositionRow,
@@ -55,6 +54,7 @@ from .mc import (
     spanning_tree_coloring,
     theorem1_certificate,
 )
+from .naive import mc_exact_naive
 from .products import (
     ProductGraph,
     ProductKind,
@@ -63,6 +63,7 @@ from .products import (
     make_product,
     recover_factors,
 )
+from .treecover import mc_exact
 
 __version__ = "0.1.0"
 

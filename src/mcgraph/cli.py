@@ -17,7 +17,6 @@ from typing import NoReturn
 
 from . import io as gio
 from .errors import InapplicableError
-from .exact import DEFAULT_NODE_BUDGET, mc_exact
 from .families import (
     FAMILIES,
     NetworkSpec,
@@ -29,6 +28,7 @@ from .families import (
 from .graph import Graph
 from .mc import check_mc_coloring, mc_bounds_combined, theorem1_certificate
 from .products import ProductKind, make_product
+from .treecover import DEFAULT_NODE_BUDGET, mc_exact
 from .verification import SUITES
 
 EXIT_OK = 0

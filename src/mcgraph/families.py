@@ -21,7 +21,6 @@ from math import comb, prod
 from typing import Callable, NamedTuple
 
 from .bounds import product_mc_bounds
-from .exact import mc_exact
 from .graph import Graph, build_graph, is_complete
 from .mc import (
     all_distinct_coloring,
@@ -30,6 +29,7 @@ from .mc import (
     theorem1_certificate,
 )
 from .products import ProductKind, make_product
+from .treecover import mc_exact
 
 __all__ = [
     "NetworkSpec",

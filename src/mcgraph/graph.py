@@ -48,8 +48,9 @@ Three searches stay separate on purpose:
 * :func:`diameter` runs one level-by-level search per source that keeps only
   a visited list and the depth, with no parent map per source.
 
-The bitmask searches in ``exact`` and ``smallgraphs``, and the symmetry
-backtrack in ``exact``, also stay separate; those modules document them.
+The bitmask searches in ``naive``, ``treecover`` and ``smallgraphs``, and
+the symmetry backtrack in ``treecover``, also stay separate; those modules
+document them.
 
 Each search of a graph costs O(n + m), so a large sparse graph costs what its
 edges cost.  The exhaustive-cut oracles in ``verification`` are kept

@@ -5,8 +5,10 @@ by a path whose edges all share one color; mc(G) is the largest number of
 colors such a coloring can use (0 when G is disconnected).  This module holds
 the coloring/certificate types, the validity checker, the spanning-tree
 construction attaining the m - n + 2 floor, the m - n + kappa + 1 ceiling and
-the five sufficient conditions under which the floor is exact.  The exact
-solvers live in :mod:`mcgraph.exact`.
+the five sufficient conditions under which the floor is exact.  The two
+exact engines live in :mod:`mcgraph.naive` and :mod:`mcgraph.treecover`;
+each returns its value through ``_checked_result`` here, which passes the
+witness through the checker first.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class Theorem1Certificate:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Counters of one tree-cover search (see :mod:`mcgraph.exact`)."""
+    """Counters of one tree-cover search (see :mod:`mcgraph.treecover`)."""
 
     nodes: int  # search visits, frontier starts and states, and groups tested
     floor: int  # the root waste floor
@@ -218,6 +220,30 @@ def check_mc_coloring(
         if missing:
             return False, (u, (missing & -missing).bit_length() - 1)
     return True, None
+
+
+def _trivial_result(g: Graph, method: str) -> McResult:
+    return McResult(value=0, witness=None, method=method, bounds=mc_bounds_basic(g))
+
+
+def _checked_result(
+    g: Graph,
+    witness: EdgeColoring,
+    method: str,
+    bounds: BoundInterval,
+    stats: SearchStats | None = None,
+) -> McResult:
+    """The result that ``witness`` proves, once ``check_mc_coloring`` passes it."""
+    ok, pair = check_mc_coloring(g, witness)
+    if not ok:
+        raise AssertionError(f"{method} witness leaves pair {pair} unserved")
+    return McResult(
+        value=witness.color_count,
+        witness=witness,
+        method=method,
+        bounds=bounds,
+        stats=stats,
+    )
 
 
 def spanning_tree_coloring(g: Graph) -> EdgeColoring:

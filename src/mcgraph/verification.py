@@ -22,7 +22,6 @@ from .bounds import (
     product_mc_bounds,
 )
 from .errors import InapplicableError
-from .exact import DEFAULT_NAIVE_EDGE_CAP, mc_exact, mc_exact_naive
 from .families import (
     NetworkSpec,
     complete_graph,
@@ -49,6 +48,7 @@ from .mc import (
     spanning_tree_coloring,
     theorem1_certificate,
 )
+from .naive import DEFAULT_NAIVE_EDGE_CAP, mc_exact_naive
 from .products import (
     ProductKind,
     distance_formula,
@@ -62,6 +62,7 @@ from .smallgraphs import (
     random_connected_graph,
     random_permutation,
 )
+from .treecover import mc_exact
 
 __all__ = [
     "SuiteResult",

@@ -11,7 +11,6 @@ import pytest
 
 from mcgraph.bounds import product_mc_bounds
 from mcgraph.errors import InapplicableError
-from mcgraph.exact import mc_exact, mc_exact_naive
 from mcgraph.families import NetworkSpec, cycle_graph, generate, path_graph
 from mcgraph.graph import diameter, distances_from
 from mcgraph.mc import (
@@ -19,12 +18,14 @@ from mcgraph.mc import (
     mc_bounds_combined,
     theorem1_certificate,
 )
+from mcgraph.naive import mc_exact_naive
 from mcgraph.products import (
     ProductKind,
     distance_formula,
     make_product,
 )
 from mcgraph.smallgraphs import connected_corpus
+from mcgraph.treecover import mc_exact
 from mcgraph.verification import pool_pairs, suite_bounds
 
 

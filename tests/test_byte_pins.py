@@ -14,11 +14,12 @@ import pytest
 
 from mcgraph import cli
 from mcgraph.bounds import corollary_lower, corollary_source, product_mc_bounds
-from mcgraph.exact import mc_exact, mc_exact_naive
 from mcgraph.graph import Graph
 from mcgraph.mc import mc_bounds_combined
+from mcgraph.naive import mc_exact_naive
 from mcgraph.products import ProductKind, make_product
 from mcgraph.smallgraphs import random_connected_graph
+from mcgraph.treecover import mc_exact
 from mcgraph.verification import factor_pool
 
 FAMILY_ARGS = {

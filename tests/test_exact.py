@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 
 from mcgraph.bounds import product_mc_bounds
 from mcgraph.errors import BudgetExceededError
-from mcgraph import exact
-from mcgraph.exact import (
-    _Frontier,
-    _TreeCoverSolver,
-    mc_exact,
-    mc_exact_naive,
-)
+from mcgraph import naive, treecover
 from mcgraph.families import (
     NetworkSpec,
     complete_graph,
@@ -39,8 +33,10 @@ from mcgraph.mc import (
     check_mc_coloring,
     mc_bounds_basic,
 )
+from mcgraph.naive import mc_exact_naive
 from mcgraph.products import ProductKind, make_product
 from mcgraph.smallgraphs import random_connected_graph, random_permutation
+from mcgraph.treecover import _Frontier, _TreeCoverSolver, mc_exact
 
 
 class TestNaiveEngine:
@@ -79,7 +75,7 @@ class TestNaiveEngine:
     def test_unchecked_witness_is_refused(self, monkeypatch):
         # a partition that colors P4 with three colors leaves (0, 2) unserved
         monkeypatch.setattr(
-            exact, "EdgeColoring", lambda g, colors: EdgeColoring(g, (0, 1, 2))
+            naive, "EdgeColoring", lambda g, colors: EdgeColoring(g, (0, 1, 2))
         )
         with pytest.raises(AssertionError, match=r"naive-partition .* \(0, 2\)"):
             mc_exact_naive(path_graph(4))
@@ -138,7 +134,7 @@ class TestTreeCoverEngine:
 
     def test_unchecked_witness_is_refused(self, monkeypatch):
         monkeypatch.setattr(
-            exact, "spanning_tree_coloring", lambda g: EdgeColoring(g, (0, 1, 2))
+            treecover, "spanning_tree_coloring", lambda g: EdgeColoring(g, (0, 1, 2))
         )
         with pytest.raises(AssertionError, match=r"tree-cover .* \(0, 2\)"):
             mc_exact(path_graph(4))
@@ -478,7 +474,7 @@ class TestSearchRegression:
         def refuse(*args):
             raise AssertionError("a complete graph needs no tree-cover search")
 
-        monkeypatch.setattr(exact, "_TreeCoverSolver", refuse)
+        monkeypatch.setattr(treecover, "_TreeCoverSolver", refuse)
         g = complete_graph(n)
         res = mc_exact(g)
         assert (res.value, res.method) == (g.m, "tree-cover")

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from mcgraph import cli
 from mcgraph import io as gio
 from mcgraph import smallgraphs
-from mcgraph.exact import mc_exact
 from mcgraph.families import NetworkSpec, cycle_graph, generate, path_graph
 from mcgraph.mc import EdgeColoring, mc_bounds_combined
 from mcgraph.products import ProductGraph, ProductKind
+from mcgraph.treecover import mc_exact
 from mcgraph.verification import SuiteResult
 
 

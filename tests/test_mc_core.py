@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcgraph.errors import InapplicableError
-from mcgraph.exact import mc_exact
 from mcgraph.families import (
     NetworkSpec,
     complete_graph,
@@ -29,6 +28,7 @@ from mcgraph.mc import (
 )
 from mcgraph.products import ProductKind, make_product
 from mcgraph.smallgraphs import random_connected_graph
+from mcgraph.treecover import mc_exact
 
 
 def degree_condition_variants(g):

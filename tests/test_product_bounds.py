@@ -13,7 +13,6 @@ from mcgraph.bounds import (
     product_mc_bounds,
 )
 from mcgraph.errors import InapplicableError
-from mcgraph.exact import mc_exact
 from mcgraph.families import (
     complete_graph,
     cycle_graph,
@@ -31,6 +30,7 @@ from mcgraph.graph import (
 from mcgraph import verification
 from mcgraph.mc import McResult
 from mcgraph.products import ProductGraph, ProductKind, make_product
+from mcgraph.treecover import mc_exact
 from mcgraph.verification import factor_pool, suite_bounds
 
 P2, P3, P4 = path_graph(2), path_graph(3), path_graph(4)
