@@ -28,7 +28,7 @@ from .mc import (
     mc_bounds_combined,
     theorem1_certificate,
 )
-from .products import ProductKind, make_product
+from .products import ProductKind, make_product, product_size
 from .treecover import mc_exact
 
 __all__ = [
@@ -88,7 +88,13 @@ def hypercube_graph(dim: int) -> Graph:
 
 
 def _iterated(kind: ProductKind | None, factors: list[Graph]) -> Graph:
-    """Left-associated iterated product; plain graph when only one factor."""
+    """Left-associated iterated product; plain graph when only one factor.
+
+    The sizes of every product on the way are checked by formula first, so
+    an instance too large to build is refused before any product is made.
+    """
+    if len(factors) > 1:
+        product_size(kind, [(f.n, f.m) for f in factors])
     result = factors[0]
     for nxt in factors[1:]:
         result = make_product(kind, result, nxt)

@@ -45,16 +45,20 @@ Three searches stay separate on purpose:
 * :func:`has_cut_vertex` is one depth-first lowpoint search (Hopcroft and
   Tarjan), which a breadth-first tree cannot replace; it keeps its own stack,
   so deep graphs meet no recursion limit.
-* :func:`diameter` runs one level-by-level search per source that keeps only
-  a visited list and the depth, with no parent map per source.
+* :func:`diameter` sweeps all sources at once, a block of them at a time:
+  each vertex keeps a bit mask of the block's sources within distance k,
+  and one round ORs each mask with its neighbours' masks.  The rounds
+  until every mask is full are the block's largest distance, so a hypercube
+  takes as many rounds as its dimension, not one search per source.
 
 The bitmask searches in ``naive``, ``treecover`` and ``smallgraphs``, and
 the symmetry backtrack in ``treecover``, also stay separate; those modules
 document them.
 
-Each search of a graph costs O(n + m), so a large sparse graph costs what its
-edges cost.  The exhaustive-cut oracles in ``verification`` are kept
-independent of all of this code.
+Each search of a graph, and each round of the diameter sweep, costs O(n + m)
+operations, so a large sparse graph costs what its edges cost.  The
+exhaustive-cut oracles in ``verification`` are kept independent of all of
+this code.
 """
 
 from __future__ import annotations
@@ -301,35 +305,54 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(edges), g.labels)
 
 
+# Sources per diameter sweep: the reach masks take O(n * _SWEEP_WIDTH) bits,
+# and a graph of up to this many vertices is swept in one block.
+_SWEEP_WIDTH = 4096
+
+
 def diameter(g: Graph) -> int | float:
     """Maximum pairwise distance; inf when disconnected, 0 for n <= 1.
 
-    One level-by-level search per source; a complete graph needs none.
-    Computes afresh; ``g.diameter`` holds the value computed once.
+    One bit-parallel sweep from all sources at once, a block of up to
+    ``_SWEEP_WIDTH`` sources at a time; a complete graph needs none.  Each
+    vertex keeps a reach mask, the block's sources in its ball of radius k,
+    and each round ORs every ball that misses a source with its neighbours'
+    balls, giving the balls of radius k + 1.  The block's largest distance
+    is the round in which the last ball fills; a round that adds nothing
+    while a ball misses a source means the graph is disconnected.  Computes
+    afresh; ``g.diameter`` holds the value computed once.
     """
-    if g.n <= 1:
+    n = g.n
+    if n <= 1:
         return 0
     if is_complete(g):
         return 1
     nbrs = g.neighbors
     worst = 0
-    for s in g.vertices():
-        seen = [False] * g.n
-        seen[s] = True
-        level, reached, depth = [s], 1, 0
-        while True:
-            nxt = []
-            for u in level:
-                for w in nbrs[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        nxt.append(w)
-            if not nxt:
-                break
-            level, reached, depth = nxt, reached + len(nxt), depth + 1
-        if reached < g.n:
-            return INFINITE
-        worst = max(worst, depth)
+    for lo in range(0, n, _SWEEP_WIDTH):
+        width = min(_SWEEP_WIDTH, n - lo)
+        full = (1 << width) - 1
+        reach = [0] * n
+        for i in range(width):
+            reach[lo + i] = 1 << i
+        missing = [(v, nbrs[v]) for v in range(n) if reach[v] != full]
+        rounds = 0
+        while missing:
+            rounds += 1
+            grown = reach.copy()
+            still = []
+            for item in missing:
+                v, near = item
+                r = reach[v]
+                for w in near:
+                    r |= reach[w]
+                grown[v] = r
+                if r != full:
+                    still.append(item)
+            if grown == reach:
+                return INFINITE
+            reach, missing = grown, still
+        worst = max(worst, rounds)
     return worst
 
 

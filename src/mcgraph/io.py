@@ -21,7 +21,6 @@ from .products import (
     ProductKind,
     edge_count_formula,
     product_edges,
-    recover_factors,
 )
 
 __all__ = [
@@ -99,11 +98,12 @@ def graph_from_obj(obj: dict) -> Graph:
             )
         product = ProductGraph(g.n, g.edges, g.labels, kind=kind, factor_sizes=(ng, nh))
         # the edge count is checked first, and the comparison builds nothing
-        # per declared vertex, so its cost follows the file's size
-        fg, fh = recover_factors(product)
+        # per declared vertex, so its cost follows the file's size; the
+        # recovered factors stay cached on the product for its bounds
+        fg, fh = product.factors
         if (
             edge_count_formula(kind, fg, fh) != g.m
-            or tuple(sorted(product_edges(kind, fg, fh))) != g.edges
+            or tuple(product_edges(kind, fg, fh)) != g.edges
         ):
             raise ValueError(
                 f"product metadata inconsistent: the edges are not a "

@@ -28,7 +28,7 @@ from .graph import (
     is_complete,
     is_connected,
 )
-from .products import ProductGraph, recover_factors
+from .products import ProductGraph
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,7 @@ def mc_bounds_combined(g: Graph) -> BoundInterval:
         # the published pipeline applies the stated lexicographic form even
         # over a complete first factor; keep that reproducible here
         themed = product_mc_bounds(
-            g.kind, *recover_factors(g), allow_complete_first_factor=True
+            g.kind, *g.factors, allow_complete_first_factor=True
         )
     except (InapplicableError, ValueError):
         return basic

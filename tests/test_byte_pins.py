@@ -1,9 +1,10 @@
-"""Byte pins on the command line's outputs, the product-bound catalog and the
-naive engine's witnesses.
+"""Byte pins on the command line's outputs, the products of the factor pool,
+the product-bound catalog and the naive engine's witnesses.
 
-Each digest is the sha256 of one command's stdout, of every answer the bound
-catalog gives over a fixed factor pool, or of every naive result over a fixed
-graph set; a digest that moves means a user-visible output changed.
+Each digest is the sha256 of one command's stdout, of every product or every
+answer the bound catalog gives over a fixed factor pool, or of every naive
+result over a fixed graph set; a digest that moves means a user-visible
+output changed.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import random
 import pytest
 
 from mcgraph import cli
+from mcgraph import io as gio
 from mcgraph.bounds import corollary_lower, corollary_source, product_mc_bounds
 from mcgraph.graph import Graph
 from mcgraph.mc import mc_bounds_combined
@@ -77,6 +79,8 @@ PRODUCT_DIGESTS = {
     "strong": "8a5dd67acab84edbfee7025e3d702f127eb12fe284e12fa6e7c9a98b750953e3",
     "direct": "65c181a21abd0eaf8c20d4e20e569234b4efba9a19d0e5fb61b7ff2060650616",
 }
+# every kind over every ordered pair of the factor pool, as graph JSON
+POOL_PRODUCT_DIGEST = "ae46d43d785d39ae0b29c713d99fd81356479c72538f2a7435813592b8527f2e"
 BOUNDS_DIGESTS = {
     "cartesian": "b9f9f268333e9bea0c10c38b6b91f2886f099ed728cd2b46e593965e5d66d0e4",
     "lexicographic": "86fe8bcdab74c6f06189a44651808b9768dfe0cc7fa2c50bb7e8a4bd4a625fec",
@@ -117,6 +121,17 @@ def test_product_json_and_bounds(tmp_path, capsys, kind):
     # -o writes exactly what stdout would show
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PRODUCT_DIGESTS[kind]
     assert stdout_digest(capsys, "mc", "bounds", str(out)) == BOUNDS_DIGESTS[kind]
+
+
+def test_pool_products():
+    pool = factor_pool()
+    h = hashlib.sha256()
+    for kind in ProductKind:
+        for _, g in pool:
+            for _, f in pool:
+                h.update(gio.dumps(gio.graph_to_obj(make_product(kind, g, f))).encode())
+                h.update(b"\n")
+    assert h.hexdigest() == POOL_PRODUCT_DIGEST
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -482,6 +482,12 @@ def reference_check(g, coloring):
 # thin graphs, where the two frontiers of the search alternate every level
 @example(cycle_graph(8), random.Random(2))
 @example(make_product(ProductKind.CARTESIAN, cycle_graph(6), path_graph(2)), random.Random(3))
+# the diameter sweep's edge cases: no vertex, one vertex, an isolated vertex
+# beside a component, and a complete graph (answered without a sweep)
+@example(Graph(0, ()), random.Random(4))
+@example(Graph(1, ()), random.Random(5))
+@example(build_graph(5, [(0, 1), (1, 2), (2, 3)]), random.Random(6))
+@example(complete_graph(5), random.Random(7))
 def test_kernel_matches_references(g, rnd):
     for h in (g, complement(g)):
         caps = range(1, min_degree(h) + 2)
@@ -507,6 +513,47 @@ def test_kernel_matches_references(g, rnd):
             for edges in coloring.color_classes():
                 assert edge_components(h.n, edges) == reference_edge_components(h.n, edges)
             assert check_mc_coloring(h, coloring) == reference_check(h, coloring)
+
+
+# Long thin graphs take as many sweep rounds as their diameter.  They stand
+# apart from the kernel test above, whose flow check on the complement of a
+# 60-vertex graph would run some 400,000 reference flows.
+LONG_THIN = [path_graph(60), make_product(ProductKind.CARTESIAN, cycle_graph(30), path_graph(2))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_n=12), st.integers(1, 13))
+@example(LONG_THIN[0], 7)
+@example(LONG_THIN[1], 16)
+@example(LONG_THIN[0], graph_module._SWEEP_WIDTH)
+@example(LONG_THIN[1], graph_module._SWEEP_WIDTH)
+@example(build_graph(4, [(1, 2)]), 1)  # the one-source block of vertex 0 is full at once
+def test_diameter_sweep_matches_reference(g, width):
+    # narrow blocks make small graphs take several, with a short last block
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_SWEEP_WIDTH", width)
+        assert diameter(g) == reference_diameter(g)
+
+
+# the nine network-families instances of the benchmark, Q10 and C1100
+DIAMETER_PINS = [
+    ("hypercube", (6,), 6),
+    ("torus", (3, 3, 3, 3), 4),
+    ("grid", (10, 10), 18),
+    ("mesh", (4, 4, 4), 9),
+    ("generalized_hypercube", (3, 3, 3), 3),
+    ("hyper_petersen", (4,), 3),
+    ("hl", (4,), 2),
+    ("lex_torus", (3, 3), 1),
+    ("lex_torus", (3, 3, 3, 3), 1),
+    ("hypercube", (10,), 10),
+    ("cycle", (1100,), 550),
+]
+
+
+@pytest.mark.parametrize("family, params, diam", DIAMETER_PINS)
+def test_diameter_pins(family, params, diam):
+    assert diameter(generate(NetworkSpec(family, params))) == diam
 
 
 TORUS_3333 = generate(NetworkSpec("torus", (3, 3, 3, 3)))

@@ -2,18 +2,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcgraph import cli
+from mcgraph import cli, families, products
 from mcgraph import io as gio
 from mcgraph import smallgraphs
 from mcgraph.families import NetworkSpec, cycle_graph, generate, path_graph
 from mcgraph.mc import EdgeColoring, mc_bounds_combined
-from mcgraph.products import ProductGraph, ProductKind
+from mcgraph.products import ProductGraph, ProductKind, make_product
 from mcgraph.treecover import mc_exact
 from mcgraph.verification import SuiteResult
 
@@ -400,6 +401,80 @@ def test_product_claim_with_a_wrong_edge_count_is_refused_unbuilt(monkeypatch):
     obj = {"n": 2 * n, "edges": [[0, n]], "product": {"kind": "lex", "factors": [2, n]}}
     with pytest.raises(ValueError, match="inconsistent"):
         gio.graph_from_obj(obj)
+
+
+@pytest.fixture()
+def recoveries(monkeypatch):
+    """The product of every ``recover_factors`` call, under each name the
+    package binds it to."""
+    calls = []
+    real = products.recover_factors
+
+    def counting(product):
+        calls.append(product)
+        return real(product)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mcgraph" and hasattr(module, "recover_factors"):
+            monkeypatch.setattr(module, "recover_factors", counting)
+    return calls
+
+
+def test_mc_bounds_on_a_product_file_recovers_its_factors_once(
+    tmp_path, capsys, recoveries
+):
+    path = tmp_path / "hl4.json"
+    assert cli.main(["gen", "hl", "4", "-o", str(path)]) == 0
+    assert recoveries == []
+    code, out, _ = run_cli(capsys, "mc", "bounds", str(path))
+    assert code == 0 and json.loads(out)["upper"] == 121
+    assert len(recoveries) == 1
+
+
+def test_mc_bounds_combined_on_a_built_product_recovers_its_factors_once(recoveries):
+    p = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(4))
+    first = mc_bounds_combined(p)
+    assert mc_bounds_combined(p) == first and len(recoveries) == 1
+
+
+def never(*args):
+    pytest.fail("a product was built")
+
+
+# hl(40) is Q37 lex Petersen: its first factor, a cartesian product, is
+# refused before the lexicographic one is sized
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "hypercube", "40"), ("gen", "hl", "40"), ("gen", "torus", "100", "100", "100")],
+)
+def test_gen_refuses_too_large_a_product_before_building(capsys, monkeypatch, argv):
+    monkeypatch.setattr(families, "make_product", never)
+    monkeypatch.setattr(products, "product_edges", never)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: cartesian product too large: ") and err.count("\n") == 1
+    assert peak < 1 << 20
+
+
+def test_product_refuses_too_large_a_product_before_building(
+    tmp_path, capsys, monkeypatch
+):
+    # lex(P3, 600 isolated vertices) would have 2 * 600^2 = 720,000 edges
+    a, b = tmp_path / "p3.json", tmp_path / "empty.json"
+    a.write_text(gio.dumps(gio.graph_to_obj(path_graph(3))))
+    b.write_text(gio.dumps({"n": 600, "edges": []}))
+    monkeypatch.setattr(products, "product_edges", never)
+    code, out, err = run_cli(capsys, "product", "lex", str(a), str(b))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: lexicographic product too large: 1800 vertices and 720000 edges "
+        "(at most 524288 of each)\n"
+    )
 
 
 @pytest.mark.parametrize("product", [None, {"kind": "cartesian", "factors": [1000, 1000]}])

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from mcgraph import products
 from mcgraph.errors import InapplicableError
 from mcgraph.families import (
     complete_graph,
@@ -15,14 +18,16 @@ from mcgraph.graph import (
     relabel,
 )
 from mcgraph.products import (
+    MAX_PRODUCT_SIZE,
     ProductKind,
     distance_formula,
     edge_count_formula,
     make_product,
+    product_size,
     recover_factors,
     swap_map,
 )
-from mcgraph.verification import suite_products
+from mcgraph.verification import factor_pool, suite_products
 
 P2 = path_graph(2)
 P3 = path_graph(3)
@@ -63,6 +68,90 @@ class TestMakeProduct:
     def test_empty_factor_rejected(self):
         with pytest.raises(ValueError):
             make_product(ProductKind.CARTESIAN, build_graph(0, []), P2)
+
+    def test_colliding_labels_refused(self):
+        # first-factor labels of mixed length can concatenate alike:
+        # (1,) + (2, 3) == (1, 2) + (3,)
+        g = build_graph(2, [(0, 1)], [(1,), (1, 2)])
+        h = build_graph(2, [(0, 1)], [(2, 3), (3,)])
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            make_product(ProductKind.CARTESIAN, g, h)
+        # the same lengths the other way round stay distinct
+        assert make_product(ProductKind.CARTESIAN, h, g).labels[1] == (2, 3, 1, 2)
+
+
+# the pool's factors, plus K1 and factors with an isolated vertex or two
+# components, which the lexicographic and direct rules treat apart
+DEFINITION_FACTORS = [f for _, f in factor_pool()] + [
+    Graph(1, ()),
+    Graph(3, ((0, 1),)),
+    Graph(4, ((0, 1), (2, 3))),
+]
+
+
+def product_by_definition(kind, g, h):
+    """The product's edges, read off the four rules over every vertex pair."""
+
+    rule = {
+        ProductKind.CARTESIAN: lambda a, x, b, y: (a == b and h.has_edge(x, y))
+        or (x == y and g.has_edge(a, b)),
+        ProductKind.LEXICOGRAPHIC: lambda a, x, b, y: g.has_edge(a, b)
+        or (a == b and h.has_edge(x, y)),
+        ProductKind.STRONG: lambda a, x, b, y: (a == b or g.has_edge(a, b))
+        and (x == y or h.has_edge(x, y))
+        and (a, x) != (b, y),
+        ProductKind.DIRECT: lambda a, x, b, y: g.has_edge(a, b) and h.has_edge(x, y),
+    }[kind]
+    return tuple(
+        (u, v)
+        for u, v in combinations(range(g.n * h.n), 2)
+        if rule(*divmod(u, h.n), *divmod(v, h.n))
+    )
+
+
+@pytest.mark.parametrize("kind", list(ProductKind))
+def test_products_match_their_definition(kind):
+    for g in DEFINITION_FACTORS:
+        for h in DEFINITION_FACTORS:
+            assert g.n <= 5 and h.n <= 5
+            p = make_product(kind, g, h)
+            assert p.edges == product_by_definition(kind, g, h), (g, h)
+            assert p.labels == tuple((a, x) for a in g.vertices() for x in h.vertices())
+            assert (p.n, p.kind, p.factor_sizes) == (g.n * h.n, kind, (g.n, h.n))
+
+
+class TestSizeGuard:
+    def test_the_cap_is_inclusive(self):
+        # direct: 2 * 512 * 512 edges on 1024 * 512 vertices, 2^19 of each
+        assert product_size(ProductKind.DIRECT, [(1024, 512), (512, 512)]) == (
+            MAX_PRODUCT_SIZE,
+            MAX_PRODUCT_SIZE,
+        )
+        with pytest.raises(ValueError, match="too large"):
+            product_size(ProductKind.DIRECT, [(1024, 512), (512, 513)])
+        # 3 * 174,763 = 2^19 + 1 vertices
+        with pytest.raises(ValueError, match="too large"):
+            product_size(ProductKind.DIRECT, [(3, 0), (174_763, 0)])
+
+    def test_a_product_on_the_way_counts(self):
+        # the direct product with an edgeless last factor has no edge, but
+        # the product before it has 2^20, and the message names that one
+        sizes = [(1024, 1024), (512, 512), (1, 0)]
+        with pytest.raises(ValueError, match="524288 vertices and 1048576 edges"):
+            product_size(ProductKind.DIRECT, sizes)
+        assert product_size(ProductKind.DIRECT, [(2, 1)] * 4) == (16, 8)
+
+    @pytest.mark.parametrize("kind", list(ProductKind))
+    def test_sizes_are_the_built_ones(self, kind):
+        g, h = cycle_graph(4), path_graph(3)
+        p = make_product(kind, make_product(kind, g, h), g)
+        assert product_size(kind, [(g.n, g.m), (h.n, h.m), (g.n, g.m)]) == (p.n, p.m)
+
+    def test_make_product_refuses_before_building(self, monkeypatch):
+        monkeypatch.setattr(products, "product_edges", lambda *args: pytest.fail("built"))
+        big = Graph(1000, ())
+        with pytest.raises(ValueError, match="1000000 vertices and 0 edges"):
+            make_product(ProductKind.CARTESIAN, big, big)
 
 
 class TestEdgeCountFormula:
