@@ -1,9 +1,11 @@
 """Interconnection-network families and the proposition report.
 
 Every family is one row of ``_FAMILIES``: the product kind (None for a plain
-graph), the factor list built from the parameters, the parameter count (None
-for any positive count), the least parameter value, and the message for a
-value below it.  ``NetworkSpec`` validates against the row and ``generate``
+graph), the factors the parameters give, each with its size and its builder,
+the parameter count (None for any positive count), the least parameter
+value, and the message for a value below it.  ``NetworkSpec`` validates
+against the row and ``generate`` sizes the instance from its factors' sizes,
+refusing one above ``MAX_PRODUCT_SIZE`` before any factor is built, then
 builds its iterated, left-associated product (A op B op C means
 (A op B) op C), matching how the report splits each instance into a first
 block G and a remainder H.  Generators preserve coordinate labels.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import io as _io
 from dataclasses import asdict, astuple, dataclass, fields
+from functools import partial
 from math import comb, prod
 from typing import Callable, NamedTuple
 
@@ -28,7 +31,7 @@ from .mc import (
     mc_bounds_combined,
     theorem1_certificate,
 )
-from .products import ProductKind, make_product, product_size
+from .products import MAX_PRODUCT_SIZE, ProductKind, make_product, product_size
 from .treecover import mc_exact
 
 __all__ = [
@@ -87,26 +90,19 @@ def hypercube_graph(dim: int) -> Graph:
     return generate(NetworkSpec("hypercube", (dim,)))
 
 
-def _iterated(kind: ProductKind | None, factors: list[Graph]) -> Graph:
-    """Left-associated iterated product; plain graph when only one factor.
-
-    The sizes of every product on the way are checked by formula first, so
-    an instance too large to build is refused before any product is made.
-    """
-    if len(factors) > 1:
-        product_size(kind, [(f.n, f.m) for f in factors])
-    result = factors[0]
-    for nxt in factors[1:]:
-        result = make_product(kind, result, nxt)
-    return result
-
-
 # -- the family table --------------------------------------------------------
+
+
+class _Factor(NamedTuple):
+    """One factor of an instance: its (vertices, edges), and how to build it."""
+
+    size: tuple[int, int]
+    build: Callable[[], Graph]
 
 
 class _Family(NamedTuple):
     kind: ProductKind | None  # None: a plain graph, one factor
-    factors: Callable[[tuple[int, ...]], list[Graph]]
+    factors: Callable[[tuple[int, ...]], list[_Factor]]
     count: int | None  # None: any positive number of parameters
     floor: int
     below_floor: str  # follows the family name in the error message
@@ -116,39 +112,48 @@ CART, LEX = ProductKind.CARTESIAN, ProductKind.LEXICOGRAPHIC
 _POSITIVE = "parameters must be positive"
 
 
-def _each(base: Callable[[int], Graph]) -> Callable[[tuple[int, ...]], list[Graph]]:
-    return lambda p: [base(k) for k in p]
+def _each(
+    base: Callable[[int], Graph], size: Callable[[int], tuple[int, int]]
+) -> Callable[[tuple[int, ...]], list[_Factor]]:
+    """One factor ``base(k)``, of ``size(k)`` vertices and edges, per parameter k."""
+    return lambda p: [_Factor(size(k), partial(base, k)) for k in p]
 
 
-def _cube_petersen(p: tuple[int, ...]) -> list[Graph]:
-    return [hypercube_graph(p[0] - 3), petersen_graph()]
+_PATHS = _each(path_graph, lambda k: (k, k - 1))
+_CYCLES = _each(cycle_graph, lambda k: (k, k))
+_CLIQUES = _each(complete_graph, lambda k: (k, comb(k, 2)))
+_STARS = _each(star_graph, lambda k: (k, k - 1))
+_PETERSEN = _Factor((10, 15), petersen_graph)
 
 
-def _cube(p: tuple[int, ...]) -> list[Graph]:
-    return [path_graph(2)] * p[0] or [complete_graph(1)]  # the 0-cube is one vertex
+def _cube(p: tuple[int, ...]) -> list[_Factor]:
+    # the 0-cube is one vertex
+    return _PATHS((2,)) * p[0] or _CLIQUES((1,))
+
+
+def _cube_petersen(p: tuple[int, ...]) -> list[_Factor]:
+    cube = _cube((p[0] - 3,))
+    size = _size("hypercube", CART, cube)
+    return [_Factor(size, partial(_build, CART, cube)), _PETERSEN]
 
 
 _FAMILIES: dict[str, _Family] = {
-    "path": _Family(None, _each(path_graph), 1, 1, _POSITIVE),
-    "cycle": _Family(None, _each(cycle_graph), 1, 3, "size must be at least three"),
-    "clique": _Family(None, _each(complete_graph), 1, 1, _POSITIVE),
-    "star": _Family(None, _each(star_graph), 1, 2, "needs at least two vertices"),
+    "path": _Family(None, _PATHS, 1, 1, _POSITIVE),
+    "cycle": _Family(None, _CYCLES, 1, 3, "size must be at least three"),
+    "clique": _Family(None, _CLIQUES, 1, 1, _POSITIVE),
+    "star": _Family(None, _STARS, 1, 2, "needs at least two vertices"),
     "hypercube": _Family(CART, _cube, 1, 0, "parameters must be non-negative"),
-    "petersen": _Family(None, lambda p: [petersen_graph()], 0, 0, ""),
-    "grid": _Family(CART, _each(path_graph), 2, 1, _POSITIVE),
-    "mesh": _Family(CART, _each(path_graph), None, 1, _POSITIVE),
-    "lex_mesh": _Family(LEX, _each(path_graph), None, 1, _POSITIVE),
-    "torus": _Family(
-        CART, _each(cycle_graph), None, 3, "rings must have size at least three"
-    ),
-    "lex_torus": _Family(
-        LEX, _each(cycle_graph), None, 3, "rings must have size at least three"
-    ),
+    "petersen": _Family(None, lambda p: [_PETERSEN], 0, 0, ""),
+    "grid": _Family(CART, _PATHS, 2, 1, _POSITIVE),
+    "mesh": _Family(CART, _PATHS, None, 1, _POSITIVE),
+    "lex_mesh": _Family(LEX, _PATHS, None, 1, _POSITIVE),
+    "torus": _Family(CART, _CYCLES, None, 3, "rings must have size at least three"),
+    "lex_torus": _Family(LEX, _CYCLES, None, 3, "rings must have size at least three"),
     "generalized_hypercube": _Family(
-        CART, _each(complete_graph), None, 2, "cliques need size at least two"
+        CART, _CLIQUES, None, 2, "cliques need size at least two"
     ),
     "lex_generalized_hypercube": _Family(
-        LEX, _each(complete_graph), None, 2, "cliques need size at least two"
+        LEX, _CLIQUES, None, 2, "cliques need size at least two"
     ),
     "hyper_petersen": _Family(CART, _cube_petersen, 1, 3, "needs parameter n >= 3"),
     "hl": _Family(LEX, _cube_petersen, 1, 3, "needs parameter n >= 3"),
@@ -177,10 +182,44 @@ class NetworkSpec:
             raise ValueError(f"{self.family} {row.below_floor}")
 
 
+def _size(family: str, kind: ProductKind | None, factors: list[_Factor]) -> tuple[int, int]:
+    """(vertices, edges) of the instance, from its factors' sizes alone.
+
+    Raises ``ValueError`` when the instance, or a product on the way to it,
+    has more than ``MAX_PRODUCT_SIZE`` vertices or edges.  A cartesian or
+    lexicographic product has at least the vertices and the edges of each
+    factor, so only a one-factor instance is checked on its own.
+    """
+    sizes = [f.size for f in factors]
+    if len(sizes) > 1:
+        return product_size(kind, sizes)
+    n, m = sizes[0]
+    if max(n, m) > MAX_PRODUCT_SIZE:
+        raise ValueError(
+            f"{family} too large: {n} vertices and {m} edges "
+            f"(at most {MAX_PRODUCT_SIZE} of each)"
+        )
+    return n, m
+
+
+def _build(kind: ProductKind | None, factors: list[_Factor]) -> Graph:
+    """Left-associated iterated product; plain graph when only one factor."""
+    result = factors[0].build()
+    for nxt in factors[1:]:
+        result = make_product(kind, result, nxt.build())
+    return result
+
+
 def generate(spec: NetworkSpec) -> Graph:
-    """Build the family instance; product families keep product metadata."""
+    """Build the family instance; product families keep product metadata.
+
+    The instance is sized by formula first, so one too large to build is
+    refused before any factor is made.
+    """
     row = _FAMILIES[spec.family]
-    return _iterated(row.kind, row.factors(spec.params))
+    factors = row.factors(spec.params)
+    _size(spec.family, row.kind, factors)
+    return _build(row.kind, factors)
 
 
 # -- proposition report ------------------------------------------------------

@@ -10,6 +10,7 @@ sizes come from the closed forms before anything is allocated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -107,7 +108,8 @@ def product_edges(kind: ProductKind, g: Graph, h: Graph) -> list[tuple[int, int]
 
 
 MAX_PRODUCT_SIZE = 2**19
-"""Most vertices, and most edges, of a product that is built.  Q16 (65,536
+"""Most vertices, and most edges, of a product that is built, and of any
+network-family instance (``families.generate`` sizes it first).  Q16 (65,536
 vertices, 524,288 edges) is the largest hypercube within it: it builds in
 about 0.6 s CPU at a 160 MB peak RSS, and ``mcgraph gen hypercube 16``
 writes it as JSON in about 1.3 s at a 280 MB peak (Python 3.11, 2 CPUs)."""
@@ -221,31 +223,35 @@ def recover_factors(product: ProductGraph) -> tuple[Graph, Graph]:
     pair of graphs with the recorded sizes.  This function does not check
     that; :func:`mcgraph.io.graph_from_obj` does, by regenerating the product
     edges from the projections and rejecting a file whose edges differ.
+
+    The cartesian, strong and lexicographic products hold a copy of H on
+    row 0, the vertices ``(0, h)``, and a copy of G on column 0, the vertices
+    ``(g, 0)`` at the indices divisible by |V(H)|, and no other edge inside
+    either: so H is read off the edges inside row 0, all of them among the
+    sorted edges that start in row 0, and G off the edges inside column 0.
+    The direct product has no edge inside a row or a column, and every one
+    of its edges is scanned, each projecting to an edge of both factors.
+
+    Reading less of the file changes nothing ``graph_from_obj`` accepts or
+    says.  A genuine product yields the same two factors whether every edge
+    is projected or only the two copies are read, so its regenerated edges
+    match either way; any other file is refused either way, because no pair
+    of factors regenerates its edges; and the message names only the kind
+    and the declared sizes.  Nothing here loops over the declared vertices,
+    so the cost follows the file.
     """
     ng, nh = product.factor_sizes
-    kind = product.kind
-    g_edges: set[tuple[int, int]] = set()
-    h_edges: set[tuple[int, int]] = set()
-    for u, v in product.edges:
-        a, x = divmod(u, nh)
-        b, y = divmod(v, nh)
-        if kind is ProductKind.CARTESIAN or kind is ProductKind.STRONG:
-            if x == y and a != b:
-                g_edges.add((min(a, b), max(a, b)))
-            if a == b and x != y:
-                h_edges.add((min(x, y), max(x, y)))
-        elif kind is ProductKind.LEXICOGRAPHIC:
-            if a != b:
-                g_edges.add((min(a, b), max(a, b)))
-            else:
-                h_edges.add((min(x, y), max(x, y)))
-        else:  # direct: every edge projects to an edge in each factor
-            g_edges.add((min(a, b), max(a, b)))
-            h_edges.add((min(x, y), max(x, y)))
-    return (
-        Graph(ng, tuple(sorted(g_edges))),
-        Graph(nh, tuple(sorted(h_edges))),
-    )
+    edges = product.edges
+    if product.kind is ProductKind.DIRECT:
+        g_edges = sorted({(u // nh, v // nh) for u, v in edges})
+        h_pairs = ((u % nh, v % nh) for u, v in edges)
+        h_edges = sorted({(x, y) if x < y else (y, x) for x, y in h_pairs})
+    else:
+        # both copies come out distinct and sorted, as the edges are
+        row0 = edges[: bisect_left(edges, (nh,))]
+        h_edges = [(x, y) for x, y in row0 if y < nh]
+        g_edges = [(u // nh, v // nh) for u, v in edges if not u % nh and not v % nh]
+    return Graph(ng, tuple(g_edges)), Graph(nh, tuple(h_edges))
 
 
 def swap_map(ng: int, nh: int) -> list[int]:

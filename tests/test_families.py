@@ -103,6 +103,15 @@ class TestFamilyTable:
         one_factor = len(row.factors(params)) == 1
         assert getattr(g, "kind", None) is (None if one_factor else row.kind)
 
+    @pytest.mark.parametrize("bump", [0, 1, 2])
+    def test_sizes_by_formula_are_the_built_ones(self, family, bump):
+        row = _FAMILIES[family]
+        params = tuple(p + bump for p in least_params(family))
+        factors = row.factors(params)
+        assert [f.size for f in factors] == [(f.build().n, f.build().m) for f in factors]
+        g = generate(spec(family, *params))
+        assert families._size(family, row.kind, factors) == (g.n, g.m)
+
     def test_bad_specs_are_rejected(self, family):
         for params, message in bad_specs(family):
             with pytest.raises(ValueError) as info:

@@ -605,15 +605,16 @@ HL4 = generate(NetworkSpec("hl", (4,)))
 
 
 class TestFlowPins:
-    # kappa runs exactly the flows it ran over the dict network, and none
-    # where its floor (no cut vertex: 2) reaches delta; lambda, floored at
-    # the cached kappa, runs none where kappa = delta
+    # kappa runs exactly these flows, the pivot's fenced sinks skipped (96,
+    # 72 and 39 before the fence), and none where its floor (no cut vertex:
+    # 2) reaches delta; lambda, floored at the cached kappa, runs none where
+    # kappa = delta
     @pytest.mark.parametrize(
         "g,kappa_flows,lambda_flows",
         [
-            (TORUS_3333, 96, 0),
-            (Q6, 72, 0),
-            (HL4, 39, 0),
+            (TORUS_3333, 79, 0),
+            (Q6, 41, 0),
+            (HL4, 37, 0),
             (generate(NetworkSpec("grid", (10, 10))), 0, 0),
             (cycle_graph(200), 0, 0),
         ],
@@ -665,6 +666,121 @@ class TestFlowPins:
         assert metrics(g).diameter == 3
         assert "d" in theorem1_certificate(g).conditions
         assert len(calls) == 1
+
+
+def separated(g, v, u, cut):
+    """Whether removing ``cut`` leaves no path from ``v`` to ``u``."""
+    seen, todo = {v}, [v]
+    while todo:
+        for w in g.adjacency[todo.pop()]:
+            if w not in seen and w not in cut:
+                seen.add(w)
+                todo.append(w)
+    return u not in seen
+
+
+def local_connectivity(g, v, u):
+    """kappa(v, u) of non-adjacent ``v`` and ``u``: by brute force over vertex
+    subsets up to 9 vertices, by the reference flow (Menger) above that."""
+    if g.n > 9:
+        return reference_max_flow(reference_split_network(g), 2 * v + 1, 2 * u, g.n)
+    others = [w for w in g.vertices() if w not in (v, u)]
+    return next(
+        size
+        for size in range(len(others) + 1)
+        for cut in combinations(others, size)
+        if separated(g, v, u, set(cut))
+    )
+
+
+def record_skips(patch):
+    """(graph, pivot, sink, best) of every sink the sweep finds fenced, with
+    the best cut at the moment it skips the flow, from now on."""
+    found = []
+
+    class Recording(graph_module._Sweep):
+        def __iter__(self):
+            for u, fenced in super().__iter__():
+                if fenced:
+                    found.append((self.g, self.v, u, self.best))
+                yield u, fenced
+
+    patch.setattr(graph_module, "_Sweep", Recording)
+    return found
+
+
+MESH_333 = generate(NetworkSpec("mesh", (3, 3, 3)))
+# the pivot 0 skips sink 7 at best 4, the flow to sink 1 finds 3, and sink
+# 5 is then fenced at 3
+FENCE_THEN_FALL = build_graph(
+    8,
+    [(0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5),
+     (2, 6), (2, 7), (3, 4), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6), (6, 7)],
+)
+# the flow from the pivot 1 to sink 0 finds 3 < delta = 4, and only the
+# rescan at 3 finds sinks 7 and 4 fenced: no more sink needs a flow
+FALL_THEN_FENCE = build_graph(
+    8,
+    [(0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5), (1, 6), (2, 3),
+     (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 7), (4, 7), (5, 6), (6, 7)],
+)
+
+# the pivot 0 has five neighbours in a K12 on 1..12; a triangle on 13..15
+# hangs off its neighbours 1, 2, 3 and a K4 on 16..19 off 6..9.  The flow
+# into the K4 lowers best to 4, and the triangle, fenced by three vertices
+# only, still needs its flow, which finds kappa = 3.
+TWO_POCKETS = build_graph(
+    20,
+    [(0, x) for x in range(1, 6)]
+    + list(combinations(range(1, 13), 2))
+    + list(combinations(range(13, 16), 2))
+    + [(c, x) for c in range(13, 16) for x in (1, 2, 3)]
+    + list(combinations(range(16, 20), 2))
+    + [(d, x) for d in range(16, 20) for x in (6, 7, 8, 9)],
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(max_n=9))
+@example(MESH_333)
+@example(LONG_THIN[1])  # the prism C30 x P2
+@example(FENCE_THEN_FALL)
+@example(FALL_THEN_FENCE)
+@example(TWO_POCKETS)
+def test_fenced_sinks_need_no_flow(g):
+    # complements only where the brute force stays cheap
+    hosts = (g, complement(g)) if g.n <= 9 else (g,)
+    with pytest.MonkeyPatch.context() as patch:
+        found = record_skips(patch)
+        for h in hosts:
+            assert vertex_connectivity(h) == min_vertex_cut_exhaustive(h)
+            for k in range(1, min(min_degree(h) + 2, h.n)):
+                # Even's test against its definition
+                assert graph_module._even_flows_reach(h, k) == all(
+                    local_connectivity(h, v, u) >= k
+                    for v in range(k)
+                    for u in h.vertices()
+                    if u != v and u not in h.adjacency[v]
+                )
+    for h, v, u, best in found:
+        assert local_connectivity(h, v, u) >= best, (v, u)
+
+
+@pytest.mark.parametrize(
+    "g,pivot_flows,fenced",
+    [
+        (FENCE_THEN_FALL, [(1, 2)], [(0, 7, 4), (0, 5, 3)]),
+        (FALL_THEN_FENCE, [(3, 0)], [(1, 7, 3), (1, 4, 3)]),
+    ],
+    ids=["fence-then-fall", "fall-then-fence"],
+)
+def test_skips_around_a_fall(monkeypatch, flows, g, pivot_flows, fenced):
+    skips = record_skips(monkeypatch)
+    assert vertex_connectivity(g) == 3 < min_degree(g)
+    # network nodes: the pivot's out-copy 2v + 1, each sink's in-copy 2u
+    pivot = fenced[0][0]
+    assert [(s, t) for s, t in flows if s == 2 * pivot + 1] == pivot_flows
+    assert [(v, u, best) for _, v, u, best in skips] == fenced
 
 
 def reference_connected_graphs(n, max_edges=None):

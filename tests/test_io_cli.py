@@ -461,6 +461,34 @@ def test_gen_refuses_too_large_a_product_before_building(capsys, monkeypatch, ar
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # C600000 alone would peak at about 156 MB
+        (
+            ("gen", "torus", "600000", "3"),
+            "cartesian product too large: 1800000 vertices and 3600000 edges",
+        ),
+        (("gen", "clique", "2000"), "clique too large: 2000 vertices and 1999000 edges"),
+        (("gen", "mesh", "600000"), "mesh too large: 600000 vertices and 599999 edges"),
+    ],
+)
+def test_gen_refuses_before_building_any_factor(capsys, monkeypatch, argv, message):
+    # every base graph goes through build_graph
+    monkeypatch.setattr(families, "build_graph", never)
+    monkeypatch.setattr(families, "make_product", never)
+    monkeypatch.setattr(products, "product_edges", never)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == f"error: {message} (at most 524288 of each)\n"
+    assert peak < 1 << 20
+
+
 def test_product_refuses_too_large_a_product_before_building(
     tmp_path, capsys, monkeypatch
 ):
@@ -474,6 +502,24 @@ def test_product_refuses_too_large_a_product_before_building(
     assert err == (
         "error: lexicographic product too large: 1800 vertices and 720000 edges "
         "(at most 524288 of each)\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "strong", "lexicographic"])
+def test_product_file_tampered_off_row_and_column_0_is_refused(tmp_path, capsys, kind):
+    # factors are read off row 0 and column 0 only; moving the edge
+    # (5, 6) = ((1, 1), (1, 2)) to the non-edge (5, 7) = ((1, 1), (1, 3))
+    # keeps both copies and the edge count, and the regeneration refuses it
+    obj = gio.graph_to_obj(make_product(ProductKind(kind), path_graph(3), cycle_graph(4)))
+    obj["edges"].remove([5, 6])
+    obj["edges"] = sorted(obj["edges"] + [[5, 7]])
+    path = tmp_path / "tampered.json"
+    path.write_text(gio.dumps(obj))
+    code, out, err = run_cli(capsys, "mc", "bounds", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: product metadata inconsistent: the edges are not a {kind} "
+        "product of graphs on 3 and 4 vertices\n"
     )
 
 

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from mcgraph import io as gio
 from mcgraph import products
 from mcgraph.errors import InapplicableError
 from mcgraph.families import (
@@ -31,6 +32,31 @@ from mcgraph.verification import factor_pool, suite_products
 
 P2 = path_graph(2)
 P3 = path_graph(3)
+
+
+def reference_recover_factors(product):
+    """The full scan ``recover_factors`` was: every edge projected by the rule
+    of its kind."""
+    ng, nh = product.factor_sizes
+    kind = product.kind
+    g_edges, h_edges = set(), set()
+    for u, v in product.edges:
+        a, x = divmod(u, nh)
+        b, y = divmod(v, nh)
+        if kind is ProductKind.CARTESIAN or kind is ProductKind.STRONG:
+            if x == y and a != b:
+                g_edges.add((min(a, b), max(a, b)))
+            if a == b and x != y:
+                h_edges.add((min(x, y), max(x, y)))
+        elif kind is ProductKind.LEXICOGRAPHIC:
+            if a != b:
+                g_edges.add((min(a, b), max(a, b)))
+            else:
+                h_edges.add((min(x, y), max(x, y)))
+        else:
+            g_edges.add((min(a, b), max(a, b)))
+            h_edges.add((min(x, y), max(x, y)))
+    return Graph(ng, tuple(sorted(g_edges))), Graph(nh, tuple(sorted(h_edges)))
 
 
 class TestMakeProduct:
@@ -227,16 +253,50 @@ class TestStructure:
 
     @pytest.mark.parametrize("kind", list(ProductKind))
     def test_recover_factors(self, kind):
-        g, h = cycle_graph(4), path_graph(3)
-        p = make_product(kind, g, h)
-        fg, fh = recover_factors(p)
-        assert fg.edges == g.edges and fh.edges == h.edges
+        pool = [g for _, g in factor_pool()]
+        for g in pool:
+            for h in pool:
+                p = make_product(kind, g, h)
+                assert recover_factors(p) == reference_recover_factors(p) == (
+                    Graph(g.n, g.edges),
+                    Graph(h.n, h.edges),
+                )
 
     def test_parse_kind_aliases(self):
         assert ProductKind.parse("lex") is ProductKind.LEXICOGRAPHIC
         assert ProductKind.parse("CARTESIAN") is ProductKind.CARTESIAN
         with pytest.raises(ValueError):
             ProductKind.parse("tensorish")
+
+
+def _load(obj):
+    """The loaded graph's edges and factors, or the refusal's message."""
+    try:
+        g = gio.graph_from_obj(obj)
+    except ValueError as exc:
+        return str(exc)
+    return g.edges, g.factors
+
+
+def test_product_claims_load_as_with_the_full_scan(corpus6, monkeypatch):
+    # every (kind, a x b) claim on every corpus graph, the genuine products
+    # among them included: the same graphs load, the rest with the same
+    # message
+    claims = [
+        {
+            "n": g.n,
+            "edges": [list(e) for e in g.edges],
+            "product": {"kind": kind.value, "factors": [a, g.n // a]},
+        }
+        for g in corpus6
+        for kind in ProductKind
+        for a in range(1, g.n + 1)
+        if g.n % a == 0
+    ]
+    got = [_load(obj) for obj in claims]
+    monkeypatch.setattr(products, "recover_factors", reference_recover_factors)
+    assert got == [_load(obj) for obj in claims]
+    assert sum(not isinstance(outcome, str) for outcome in got) == 750
 
 
 def test_suite_products_passes():
