@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import NoReturn
 
@@ -157,7 +158,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, each call returning a fresh namespace."""
     parser = _Parser(
         prog="mcgraph",
         description=(

@@ -6,7 +6,8 @@ separators.  Serializing a parsed file reproduces it byte for byte.  A
 plain-text edge-list format ("n m" on the first line, then one "u v" line
 per edge) is accepted on input as well.  Malformed input of any shape is
 rejected with ``ValueError``, which the command line reports as exit code 2,
-and so is product metadata that the edges do not bear out.
+and so are product metadata and a ``connected`` flag that the edges do not
+bear out.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-from .graph import Graph, build_graph, is_connected
+from .graph import Graph, build_graph
 from .mc import EdgeColoring
 from .products import (
     ProductGraph,
@@ -52,7 +53,7 @@ def graph_to_obj(g: Graph) -> dict:
             "kind": g.kind.value,
             "factors": list(g.factor_sizes),
         }
-        obj["connected"] = is_connected(g)
+        obj["connected"] = g.connected
     return obj
 
 
@@ -109,7 +110,18 @@ def graph_from_obj(obj: dict) -> Graph:
                 f"product metadata inconsistent: the edges are not a "
                 f"{kind.value} product of graphs on {ng} and {nh} vertices"
             )
-        return product
+        g = product
+    if "connected" in obj:
+        # checked on the graph returned, whose one search stays cached for
+        # the metrics that follow
+        claimed = obj["connected"]
+        if type(claimed) is not bool:
+            raise ValueError(f"'connected' must be true or false, got {claimed!r}")
+        if claimed != g.connected:
+            raise ValueError(
+                f"'connected' is {dumps(claimed)}, but the edges make the graph "
+                f"{'connected' if g.connected else 'disconnected'}"
+            )
     return g
 
 

@@ -1,8 +1,10 @@
 import faulthandler
 import os
+from functools import cached_property
 
 import pytest
 
+from mcgraph.graph import Graph
 from mcgraph.smallgraphs import connected_corpus
 
 # A test still running after this many seconds has hung: every thread's
@@ -36,3 +38,15 @@ def fail_a_hung_test(request):
 def corpus6():
     """Nonisomorphic connected graphs, 2..6 vertices, at most 10 edges."""
     return connected_corpus(6, max_edges=10)
+
+
+@pytest.fixture()
+def connectedness_searches(monkeypatch):
+    """Every graph whose connectedness is searched for, through a counting
+    ``Graph.connected``."""
+    calls = []
+    real = Graph.__dict__["connected"].func
+    counting = cached_property(lambda g: calls.append(g) or real(g))
+    counting.__set_name__(Graph, "connected")
+    monkeypatch.setattr(Graph, "connected", counting)
+    return calls

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcgraph import graph as graph_module
+from mcgraph import io as gio
+from mcgraph import mc as mc_module
 from mcgraph.families import (
     NetworkSpec,
     complete_graph,
@@ -44,6 +46,8 @@ from mcgraph.mc import (
     EdgeColoring,
     check_mc_coloring,
     mc_bounds_basic,
+    mc_bounds_combined,
+    spanning_tree_coloring,
     theorem1_certificate,
 )
 from mcgraph.products import ProductKind, make_product
@@ -53,6 +57,7 @@ from mcgraph.smallgraphs import (
     nonisomorphic_connected_graphs,
     random_connected_graph,
 )
+from mcgraph.treecover import mc_exact
 from mcgraph.verification import (
     min_edge_cut_exhaustive,
     min_vertex_cut_exhaustive,
@@ -370,9 +375,10 @@ def test_cached_connectivity(g, rnd):
     rnd.shuffle(perm)
     h = relabel(g, perm)
     assert h is not g
-    fresh = (vertex_connectivity(g), edge_connectivity(g))
-    assert (g.vertex_connectivity, g.edge_connectivity) == fresh
-    assert (h.vertex_connectivity, h.edge_connectivity) == fresh
+    fresh = (len(connected_components(g)) == 1, vertex_connectivity(g), edge_connectivity(g))
+    assert (g.connected, g.vertex_connectivity, g.edge_connectivity) == fresh
+    assert (h.connected, h.vertex_connectivity, h.edge_connectivity) == fresh
+    assert is_connected(g) is g.connected and is_connected(h) is h.connected
     assert metrics(g) == metrics(g) == metrics(h)
 
 
@@ -606,15 +612,16 @@ HL4 = generate(NetworkSpec("hl", (4,)))
 
 class TestFlowPins:
     # kappa runs exactly these flows, the pivot's fenced sinks skipped (96,
-    # 72 and 39 before the fence), and none where its floor (no cut vertex:
-    # 2) reaches delta; lambda, floored at the cached kappa, runs none where
-    # kappa = delta
+    # 72 and 39 before the sink fence) and its fenced neighbour pairs too
+    # (79, 41 and 37 before the pair fence), and none where its floor (no
+    # cut vertex: 2) reaches delta; lambda, floored at the cached kappa, runs
+    # none where kappa = delta
     @pytest.mark.parametrize(
         "g,kappa_flows,lambda_flows",
         [
-            (TORUS_3333, 79, 0),
-            (Q6, 41, 0),
-            (HL4, 37, 0),
+            (TORUS_3333, 78, 0),
+            (Q6, 40, 0),
+            (HL4, 15, 0),
             (generate(NetworkSpec("grid", (10, 10))), 0, 0),
             (cycle_graph(200), 0, 0),
         ],
@@ -666,6 +673,32 @@ class TestFlowPins:
         assert metrics(g).diameter == 3
         assert "d" in theorem1_certificate(g).conditions
         assert len(calls) == 1
+
+    def test_one_connectivity_search_per_graph(self, monkeypatch, connectedness_searches):
+        p = make_product(ProductKind.CARTESIAN, path_graph(3), cycle_graph(3))
+        searches = []
+        real = graph_module.bfs_parents
+
+        def counting(g, source, removed=frozenset()):
+            if g is p:
+                searches.append(source)
+            return real(g, source, removed)
+
+        monkeypatch.setattr(graph_module, "bfs_parents", counting)
+        monkeypatch.setattr(mc_module, "bfs_parents", counting)
+        assert metrics(p).is_connected
+        assert mc_bounds_combined(p).lower <= mc_exact(p).value
+        theorem1_certificate(p)
+        spanning_tree_coloring(p)
+        assert gio.graph_to_obj(p)["connected"] is True
+        assert sum(g is p for g in connectedness_searches) == 1
+        # the factors and any complement built on the way: once each too
+        assert len({id(g) for g in connectedness_searches}) == len(connectedness_searches)
+        # every search of p from vertex 0: connectedness, metrics'
+        # bipartiteness, mc_exact's distances and the spanning trees of
+        # spanning_tree_coloring and mc_exact (14 when each caller searched
+        # for connectedness itself)
+        assert searches.count(0) == 5
 
 
 def separated(g, v, u, cut):
@@ -781,6 +814,59 @@ def test_skips_around_a_fall(monkeypatch, flows, g, pivot_flows, fenced):
     pivot = fenced[0][0]
     assert [(s, t) for s, t in flows if s == 2 * pivot + 1] == pivot_flows
     assert [(v, u, best) for _, v, u, best in skips] == fenced
+
+
+def record_pair_skips(patch):
+    """(graph, x, y, best) of every neighbour pair of the pivot that the pair
+    fence skips, with the best cut at the moment it skips the flow, from now
+    on."""
+    found = []
+
+    class Recording(graph_module._PairSweep):
+        def __iter__(self):
+            for x, y, fenced in super().__iter__():
+                if fenced:
+                    found.append((self.g, x, y, self.best))
+                yield x, y, fenced
+
+    patch.setattr(graph_module, "_PairSweep", Recording)
+    return found
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(max_n=9))
+@example(PIVOT_IN_EVERY_MIN_CUT)
+@example(HL4)
+def test_fenced_pairs_need_no_flow(g):
+    # complements only where the brute force stays cheap
+    hosts = (g, complement(g)) if g.n <= 9 else (g,)
+    with pytest.MonkeyPatch.context() as patch:
+        found = record_pair_skips(patch)
+        for h in hosts:
+            kappa = vertex_connectivity(h)
+            assert kappa == (min_vertex_cut_exhaustive(h) if h.n <= 9 else min_degree(h))
+    for h, x, y, best in found:
+        assert local_connectivity(h, x, y) >= best, (x, y)
+
+
+@pytest.mark.parametrize(
+    "g,pair_flows,fenced",
+    [
+        # the flow between the pivot's neighbours 2 and 4 finds kappa = 3,
+        # and the pairs (2, 6), (4, 7) and (6, 7) are then fenced at 3
+        (PIVOT_IN_EVERY_MIN_CUT, 1, [3] * 3),
+        # 22 of its 33 pairs are fenced at delta = kappa = 13
+        (HL4, 11, [13] * 22),
+    ],
+    ids=["pivot-in-every-min-cut", "hl4"],
+)
+def test_pair_fence_skips(monkeypatch, flows, g, pair_flows, fenced):
+    skips = record_pair_skips(monkeypatch)
+    vertex_connectivity(g)
+    pivot = min(g.vertices(), key=g.degree)
+    # network nodes: the pivot's out-copy 2v + 1 starts every sink's flow
+    assert sum(s != 2 * pivot + 1 for s, _ in flows) == pair_flows
+    assert [best for *_, best in skips] == fenced
 
 
 def reference_connected_graphs(n, max_edges=None):

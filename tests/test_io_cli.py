@@ -13,6 +13,7 @@ from mcgraph import cli, families, products
 from mcgraph import io as gio
 from mcgraph import smallgraphs
 from mcgraph.families import NetworkSpec, cycle_graph, generate, path_graph
+from mcgraph.graph import metrics
 from mcgraph.mc import EdgeColoring, mc_bounds_combined
 from mcgraph.products import ProductGraph, ProductKind, make_product
 from mcgraph.treecover import mc_exact
@@ -330,6 +331,9 @@ def test_python_dash_m_runs_the_cli():
         # a triangle with a pendant edge has as many edges as the square C4
         '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2]],'
         '"product":{"kind":"cartesian","factors":[2,2]}}',
+        # gen hypercube 2 with its flag flipped
+        '{"n":4,"edges":[[0,1],[0,2],[1,3],[2,3]],"labels":[[0,0],[0,1],[1,0],[1,1]],'
+        '"product":{"kind":"cartesian","factors":[2,2]},"connected":false}',
     ],
     ids=[
         "string-n",
@@ -337,6 +341,7 @@ def test_python_dash_m_runs_the_cli():
         "float-endpoint",
         "forged-product-k4-minus-edge",
         "forged-product-paw",
+        "false-connected-flag",
     ],
 )
 def test_malformed_graph_exits_2_without_traceback(tmp_path, text):
@@ -346,6 +351,114 @@ def test_malformed_graph_exits_2_without_traceback(tmp_path, text):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("false", "'connected' is false, but the edges make the graph connected"),
+        ("1", "'connected' must be true or false, got 1"),
+        ('"true"', "'connected' must be true or false, got 'true'"),
+        ("null", "'connected' must be true or false, got None"),
+    ],
+)
+def test_a_connected_flag_the_edges_refute_is_refused(tmp_path, capsys, value, message):
+    path = tmp_path / "q2.json"
+    assert cli.main(["gen", "hypercube", "2", "-o", str(path)]) == 0
+    text = path.read_text()
+    assert text.count('"connected":true') == 1
+    path.write_text(text.replace('"connected":true', f'"connected":{value}'))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gio.loads_graph(path.read_text())
+    code, out, err = run_cli(capsys, "mc", "bounds", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_disconnected_product_claimed_connected_is_refused(tmp_path, capsys):
+    p2, prod = tmp_path / "p2.json", tmp_path / "direct.json"
+    run_cli(capsys, "gen", "path", "2", "-o", str(p2))
+    run_cli(capsys, "product", "direct", str(p2), str(p2), "-o", str(prod))
+    text = prod.read_text()
+    assert gio.dumps(gio.graph_to_obj(gio.loads_graph(text))) + "\n" == text
+    prod.write_text(text.replace('"connected":false', '"connected":true'))
+    code, out, err = run_cli(capsys, "mc", "bounds", str(prod))
+    assert code == 2 and out == ""
+    assert err == "error: 'connected' is true, but the edges make the graph disconnected\n"
+
+
+def test_the_flag_check_leaves_one_search_for_the_metrics(connectedness_searches):
+    text = gio.dumps(gio.graph_to_obj(generate(NetworkSpec("grid", (3, 4)))))
+    connectedness_searches.clear()
+    g = gio.loads_graph(text)
+    assert len(connectedness_searches) == 1 and connectedness_searches[0] is g
+    assert metrics(g).is_connected
+    assert gio.dumps(gio.graph_to_obj(g)) == text
+    assert len(connectedness_searches) == 1
+
+
+@pytest.fixture()
+def parser_builds(monkeypatch):
+    """The number of top-level parsers built, from a cleared parser cache;
+    the cache is cleared again afterwards, so no later test sees the
+    counting class."""
+    builds = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            if kwargs.get("prog") == "mcgraph":
+                builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli.build_parser.cache_clear()
+    yield builds
+    cli.build_parser.cache_clear()
+
+
+def test_the_shared_parser_leaks_nothing_between_calls(
+    tmp_path, capsys, monkeypatch, parser_builds
+):
+    mine, fresh = tmp_path / "mine", tmp_path / "fresh"
+    mine.mkdir()
+    fresh.mkdir()
+    c4 = tmp_path / "c4.json"
+    c4.write_text(gio.dumps(gio.graph_to_obj(cycle_graph(4))) + "\n")
+    # each command with and without each option, in turn; OUT is a file in
+    # the run's own directory
+    commands = [
+        ("--pretty", "gen", "path", "3"),
+        ("gen", "path", "3"),
+        ("gen", "grid", "2", "2", "-o", "OUT/g.json"),
+        ("gen", "grid", "2", "2"),
+        ("mc", "exact", str(c4), "--stats", "--witness", "OUT/w.json"),
+        ("mc", "exact", str(c4)),
+        ("--pretty", "mc", "exact", str(c4), "--witness", "OUT/w2.json"),
+        ("mc", "bounds", str(c4)),
+        ("--pretty", "report", "--format", "json", "-o", "OUT/r.json"),
+        ("report", "--format", "json"),
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *(a.replace("OUT", str(mine)) for a in argv))
+        done = run_module(*(a.replace("OUT", str(fresh)) for a in argv))
+        assert (code, out, err) == (done.returncode, done.stdout, done.stderr), argv
+    assert sorted(p.name for p in mine.iterdir()) == ["g.json", "r.json", "w.json", "w2.json"]
+    for path in mine.iterdir():
+        assert path.read_text() == (fresh / path.name).read_text(), path.name
+    # a usage error after all that is still one line, exit 2
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["mc", "nope", str(c4)])
+    captured = capsys.readouterr()
+    assert exited.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # the suites are looked up when a command runs, not when it was parsed
+    ran = []
+    monkeypatch.setattr(
+        cli, "SUITES", dict.fromkeys(cli.SUITES, lambda **kw: ran.append(kw) or SuiteResult("x"))
+    )
+    code, _, _ = run_cli(capsys, "verify", "products", "--max-n", "5")
+    assert code == 0 and ran == [{"max_vertices": 5}]
+    assert len(parser_builds) == 1
 
 
 @pytest.mark.parametrize(
@@ -554,6 +667,7 @@ GRAPH_OBJS = st.fixed_dictionaries(
     {"n": st.integers(-1, 4) | JSON_VALUES, "edges": PAIRS | JSON_VALUES},
     optional={
         "labels": PAIRS | JSON_VALUES,
+        "connected": st.booleans() | JSON_VALUES,
         "product": st.fixed_dictionaries(
             {},
             optional={
