@@ -160,8 +160,18 @@ class _Parser(argparse.ArgumentParser):
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, each call returning a fresh namespace."""
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call: parsing leaves it unchanged, each call returning a
+    fresh namespace.
+
+    What the parser reads is fixed when it is first built: the ``cmd_*``
+    handlers, and ``FAMILIES`` and the keys of ``SUITES`` as choices.  A suite
+    is still looked up in ``SUITES`` when it runs, but a name added to it
+    later is refused; after replacing any of these, call
+    ``build_parser.cache_clear()``.  The cache saves time only where one
+    process calls :func:`main` more than once (tests, an in-process
+    benchmark); the ``mcgraph`` command builds the parser once either way.
+    """
     parser = _Parser(
         prog="mcgraph",
         description=(

@@ -440,8 +440,8 @@ def has_cut_vertex(g: Graph) -> bool:
 #   component of x (it is adjacent to x, or S does not separate it from x)
 #   and in the component of y alike, which are different components; so S
 #   would hold all of them, best vertices.  As above, a proof made at a
-#   larger best stays one.  v itself is one such vertex; ``_PairSweep``
-#   takes the pairs in order, each proven as it passes: on hl(4), 11 flows
+#   larger best stays one.  v itself is one such vertex; kappa takes the
+#   pairs in order, each proven as it passes: on hl(4), 11 flows
 #   for 33 pairs, and 44 for Q10's 45.
 # * Caps and floors.  A flow that reaches the best cut found so far cannot
 #   lower it, so each flow stops after that many augmenting paths; and no
@@ -629,13 +629,19 @@ def vertex_connectivity(g: Graph) -> int:
     if floor >= best:
         return best
     net = _split_network(g)
-    pairs = _PairSweep(g, v, _least_local_connectivity(g, net, v, best, floor))
-    for x, y, fenced in pairs:
-        if pairs.best == floor:
+    best = _least_local_connectivity(g, net, v, best, floor)
+    # linked[x]: x's neighbours and the neighbours of v proven with x
+    linked = {x: set(g.adjacency[x]) for x in near}
+    for x, y in combinations(g.neighbors[v], 2):
+        if best == floor:
             break
-        if not fenced:
-            pairs.best = min(pairs.best, _max_flow(net, 2 * x + 1, 2 * y, pairs.best))
-    return pairs.best
+        if y in linked[x]:
+            continue
+        if len(linked[x] & linked[y]) < best:  # else the pair is fenced
+            best = min(best, _max_flow(net, 2 * x + 1, 2 * y, best))
+        linked[x].add(y)
+        linked[y].add(x)
+    return best
 
 
 class _Sweep:
@@ -707,30 +713,6 @@ class _Sweep:
                     buckets[open_[w]].append(w)
                     if fence[w] == best:
                         ready.append(w)
-
-
-class _PairSweep:
-    """The pivot ``v``'s non-adjacent neighbour pairs (the pair fence above).
-
-    Iterating yields each such pair once, in ``combinations`` order, as
-    ``(x, y, fenced)``.  Before the next step the caller makes ``best`` at
-    most kappa(x, y), by a flow capped at ``best`` unless the pair is fenced:
-    then at least ``best`` vertices are adjacent to, or proven with, both x
-    and y, and kappa(x, y) >= ``best`` holds already.
-    """
-
-    def __init__(self, g: Graph, v: int, best: int):
-        self.g, self.v, self.best = g, v, best
-
-    def __iter__(self):
-        g, v = self.g, self.v
-        # linked[x]: x's neighbours and the neighbours of v proven with x
-        linked = {x: set(g.adjacency[x]) for x in g.adjacency[v]}
-        for x, y in combinations(g.neighbors[v], 2):
-            if y not in linked[x]:
-                yield x, y, len(linked[x] & linked[y]) >= self.best
-                linked[x].add(y)
-                linked[y].add(x)
 
 
 def _least_local_connectivity(

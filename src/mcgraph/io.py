@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, is_connected
 from .mc import EdgeColoring
 from .products import (
     ProductGraph,
@@ -53,7 +53,7 @@ def graph_to_obj(g: Graph) -> dict:
             "kind": g.kind.value,
             "factors": list(g.factor_sizes),
         }
-        obj["connected"] = g.connected
+        obj["connected"] = is_connected(g)
     return obj
 
 
@@ -117,10 +117,11 @@ def graph_from_obj(obj: dict) -> Graph:
         claimed = obj["connected"]
         if type(claimed) is not bool:
             raise ValueError(f"'connected' must be true or false, got {claimed!r}")
-        if claimed != g.connected:
+        connected = is_connected(g)
+        if claimed != connected:
             raise ValueError(
                 f"'connected' is {dumps(claimed)}, but the edges make the graph "
-                f"{'connected' if g.connected else 'disconnected'}"
+                f"{'connected' if connected else 'disconnected'}"
             )
     return g
 

@@ -816,21 +816,30 @@ def test_skips_around_a_fall(monkeypatch, flows, g, pivot_flows, fenced):
     assert [(v, u, best) for _, v, u, best in skips] == fenced
 
 
-def record_pair_skips(patch):
-    """(graph, x, y, best) of every neighbour pair of the pivot that the pair
-    fence skips, with the best cut at the moment it skips the flow, from now
-    on."""
-    found = []
+def pair_skips(g):
+    """kappa of ``g``, and (x, y, best) for every non-adjacent pair of the
+    pivot's neighbours that runs no flow, fenced or passed once the floor is
+    met, with the best cut at that moment.  best changes only by a flow, so
+    it is the cap of the next pair flow, or kappa after the last one."""
+    caps = {}
+    real = graph_module._max_flow
 
-    class Recording(graph_module._PairSweep):
-        def __iter__(self):
-            for x, y, fenced in super().__iter__():
-                if fenced:
-                    found.append((self.g, x, y, self.best))
-                yield x, y, fenced
+    def recording(net, s, t, cap):
+        caps[s // 2, t // 2] = cap
+        return real(net, s, t, cap)
 
-    patch.setattr(graph_module, "_PairSweep", Recording)
-    return found
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_max_flow", recording)
+        kappa = vertex_connectivity(g)
+    pivot = min(g.vertices(), key=g.degree)
+    skips, passed = [], []
+    for x, y in combinations(g.neighbors[pivot], 2):
+        if (x, y) in caps:
+            skips += [(a, b, caps[x, y]) for a, b in passed]
+            passed = []
+        elif not g.has_edge(x, y):
+            passed.append((x, y))
+    return kappa, skips + [(a, b, kappa) for a, b in passed]
 
 
 @settings(max_examples=80, deadline=None)
@@ -839,14 +848,11 @@ def record_pair_skips(patch):
 @example(HL4)
 def test_fenced_pairs_need_no_flow(g):
     # complements only where the brute force stays cheap
-    hosts = (g, complement(g)) if g.n <= 9 else (g,)
-    with pytest.MonkeyPatch.context() as patch:
-        found = record_pair_skips(patch)
-        for h in hosts:
-            kappa = vertex_connectivity(h)
-            assert kappa == (min_vertex_cut_exhaustive(h) if h.n <= 9 else min_degree(h))
-    for h, x, y, best in found:
-        assert local_connectivity(h, x, y) >= best, (x, y)
+    for h in (g, complement(g)) if g.n <= 9 else (g,):
+        kappa, skips = pair_skips(h)
+        assert kappa == (min_vertex_cut_exhaustive(h) if h.n <= 9 else min_degree(h))
+        for x, y, best in skips:
+            assert local_connectivity(h, x, y) >= best, (x, y)
 
 
 @pytest.mark.parametrize(
@@ -860,9 +866,8 @@ def test_fenced_pairs_need_no_flow(g):
     ],
     ids=["pivot-in-every-min-cut", "hl4"],
 )
-def test_pair_fence_skips(monkeypatch, flows, g, pair_flows, fenced):
-    skips = record_pair_skips(monkeypatch)
-    vertex_connectivity(g)
+def test_pair_fence_skips(flows, g, pair_flows, fenced):
+    _, skips = pair_skips(g)
     pivot = min(g.vertices(), key=g.degree)
     # network nodes: the pivot's out-copy 2v + 1 starts every sink's flow
     assert sum(s != 2 * pivot + 1 for s, _ in flows) == pair_flows

@@ -459,6 +459,15 @@ def test_the_shared_parser_leaks_nothing_between_calls(
     code, _, _ = run_cli(capsys, "verify", "products", "--max-n", "5")
     assert code == 0 and ran == [{"max_vertices": 5}]
     assert len(parser_builds) == 1
+    # but their names were read when the parser was built: a new one is
+    # refused until the cache is cleared
+    monkeypatch.setitem(cli.SUITES, "extra", cli.SUITES["core"])
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["verify", "extra"])
+    assert exited.value.code == 2 and "invalid choice: 'extra'" in capsys.readouterr().err
+    cli.build_parser.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "extra")
+    assert code == 0 and ran[1:] == [{}] and len(parser_builds) == 2
 
 
 @pytest.mark.parametrize(
