@@ -84,13 +84,9 @@ class Graph:
     coordinates for graphs built as products).
     """
 
-    vertex_count: int
+    n: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[tuple[int, ...], ...] | None = None
-
-    @property
-    def n(self) -> int:
-        return self.vertex_count
 
     @property
     def m(self) -> int:
@@ -98,7 +94,7 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
+        nbrs: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].add(v)
             nbrs[v].add(u)
@@ -119,7 +115,7 @@ class Graph:
         one breadth-first search (vacuously true for n <= 1).  Fewer than
         n - 1 edges cannot connect n vertices; that answer needs no search,
         so a sparse graph with many declared vertices stays cheap."""
-        n = self.vertex_count
+        n = self.n
         return n <= 1 or (len(self.edges) >= n - 1 and len(bfs_parents(self, 0)) == n)
 
     @cached_property
@@ -144,7 +140,7 @@ class Graph:
         return (u, v) in self.edge_index or (v, u) in self.edge_index
 
     def vertices(self) -> range:
-        return range(self.vertex_count)
+        return range(self.n)
 
 
 @dataclass(frozen=True)
@@ -162,28 +158,22 @@ class GraphMetrics:
     is_complete: bool
 
 
-def build_graph(
-    vertex_count: int,
-    edge_list,
-    labels=None,
-) -> Graph:
+def build_graph(n: int, edge_list, labels=None) -> Graph:
     """Validate and canonicalize an edge list into a :class:`Graph`.
 
     Rejects loops, duplicate edges and out-of-range endpoints, naming the
     offending pair in the error message.
     """
-    if vertex_count < 0:
-        raise ValueError("vertex_count must be non-negative")
+    if n < 0:
+        raise ValueError("n must be non-negative")
     canon: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for pair in edge_list:
         u, v = pair
         if u == v:
             raise ValueError(f"loop edge ({u}, {v}) is not allowed")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(
-                f"edge ({u}, {v}) has an endpoint outside 0..{vertex_count - 1}"
-            )
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         e = (u, v) if u < v else (v, u)
         if e in seen:
             raise ValueError(f"duplicate edge ({u}, {v})")
@@ -193,13 +183,11 @@ def build_graph(
     canon_labels = None
     if labels is not None:
         canon_labels = tuple(tuple(lab) for lab in labels)
-        if len(canon_labels) != vertex_count:
-            raise ValueError(
-                f"expected {vertex_count} labels, got {len(canon_labels)}"
-            )
+        if len(canon_labels) != n:
+            raise ValueError(f"expected {n} labels, got {len(canon_labels)}")
         if len(set(canon_labels)) != len(canon_labels):
             raise ValueError("labels must be distinct")
-    return Graph(vertex_count, tuple(canon), canon_labels)
+    return Graph(n, tuple(canon), canon_labels)
 
 
 def bfs_parents(

@@ -7,7 +7,8 @@ plain-text edge-list format ("n m" on the first line, then one "u v" line
 per edge) is accepted on input as well.  Malformed input of any shape is
 rejected with ``ValueError``, which the command line reports as exit code 2,
 and so are product metadata and a ``connected`` flag that the edges do not
-bear out.
+bear out, and any field the writer would not write back: an unknown key, a
+null ``labels``, or ``connected`` without ``product``.
 """
 
 from __future__ import annotations
@@ -70,20 +71,35 @@ def _int_lists(value, field: str, length: int | None = None) -> list[tuple]:
     return [tuple(item) for item in value]
 
 
+# the fields graph_to_obj writes: a file with any other would lose it on
+# the way back, so the reader refuses it
+_GRAPH_FIELDS = ("n", "edges", "labels", "product", "connected")
+_PRODUCT_FIELDS = ("kind", "factors")
+
+
+def _refuse_unknown(obj: dict, known: tuple[str, ...], where: str) -> None:
+    extra = [key for key in obj if key not in known]
+    if extra:
+        raise ValueError(f"unknown field {extra[0]!r} in {where}")
+
+
 def graph_from_obj(obj: dict) -> Graph:
-    """Rebuild a graph from its dict form; malformed fields raise ValueError."""
+    """Rebuild a graph from its dict form; malformed fields, and fields that
+    :func:`graph_to_obj` never writes, raise ValueError."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph object needs 'n' and 'edges' fields")
+    _refuse_unknown(obj, _GRAPH_FIELDS, "graph object")
+    if "connected" in obj and "product" not in obj:
+        raise ValueError("'connected' is written only for products")
     if type(obj["n"]) is not int:
         raise ValueError(f"'n' must be an integer, got {obj['n']!r}")
-    labels = obj.get("labels")
-    if labels is not None:
-        labels = _int_lists(labels, "labels")
+    labels = _int_lists(obj["labels"], "labels") if "labels" in obj else None
     g = build_graph(obj["n"], _int_lists(obj["edges"], "edges", 2), labels)
     if "product" in obj:
         meta = obj["product"]
         if not (isinstance(meta, dict) and isinstance(meta.get("kind"), str)):
             raise ValueError("'product' needs a string 'kind' field")
+        _refuse_unknown(meta, _PRODUCT_FIELDS, "'product'")
         kind = ProductKind.parse(meta["kind"])
         factors = meta.get("factors")
         if not (

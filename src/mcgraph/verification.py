@@ -33,14 +33,13 @@ from .families import (
 )
 from .graph import (
     Graph,
+    all_pairs_distances,
     complement,
     diameter,
-    distances_from,
     is_bipartite,
     is_connected,
     metrics,
     relabel,
-    vertex_connectivity,
 )
 from .mc import (
     check_mc_coloring,
@@ -246,7 +245,7 @@ def suite_core(max_n: int = 6, seed: int = 0) -> SuiteResult:
     # distance symmetry and triangle inequality on sampled triples
     for _ in range(6):
         g = random_connected_graph(6, rng.randint(6, 12), rng)
-        dist = [distances_from(g, v) for v in g.vertices()]
+        dist = all_pairs_distances(g)
         for u, v, w in combinations(range(g.n), 3):
             res.check(
                 "distance_metric",
@@ -308,7 +307,7 @@ def suite_products(max_vertices: int = 24) -> SuiteResult:
             ProductKind.STRONG,
         ):
             product = products[kind]
-            dist = [distances_from(product, v) for v in product.vertices()]
+            dist = all_pairs_distances(product)
             bad = None
             for a in range(product.n):
                 for b in range(a + 1, product.n):
@@ -368,7 +367,7 @@ def suite_bounds(max_exact_vertices: int = 10) -> SuiteResult:
                 predicted = kappa_formula(kind, g, h)
             except InapplicableError:
                 continue
-            actual = vertex_connectivity(product_of(kind))
+            actual = product_of(kind).vertex_connectivity
             res.check(
                 "kappa_formula",
                 predicted == actual,
@@ -532,7 +531,7 @@ def suite_propositions() -> SuiteResult:
     # the exact connectivity of the lexicographic double-Petersen instance is
     # larger than the value used to state its upper bound
     hl4 = generate(NetworkSpec("hl", (4,)))
-    kappa = vertex_connectivity(hl4)
+    kappa = hl4.vertex_connectivity
     basic = mc_bounds_basic(hl4)
     res.findings.append(
         "hl(4): direct vertex connectivity is "

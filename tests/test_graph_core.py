@@ -541,6 +541,8 @@ def test_diameter_sweep_matches_reference(g, width):
         assert diameter(g) == reference_diameter(g)
 
 
+PRISM_300 = make_product(ProductKind.CARTESIAN, cycle_graph(300), path_graph(2))
+
 # the nine network-families instances of the benchmark, Q10 and C1100
 DIAMETER_PINS = [
     ("hypercube", (6,), 6),
@@ -560,6 +562,11 @@ DIAMETER_PINS = [
 @pytest.mark.parametrize("family, params, diam", DIAMETER_PINS)
 def test_diameter_pins(family, params, diam):
     assert diameter(generate(NetworkSpec(family, params))) == diam
+
+
+def test_prism_diameter_pin():
+    # C300 x P2: half the cycle, plus the rung
+    assert diameter(PRISM_300) == 151
 
 
 TORUS_3333 = generate(NetworkSpec("torus", (3, 3, 3, 3)))
@@ -611,11 +618,13 @@ HL4 = generate(NetworkSpec("hl", (4,)))
 
 
 class TestFlowPins:
-    # kappa runs exactly these flows, the pivot's fenced sinks skipped (96,
-    # 72 and 39 before the sink fence) and its fenced neighbour pairs too
-    # (79, 41 and 37 before the pair fence), and none where its floor (no
-    # cut vertex: 2) reaches delta; lambda, floored at the cached kappa, runs
-    # none where kappa = delta
+    # The one home of the flow-count pins: kappa runs exactly these flows.
+    # The pivot's fenced sinks are skipped (before the sink fence: torus 96,
+    # Q6 72, hl(4) 39, Q10 1,058, prism 599) and so are its fenced neighbour
+    # pairs (before the pair fence: 79, 41, 37 and 547 for the first four;
+    # 22 of hl(4)'s 33 pairs are fenced).  No flow runs where the floor (no
+    # cut vertex: 2) reaches delta.  lambda, floored at the cached kappa,
+    # runs none where kappa = delta.
     @pytest.mark.parametrize(
         "g,kappa_flows,lambda_flows",
         [
@@ -624,8 +633,11 @@ class TestFlowPins:
             (HL4, 15, 0),
             (generate(NetworkSpec("grid", (10, 10))), 0, 0),
             (cycle_graph(200), 0, 0),
+            (generate(NetworkSpec("hypercube", (10,))), 546, 0),
+            (PRISM_300, 300, 0),
+            (cycle_graph(1100), 0, 0),
         ],
-        ids=["torus3333", "Q6", "hl4", "grid10x10", "C200"],
+        ids=["torus3333", "Q6", "hl4", "grid10x10", "C200", "Q10", "prism300", "C1100"],
     )
     def test_same_flow_counts(self, flows, g, kappa_flows, lambda_flows):
         g = build_graph(g.n, g.edges)  # a fresh instance: nothing cached

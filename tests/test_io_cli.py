@@ -14,7 +14,7 @@ from mcgraph import io as gio
 from mcgraph import smallgraphs
 from mcgraph.families import NetworkSpec, cycle_graph, generate, path_graph
 from mcgraph.graph import metrics
-from mcgraph.mc import EdgeColoring, mc_bounds_combined
+from mcgraph.mc import EdgeColoring, mc_bounds_combined, spanning_tree_coloring
 from mcgraph.products import ProductGraph, ProductKind, make_product
 from mcgraph.treecover import mc_exact
 from mcgraph.verification import SuiteResult
@@ -144,6 +144,21 @@ class TestCli:
         code, out, _ = run_cli(capsys, "check", str(p3), str(bad))
         assert code == 1
         assert out.strip() == "INVALID pair (0, 2)"
+
+    def test_check_at_scale_q10(self, workdir, capsys):
+        # Q10's spanning-tree coloring has 4,098 classes, 4,097 of them one
+        # edge: valid.  Moving edge 0, (0, 1), to a fresh color cuts the tree
+        # at vertex 1, so the smallest unserved pair is (0, 3).
+        q10, tree, moved = workdir / "q10.json", workdir / "tree.json", workdir / "moved.json"
+        assert run_cli(capsys, "gen", "hypercube", "10", "-o", str(q10))[0] == 0
+        obj = gio.coloring_to_obj(spanning_tree_coloring(gio.loads_graph(q10.read_text())))
+        tree.write_text(json.dumps(obj))
+        obj["colors"][0] = 4098
+        moved.write_text(json.dumps(obj))
+        assert run_cli(capsys, "check", str(q10), str(tree)) == (0, "VALID 4098 colors\n", "")
+        assert run_cli(capsys, "check", str(q10), str(moved)) == (
+            1, "INVALID pair (0, 3)\n", ""
+        )
 
     def test_check_mismatch_is_usage_error(self, workdir, capsys):
         p3 = workdir / "p3.json"
@@ -334,6 +349,12 @@ def test_python_dash_m_runs_the_cli():
         # gen hypercube 2 with its flag flipped
         '{"n":4,"edges":[[0,1],[0,2],[1,3],[2,3]],"labels":[[0,0],[0,1],[1,0],[1,1]],'
         '"product":{"kind":"cartesian","factors":[2,2]},"connected":false}',
+        # fields the writer never writes, which a round trip would drop
+        '{"n":2,"edges":[[0,1]],"connected":true}',
+        '{"n":2,"edges":[[0,1]],"labels":null}',
+        '{"n":2,"edges":[[0,1]],"colour":5}',
+        '{"n":4,"edges":[[0,1],[0,2],[1,3],[2,3]],'
+        '"product":{"kind":"cartesian","factors":[2,2],"colour":5}}',
     ],
     ids=[
         "string-n",
@@ -342,6 +363,10 @@ def test_python_dash_m_runs_the_cli():
         "forged-product-k4-minus-edge",
         "forged-product-paw",
         "false-connected-flag",
+        "connected-without-product",
+        "null-labels",
+        "unknown-field",
+        "unknown-product-field",
     ],
 )
 def test_malformed_graph_exits_2_without_traceback(tmp_path, text):
@@ -683,9 +708,11 @@ GRAPH_OBJS = st.fixed_dictionaries(
                 "kind": st.sampled_from(["cartesian", "lex", "bogus"]) | JSON_VALUES,
                 "factors": st.lists(st.integers(-1, 4) | SCALARS, max_size=3)
                 | JSON_VALUES,
+                "colour": SCALARS,
             },
         )
         | JSON_VALUES,
+        "colour": SCALARS,
     },
 )
 
@@ -697,6 +724,43 @@ def test_loads_graph_rejects_only_with_value_error(text):
         gio.loads_graph(text)
     except ValueError:
         pass
+
+
+
+
+def _edited(obj, drop, add, add_to_product):
+    obj = {key: value for key, value in obj.items() if key not in drop}
+    if "product" in obj:
+        obj["product"] = {**obj["product"], **add_to_product}
+    return {**obj, **add}
+
+
+# what the writer writes, with fields dropped, nulled or added: random
+# objects alone seldom load, and almost never with a product or a stray key
+EDITED_OBJS = st.builds(
+    _edited,
+    st.sampled_from(
+        [gio.graph_to_obj(g) for g in (path_graph(2), generate(NetworkSpec("hypercube", (2,))))]
+    ),
+    st.sets(st.sampled_from(["labels", "product", "connected"])),
+    st.fixed_dictionaries(
+        {}, optional={"labels": st.none(), "connected": st.booleans(), "colour": SCALARS}
+    ),
+    st.fixed_dictionaries({}, optional={"colour": SCALARS}),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GRAPH_OBJS | EDITED_OBJS)
+def test_a_loaded_object_has_only_fields_the_writer_writes(obj):
+    try:
+        g = gio.graph_from_obj(obj)
+    except ValueError:
+        return
+    written = gio.graph_to_obj(g)
+    assert set(obj) <= set(written)
+    if "product" in obj:
+        assert set(obj["product"]) <= set(written["product"])
 
 
 @settings(max_examples=300, deadline=None)
