@@ -32,10 +32,9 @@ has a cut vertex, else at least 2 and at least
 Whitney's chain kappa <= lambda <= delta (*Amer. J. Math.* 54, 1932).  A
 floor that reaches delta is the answer, with no flow at all.  For the
 question "is kappa >= k?" the minimum degree may force the answer, else the
-flows run from the first k vertices only, capped at k (Even, *SIAM J.
-Comput.* 4(3), 1975).  Each augmenting path comes from a breadth-first
-search run from both ends of the flow (Pohl, 1971).  The comment above
-``_max_flow`` gives the arguments.
+same search runs with every flow capped at k.  Each augmenting path comes
+from a breadth-first search run from both ends of the flow (Pohl, 1971).
+The comment above ``_max_flow`` gives the arguments.
 
 Three searches stay separate on purpose:
 
@@ -399,7 +398,7 @@ def has_cut_vertex(g: Graph) -> bool:
 # Connectivity.  By Menger's theorem the local connectivity of a non-adjacent
 # pair is the number of internally vertex-disjoint paths joining it, a
 # unit-capacity max flow on the vertex-split digraph; edge connectivity is
-# the same on the graph's own arcs.  Seven facts keep the flows few and short:
+# the same on the graph's own arcs.  Six facts keep the flows few and short:
 #
 # * Pivot (Esfahanian and Hakimi, Networks 14(2), 1984).  Let v have minimum
 #   degree delta; on a non-complete graph kappa <= delta.  A minimum cut S
@@ -418,8 +417,8 @@ def has_cut_vertex(g: Graph) -> bool:
 #   vertices in S.  best only falls, so a proof made at a larger best stays
 #   one.  ``_Sweep`` takes the fenced sinks first, and otherwise flows to
 #   the sink with the most unproven neighbours: on Q10, 502 flows instead of
-#   1,013.  kappa's pivot and Even's test below both sweep this way; the
-#   flows between neighbours of v have a rule of their own, the next one.
+#   1,013.  The flows between neighbours of v have a rule of their own, the
+#   next one.
 # * Pair fence.  Call a non-adjacent pair (x, y) of neighbours of the pivot
 #   proven once a flow, or this rule, has shown kappa(x, y) >= best.  The
 #   pair needs no flow once at least best vertices are each adjacent to, or
@@ -432,10 +431,12 @@ def has_cut_vertex(g: Graph) -> bool:
 #   pairs in order, each proven as it passes: on hl(4), 11 flows
 #   for 33 pairs, and 44 for Q10's 45.
 # * Caps and floors.  A flow that reaches the best cut found so far cannot
-#   lower it, so each flow stops after that many augmenting paths; and no
-#   cut lies below a proven floor, so the search stops once its best cut
-#   meets the floor, and does not start (nor build its network) when the
-#   floor reaches delta.  kappa's floor: one depth-first search
+#   lower it, so each flow stops after that many augmenting paths.  The
+#   question "kappa >= k?" needs only min(kappa, k), so its search starts
+#   with the best cut at min(delta, k), and no flow runs past k.  No cut
+#   lies below a proven floor, so the search stops once its best cut meets
+#   the floor, and does not start (nor build its network) when the floor
+#   reaches the cut it starts with.  kappa's floor: one depth-first search
 #   (``has_cut_vertex``) finds a cut vertex, and then kappa is 1; a
 #   connected graph on 3 or more vertices with none is 2-connected, so
 #   kappa >= 2; and kappa >= 2 delta - n + 2 by the degree threshold below.
@@ -450,11 +451,6 @@ def has_cut_vertex(g: Graph) -> bool:
 #   gives kappa >= k with no flow at all: the complement of a sparse graph,
 #   where Thm1(a) asks "kappa >= 4?", answers at once, from the maximum
 #   degree of the graph, without the complement being built.
-# * Threshold (Even, SIAM J. Comput. 4(3), 1975).  A cut of fewer than k
-#   vertices misses one of any k vertices and separates it from one of its
-#   non-neighbours, so kappa >= k iff every flow from the first k vertices to
-#   their non-neighbours reaches k.  ``complement_connectivity_at_least``
-#   asks only that of a complement, with flows capped at k.
 # * Both ends (Pohl, Machine Intelligence 6, 1971).  Each augmenting path is
 #   found by a breadth-first search forward from s and backward from t, one
 #   whole level of the smaller frontier at a time.  Where levels grow fast,
@@ -604,20 +600,34 @@ def vertex_connectivity(g: Graph) -> int:
     delta is the answer, and below it the flows stop once one meets it.
     Computes afresh; ``g.vertex_connectivity`` holds the value computed once.
     """
+    return _connectivity(g, g.n)
+
+
+def _connectivity(g: Graph, cap: int) -> int:
+    """min(kappa, ``cap``) for ``cap`` >= 1: the pivot's search (the comment
+    above), with the best cut starting at min(delta, ``cap``), so no flow
+    runs past ``cap``."""
     if g.n <= 1 or not is_connected(g):
         return 0
     if is_complete(g):
-        return g.n - 1
+        return min(g.n - 1, cap)
     if has_cut_vertex(g):
         return 1
     v = min(g.vertices(), key=g.degree)
     near = g.adjacency[v]
-    best = len(near)
-    floor = max(2, _degree_floor(g.n, best))
+    best = min(len(near), cap)
+    floor = max(2, _degree_floor(g.n, len(near)))
     if floor >= best:
         return best
     net = _split_network(g)
-    best = _least_local_connectivity(g, net, v, best, floor)
+    # one flow, capped at the best cut so far, to each sink not fenced
+    sweep = _Sweep(g, v, best)
+    for u, fenced in sweep:
+        if not fenced:
+            sweep.best = min(sweep.best, _max_flow(net, 2 * v + 1, 2 * u, sweep.best))
+            if sweep.best <= floor:
+                break
+    best = sweep.best
     # linked[x]: x's neighbours and the neighbours of v proven with x
     linked = {x: set(g.adjacency[x]) for x in near}
     for x, y in combinations(g.neighbors[v], 2):
@@ -703,21 +713,6 @@ class _Sweep:
                         ready.append(w)
 
 
-def _least_local_connectivity(
-    g: Graph, net: FlowNetwork, v: int, cap: int, floor: int
-) -> int:
-    """The least of ``cap`` and kappa(v, u) over the non-neighbours u of
-    ``v``, stopping once it is at most ``floor``: one flow, capped at the
-    least so far, to each sink that ``_Sweep`` does not find fenced."""
-    sweep = _Sweep(g, v, cap)
-    for u, fenced in sweep:
-        if not fenced:
-            sweep.best = min(sweep.best, _max_flow(net, 2 * v + 1, 2 * u, sweep.best))
-            if sweep.best <= floor:
-                break
-    return sweep.best
-
-
 def _degree_floor(n: int, delta: int) -> int:
     """kappa >= 2 delta - n + 2 on n vertices of minimum degree ``delta``
     (the degree threshold above)."""
@@ -725,24 +720,18 @@ def _degree_floor(n: int, delta: int) -> int:
 
 
 def complement_connectivity_at_least(g: Graph, k: int) -> bool:
-    """Whether ``vertex_connectivity(complement(g)) >= k``, by the degree
-    threshold or by at most k(n - 1) flows capped at k rather than by
-    computing the connectivity.  The complement is built only when Even's
-    flows must run: its minimum degree is n - 1 - max degree of ``g``."""
+    """Whether ``vertex_connectivity(complement(g)) >= k``.  The minimum
+    degree may settle it, by kappa <= delta or by the degree threshold,
+    without the complement being built: the complement's minimum degree is
+    n - 1 - the maximum degree of ``g``.  Otherwise the pivot's search on
+    the complement answers it, capped at k."""
     if k <= 0:
         return True
     max_degree = max((g.degree(v) for v in g.vertices()), default=0)
     delta = g.n - 1 - max_degree  # the complement's, and kappa <= delta
     if k > delta:
         return False
-    return _degree_floor(g.n, delta) >= k or _even_flows_reach(complement(g), k)
-
-
-def _even_flows_reach(g: Graph, k: int) -> bool:
-    """Even's test: every flow from the first k vertices to their
-    non-neighbours reaches k, each vertex's sinks swept as kappa's pivot's."""
-    net = _split_network(g)
-    return all(_least_local_connectivity(g, net, v, k, k - 1) == k for v in range(k))
+    return _degree_floor(g.n, delta) >= k or _connectivity(complement(g), k) >= k
 
 
 def edge_connectivity(g: Graph) -> int:

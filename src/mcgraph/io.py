@@ -7,8 +7,9 @@ plain-text edge-list format ("n m" on the first line, then one "u v" line
 per edge) is accepted on input as well.  Malformed input of any shape is
 rejected with ``ValueError``, which the command line reports as exit code 2,
 and so are product metadata and a ``connected`` flag that the edges do not
-bear out, and any field the writer would not write back: an unknown key, a
-null ``labels``, or ``connected`` without ``product``.
+bear out, and any field the writer would not write back: an unknown key (in
+a graph or a coloring file), a null ``labels``, or ``connected`` without
+``product``.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ def _int_lists(value, field: str, length: int | None = None) -> list[tuple]:
     return [tuple(item) for item in value]
 
 
-# the fields graph_to_obj writes: a file with any other would lose it on
-# the way back, so the reader refuses it
+# the fields graph_to_obj and coloring_to_obj write: a file with any other
+# would lose it on the way back, so the readers refuse it
 _GRAPH_FIELDS = ("n", "edges", "labels", "product", "connected")
 _PRODUCT_FIELDS = ("kind", "factors")
+_COLORING_FIELDS = ("edges", "colors")
 
 
 def _refuse_unknown(obj: dict, known: tuple[str, ...], where: str) -> None:
@@ -182,9 +184,11 @@ def coloring_to_obj(coloring: EdgeColoring) -> dict:
 
 
 def coloring_from_obj(host: Graph, obj: dict) -> EdgeColoring:
-    """Rebuild a coloring, insisting the edge list matches the host exactly."""
+    """Rebuild a coloring, insisting the edge list matches the host exactly;
+    a field :func:`coloring_to_obj` never writes raises ValueError."""
     if not isinstance(obj, dict) or "edges" not in obj or "colors" not in obj:
         raise ValueError("coloring object needs 'edges' and 'colors' fields")
+    _refuse_unknown(obj, _COLORING_FIELDS, "coloring object")
     if _int_lists(obj["edges"], "edges", 2) != list(host.edges):
         raise ValueError("coloring edge list does not match the graph")
     colors = obj["colors"]

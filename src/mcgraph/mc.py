@@ -13,9 +13,10 @@ witness through the checker first.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .bounds import BoundInterval, product_mc_bounds
 from .errors import InapplicableError
@@ -201,22 +202,32 @@ def check_mc_coloring(
     nearly all the classes of the colorings that attain the known values:
     every non-tree edge of a spanning-tree coloring, every edge of an
     all-distinct one.
+
+    No class serves a pair with a vertex that no edge touches, so when z is
+    the smallest such vertex the first bad pair is at most (0, z), or is
+    (0, 1) when z is 0: the masks and the scan stop at max(z, 1), and the
+    cost follows the edges, not the declared vertex count.
     """
     if coloring.host.n != g.n or coloring.host.edges != g.edges:
         raise ValueError("coloring does not color this graph's edge set")
-    served = [0] * g.n  # bit v of served[u]: some class joins u and v
+    touched = set(chain.from_iterable(g.edges))
+    isolated = next((v for v in range(g.n) if v not in touched), g.n)
+    end = min(g.n, max(isolated, 1) + 1)
+    served = [0] * end  # bit v of served[u]: some class joins u and v
     for edges in coloring.color_classes():
         if len(edges) == 1:
             (u, v), = edges
-            served[u] |= 1 << v
-            served[v] |= 1 << u
+            if v < end:
+                served[u] |= 1 << v
+                served[v] |= 1 << u
             continue
         for comp in edge_components(g.n, edges):
+            comp = comp[: bisect_left(comp, end)]
             mask = sum(1 << v for v in comp)
             for v in comp:
                 served[v] |= mask
-    for u in g.vertices():
-        missing = ~served[u] & ((1 << g.n) - (2 << u))  # the v > u unserved
+    for u in range(end):
+        missing = ~served[u] & ((1 << end) - (2 << u))  # the v > u unserved
         if missing:
             return False, (u, (missing & -missing).bit_length() - 1)
     return True, None

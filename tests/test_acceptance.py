@@ -74,7 +74,7 @@ def test_criterion_4_grid_values():
     # the closed form n*m - n - m + 2 gives 3, 4, 5 at these sizes
     for (n, m), expected in (((3, 2), 3), ((4, 2), 4), ((3, 3), 5)):
         assert expected == n * m - n - m + 2
-        g = generate(NetworkSpec("grid", (n, m))).graph
+        g = generate(NetworkSpec("grid", (n, m)))
         assert mc_exact(g).value == expected, (n, m)
     elapsed = time.monotonic() - start
     assert elapsed < 120, f"took {elapsed:.1f}s"
@@ -83,16 +83,16 @@ def test_criterion_4_grid_values():
 
 def test_criterion_5_petersen_families():
     hp3 = generate(NetworkSpec("hyper_petersen", (3,)))
-    cert = theorem1_certificate(hp3.graph)
+    cert = theorem1_certificate(hp3)
     assert "b" in cert.conditions and cert.value == 7
 
     hl3 = generate(NetworkSpec("hl", (3,)))
-    assert hl3.graph.edges == hp3.graph.edges
-    assert theorem1_certificate(hl3.graph).value == 7
+    assert hl3.edges == hp3.edges
+    assert theorem1_certificate(hl3).value == 7
 
     hp4 = generate(NetworkSpec("hyper_petersen", (4,)))
-    assert diameter(hp4.graph) == 3
-    cert4 = theorem1_certificate(hp4.graph)
+    assert diameter(hp4) == 3
+    cert4 = theorem1_certificate(hp4)
     assert "d" in cert4.conditions and cert4.value == 22
 
     hl4 = generate(NetworkSpec("hl", (4,)))
@@ -122,12 +122,12 @@ def test_criterion_7_distance_formulas():
     checks = 0
     for name_g, g, name_h, h in pool_pairs(24):
         cart = make_product(ProductKind.CARTESIAN, g, h)
-        assert diameter(cart.graph) == diameter(g) + diameter(h)
+        assert diameter(cart) == diameter(g) + diameter(h)
         strong = make_product(ProductKind.STRONG, g, h)
-        assert diameter(strong.graph) == max(diameter(g), diameter(h))
+        assert diameter(strong) == max(diameter(g), diameter(h))
         for kind in (ProductKind.CARTESIAN, ProductKind.LEXICOGRAPHIC, ProductKind.STRONG):
             built = make_product(kind, g, h)
-            dist = [distances_from(built.graph, v) for v in range(built.n)]
+            dist = [distances_from(built, v) for v in range(built.n)]
             for a in range(built.n):
                 for b in range(a + 1, built.n):
                     expected = distance_formula(
@@ -153,7 +153,7 @@ def test_criterion_8_theorem_containment():
             except InapplicableError:
                 continue
             built = make_product(kind, g, h)
-            value = mc_exact(built.graph).value
+            value = mc_exact(built).value
             assert value is not None and value in interval, (
                 kind.value,
                 name_g,
@@ -171,7 +171,7 @@ def test_criterion_8_theorem_containment():
     ]
     for kind, g, h, expected in examples:
         built = make_product(kind, g, h)
-        cert = theorem1_certificate(built.graph)
+        cert = theorem1_certificate(built)
         assert "d" in cert.conditions and cert.value == expected
         assert cert.value in product_mc_bounds(kind, g, h)
 
@@ -180,7 +180,7 @@ def test_criterion_8_theorem_containment():
     # arithmetic still contains it
     g, h = cycle_graph(3), cycle_graph(6)
     built = make_product(ProductKind.DIRECT, g, h)
-    cert = theorem1_certificate(built.graph)
+    cert = theorem1_certificate(built)
     assert "d" in cert.conditions and cert.value == 20
     with pytest.raises(InapplicableError):
         product_mc_bounds(ProductKind.DIRECT, g, h)

@@ -100,7 +100,7 @@ class TestNaiveEngine:
 
 class TestTreeCoverEngine:
     def test_grid_value(self):
-        g = generate(NetworkSpec("grid", (3, 2))).graph
+        g = generate(NetworkSpec("grid", (3, 2)))
         assert mc_exact(g).value == 3
 
     def test_tree_is_one(self):
@@ -117,15 +117,13 @@ class TestTreeCoverEngine:
         assert res.value == 0 and res.method == "tree-cover"
 
     def test_budget_exceeded_returns_bounds_only(self):
-        g = make_product(
-            ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(4)
-        ).graph
+        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(4))
         res = mc_exact(g, max_nodes=50)
         assert res.method == "bounds-only" and res.value is None
         assert res.bounds.lower == g.m - g.n + 2
 
     def test_witness_is_valid_and_deterministic(self):
-        g = generate(NetworkSpec("grid", (3, 3))).graph
+        g = generate(NetworkSpec("grid", (3, 3)))
         first = mc_exact(g)
         second = mc_exact(g)
         assert first.witness.colors == second.witness.colors
@@ -203,7 +201,7 @@ def dense_random_graphs() -> list:
 
 
 def relabelled_lex_p3_p4(seed):
-    g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), path_graph(4)).graph
+    g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), path_graph(4))
     return relabel(g, random_permutation(g.n, random.Random(f"{seed}:lex_P3_P4")))
 
 
@@ -288,7 +286,7 @@ def counters(res) -> tuple[int, int, int, int]:
 def product_results():
     out = {}
     for name, kind, a, b, budget in PRODUCTS:
-        g = make_product(kind, a, b).graph
+        g = make_product(kind, a, b)
         kwargs = {} if budget is None else {"max_nodes": budget}
         out[name] = (g, mc_exact(g, **kwargs))
     return out
@@ -335,7 +333,7 @@ class TestSearchRegression:
     def test_counters_pinned(self, product_results):
         for name, *_ in PRODUCTS:
             assert counters(product_results[name][1]) == COUNTER_PINS[name], name
-        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
+        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5))
         res = mc_exact(g, max_nodes=1_000)
         assert res.method == "bounds-only"
         assert counters(res) == COUNTER_PINS["lex_P3_C5 at 1,000 nodes"]
@@ -346,7 +344,7 @@ class TestSearchRegression:
         # in milliseconds, so Thm3(3)'s [52, 56] is not attained at its
         # lower end
         kind, a, b = ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)
-        g = make_product(kind, a, b).graph
+        g = make_product(kind, a, b)
         path = Path(__file__).parent / "data" / "lex_P3_C5_mc53.json"
         witness = loads_coloring(g, path.read_text())
         ok, pair = check_mc_coloring(g, witness)
@@ -361,7 +359,7 @@ class TestSearchRegression:
     def test_lex_P3_C5_decided(self):
         # the capacity floor 12 is the optimum waste 65 - 53, so the round at
         # the floor finds the committed witness at the default budget
-        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
+        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5))
         res = mc_exact(g)
         assert (res.value, res.method) == (53, "tree-cover")
         path = Path(__file__).parent / "data" / "lex_P3_C5_mc53.json"
@@ -376,7 +374,7 @@ class TestSearchRegression:
         # a 16-vertex host: the capacity floor 12 is the optimum waste
         # 80 - 68, and the round at the floor finds the committed witness
         # at the default budget
-        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(8)).graph
+        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(8))
         path = Path(__file__).parent / "data" / "lex_P2_C8_mc68.json"
         witness = loads_coloring(g, path.read_text())
         ok, pair = check_mc_coloring(g, witness)
@@ -400,7 +398,7 @@ class TestSearchRegression:
 
     def test_strong_P3_K5_decided(self):
         # the Lem1 ceiling 71 is attained
-        g = make_product(ProductKind.STRONG, path_graph(3), complete_graph(5)).graph
+        g = make_product(ProductKind.STRONG, path_graph(3), complete_graph(5))
         res = mc_exact(g)
         assert (res.value, res.method) == (71, "tree-cover")
         ok, _ = check_mc_coloring(g, res.witness)
@@ -435,7 +433,7 @@ class TestSearchRegression:
     def test_bounds_only_stops_at_the_first_node_past_the_budget(
         self, kind, a, b, max_nodes
     ):
-        res = mc_exact(make_product(kind, a, b).graph, max_nodes=max_nodes)
+        res = mc_exact(make_product(kind, a, b), max_nodes=max_nodes)
         assert res.method == "bounds-only"
         assert res.stats.nodes == max_nodes + 1
 
@@ -443,9 +441,9 @@ class TestSearchRegression:
         # the root floor proves mc <= m - floor, below the Lem1 upper end
         # (56 on lex(P3,C5), 124 on hl(4)); lex(P3,C5) has mc = 53.  On
         # strong(P3,K4) the root floor is Lem1's own, so Lem1 keeps the tag
-        lex = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
-        hl4 = generate(NetworkSpec("hl", (4,))).graph
-        strong = make_product(ProductKind.STRONG, path_graph(3), complete_graph(4)).graph
+        lex = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5))
+        hl4 = generate(NetworkSpec("hl", (4,)))
+        strong = make_product(ProductKind.STRONG, path_graph(3), complete_graph(4))
         got = []
         for g, max_nodes in ((lex, 1_000), (hl4, 10), (strong, 1)):
             res = mc_exact(g, max_nodes=max_nodes)
@@ -496,9 +494,7 @@ class TestSearchRegression:
 
 
 def lex_p3_c4():
-    return make_product(
-        ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(4)
-    ).graph
+    return make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(4))
 
 
 def lex_p3_c4_automorphisms():
@@ -538,7 +534,7 @@ def outcome_runs(corpus6):
     and the decided exact-products instances at their budgets."""
     rng = random.Random(1)
     n7 = [random_connected_graph(7, m, rng) for m in (9, 10, 11) for _ in range(8)]
-    products = [(make_product(kind, a, b).graph, budget)
+    products = [(make_product(kind, a, b), budget)
                 for _, kind, a, b, budget in PRODUCTS]
     return [(g, None) for g in list(corpus6) + n7] + products
 
@@ -788,7 +784,7 @@ class TestSymmetry:
             g = relabelled_lex_p3_p4(5)
         else:
             _, kind, a, b, _ = next(p for p in PRODUCTS if p[0] == name)
-            g = make_product(kind, a, b).graph
+            g = make_product(kind, a, b)
         applied = applied_states(g, max_nodes)
         solver = solver_with_wl(g)
         buckets = {}
@@ -814,7 +810,7 @@ class TestSymmetry:
         # over the lex(P3,C5) solve: at most one record per _dfs visit, and
         # none built again for a state whose record is kept; the store holds
         # the records of the exhausted states only
-        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5)).graph
+        g = make_product(ProductKind.LEXICOGRAPHIC, path_graph(3), cycle_graph(5))
         visits = []  # records built per visit, by visit
         open_visits = []
         built = []
@@ -1290,29 +1286,27 @@ def table_graphs():
         for n in range(3, 11)
         for _ in range(15)
     ]
-    graphs += [make_product(kind, a, b).graph for _, kind, a, b, _ in PRODUCTS]
+    graphs += [make_product(kind, a, b) for _, kind, a, b, _ in PRODUCTS]
     for kind, b in (
         (ProductKind.LEXICOGRAPHIC, cycle_graph(5)),
         (ProductKind.STRONG, complete_graph(5)),
     ):
-        graphs.append(make_product(kind, path_graph(3), b).graph)
+        graphs.append(make_product(kind, path_graph(3), b))
     return graphs
 
 
 # the tables of three 16-vertex hosts
 SIXTEEN_VERTEX_TABLES = {
     "lex_P2_C8": (
-        lambda: make_product(
-            ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(8)
-        ).graph,
+        lambda: make_product(ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(8)),
         [0, 0, 0, 1, 3, 6, 10, 15, 20, 20, 21, 23, 26, 28, 31, 35, 40],
     ),
     "Q4": (
-        lambda: generate(NetworkSpec("hypercube", (4,))).graph,
+        lambda: generate(NetworkSpec("hypercube", (4,))),
         [0, 0, 0, 1, 3, 6, 10, 15, 21, 28, 35, 43, 50, 58, 67, 77, 88],
     ),
     "grid_4_4": (
-        lambda: generate(NetworkSpec("grid", (4, 4))).graph,
+        lambda: generate(NetworkSpec("grid", (4, 4))),
         [0, 0, 0, 1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 65, 75, 85, 96],
     ),
 }

@@ -134,12 +134,12 @@ class TestGenerate:
 
     def test_hyper_petersen_3_is_petersen(self):
         built = generate(spec("hyper_petersen", 3))
-        assert built.graph.edges == petersen_graph().edges
+        assert built.edges == petersen_graph().edges
 
     def test_hl3_equals_hp3(self):
         hl3 = generate(spec("hl", 3))
         hp3 = generate(spec("hyper_petersen", 3))
-        assert hl3.graph.edges == hp3.graph.edges
+        assert hl3.edges == hp3.edges
 
     def test_hl4(self):
         g = generate(spec("hl", 4))
@@ -149,7 +149,7 @@ class TestGenerate:
 
     def test_generalized_hypercube_is_cube(self):
         gh = generate(spec("generalized_hypercube", 2, 2, 2))
-        assert gh.graph.edges == hypercube_graph(3).edges
+        assert gh.edges == hypercube_graph(3).edges
         assert gh.n == 8 and gh.m == 12
 
     def test_torus_edge_count_matches_iterated_formula(self):
@@ -178,8 +178,8 @@ class TestGenerate:
 
     def test_labels_carry_coordinates(self):
         g = generate(spec("mesh", 2, 2, 2))
-        assert g.graph.labels[0] == (0, 0, 0)
-        assert g.graph.labels[7] == (1, 1, 1)
+        assert g.labels[0] == (0, 0, 0)
+        assert g.labels[7] == (1, 1, 1)
 
     def test_zero_cube_is_one_vertex(self):
         g = generate(spec("hypercube", 0))
@@ -191,8 +191,8 @@ class TestGenerate:
 
         for n, m in ((3, 2), (4, 2), (3, 3), (5, 4)):
             built = generate(spec("grid", n, m))
-            assert diameter(built.graph) == n + m - 2 >= 3
-            cert = theorem1_certificate(built.graph)
+            assert diameter(built) == n + m - 2 >= 3
+            cert = theorem1_certificate(built)
             assert "d" in cert.conditions
 
 

@@ -586,6 +586,20 @@ def flows(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def flow_caps(monkeypatch):
+    """The cap of every max-flow run, counted through a wrapper."""
+    caps = []
+    real = graph_module._max_flow
+
+    def counting(arcs, s, t, cap):
+        caps.append(cap)
+        return real(arcs, s, t, cap)
+
+    monkeypatch.setattr(graph_module, "_max_flow", counting)
+    return caps
+
+
 class TestFlowCounts:
     @pytest.mark.parametrize(
         "g,kappa", [(path_graph(200), 1), (cycle_graph(200), 2)], ids=["P200", "C200"]
@@ -615,6 +629,17 @@ class TestFlowCounts:
 
 Q6 = generate(NetworkSpec("hypercube", (6,)))
 HL4 = generate(NetworkSpec("hl", (4,)))
+# Thm1(a) asks whether the complement is 4-connected.  For these dense
+# graphs the complement's minimum degree (74 and 59) leaves that open.
+# vertex_connectivity(complement(g)) >= 4 would run 480 flows on G150, and
+# 2 and 4 flows capped at up to 59 on TWO_K60[3] and TWO_K60[5], where
+# Thm1(a) needs only min(kappa, 4).
+_RANDOM = random.Random(0)
+G150 = build_graph(150, [e for e in combinations(range(150), 2) if _RANDOM.random() < 0.4])
+TWO_K60 = {
+    joins: complement(_two_cliques_joined(60, [(i, 60 + i) for i in range(joins)]))
+    for joins in (3, 5)
+}
 
 
 class TestFlowPins:
@@ -654,7 +679,7 @@ class TestFlowPins:
     @pytest.mark.parametrize(
         "g,builds", [(TORUS_3333, 0), (Q6, 0), (HL4, 1)], ids=["torus3333", "Q6", "hl4"]
     )
-    def test_theorem1a_builds_the_complement_only_for_flows(
+    def test_theorem1a_builds_the_complement_only_past_the_degree_tests(
         self, monkeypatch, g, builds
     ):
         calls = []
@@ -666,9 +691,29 @@ class TestFlowPins:
         assert len(calls) == builds
 
     def test_theorem1a_threshold_in_4n_flows_on_hl4(self, flows):
-        # the complement has delta 6 < (20 + 2) / 2, so Even's flows still run
+        # the complement has delta 6 < (20 + 2) / 2, so it is built, but it
+        # is two disjoint Petersen complements: disconnected, kappa 0, and
+        # the connectivity check answers before any flow
         assert "a" not in theorem1_certificate(HL4).conditions
-        assert 0 < len(flows) <= 4 * HL4.n
+        assert flows == []
+
+    def test_theorem1a_caps_its_flows_at_4_on_seven_vertices(self, flow_caps, classes7):
+        # the minimum degree settles every class but P7 and C7, whose
+        # complements have delta 4 and are 4-connected
+        held = [g for g in classes7 if "a" in theorem1_certificate(g).conditions]
+        assert len(held) == 2
+        assert len(flow_caps) == 4 and max(flow_caps) <= 4
+
+    @pytest.mark.parametrize(
+        "g,holds,thm1a_flows",
+        [(G150, True, 0), (TWO_K60[5], True, 3), (TWO_K60[3], False, 2)],
+        ids=["G150", "two-K60-5-joins", "two-K60-3-joins"],
+    )
+    def test_theorem1a_caps_its_flows_at_4_on_dense_graphs(
+        self, flow_caps, g, holds, thm1a_flows
+    ):
+        assert ("a" in theorem1_certificate(g).conditions) == holds
+        assert len(flow_caps) == thm1a_flows and all(c <= 4 for c in flow_caps)
 
     def test_degree_threshold_is_tight(self, flows):
         # the prism, the complement of C6: n = 6, delta = kappa = 3
@@ -798,15 +843,11 @@ def test_fenced_sinks_need_no_flow(g):
     with pytest.MonkeyPatch.context() as patch:
         found = record_skips(patch)
         for h in hosts:
-            assert vertex_connectivity(h) == min_vertex_cut_exhaustive(h)
+            kappa = min_vertex_cut_exhaustive(h)
+            assert vertex_connectivity(h) == kappa
             for k in range(1, min(min_degree(h) + 2, h.n)):
-                # Even's test against its definition
-                assert graph_module._even_flows_reach(h, k) == all(
-                    local_connectivity(h, v, u) >= k
-                    for v in range(k)
-                    for u in h.vertices()
-                    if u != v and u not in h.adjacency[v]
-                )
+                # the search capped at k, as Thm1(a) runs it
+                assert graph_module._connectivity(h, k) == min(kappa, k)
     for h, v, u, best in found:
         assert local_connectivity(h, v, u) >= best, (v, u)
 

@@ -13,8 +13,13 @@ from mcgraph import cli, families, products
 from mcgraph import io as gio
 from mcgraph import smallgraphs
 from mcgraph.families import NetworkSpec, cycle_graph, generate, path_graph
-from mcgraph.graph import metrics
-from mcgraph.mc import EdgeColoring, mc_bounds_combined, spanning_tree_coloring
+from mcgraph.graph import Graph, metrics
+from mcgraph.mc import (
+    EdgeColoring,
+    check_mc_coloring,
+    mc_bounds_combined,
+    spanning_tree_coloring,
+)
 from mcgraph.products import ProductGraph, ProductKind, make_product
 from mcgraph.treecover import mc_exact
 from mcgraph.verification import SuiteResult
@@ -158,6 +163,15 @@ class TestCli:
         assert run_cli(capsys, "check", str(q10), str(tree)) == (0, "VALID 4098 colors\n", "")
         assert run_cli(capsys, "check", str(q10), str(moved)) == (
             1, "INVALID pair (0, 3)\n", ""
+        )
+
+    def test_check_refuses_a_field_the_writer_never_writes(self, workdir, capsys):
+        # a round trip would drop the note, and check would call the file valid
+        p3, noted = workdir / "p3.json", workdir / "noted.json"
+        run_cli(capsys, "gen", "path", "3", "-o", str(p3))
+        noted.write_text('{"edges":[[0,1],[1,2]],"colors":[0,0],"note":"x"}')
+        assert run_cli(capsys, "check", str(p3), str(noted)) == (
+            2, "", "error: unknown field 'note' in coloring object\n"
         )
 
     def test_check_mismatch_is_usage_error(self, workdir, capsys):
@@ -683,6 +697,33 @@ def test_load_cost_follows_the_file_not_the_declared_order(product):
     assert "adjacency" not in g.__dict__
 
 
+def test_check_cost_follows_the_edges_not_the_declared_order(tmp_path, capsys):
+    # 2^62 declared vertices and no edge: every pair is unserved, and nothing
+    # may be built per vertex to find the first one
+    graph, coloring = tmp_path / "huge.json", tmp_path / "empty.json"
+    graph.write_text('{"n":4611686018427387904,"edges":[]}')
+    coloring.write_text('{"edges":[],"colors":[]}')
+    assert run_cli(capsys, "check", str(graph), str(coloring)) == (
+        1, "INVALID pair (0, 1)\n", ""
+    )
+
+
+@pytest.mark.parametrize(
+    "edges,colors,pair",
+    [
+        ((), (), (0, 1)),
+        (((0, 1),), (0,), (0, 2)),
+        # classes that reach far past the first isolated vertex, 1
+        (((0, 2**62 - 1),), (0,), (0, 1)),
+        (((0, 2**62 - 2), (2**62 - 2, 2**62 - 1)), (0, 0), (0, 1)),
+    ],
+    ids=["no-edge", "one-edge", "far-edge", "far-class"],
+)
+def test_checker_stops_at_the_first_isolated_vertex(edges, colors, pair):
+    g = Graph(2**62, edges)
+    assert check_mc_coloring(g, EdgeColoring(g, colors)) == (False, pair)
+
+
 SCALARS = (
     st.none()
     | st.booleans()
@@ -769,7 +810,8 @@ def test_a_loaded_object_has_only_fields_the_writer_writes(obj):
         {
             "edges": st.just([[0, 1], [1, 2]]) | PAIRS | JSON_VALUES,
             "colors": st.lists(st.integers(-1, 2) | SCALARS, max_size=3) | JSON_VALUES,
-        }
+        },
+        optional={"note": SCALARS},
     )
     | JSON_VALUES
 )

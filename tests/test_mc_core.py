@@ -172,6 +172,8 @@ _COLORINGS = [
 @example((build_graph(4, [(0, 1), (2, 3)]), (0, 1)))  # disconnected: (0, 2)
 # (0, 2) is the smallest bad pair, and only one-edge classes touch 0 and 2
 @example((cycle_graph(6), (0, 1, 2, 3, 4, 4)))
+# vertex 3 is isolated, and the bad pair (0, 2) comes before (0, 3)
+@example((build_graph(6, [(0, 1), (1, 2), (2, 4), (4, 5)]), (0, 1, 1, 1)))
 def test_checker_matches_pair_scan_reference(case):
     g, colors = case
     coloring = EdgeColoring(g, colors)
@@ -188,7 +190,7 @@ _PINNED = [
         (0, 0, 0, 0, 0, 1, 2, 0, 3, 0, 0, 0, 4, 5, 6),
     ),
     (
-        make_product(ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(4)).graph,
+        make_product(ProductKind.LEXICOGRAPHIC, path_graph(2), cycle_graph(4)),
         (0, 0, 0, 0, 0, 0, 0) + tuple(range(1, 18)),
         (0, 0, 1, 2, 1, 2, 0) + tuple(range(3, 20)),
     ),
@@ -269,7 +271,7 @@ class TestTheorem1Certificate:
         assert cert.value == 7
 
     def test_grid_diameter(self):
-        g = generate(NetworkSpec("grid", (3, 2))).graph
+        g = generate(NetworkSpec("grid", (3, 2)))
         cert = theorem1_certificate(g)
         assert "d" in cert.conditions and cert.value == 3
 
@@ -324,8 +326,8 @@ class TestBoundsBasic:
 
     def test_hl4_true_kappa_vs_combined(self):
         product = generate(NetworkSpec("hl", (4,)))
-        assert vertex_connectivity(product.graph) == 13
-        basic = mc_bounds_basic(product.graph)
+        assert vertex_connectivity(product) == 13
+        basic = mc_bounds_basic(product)
         assert (basic.lower, basic.upper) == (112, 124)
         combined = mc_bounds_combined(product)
         assert (combined.lower, combined.upper) == (112, 121)
@@ -340,7 +342,7 @@ class TestBoundsBasic:
         assert product.m == m == product.n * (product.n - 1) // 2
         combined = mc_bounds_combined(product)
         assert (combined.lower, combined.upper) == (m, m)
-        assert combined == mc_bounds_basic(product.graph)
+        assert combined == mc_bounds_basic(product)
 
     def test_combined_keeps_an_interval_closed_to_a_point(self):
         # Thm5's lower end meets Lem1's ceiling: the intersection is the

@@ -8,6 +8,9 @@ those inside functions included, and an edge joins a module to each package
 module one of its statements names.  The graph has no edge into
 ``__init__``, which runs on every import of a submodule and re-exports both
 engines; these rules are about the code each module asks for itself.
+
+A private function or class (``_name``) serves only the package, so one
+that no code of the package names is dead and fails the check too.
 """
 
 import ast
@@ -92,3 +95,36 @@ def test_import_graph():
 
     unused = {name: _unused(tree) for name, tree in trees.items()}
     assert not any(unused.values()), {k: v for k, v in unused.items() if v}
+
+
+def _private_definitions(tree: ast.AST) -> set[str]:
+    """The ``_name`` functions and classes ``tree`` defines, at any depth."""
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads, as a variable, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_dead_private_helpers():
+    trees = [ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")]
+    defined = set().union(*map(_private_definitions, trees))
+    read = set().union(*map(_names_read, trees))
+    assert defined, "the walk found no private helper"
+    dead = sorted(defined - read)
+    assert not dead, dead

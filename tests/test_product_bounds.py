@@ -115,7 +115,7 @@ class TestKappaFormula:
         predicted = kappa_formula(ProductKind.STRONG, P3, P3)
         assert predicted == 3
         king = make_product(ProductKind.STRONG, P3, P3)
-        assert vertex_connectivity(king.graph) == 3
+        assert vertex_connectivity(king) == 3
 
     def test_lexicographic_complete_first_factor_refused(self):
         with pytest.raises(InapplicableError):
@@ -129,7 +129,7 @@ class TestKappaFormula:
         # the separating-set term drops out when a factor has no separator
         predicted = kappa_formula(ProductKind.STRONG, C4, C3)
         assert predicted == min(2 * 3, 2 * 4) == 6
-        assert vertex_connectivity(make_product(ProductKind.STRONG, C4, C3).graph) == 6
+        assert vertex_connectivity(make_product(ProductKind.STRONG, C4, C3)) == 6
 
 
 class TestEdgeConnDirect:
@@ -147,7 +147,7 @@ class TestEdgeConnDirect:
         for g, h in ((C3, C3), (C3, C5), (C3, K4)):
             predicted = edge_conn_direct_formula(g, h)
             built = make_product(ProductKind.DIRECT, g, h)
-            assert metrics(built.graph).edge_connectivity == predicted
+            assert metrics(built).edge_connectivity == predicted
 
 
 class TestProductMcBounds:
@@ -223,7 +223,7 @@ class TestCorollaryLower:
         assert corollary_lower(ProductKind.STRONG, P2, P2, 1, 1) == 4
         assert corollary_source(ProductKind.STRONG, P2, P2) == "Cor5(3)"
         # exact value for the complete 4-vertex product is 6; the bound holds
-        assert mc_exact(make_product(ProductKind.STRONG, P2, P2).graph).value == 6
+        assert mc_exact(make_product(ProductKind.STRONG, P2, P2)).value == 6
 
     def test_direct_needs_nonbipartite_factors(self):
         # Thm5, whose lower end this is, holds for nonbipartite factors only:
@@ -259,8 +259,8 @@ def test_daleth_connectivity_contract():
     for g, h in ((P3, P3), (C4, P3), (P4, P3), (C4, C5)):
         predicted = kappa_formula(ProductKind.STRONG, g, h)
         built = make_product(ProductKind.STRONG, g, h)
-        assert is_connected(built.graph)
-        assert vertex_connectivity(built.graph) == predicted
+        assert is_connected(built)
+        assert vertex_connectivity(built) == predicted
 
 
 def test_catalog_answers_are_sound():

@@ -62,7 +62,7 @@ def reference_recover_factors(product):
 class TestMakeProduct:
     def test_cartesian_p2_p2_is_c4(self):
         p = make_product(ProductKind.CARTESIAN, P2, P2)
-        assert p.graph.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert p.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
 
     def test_strong_p2_p2_is_k4(self):
         p = make_product(ProductKind.STRONG, P2, P2)
@@ -70,8 +70,8 @@ class TestMakeProduct:
 
     def test_direct_p2_p2_two_disjoint_edges(self):
         p = make_product(ProductKind.DIRECT, P2, P2)
-        assert p.graph.edges == ((0, 3), (1, 2))
-        assert not is_connected(p.graph)
+        assert p.edges == ((0, 3), (1, 2))
+        assert not is_connected(p)
 
     def test_lexicographic_p3_p2(self):
         p = make_product(ProductKind.LEXICOGRAPHIC, P3, P2)
@@ -79,13 +79,13 @@ class TestMakeProduct:
 
     def test_labels_are_coordinates(self):
         p = make_product(ProductKind.CARTESIAN, P3, P2)
-        assert p.graph.labels[5] == (2, 1)
+        assert p.labels[5] == (2, 1)
 
     def test_iterated_labels_flatten(self):
         q = make_product(ProductKind.CARTESIAN, P2, P2)
-        p = make_product(ProductKind.CARTESIAN, q.graph, P2)
-        assert p.graph.labels[0] == (0, 0, 0)
-        assert p.graph.labels[7] == (1, 1, 1)
+        p = make_product(ProductKind.CARTESIAN, q, P2)
+        assert p.labels[0] == (0, 0, 0)
+        assert p.labels[7] == (1, 1, 1)
 
     def test_product_is_a_graph(self):
         p = make_product(ProductKind.LEXICOGRAPHIC, P3, P2)
@@ -228,7 +228,7 @@ class TestDistanceFormula:
             for g in (P3, cycle_graph(4)):
                 for h in (P2, cycle_graph(3)):
                     p = make_product(kind, g, h)
-                    dist = [distances_from(p.graph, v) for v in range(p.n)]
+                    dist = [distances_from(p, v) for v in range(p.n)]
                     for a in range(p.n):
                         for b in range(p.n):
                             assert dist[a][b] == distance_formula(
@@ -244,12 +244,12 @@ class TestStructure:
     def test_cartesian_commutative_up_to_swap(self):
         a = make_product(ProductKind.CARTESIAN, P3, cycle_graph(4))
         b = make_product(ProductKind.CARTESIAN, cycle_graph(4), P3)
-        assert relabel(a.graph, swap_map(3, 4)).edges == b.graph.edges
+        assert relabel(a, swap_map(3, 4)).edges == b.edges
 
     def test_lexicographic_not_commutative(self):
         a = make_product(ProductKind.LEXICOGRAPHIC, P3, P2)
         b = make_product(ProductKind.LEXICOGRAPHIC, P2, P3)
-        assert relabel(a.graph, swap_map(3, 2)).edges != b.graph.edges
+        assert relabel(a, swap_map(3, 2)).edges != b.edges
 
     @pytest.mark.parametrize("kind", list(ProductKind))
     def test_recover_factors(self, kind):
