@@ -679,9 +679,11 @@ class TestFlowPins:
     @pytest.mark.parametrize(
         "g,builds", [(TORUS_3333, 0), (Q6, 0), (HL4, 1)], ids=["torus3333", "Q6", "hl4"]
     )
-    def test_theorem1a_builds_the_complement_only_past_the_degree_tests(
+    def test_theorem1a_builds_the_complement_only_for_flows(
         self, monkeypatch, g, builds
     ):
+        # built only where the degree tests leave the answer open; on hl(4)
+        # the built complement is disconnected, so no flow follows the build
         calls = []
         real = graph_module.complement
         monkeypatch.setattr(
