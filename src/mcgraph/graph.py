@@ -23,14 +23,17 @@ Every traversal of a ``Graph`` in the package goes through two primitives:
 
 Vertex and edge connectivity are unit-capacity max flows (Menger), run
 sparingly: from a minimum-degree pivot only (Esfahanian and Hakimi,
-*Networks* 14(2), 1984), each capped at the best cut found so far, none to
-a sink whose neighbours already fence it in, none between two neighbours of
-the pivot that enough vertices already join, and none once the best cut
-meets a floor that facts already known prove.  kappa is 1 when the graph
-has a cut vertex, else at least 2 and at least
-2 delta - n + 2 (Chartrand and Harary, 1968); lambda is at least kappa by
-Whitney's chain kappa <= lambda <= delta (*Amer. J. Math.* 54, 1932).  A
-floor that reaches delta is the answer, with no flow at all.  For the
+*Networks* 14(2), 1984), each capped at the best cut found so far, and
+none once the best cut meets a floor that facts already known prove.  Each
+pair the search has proven joins its graph as an edge (as in Even's test,
+1975), so one rule fences pairs: none runs a flow whose ends have as many
+common neighbours in the joined graph as the best cut.  Each flow starts
+from the short disjoint paths it finds there and searches only for the
+rest; the network is built at the first flow that needs it.  kappa is 1
+when the graph has a cut vertex, else at least 2 and at least 2 delta - n +
+2 (Chartrand and Harary, 1968); lambda is at least kappa by Whitney's chain
+kappa <= lambda <= delta (*Amer. J. Math.* 54, 1932).  A floor that reaches
+delta is the answer, with no flow at all.  For the
 question "is kappa >= k?" the minimum degree may force the answer, else the
 same search runs with every flow capped at k.  Each augmenting path comes
 from a breadth-first search run from both ends of the flow (Pohl, 1971).
@@ -43,7 +46,8 @@ Three searches stay separate on purpose:
   reverse of arc ``a``.  It searches forward from the source and backward
   from the sink, level by level, with one mark list for both trees.  It
   undoes only the arcs it pushed, so one network serves every flow of a
-  search without a copy per flow.
+  search without a copy per flow; a kappa flow pushes its seeds before the
+  call and undoes them after.
 * :func:`has_cut_vertex` is one depth-first lowpoint search (Hopcroft and
   Tarjan), which a breadth-first tree cannot replace; it keeps its own stack,
   so deep graphs meet no recursion limit.
@@ -111,11 +115,15 @@ class Graph:
     @cached_property
     def connected(self) -> bool:
         """Whether the graph has a single component, found once per graph by
-        one breadth-first search (vacuously true for n <= 1).  Fewer than
-        n - 1 edges cannot connect n vertices; that answer needs no search,
-        so a sparse graph with many declared vertices stays cheap."""
-        n = self.n
-        return n <= 1 or (len(self.edges) >= n - 1 and len(bfs_parents(self, 0)) == n)
+        one breadth-first search (vacuously true for n <= 1).  Two counts of
+        the edges need no search: fewer than n - 1 cannot connect n vertices,
+        so a sparse graph with many declared vertices stays cheap, and all
+        n(n - 1)/2 make the graph complete, so a dense one builds no
+        adjacency just to learn it is connected."""
+        n, m = self.n, len(self.edges)
+        if n <= 1 or m == n * (n - 1) // 2:
+            return True
+        return m >= n - 1 and len(bfs_parents(self, 0)) == n
 
     @cached_property
     def diameter(self) -> int | float:
@@ -398,7 +406,7 @@ def has_cut_vertex(g: Graph) -> bool:
 # Connectivity.  By Menger's theorem the local connectivity of a non-adjacent
 # pair is the number of internally vertex-disjoint paths joining it, a
 # unit-capacity max flow on the vertex-split digraph; edge connectivity is
-# the same on the graph's own arcs.  Six facts keep the flows few and short:
+# the same on the graph's own arcs.  Seven facts keep the flows few and short:
 #
 # * Pivot (Esfahanian and Hakimi, Networks 14(2), 1984).  Let v have minimum
 #   degree delta; on a non-complete graph kappa <= delta.  A minimum cut S
@@ -407,29 +415,40 @@ def has_cut_vertex(g: Graph) -> bool:
 #   G - S, which are non-adjacent.  So kappa is the least of delta, the flows
 #   from v to its non-neighbours and the flows between non-adjacent
 #   neighbours of v: at most n + delta^2 flows, not one per non-adjacent pair.
-# * Fence.  Call a non-neighbour w of the pivot v proven once a flow, or this
-#   rule, has shown kappa(v, w) >= best, the best cut so far; a flow to w
-#   capped at best, followed by best = min(best, flow), proves w.  A
-#   non-neighbour u with at least best neighbours that are adjacent to v or
-#   proven needs no flow: a set S of fewer than best vertices separating v
-#   from u would have to hold every neighbour of u adjacent to v, and every
-#   proven one too, since S does not separate that one from v; that is best
-#   vertices in S.  best only falls, so a proof made at a larger best stays
-#   one.  ``_Sweep`` takes the fenced sinks first, and otherwise flows to
-#   the sink with the most unproven neighbours: on Q10, 502 flows instead of
-#   1,013.  The flows between neighbours of v have a rule of their own, the
-#   next one.
-# * Pair fence.  Call a non-adjacent pair (x, y) of neighbours of the pivot
-#   proven once a flow, or this rule, has shown kappa(x, y) >= best.  The
-#   pair needs no flow once at least best vertices are each adjacent to, or
-#   proven with, both x and y.  A set S of fewer than best vertices that
-#   separated x from y would leave each such vertex outside S in the
-#   component of x (it is adjacent to x, or S does not separate it from x)
-#   and in the component of y alike, which are different components; so S
-#   would hold all of them, best vertices.  As above, a proof made at a
-#   larger best stays one.  v itself is one such vertex; kappa takes the
-#   pairs in order, each proven as it passes: on hl(4), 11 flows
-#   for 33 pairs, and 44 for Q10's 45.
+# * Join (as Even's k-connectivity test, SIAM J. Comput. 4(3), 1975, joins
+#   each vertex to those already checked).  Call a pair (x, y) proven once a
+#   flow, or the fence below, has shown kappa(x, y) >= best, the best cut so
+#   far; a flow capped at best, followed by best = min(best, flow), proves
+#   its pair.  A proven pair joins the search's graph and its network as the
+#   edge xy.  That changes no value the search asks for: take a set S of
+#   fewer than b <= best vertices that separates a from c.  Each end of a
+#   proven pair is in S or in the same component of G - S as the other end,
+#   since S is too small to separate them, so the added edge does not join a
+#   to c.  Hence min(kappa(a, c), b) is unchanged at every cap b up to the
+#   best cut at join time, and caps only fall.  The argument holds in the
+#   joined graph as it stands, so joins may follow joins.  The pivot's
+#   proven sinks become its neighbours, and its proven neighbour pairs
+#   become edges.
+# * Fence.  A non-adjacent pair with at least best common neighbours in the
+#   joined graph needs no flow: they give best disjoint paths of length 2,
+#   and the pair is proven.  For the pivot v and a sink u, the common
+#   neighbours are u's neighbours that are adjacent to v or proven; for two
+#   neighbours x and y of v, the vertices each adjacent to, or proven with,
+#   both (v among them).  ``_Sweep`` takes the fenced sinks first, and
+#   otherwise flows to the sink with the most unproven neighbours: on Q10,
+#   502 flows instead of 1,013.  kappa takes the pairs of v's neighbours in
+#   order, each joined as it passes: on hl(4), 11 flows for 33 pairs, and
+#   44 for Q10's 45.
+# * Seeds.  Each flow from x to y first takes vertex-disjoint paths in the
+#   joined graph, greedily in index order: x-w-y through each common
+#   neighbour w (fewer than best, or the pair would be fenced), then x-d-w-y
+#   through a neighbour w of y and a joined neighbour d of x.  Together they
+#   are a feasible flow, and ``_max_flow`` augments only the paths still
+#   missing; augmenting from any feasible flow reaches the same value.  The
+#   proven sinks joined to the pivot make the x-d-w-y paths plentiful: on
+#   Q10 the flows need 586 augmenting searches, not 5,460.  The network is
+#   built at the first flow whose seeds fall short, so a search that the
+#   fences and seeds settle builds none.
 # * Caps and floors.  A flow that reaches the best cut found so far cannot
 #   lower it, so each flow stops after that many augmenting paths.  The
 #   question "kappa >= k?" needs only min(kappa, k), so its search starts
@@ -563,17 +582,26 @@ def _split_network(g: Graph) -> FlowNetwork:
     """Vertex-split network: ``v`` becomes ``2v -> 2v + 1`` (arc ``2v``), each
     edge two arcs out of one endpoint's out-copy into the other's in-copy,
     each paired with an empty reverse arc.  Vertex-disjoint ``s``-``t`` paths
-    are the flows from ``2s + 1`` to ``2t``."""
-    out = [[a] for a in range(2 * g.n)]
-    head = [a ^ 1 for a in range(2 * g.n)]
+    are the flows from ``2s + 1`` to ``2t``.  Edge ``i`` starts at arc
+    ``2n + 4i``: ``_lay_edge`` appends it."""
+    nodes = range(2 * g.n)
+    net = [[a] for a in nodes], [a ^ 1 for a in nodes], [1, 0] * g.n
     for u, v in g.edges:
-        a = len(head)
-        head += (2 * v, 2 * u + 1, 2 * u, 2 * v + 1)
-        out[2 * u + 1].append(a)
-        out[2 * v].append(a + 1)
-        out[2 * v + 1].append(a + 2)
-        out[2 * u].append(a + 3)
-    return out, head, [1, 0] * (len(head) // 2)
+        _lay_edge(net, u, v)
+    return net
+
+
+def _lay_edge(net: FlowNetwork, u: int, v: int) -> None:
+    """Append the edge ``uv``, ``u < v``, to a vertex-split network: arc
+    ``2u + 1 -> 2v``, then its reverse, then ``2v + 1 -> 2u`` and its reverse."""
+    out, head, room = net
+    a = len(head)
+    head += (2 * v, 2 * u + 1, 2 * u, 2 * v + 1)
+    room += (1, 0, 1, 0)
+    out[2 * u + 1].append(a)
+    out[2 * v].append(a + 1)
+    out[2 * v + 1].append(a + 2)
+    out[2 * u].append(a + 3)
 
 
 def _edge_network(g: Graph) -> FlowNetwork:
@@ -619,27 +647,103 @@ def _connectivity(g: Graph, cap: int) -> int:
     floor = max(2, _degree_floor(g.n, len(near)))
     if floor >= best:
         return best
-    net = _split_network(g)
-    # one flow, capped at the best cut so far, to each sink not fenced
+    joined = _Joined(g)
+    # one flow, capped at the best cut so far, to each sink not fenced; each
+    # sink yielded is proven, and joins the pivot
     sweep = _Sweep(g, v, best)
     for u, fenced in sweep:
         if not fenced:
-            sweep.best = min(sweep.best, _max_flow(net, 2 * v + 1, 2 * u, sweep.best))
+            sweep.best = min(sweep.best, joined.flow(v, u, sweep.best))
             if sweep.best <= floor:
                 break
+        joined.join(v, u)
     best = sweep.best
-    # linked[x]: x's neighbours and the neighbours of v proven with x
-    linked = {x: set(g.adjacency[x]) for x in near}
+    adj = joined.adj
     for x, y in combinations(g.neighbors[v], 2):
         if best == floor:
             break
-        if y in linked[x]:
+        if y in adj[x]:
             continue
-        if len(linked[x] & linked[y]) < best:  # else the pair is fenced
-            best = min(best, _max_flow(net, 2 * x + 1, 2 * y, best))
-        linked[x].add(y)
-        linked[y].add(x)
+        if len(adj[x] & adj[y]) < best:  # else the pair is fenced
+            best = min(best, joined.flow(x, y, best))
+        joined.join(x, y)
     return best
+
+
+class _Joined:
+    """One pivot search's joined graph (the comment above) and its network.
+
+    ``adj`` starts as the graph's adjacency and gains the edge xy once the
+    pair (x, y) is proven; the vertex-split network holds the same edges,
+    the joins after the graph's own.  ``flow`` seeds each flow with short
+    paths and builds the network only at the first flow they fall short of.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.adj = [set(s) for s in g.adjacency]
+        self.joins: dict[tuple[int, int], int] = {}  # edge -> its order
+        self.net: FlowNetwork | None = None
+
+    def join(self, x: int, y: int) -> None:
+        self.adj[x].add(y)
+        self.adj[y].add(x)
+        e = (x, y) if x < y else (y, x)
+        self.joins[e] = len(self.joins)
+        if self.net is not None:
+            _lay_edge(self.net, *e)
+
+    def _arc(self, p: int, q: int) -> int:
+        """The arc from ``p``'s out-copy into ``q``'s in-copy."""
+        g = self.g
+        e = (p, q) if p < q else (q, p)
+        i = g.edge_index.get(e)
+        if i is None:
+            i = g.m + self.joins[e]
+        return 2 * g.n + 4 * i + 2 * (p > q)
+
+    def flow(self, x: int, y: int, cap: int) -> int:
+        """min(kappa(x, y), ``cap``) in the joined graph, for non-adjacent
+        ``x`` and ``y``: the seeds (the comment above), then one augmenting
+        search for each path they miss."""
+        adj, nbrs = self.adj, self.g.neighbors
+        near = adj[x]
+        common = sorted(near & adj[y])[:cap]
+        seeds = [(w,) for w in common]
+        used = {x, y, *common}
+        # each w is met once, and is no joined neighbour of x (it would be
+        # a common one), so only the d taken need marking
+        for w in nbrs[y]:
+            if len(seeds) == cap:
+                break
+            if w not in used:
+                for d in nbrs[w]:
+                    if d in near and d not in used:
+                        seeds.append((d, w))
+                        used.add(d)
+                        break
+        if len(seeds) == cap:
+            return cap
+        if self.net is None:
+            self.net = _split_network(self.g)
+            for e in self.joins:
+                _lay_edge(self.net, *e)
+        room = self.net[2]
+        pushed = []
+        for path in seeds:
+            p = x
+            for q in path:
+                pushed += (self._arc(p, q), 2 * q)
+                p = q
+            pushed.append(self._arc(p, y))
+        for a in pushed:
+            room[a] -= 1
+            room[a ^ 1] += 1
+        found = _max_flow(self.net, 2 * x + 1, 2 * y, cap - len(seeds))
+        for a in pushed:
+            room[a] += 1
+            room[a ^ 1] -= 1
+        return len(seeds) + found
 
 
 class _Sweep:

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mcgraph import graph as graph_module
@@ -572,32 +572,62 @@ def test_prism_diameter_pin():
 TORUS_3333 = generate(NetworkSpec("torus", (3, 3, 3, 3)))
 
 
+def record_flows(patch, entry):
+    """Call ``entry(source, sink, cap)`` for every flow from now on, in
+    network nodes (out-copy ``2x + 1``, in-copy ``2y``), as it is asked for:
+    kappa's at ``_Joined.flow``, the one function every flow of its search
+    goes through, seeded or not; lambda's at ``_max_flow``, which a kappa
+    flow calls only for the paths its seeds miss."""
+    inside = []
+    kappa_flow, max_flow = graph_module._Joined.flow, graph_module._max_flow
+
+    def recording_kappa(joined, x, y, cap):
+        entry(2 * x + 1, 2 * y, cap)
+        inside.append(x)
+        try:
+            return kappa_flow(joined, x, y, cap)
+        finally:
+            inside.pop()
+
+    def recording_lambda(net, s, t, cap):
+        if not inside:
+            entry(s, t, cap)
+        return max_flow(net, s, t, cap)
+
+    patch.setattr(graph_module._Joined, "flow", recording_kappa)
+    patch.setattr(graph_module, "_max_flow", recording_lambda)
+
+
 @pytest.fixture()
 def flows(monkeypatch):
-    """The (source, sink) of every max-flow run, counted through a wrapper."""
+    """The (source, sink) of every flow."""
     calls = []
-    real = graph_module._max_flow
-
-    def counting(arcs, s, t, cap):
-        calls.append((s, t))
-        return real(arcs, s, t, cap)
-
-    monkeypatch.setattr(graph_module, "_max_flow", counting)
+    record_flows(monkeypatch, lambda s, t, cap: calls.append((s, t)))
     return calls
 
 
 @pytest.fixture()
 def flow_caps(monkeypatch):
-    """The cap of every max-flow run, counted through a wrapper."""
+    """The cap of every flow."""
     caps = []
+    record_flows(monkeypatch, lambda s, t, cap: caps.append(cap))
+    return caps
+
+
+@pytest.fixture()
+def augmenting_searches(monkeypatch):
+    """The breadth-first searches of each ``_max_flow`` run: one per path
+    found, and one more, failed, where the run ends below its cap."""
+    counts = []
     real = graph_module._max_flow
 
-    def counting(arcs, s, t, cap):
-        caps.append(cap)
-        return real(arcs, s, t, cap)
+    def counting(net, s, t, cap):
+        found = real(net, s, t, cap)
+        counts.append(found + (found < cap))
+        return found
 
     monkeypatch.setattr(graph_module, "_max_flow", counting)
-    return caps
+    return counts
 
 
 class TestFlowCounts:
@@ -628,6 +658,7 @@ class TestFlowCounts:
 
 
 Q6 = generate(NetworkSpec("hypercube", (6,)))
+Q10 = generate(NetworkSpec("hypercube", (10,)))
 HL4 = generate(NetworkSpec("hl", (4,)))
 # Thm1(a) asks whether the complement is 4-connected.  For these dense
 # graphs the complement's minimum degree (74 and 59) leaves that open.
@@ -658,7 +689,7 @@ class TestFlowPins:
             (HL4, 15, 0),
             (generate(NetworkSpec("grid", (10, 10))), 0, 0),
             (cycle_graph(200), 0, 0),
-            (generate(NetworkSpec("hypercube", (10,))), 546, 0),
+            (Q10, 546, 0),
             (PRISM_300, 300, 0),
             (cycle_graph(1100), 0, 0),
         ],
@@ -691,6 +722,44 @@ class TestFlowPins:
         )
         assert ("a" in theorem1_certificate(g).conditions) == (builds == 0)
         assert len(calls) == builds
+
+    @pytest.mark.parametrize(
+        "g,thm1a_networks",
+        [(G150, 0), (TWO_K60[5], 0), (TWO_K60[3], 1)],
+        ids=["G150", "two-K60-5-joins", "two-K60-3-joins"],
+    )
+    def test_theorem1a_builds_a_flow_network_only_for_searches(
+        self, monkeypatch, g, thm1a_networks
+    ):
+        # G150's sinks and pairs are all fenced, so it runs no flow; the 3
+        # flows on TWO_K60[5] end in their seeds; on TWO_K60[3] the seeds of
+        # one flow fall short
+        calls = []
+        real = graph_module._split_network
+        monkeypatch.setattr(
+            graph_module, "_split_network", lambda h: calls.append(h) or real(h)
+        )
+        theorem1_certificate(g)
+        assert len(calls) == thm1a_networks
+
+    # The augmenting searches of kappa's flows, each the paths its seeds
+    # miss, plus one failed search where a flow ends below its cap.  Before
+    # the joins and seeds every flow searched from nothing: 624, 240, 195,
+    # 5,460 and 900.
+    @pytest.mark.parametrize(
+        "g,searches",
+        [
+            (TORUS_3333, 72),
+            (Q6, 36),
+            (HL4, 0),
+            (Q10, 586),
+            (PRISM_300, 298),
+        ],
+        ids=["torus3333", "Q6", "hl4", "Q10", "prism300"],
+    )
+    def test_augmenting_searches(self, augmenting_searches, g, searches):
+        assert vertex_connectivity(g) == min_degree(g)
+        assert sum(augmenting_searches) == searches
 
     def test_theorem1a_threshold_in_4n_flows_on_hl4(self, flows):
         # the complement has delta 6 < (20 + 2) / 2, so it is built, but it
@@ -877,14 +946,8 @@ def pair_skips(g):
     met, with the best cut at that moment.  best changes only by a flow, so
     it is the cap of the next pair flow, or kappa after the last one."""
     caps = {}
-    real = graph_module._max_flow
-
-    def recording(net, s, t, cap):
-        caps[s // 2, t // 2] = cap
-        return real(net, s, t, cap)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graph_module, "_max_flow", recording)
+        record_flows(patch, lambda s, t, cap: caps.__setitem__((s // 2, t // 2), cap))
         kappa = vertex_connectivity(g)
     pivot = min(g.vertices(), key=g.degree)
     skips, passed = [], []
@@ -927,6 +990,59 @@ def test_pair_fence_skips(flows, g, pair_flows, fenced):
     # network nodes: the pivot's out-copy 2v + 1 starts every sink's flow
     assert sum(s != 2 * pivot + 1 for s, _ in flows) == pair_flows
     assert [best for *_, best in skips] == fenced
+
+
+@st.composite
+def thin_cut_graphs(draw):
+    """Connected graphs on 10..16 vertices with kappa < delta: two sides
+    that share no edge, joined through 1..3 separator vertices, each pair
+    elsewhere an edge with probability 3/4, relabelled at random so that
+    the pivot falls anywhere."""
+    n = draw(st.integers(10, 16))
+    cut = draw(st.integers(1, 3))
+    split = draw(st.integers(cut + 3, n - 3))
+    pairs = [(x, y) for x, y in combinations(range(n), 2) if x < cut or y < split or x >= split]
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    perm = draw(st.permutations(range(n)))
+    g = build_graph(n, [(perm[x], perm[y]) for (x, y), k in zip(pairs, keep) if k])
+    assume(is_connected(g) and reference_connectivity(g) < min_degree(g))
+    return g
+
+
+def reference_connectivity(g):
+    """kappa of a non-complete graph: the least flow over its non-adjacent
+    pairs, each on the plain split network, with no join and no seed."""
+    arcs = reference_split_network(g)
+    return min(
+        reference_max_flow(arcs, 2 * a + 1, 2 * c, g.n)
+        for a, c in combinations(g.vertices(), 2)
+        if not g.has_edge(a, c)
+    )
+
+
+# kappa 2 < delta 3: a search that left each flow's seeds pushed in its
+# network, where the next flow meets them, finds 3
+STALE_SEEDS = build_graph(
+    10,
+    [(0, 2), (0, 6), (0, 7), (0, 9), (1, 2), (1, 3), (1, 8), (2, 3), (2, 4), (2, 8),
+     (2, 9), (3, 4), (4, 5), (5, 6), (5, 7), (5, 8), (5, 9), (6, 9), (7, 9)],
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(thin_cut_graphs())
+@example(STALE_SEEDS)
+@example(FENCE_THEN_FALL)
+@example(FALL_THEN_FENCE)
+@example(TWO_POCKETS)
+@example(LONG_THIN[1])  # the prism C30 x P2, kappa = delta = 3
+def test_joins_where_the_best_cut_falls(g):
+    # each join is made at the best cut of its moment, and later flows run
+    # at caps as low as the final kappa
+    kappa = reference_connectivity(g)
+    assert vertex_connectivity(g) == kappa
+    for k in range(1, min_degree(g) + 2):
+        assert graph_module._connectivity(g, k) == min(kappa, k)
 
 
 def reference_connected_graphs(n, max_edges=None):
