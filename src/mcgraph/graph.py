@@ -18,8 +18,9 @@ Every traversal of a ``Graph`` in the package goes through two primitives:
 * :func:`edge_components` -- the one union-find, grouping the vertices touched
   by an edge subset (a color class of two or more edges, a cover tree).  It
   roots only the vertices it touches, so a small class costs what its edges
-  cost, not O(n).  ``mc.check_mc_coloring`` serves a one-edge class itself,
-  with no call here: such a class joins exactly its two ends.
+  cost, not O(n).  Every edge serves its own pair, so only the shared
+  classes use the union-find: ``mc.check_mc_coloring`` calls it once per
+  color of two or more edges, and never on a complete host.
 
 Vertex and edge connectivity are unit-capacity max flows (Menger), run
 sparingly: from a minimum-degree pivot only (Esfahanian and Hakimi,

@@ -14,7 +14,8 @@ witness through the checker first.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -36,24 +37,26 @@ from .products import ProductGraph
 class EdgeColoring:
     """A total edge coloring of ``host``, aligned with its canonical edge order.
 
-    Color ids must be the contiguous range 0..k-1.
+    Color ids must be ints forming the contiguous range 0..k-1; ``color_count``
+    is k, counted once here.
     """
 
     host: Graph
     colors: tuple[int, ...]
+    color_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.colors) != self.host.m:
             raise ValueError(
                 f"expected {self.host.m} colors, got {len(self.colors)}"
             )
+        # bool and float ids would pass the range test below: True == 1 == 1.0
+        if not set(map(type, self.colors)) <= {int}:
+            raise ValueError("color ids must be ints")
         used = set(self.colors)
-        if self.colors and used != set(range(len(used))):
+        if used and (min(used) != 0 or max(used) != len(used) - 1):
             raise ValueError("color ids must be contiguous 0..k-1")
-
-    @property
-    def color_count(self) -> int:
-        return len(set(self.colors))
+        object.__setattr__(self, "color_count", len(used))
 
     def color_classes(self) -> list[list[tuple[int, int]]]:
         classes: list[list[tuple[int, int]]] = [[] for _ in range(self.color_count)]
@@ -197,39 +200,52 @@ def check_mc_coloring(
     Valid iff every vertex pair lies in one component of some color class's
     subgraph.  The returned violation is the lexicographically smallest pair.
 
-    A class of one edge (u, v) has one component, {u, v}, so it serves
-    exactly the pair it joins and needs no union-find.  Such classes are
-    nearly all the classes of the colorings that attain the known values:
-    every non-tree edge of a spanning-tree coloring, every edge of an
-    all-distinct one.
+    Every edge serves its own pair, whatever its class, so only the shared
+    classes (two or more edges) go through the union-find, and they serve
+    the non-adjacent pairs.  A complete host has none of those and is valid
+    at once.  The shared colors come from one count of ``coloring.colors``,
+    skipped when every color is distinct; one mask per vertex keeps the
+    vertices the shared classes join it to.  The scan reads a vertex's
+    edges, a run of the sorted edge tuple, only when those masks leave it a
+    pair: the colorings behind the known values (a spanning tree plus
+    one-edge classes, or all one-edge classes on a complete host) read none.
 
     No class serves a pair with a vertex that no edge touches, so when z is
     the smallest such vertex the first bad pair is at most (0, z), or is
     (0, 1) when z is 0: the masks and the scan stop at max(z, 1), and the
-    cost follows the edges, not the declared vertex count.
+    cost follows the edges, not the declared vertex count.  A coloring whose
+    host is ``g`` itself skips the comparison of the two edge lists; any
+    other host is compared by value.
     """
-    if coloring.host.n != g.n or coloring.host.edges != g.edges:
+    if coloring.host is not g and (
+        coloring.host.n != g.n or coloring.host.edges != g.edges
+    ):
         raise ValueError("coloring does not color this graph's edge set")
-    touched = set(chain.from_iterable(g.edges))
-    isolated = next((v for v in range(g.n) if v not in touched), g.n)
-    end = min(g.n, max(isolated, 1) + 1)
-    served = [0] * end  # bit v of served[u]: some class joins u and v
-    for edges in coloring.color_classes():
-        if len(edges) == 1:
-            (u, v), = edges
-            if v < end:
-                served[u] |= 1 << v
-                served[v] |= 1 << u
-            continue
-        for comp in edge_components(g.n, edges):
-            comp = comp[: bisect_left(comp, end)]
-            mask = sum(1 << v for v in comp)
-            for v in comp:
-                served[v] |= mask
+    if is_complete(g):  # every pair is an edge
+        return True, None
+    n, edges = g.n, g.edges
+    touched = set(chain.from_iterable(edges))
+    isolated = n if len(touched) == n else next(v for v in range(n) if v not in touched)
+    end = min(n, max(isolated, 1) + 1)
+    served = [0] * end  # bit v of served[u]: a shared class joins u and v
+    if coloring.color_count < len(edges):
+        shared = {c: [] for c, k in Counter(coloring.colors).items() if k > 1}
+        for e, c in zip(edges, coloring.colors):
+            if c in shared:
+                shared[c].append(e)
+        for class_edges in shared.values():
+            for comp in edge_components(n, class_edges):
+                comp = comp[: bisect_left(comp, end)]
+                mask = sum(1 << v for v in comp)
+                for v in comp:
+                    served[v] |= mask
     for u in range(end):
         missing = ~served[u] & ((1 << end) - (2 << u))  # the v > u unserved
-        if missing:
-            return False, (u, (missing & -missing).bit_length() - 1)
+        if missing:  # the edges (u, v) with u < v < end serve their pairs
+            run = edges[bisect_left(edges, (u,)) : bisect_left(edges, (u, end))]
+            missing &= ~sum(1 << v for _, v in run)
+            if missing:
+                return False, (u, (missing & -missing).bit_length() - 1)
     return True, None
 
 

@@ -23,6 +23,7 @@ from .mc import (
     TreeCover,
     _checked_result,
     _trivial_result,
+    all_distinct_coloring,
     mc_bounds_basic,
     spanning_tree_coloring,
 )
@@ -1035,8 +1036,8 @@ def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
     stays independent of the certificate machinery.  When that floor already
     allows no cover cheaper than a spanning tree (kappa <= 1, so any tree or
     graph with a cut vertex), the spanning tree is returned without a search.
-    A complete graph has no pair to cover, so it gets the empty cover (every
-    color distinct) without building the solver.  On budget exhaustion no
+    A complete graph has no pair to cover, so it gets the all-distinct
+    coloring without building the solver.  On budget exhaustion no
     value is claimed: the result carries just the interval, with method
     ``bounds-only`` and the upper end m - (root floor) where that is lower,
     tagged ``search(<floor_by>)``.  ``stats`` holds the counters either way.
@@ -1046,10 +1047,10 @@ def mc_exact(g: Graph, max_nodes: int = DEFAULT_NODE_BUDGET) -> McResult:
     bounds = mc_bounds_basic(g)
     lemma1_floor = g.m - bounds.upper
     stats = SearchStats(nodes=0, floor=lemma1_floor, floor_by="Lem1")
+    if is_complete(g):  # no non-adjacent pair: every edge its own color
+        return _checked_result(g, all_distinct_coloring(g), "tree-cover", bounds, stats)
     tree_masks = None
-    if is_complete(g):  # no non-adjacent pair: the empty cover
-        tree_masks = []
-    elif lemma1_floor < g.n - 2:
+    if lemma1_floor < g.n - 2:
         solver = _TreeCoverSolver(g, max_nodes)
         try:
             tree_masks = solver.solve(lemma1_floor)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mcgraph.mc as mc_module
 from mcgraph.errors import InapplicableError
 from mcgraph.families import (
     NetworkSpec,
@@ -15,7 +17,7 @@ from mcgraph.families import (
     path_graph,
     petersen_graph,
 )
-from mcgraph.graph import build_graph, vertex_connectivity
+from mcgraph.graph import build_graph, edge_components, vertex_connectivity
 from mcgraph.mc import (
     EdgeColoring,
     TreeCover,
@@ -53,6 +55,12 @@ class TestEdgeColoring:
         with pytest.raises(ValueError):
             EdgeColoring(path_graph(3), (0,))
 
+    # True == 1 == 1.0, so these pass a test of the ids' values alone
+    @pytest.mark.parametrize("colors", [(0, 1.0), (0, True), (True, False)])
+    def test_ids_must_be_ints(self, colors):
+        with pytest.raises(ValueError, match="ints"):
+            EdgeColoring(path_graph(3), colors)
+
     def test_color_classes(self):
         g = cycle_graph(3)
         c = EdgeColoring(g, (0, 1, 0))
@@ -79,6 +87,12 @@ class TestCheckMcColoring:
         g, h = path_graph(3), cycle_graph(3)
         with pytest.raises(ValueError):
             check_mc_coloring(g, EdgeColoring(h, (0, 0, 0)))
+
+    def test_an_equal_host_is_checked_by_value(self):
+        g, h = path_graph(3), build_graph(3, [(1, 2), (0, 1)])
+        assert g is not h and g == h
+        assert check_mc_coloring(g, EdgeColoring(h, (0, 1))) == (False, (0, 2))
+        assert check_mc_coloring(h, EdgeColoring(g, (0, 0))) == (True, None)
 
 
 def _reference_check(g, coloring):
@@ -174,10 +188,56 @@ _COLORINGS = [
 @example((cycle_graph(6), (0, 1, 2, 3, 4, 4)))
 # vertex 3 is isolated, and the bad pair (0, 2) comes before (0, 3)
 @example((build_graph(6, [(0, 1), (1, 2), (2, 4), (4, 5)]), (0, 1, 1, 1)))
+# a complete host with shared classes: valid with no union-find
+@example((complete_graph(4), (0, 0, 1, 2, 1, 0)))
+# the only shared class is a Hamiltonian path, so it serves every pair
+@example((cycle_graph(5), (0, 1, 0, 0, 0)))
+# vertex 2 is isolated, so (0, 2) comes before the bad pair (0, 4)
+@example((build_graph(6, [(0, 1), (1, 3), (3, 4), (4, 5)]), (0, 0, 1, 1)))
 def test_checker_matches_pair_scan_reference(case):
     g, colors = case
     coloring = EdgeColoring(g, colors)
-    assert check_mc_coloring(g, coloring) == _reference_check(g, coloring)
+    result, unions = _checked_counting_unions(g, coloring)
+    assert result == _reference_check(g, coloring)
+    shared = sum(k > 1 for k in Counter(colors).values())
+    assert unions == (0 if g.m == g.n * (g.n - 1) // 2 else shared)
+
+
+def _checked_counting_unions(g, coloring):
+    """``check_mc_coloring``'s result, and how many ``edge_components`` calls
+    it made."""
+    calls = []
+
+    def counting(n, edges):
+        calls.append(n)
+        return edge_components(n, edges)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc_module, "edge_components", counting)
+        result = check_mc_coloring(g, coloring)
+    return result, len(calls)
+
+
+# The checker's union-find calls on the colorings behind the known values:
+# every edge serves its own pair, so only a shared class takes a call, and a
+# complete host takes none.
+CHECKER_UNIONS = [
+    ("lex_torus", (3, 3, 3, 3), all_distinct_coloring, 0),
+    ("complete", (120,), all_distinct_coloring, 0),
+    ("lex_torus", (3, 3, 3, 3), spanning_tree_coloring, 0),
+    ("hypercube", (10,), spanning_tree_coloring, 1),
+    ("torus", (3, 3, 3, 3), spanning_tree_coloring, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "family,params,coloring,unions",
+    CHECKER_UNIONS,
+    ids=["K81-distinct", "K120-distinct", "K81-tree", "Q10-tree", "torus3^4-tree"],
+)
+def test_checker_union_find_calls(family, params, coloring, unions):
+    g = complete_graph(*params) if family == "complete" else generate(NetworkSpec(family, params))
+    assert _checked_counting_unions(g, coloring(g)) == ((True, None), unions)
 
 
 # The BFS visit order decides the spanning tree, which is also mc_exact's
